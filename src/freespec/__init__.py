@@ -29,7 +29,6 @@ from .freeprod import (  # noqa: F401
     free_power,
     regular_tree_ball,
     tree_recurrence_check,
-    vacuum_moment_distance_k,
     vacuum_moments_distance_k,
     word_distance,
 )

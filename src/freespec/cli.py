@@ -94,7 +94,10 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--output", default=None, help="output path (default stdout)")
-    common.add_argument("--threads", type=int, default=None)
+    common.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted for compatibility; cells run serially",
+    )
     common.add_argument("--walk-budget", type=int, default=Budgets().walk_expansions)
     common.add_argument("--ball-budget", type=int, default=Budgets().ball_vertices)
     common.add_argument(
@@ -162,39 +165,29 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        value = args.threads
-    else:
-        env = os.environ.get("FREESPEC_THREADS")
-        value = int(env) if env else 1
-    if value < 1:
-        raise _UsageError("--threads must be >= 1")
-    return value
-
-
 def _run(args) -> Report:
     budgets = Budgets(
         walk_expansions=args.walk_budget, ball_vertices=args.ball_budget
     )
-    threads = _threads(args)
+    if args.threads < 1:  # accepted for compatibility; cells run serially
+        raise _UsageError("--threads must be >= 1")
     if args.command == "tree-check":
-        return tree_check_experiment(args.d, args.k, args.max_m, budgets, threads)
+        return tree_check_experiment(args.d, args.k, args.max_m, budgets)
     if args.command == "free-clt":
         g, name = _load_graph(args.graph)
         n_list = _parse_int_list(args.N, "--N")
-        return free_clt_experiment(g, name, args.k, n_list, args.max_m, budgets, threads)
+        return free_clt_experiment(g, name, args.k, n_list, args.max_m, budgets)
     if args.command == "large-d":
         d_list = _parse_int_list(args.d_list, "--d-list")
-        return tree_large_d_experiment(args.k, d_list, args.max_m, budgets, threads)
+        return tree_large_d_experiment(args.k, d_list, args.max_m, budgets)
     if args.command == "regular-random":
         n_list = _parse_int_list(args.n_list, "--n-list")
         return regular_limit_experiment(
-            args.d, args.k, n_list, args.samples, args.max_m, args.seed, budgets, threads
+            args.d, args.k, n_list, args.samples, args.max_m, args.seed, budgets
         )
     if args.command == "cycles":
         n_list = _parse_int_list(args.n_list, "--n-list")
-        return cycles_experiment(args.d, args.j, n_list, args.samples, args.seed, threads)
+        return cycles_experiment(args.d, args.j, n_list, args.samples, args.seed)
     if args.command == "decomp-check":
         return _run_decomp(args, budgets)
     if args.command == "moments":

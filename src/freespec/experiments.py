@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,15 +28,13 @@ from .reports import Budgets, ExactScaled, Report, ReportRow
 
 
 def run_cells(fn, items, threads: int = 1) -> list:
-    """Evaluate fn over items, optionally on a thread pool.
+    """Evaluate fn over items in order, in the calling thread.
 
-    Results are gathered in item order, so output is independent of the
-    thread count; cells must be pure functions.
+    threads is accepted and ignored.  Cells are pure-Python CPU work, so a
+    thread pool gave no speedup under the GIL; the parameter stays because
+    perfbench/traced.py wraps this function and passes it through.
     """
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def normalized_value(count: int, scale_base: int, power: int) -> ExactScaled:
@@ -63,7 +60,6 @@ def tree_check_experiment(
     k: int,
     max_m: int,
     budgets: Budgets = Budgets(),
-    threads: int = 1,
 ) -> Report:
     """Walk counts on the d-regular tree's distance-k graph vs the polynomial law.
 
@@ -95,7 +91,6 @@ def free_clt_experiment(
     n_list,
     max_m: int,
     budgets: Budgets = Budgets(),
-    threads: int = 1,
 ) -> Report:
     """Normalized vacuum moments of distance-k graphs of G^{*N} vs E[P_k(s)^m].
 
@@ -113,7 +108,7 @@ def free_clt_experiment(
             return None
         return counts, spec.sigma
 
-    results = run_cells(cell, list(n_list), threads)
+    results = run_cells(cell, list(n_list))
     rows = []
     for n_copies, result in zip(n_list, results):
         for m in range(max_m + 1):
@@ -153,7 +148,6 @@ def tree_large_d_experiment(
     d_list,
     max_m: int,
     budgets: Budgets = Budgets(),
-    threads: int = 1,
 ) -> Report:
     """d^{-km/2}-normalized tree distance-k moments vs E[P_k(s)^m] as d grows."""
     refs = chebyshev_reference_moments(k, max_m)
@@ -164,7 +158,7 @@ def tree_large_d_experiment(
             spec, k, max_m, budget=budgets.walk_expansions
         )
 
-    results = run_cells(cell, list(d_list), threads)
+    results = run_cells(cell, list(d_list))
     rows = []
     for d, counts in zip(d_list, results):
         for m in range(max_m + 1):

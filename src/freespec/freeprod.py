@@ -407,15 +407,14 @@ def _layered_vacuum_moments(
     k: int,
     max_m: int,
     budget: int,
-    prune: bool,
 ) -> list[int]:
     """Walk counts at the root of the distance-k graph via layered forward DP.
 
     Layer t holds the number of t-step walks from the root to each word; a
     closed m-walk is a layer-a walk and a reversed layer-b walk meeting at
     the same word (a = m // 2, b = m - a), so layers are only needed to
-    ceil(max_m / 2).  Pruning keeps only words with root_distance <= k * t,
-    which no prefix of a closed walk can exceed; it never changes results.
+    ceil(max_m / 2).  Layer t keeps only words with root_distance <= k * t,
+    which no prefix of a closed walk can exceed.
     """
     half = (max_m + 1) // 2
     layers: list[dict[Word, int]] = [{(): 1}]
@@ -433,7 +432,7 @@ def _layered_vacuum_moments(
             if expansions > budget:
                 raise BudgetExceededError(expansions, budget, "walk expansions")
             for y in nbs:
-                if prune and root_distance(spec, y) > radius:
+                if root_distance(spec, y) > radius:
                     continue
                 nxt[y] = nxt.get(y, 0) + c
         layers.append(nxt)
@@ -447,88 +446,26 @@ def _layered_vacuum_moments(
     return moments
 
 
-def _dfs_vacuum_moment(
-    spec: FreePowerSpec,
-    k: int,
-    m: int,
-    budget: int,
-    prune: bool,
-) -> int:
-    """Reference engine: depth-first enumeration of the closed walks themselves.
-
-    Exponentially slower than the layered DP; kept as an independent
-    cross-check on small cases.  Top-level branches are independent and
-    could be split across workers, with partial counts combined by addition.
-    """
-    nbr_cache: dict[Word, tuple[Word, ...]] = {}
-    expansions = 0
-
-    def count_from(w: Word, steps_left: int) -> int:
-        nonlocal expansions
-        if steps_left == 0:
-            return 1 if not w else 0
-        nbs = nbr_cache.get(w)
-        if nbs is None:
-            nbs = distance_k_neighbors(spec, w, k, validate=False)
-            nbr_cache[w] = nbs
-        total = 0
-        for y in nbs:
-            expansions += 1
-            if expansions > budget:
-                raise BudgetExceededError(expansions, budget, "walk expansions")
-            if prune and root_distance(spec, y) > k * (steps_left - 1):
-                continue
-            total += count_from(y, steps_left - 1)
-        return total
-
-    if m == 0:
-        return 1
-    return count_from((), m)
-
-
 def vacuum_moments_distance_k(
     spec: FreePowerSpec,
     k: int,
     max_m: int,
     budget: int = DEFAULT_WALK_BUDGET,
-    prune: bool = True,
-    engine: str = "auto",
 ) -> list[int]:
     """Exact closed-walk counts at the root of the distance-k graph of G^{*N}.
 
     Entry m is the (root, root) entry of the m-th power of the distance-k
-    adjacency.  Engines: "radial" (K2 bases only; collapses words to root
-    distance), "layered" (any base), "dfs" (slow reference), "auto" picks
-    radial for K2 bases and layered otherwise.
+    adjacency.  K2 bases (regular trees) collapse words to their root
+    distance (radial engine); every other base runs the layered DP, which
+    charges its neighbor expansions to budget.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if max_m < 0:
         raise ValueError("max_m must be nonnegative")
-    if engine == "auto":
-        engine = "radial" if spec.base.vertex_count == 2 else "layered"
-    if engine == "radial":
-        if spec.base.vertex_count != 2:
-            raise ValueError("radial engine requires a K2 base")
+    if spec.base.vertex_count == 2:
         return _tree_vacuum_moments(spec.copies, k, max_m)
-    if engine == "layered":
-        return _layered_vacuum_moments(spec, k, max_m, budget, prune)
-    if engine == "dfs":
-        return [
-            _dfs_vacuum_moment(spec, k, m, budget, prune) for m in range(max_m + 1)
-        ]
-    raise ValueError(f"unknown engine {engine!r}")
-
-
-def vacuum_moment_distance_k(
-    spec: FreePowerSpec,
-    k: int,
-    m: int,
-    budget: int = DEFAULT_WALK_BUDGET,
-    prune: bool = True,
-    engine: str = "auto",
-) -> int:
-    return vacuum_moments_distance_k(spec, k, m, budget, prune, engine)[m]
+    return _layered_vacuum_moments(spec, k, max_m, budget)
 
 
 def edge_copy_is_top(spec: FreePowerSpec, j: Word, l: Word) -> bool:

@@ -6,7 +6,6 @@ shared freely across threads.
 """
 from __future__ import annotations
 
-import random
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -328,18 +327,6 @@ def decompose_square(g: RootedGraph):
             elif common > 0:
                 atilde2[i][v] = common
     return atilde2, dmat, delta
-
-
-def random_graph(n: int, edge_prob: float, seed: int) -> RootedGraph:
-    """Seeded Erdos-Renyi style graph, rooted at 0 (test/report plumbing)."""
-    rng = random.Random(seed)
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < edge_prob
-    ]
-    return from_edge_list(n, edges, 0)
 
 
 def parse_graph_text(text: str) -> RootedGraph:

@@ -26,35 +26,13 @@ def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(c, a):
     return [[c * x for x in row] for row in a]
 
 
 def mat_mul(a, b):
-    n = len(a)
-    m = len(b[0])
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def mat_pow(a, p: int):
-    n = len(a)
-    result = identity(n)
-    base = a
-    while p:
-        if p & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base) if p > 1 else base
-        p >>= 1
-    return result
-
-
-def mat_eq(a, b) -> bool:
-    return a == b
 
 
 def max_abs_diff(a, b) -> int:

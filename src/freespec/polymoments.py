@@ -87,9 +87,6 @@ class Poly:
         c = Fraction(c)
         return Poly([coef * c**j for j, coef in enumerate(self.coeffs)])
 
-    def coeff(self, j: int) -> Fraction:
-        return self.coeffs[j] if j < len(self.coeffs) else Fraction(0)
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "Poly(0)"

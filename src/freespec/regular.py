@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError, ParityError, RetriesExhaustedError
+from .errors import ParityError, RetriesExhaustedError
 from .experiments import run_cells
 from .graphs import RootedGraph, count_k_cycles, distance_k_graph, from_edge_list, trace_moments
 from .polymoments import tree_distance_k_law_moments
@@ -127,7 +127,6 @@ def regular_limit_experiment(
     max_m: int,
     seed: int,
     budgets: Budgets = Budgets(),
-    threads: int = 1,
 ) -> Report:
     """Mean trace moments of distance-k graphs of random d-regular graphs.
 
@@ -137,19 +136,16 @@ def regular_limit_experiment(
     refs = tree_distance_k_law_moments(d, k, max_m)
 
     def cell(n: int):
-        try:
-            totals = [Fraction(0)] * (max_m + 1)
-            for i in range(samples):
-                g = pairing_model(PairingConfig(n=n, d=d, seed=derive_seed(seed, n, i)))
-                dk = distance_k_graph(g, k)
-                moments = trace_moments(dk, max_m)
-                for m in range(max_m + 1):
-                    totals[m] += moments[m]
-            return [t / samples for t in totals]
-        except BudgetExceededError:
-            return None  # cell skipped, run continues
+        totals = [Fraction(0)] * (max_m + 1)
+        for i in range(samples):
+            g = pairing_model(PairingConfig(n=n, d=d, seed=derive_seed(seed, n, i)))
+            dk = distance_k_graph(g, k)
+            moments = trace_moments(dk, max_m)
+            for m in range(max_m + 1):
+                totals[m] += moments[m]
+        return [t / samples for t in totals]
 
-    results = run_cells(cell, list(n_list), threads)
+    results = run_cells(cell, list(n_list))
     rows = []
     for n, means in zip(n_list, results):
         for m in range(max_m + 1):
@@ -161,9 +157,8 @@ def regular_limit_experiment(
                     param_value=n,
                     k=k,
                     m=m,
-                    value=None if means is None else ExactScaled(means[m]),
+                    value=ExactScaled(means[m]),
                     reference=ExactScaled(refs[m]),
-                    skipped=means is None,
                 )
             )
     return Report(rows=rows, seed=seed, budgets=budgets)
@@ -175,7 +170,6 @@ def cycles_experiment(
     n_list,
     samples: int,
     seed: int,
-    threads: int = 1,
 ) -> Report:
     """Mean j-cycle counts across orders n, against the d-regular limit value."""
     ref = ExactScaled(cycle_limit_reference(d, j))
@@ -183,7 +177,7 @@ def cycles_experiment(
     def cell(n: int):
         return cycle_average(n, d, j, samples, seed)
 
-    results = run_cells(cell, list(n_list), threads)
+    results = run_cells(cell, list(n_list))
     rows = [
         ReportRow(
             experiment="cycles",

@@ -31,7 +31,11 @@ class Budgets:
 
 @dataclass(frozen=True)
 class ExactScaled:
-    """An exact value frac / sqrt(sqrt_den); sqrt_den = 1 means plain rational."""
+    """An exact value frac / sqrt(sqrt_den); sqrt_den = 1 means plain rational.
+
+    Stored in canonical form: sqrt_den is squarefree (square factors move
+    into frac) and zero has sqrt_den 1, so equal values have equal fields.
+    """
 
     frac: Fraction
     sqrt_den: int = 1
@@ -39,6 +43,17 @@ class ExactScaled:
     def __post_init__(self):
         if self.sqrt_den < 1:
             raise ValueError("sqrt_den must be >= 1")
+        frac, rest = Fraction(self.frac), self.sqrt_den
+        if frac == 0:
+            rest = 1
+        f = 2
+        while f * f <= rest:
+            while rest % (f * f) == 0:
+                rest //= f * f
+                frac /= f
+            f += 1
+        object.__setattr__(self, "frac", frac)
+        object.__setattr__(self, "sqrt_den", rest)
 
     @property
     def is_rational(self) -> bool:
@@ -77,11 +92,11 @@ class ExactScaled:
         if isinstance(other, (int, Fraction)):
             other = ExactScaled(Fraction(other))
         if isinstance(other, ExactScaled):
-            return not self < other and not other < self
+            return self.frac == other.frac and self.sqrt_den == other.sqrt_den
         return NotImplemented
 
     def __hash__(self):
-        if self.sqrt_den == 1 or self.frac == 0:
+        if self.sqrt_den == 1:
             return hash(self.frac)
         return hash((self.frac, self.sqrt_den))
 

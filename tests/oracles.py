@@ -3,9 +3,26 @@
 Everything here recomputes expected values by a route disjoint from the
 package implementation: brute-force enumeration, Floyd-Warshall distances,
 and adaptive quadrature.  Keep it that way; these are the cross-checks.
+random_graph only generates seeded inputs.
 """
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
+
+from freespec.freeprod import word_neighbors
+from freespec.graphs import from_edge_list
+
+
+def random_graph(n, edge_prob, seed):
+    """Seeded Erdos-Renyi style graph, rooted at 0."""
+    rng = random.Random(seed)
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < edge_prob
+    ]
+    return from_edge_list(n, edges, 0)
 
 
 def brute_closed_walks(g, source, m):
@@ -19,6 +36,38 @@ def brute_closed_walks(g, source, m):
         return sum(rec(u, steps - 1) for u in g.neighbors[v])
 
     return rec(source, m)
+
+
+def brute_distance_k_walks(spec, k, m):
+    """Closed m-walks at the root of the distance-k graph of a free power.
+
+    Depth-first enumeration of every walk, without pruning.  Each step's
+    distance-k sphere comes from a k-step BFS over word_neighbors, so
+    neither the closed-form word metric nor the segment pools are used.
+    """
+    spheres = {}
+
+    def sphere(w):
+        if w not in spheres:
+            seen = {w}
+            frontier = [w]
+            for _ in range(k):
+                nxt = []
+                for x in frontier:
+                    for y in word_neighbors(spec, x):
+                        if y not in seen:
+                            seen.add(y)
+                            nxt.append(y)
+                frontier = nxt
+            spheres[w] = frontier
+        return spheres[w]
+
+    def rec(w, steps):
+        if steps == 0:
+            return 1 if not w else 0
+        return sum(rec(y, steps - 1) for y in sphere(w))
+
+    return rec((), m)
 
 
 def floyd_warshall(g):

@@ -23,7 +23,6 @@ from freespec.graphs import (
     cycle_graph,
     decompose_square,
     path_graph,
-    random_graph,
 )
 from freespec.polymoments import (
     kesten_mckay_moments,
@@ -31,7 +30,7 @@ from freespec.polymoments import (
     tree_distance_k_law_moments,
 )
 from freespec.regular import cycle_average, regular_limit_experiment
-from oracles import km_moment_quad
+from oracles import km_moment_quad, random_graph
 
 SEED = 0
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]

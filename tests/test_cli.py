@@ -49,6 +49,19 @@ def test_free_clt_json_exact_values(capsys):
     assert row["value"] == 0.875
 
 
+def test_free_clt_json_exact_strings_are_canonical(capsys):
+    # (N*sigma)^(km/2) = 4^(m/2): odd m must not leave a sqrt(4) surd
+    code, out, _ = run_cli(
+        capsys, "free-clt", "--graph", "builtin:k3", "--k", "1", "--N", "2",
+        "--max-m", "4", "--format", "json",
+    )
+    assert code == 0
+    rows = {r["m"]: r for r in json.loads(out)["rows"]}
+    assert rows[1]["value_exact"] == "0"
+    assert rows[3]["value_exact"] == "1/2"
+    assert not any("sqrt" in (r["value_exact"] or "") for r in rows.values())
+
+
 def test_km_density_row(capsys):
     code, out, _ = run_cli(
         capsys, "km-density", "--d", "2", "--points", "5", "--range", "-2,2"
@@ -140,6 +153,7 @@ def test_usage_errors_exit_1(capsys):
         ("free-clt", "--graph", "nosuchscheme:k3", "--k", "1", "--N", "2"),
         ("moments",),                                                  # no graph, no law
         ("km-density", "--d", "2", "--points", "1", "--range", "0,1"),
+        ("large-d", "--k", "1", "--d-list", "2,3", "--threads", "0"),
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1, argv
@@ -184,15 +198,6 @@ def test_byte_identical_across_threads(capsys):
             outputs.append((fmt, out))
     assert outputs[0][1] == outputs[2][1]  # csv
     assert outputs[1][1] == outputs[3][1]  # json
-
-
-def test_env_threads_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("FREESPEC_THREADS", "3")
-    code, out, _ = run_cli(capsys, "large-d", "--k", "1", "--d-list", "2,3", "--max-m", "2")
-    assert code == 0
-    monkeypatch.setenv("FREESPEC_THREADS", "1")
-    code, out1, _ = run_cli(capsys, "large-d", "--k", "1", "--d-list", "2,3", "--max-m", "2")
-    assert out == out1
 
 
 def test_graph_file_ingestion(tmp_path, capsys):

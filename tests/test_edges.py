@@ -2,6 +2,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from freespec.errors import UnreducedWordError
 from freespec.freeprod import (
@@ -21,14 +23,6 @@ from freespec.polymoments import (
     tree_distance_poly,
 )
 from freespec.reports import ExactScaled, Report, ReportRow
-
-
-def test_radial_engine_requires_k2_base():
-    spec = free_power(complete_graph(3), 2)
-    with pytest.raises(ValueError):
-        vacuum_moments_distance_k(spec, 2, 2, engine="radial")
-    with pytest.raises(ValueError):
-        vacuum_moments_distance_k(spec, 2, 2, engine="wat")
 
 
 def test_single_copy_free_power():
@@ -75,6 +69,22 @@ def test_exact_scaled_sub_rational_guard():
     with pytest.raises(ValueError):
         surd.sub_rational(Fraction(1))
     assert surd.sub_rational(Fraction(0)) == surd
+
+
+@given(
+    st.fractions(max_denominator=50).filter(lambda q: abs(q) <= 50),
+    st.integers(min_value=1, max_value=400),
+    st.integers(min_value=1, max_value=20),
+)
+def test_exact_scaled_eq_implies_same_hash(frac, sqrt_den, square):
+    # frac / sqrt(sqrt_den) written a second way: scale both by square
+    a = ExactScaled(frac, sqrt_den)
+    b = ExactScaled(frac * square, sqrt_den * square * square)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    if sqrt_den == 1:
+        assert a == frac and hash(a) == hash(frac)
 
 
 def test_report_row_lookup():

@@ -17,6 +17,7 @@ from freespec.errors import (
     UnreducedWordError,
 )
 from freespec.freeprod import (
+    _layered_vacuum_moments,
     ball,
     decomposition_check,
     distance_k_neighbors,
@@ -26,7 +27,6 @@ from freespec.freeprod import (
     regular_tree_ball,
     root_distance,
     tree_recurrence_check,
-    vacuum_moment_distance_k,
     vacuum_moments_distance_k,
     word_distance,
     word_neighbors,
@@ -39,6 +39,7 @@ from freespec.graphs import (
     path_graph,
     vacuum_moment,
 )
+from oracles import brute_distance_k_walks
 
 K2 = complete_graph(2)
 K3 = complete_graph(3)
@@ -208,42 +209,45 @@ def test_distance_k_neighbors_against_ball_bfs():
 def test_vacuum_moment_distance_k_trivial():
     for base, copies in [(K3, 2), (C4, 3), (P3, 2)]:
         spec = free_power(base, copies)
-        assert vacuum_moment_distance_k(spec, 1, 2) == copies * spec.sigma
-        assert vacuum_moment_distance_k(spec, 2, 0) == 1
-        assert vacuum_moment_distance_k(spec, 2, 1) == 0
+        assert vacuum_moments_distance_k(spec, 1, 2)[2] == copies * spec.sigma
+        assert vacuum_moments_distance_k(spec, 2, 0) == [1]
+        assert vacuum_moments_distance_k(spec, 2, 1)[1] == 0
 
 
 def test_vacuum_moment_distance_k_examples():
-    assert vacuum_moment_distance_k(free_power(K3, 2), 2, 2) == 8
-    assert vacuum_moment_distance_k(free_power(K2, 3), 2, 2) == 6
+    assert vacuum_moments_distance_k(free_power(K3, 2), 2, 2)[2] == 8
+    assert vacuum_moments_distance_k(free_power(K2, 3), 2, 2)[2] == 6
+
+
+def _brute_moments(spec, k, max_m):
+    return [brute_distance_k_walks(spec, k, m) for m in range(max_m + 1)]
 
 
 def test_walk_engines_agree():
     cases = [(K3, 2, 2, 4), (C4, 2, 2, 3), (P3, 2, 2, 4), (P3, 3, 3, 3)]
     for base, copies, k, max_m in cases:
         spec = free_power(base, copies)
-        layered = vacuum_moments_distance_k(spec, k, max_m, engine="layered")
-        dfs = vacuum_moments_distance_k(spec, k, max_m, engine="dfs")
-        assert layered == dfs
+        layered = vacuum_moments_distance_k(spec, k, max_m)
+        assert layered == _brute_moments(spec, k, max_m)
+    # K2 bases take the radial engine; the layered DP must agree with it
     for d, k, max_m in [(2, 2, 6), (3, 2, 8), (3, 3, 6), (4, 2, 6), (4, 3, 4), (5, 4, 2)]:
         spec = free_power(K2, d)
-        radial = vacuum_moments_distance_k(spec, k, max_m, engine="radial")
-        layered = vacuum_moments_distance_k(spec, k, max_m, engine="layered")
-        assert radial == layered
+        radial = vacuum_moments_distance_k(spec, k, max_m)
+        assert radial == _layered_vacuum_moments(spec, k, max_m, 10**8)
 
 
 def test_pruning_soundness():
+    # the layered DP drops words beyond root distance k*t; unpruned
+    # enumeration of every closed walk must give the same counts
     for base, copies, k, max_m in [(K3, 2, 2, 4), (C4, 2, 2, 3), (K2, 3, 2, 4)]:
         spec = free_power(base, copies)
-        pruned = vacuum_moments_distance_k(spec, k, max_m, engine="layered", prune=True)
-        unpruned = vacuum_moments_distance_k(spec, k, max_m, engine="layered", prune=False)
-        assert pruned == unpruned
-        assert pruned == vacuum_moments_distance_k(spec, k, max_m, engine="dfs", prune=False)
+        pruned = _layered_vacuum_moments(spec, k, max_m, 10**8)
+        assert pruned == _brute_moments(spec, k, max_m)
 
 
 def test_walk_budget():
     with pytest.raises(BudgetExceededError):
-        vacuum_moments_distance_k(free_power(K3, 4), 2, 6, budget=100, engine="layered")
+        vacuum_moments_distance_k(free_power(K3, 4), 2, 6, budget=100)
 
 
 def _materialized_moment(spec, k, m, max_vertices):
@@ -255,7 +259,7 @@ def test_vacuum_moments_match_materialized_balls_small():
     # base K3 / C4, N = 2, k = 2, m <= 3
     for base in (K3, C4):
         spec = free_power(base, 2)
-        moments = vacuum_moments_distance_k(spec, 2, 3, engine="layered")
+        moments = vacuum_moments_distance_k(spec, 2, 3)
         for m in range(1, 4):
             assert moments[m] == _materialized_moment(spec, 2, m, 10**6)
 

@@ -27,12 +27,16 @@ from freespec.graphs import (
     from_edge_list,
     parse_graph_text,
     path_graph,
-    random_graph,
     trace_moment,
     trace_moments,
     vacuum_moment,
 )
-from oracles import brute_closed_walks, brute_count_cycles, floyd_warshall
+from oracles import (
+    brute_closed_walks,
+    brute_count_cycles,
+    floyd_warshall,
+    random_graph,
+)
 
 
 def test_from_edge_list_k3():
