@@ -1,9 +1,9 @@
 """Command-line surface: graph ingestion, experiments, CSV/JSON reports.
 
-Exit codes: 0 success, 1 validation error, 2 budget exhaustion, 3 internal
-invariant violation (a decomposition check reporting a nonzero violation is
-a bug signal, never plain data).  Errors print to stderr with a
-machine-parseable "error[CODE]:" prefix.
+Exit codes: 0 success, 1 validation error, 2 budget exhaustion (pairing
+retries included), 3 internal invariant violation (a decomposition check
+reporting a nonzero violation is a bug signal, never plain data).  Errors
+print to stderr with a machine-parseable "error[CODE]:" prefix.
 """
 from __future__ import annotations
 
@@ -13,7 +13,12 @@ import sys
 import time
 from fractions import Fraction
 
-from .errors import BudgetExceededError, ComplexityRefusalError, FreespecError
+from .errors import (
+    BudgetExceededError,
+    ComplexityRefusalError,
+    FreespecError,
+    RetriesExhaustedError,
+)
 from .experiments import (
     SamplerConfig,
     free_clt_experiment,
@@ -219,7 +224,9 @@ def _run_decomp(args, budgets: Budgets) -> Report:
     if args.mode == "tree":
         if args.d is None or args.k is None or args.radius is None:
             raise _UsageError("--mode tree needs --d, --k, --radius")
-        violation = tree_recurrence_check(args.d, args.k, args.radius)
+        violation = tree_recurrence_check(
+            args.d, args.k, args.radius, max_vertices=budgets.ball_vertices
+        )
         row = ReportRow(
             experiment="decomp-check", graph=f"tree-d{args.d}", param_name="radius",
             param_value=args.radius, k=args.k, m=None,
@@ -356,7 +363,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"error[USAGE]: {exc}\n")
         return 1
-    except (BudgetExceededError, ComplexityRefusalError) as exc:
+    except (BudgetExceededError, ComplexityRefusalError, RetriesExhaustedError) as exc:
         sys.stderr.write(f"error[BUDGET]: {exc}\n")
         return 2
     except (FreespecError, OSError, ValueError) as exc:

@@ -1,4 +1,5 @@
 """Exception types shared across the package."""
+import math
 
 
 class FreespecError(Exception):
@@ -71,8 +72,11 @@ class ParityError(FreespecError):
 class RetriesExhaustedError(FreespecError):
     """The pairing model kept producing loops or multi-edges."""
 
-    def __init__(self, retries: int):
+    def __init__(self, retries: int, d: int):
         super().__init__(
-            f"no simple graph after {retries} retries; (n, d) may be infeasible"
+            f"no simple graph in {retries} pairings; a pairing of degree {d} "
+            f"is simple with probability about exp(-(d^2-1)/4) = "
+            f"{math.exp(-(d * d - 1) / 4):.2g}"
         )
         self.retries = retries
+        self.d = d

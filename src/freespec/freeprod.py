@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import comb, perm
 
 from .errors import (
     BudgetExceededError,
@@ -298,12 +299,22 @@ def _segment_pool(spec: FreePowerSpec, bound: int):
     return tuple(tuple(sorted(p, key=lambda t: (len(t[0]), t[0]))) for p in pools)
 
 
-def distance_k_neighbors(spec: FreePowerSpec, x: Word, k: int, validate: bool = True) -> tuple[Word, ...]:
+def distance_k_neighbors(
+    spec: FreePowerSpec,
+    x: Word,
+    k: int,
+    validate: bool = True,
+    *,
+    max_root_distance: int | None = None,
+) -> tuple[Word, ...]:
     """Exactly the reduced words at word distance k from x, sorted canonically.
 
     Candidates are generated per suffix-strip depth of x from the cached
     segment pools, with constraints that make the stripped suffix exact;
     word_distance is not needed as a filter but the constraints mirror it.
+    With max_root_distance, only words within that root distance are
+    returned.  Every candidate of one strip depth and junction vertex has
+    the same root distance, so the bound is applied before any is built.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -317,16 +328,20 @@ def distance_k_neighbors(spec: FreePowerSpec, x: Word, k: int, validate: bool = 
     prefix = [0]
     for letter in x:
         prefix.append(prefix[-1] + costs[letter])
+    rd_x = prefix[-1]
+    # no word at distance k from x lies beyond root distance rd_x + k
+    limit = rd_x + k if max_root_distance is None else max_root_distance
     out: set[Word] = set()
     for p in range(len(x) + 1):
         s = x[p:]
         rd_strip = prefix[p]
+        rd_s = rd_x - rd_strip
         # y' empty: y is the stripped suffix itself
-        if p >= 1 and rd_strip == k:
+        if p >= 1 and rd_strip == k and rd_s <= limit:
             out.add(s)
         # junction in a different copy (or x fully a suffix of y when p == 0)
         t = k - rd_strip
-        if t >= 1:
+        if t >= 1 and t + rd_s <= limit:
             forb1 = x[p - 1] // n if p >= 1 else -1
             forb2 = x[p] // n if p < len(x) else -1
             for word, bottom in pools[t]:
@@ -340,7 +355,7 @@ def distance_k_neighbors(spec: FreePowerSpec, x: Word, k: int, validate: bool = 
                 if vb == root or vb == va:
                     continue
                 rem = k - rd_above - apsp[va][vb]
-                if rem < 0:
+                if rem < 0 or rem + apsp[vb][root] + rd_s > limit:
                     continue
                 bottom_letter = ca * n + vb
                 if rem == 0:
@@ -402,48 +417,99 @@ def _tree_vacuum_moments(d: int, k: int, max_m: int) -> list[int]:
     return moments
 
 
-def _layered_vacuum_moments(
-    spec: FreePowerSpec,
+def _relabel_fresh(y: Word, n: int, c: int):
+    """Copy-relabel y if its fresh copies (those >= c) appear as c, c+1, ...
+
+    Scanning from the bottom letter up, copies are renamed 0, 1, ... in order
+    of first appearance.  Returns (relabelled word, number of fresh copies),
+    or None when the fresh copies are out of order: that y is a relabelling
+    of another neighbor and is counted there.
+    """
+    labels: dict[int, int] = {}
+    fresh = c
+    out = []
+    for letter in reversed(y):
+        copy, vertex = divmod(letter, n)
+        label = labels.get(copy)
+        if label is None:
+            if copy >= c:
+                if copy != fresh:
+                    return None
+                fresh += 1
+            label = labels[copy] = len(labels)
+        out.append(label * n + vertex)
+    out.reverse()
+    return tuple(out), fresh - c
+
+
+@lru_cache(maxsize=16)
+def _walk_polynomial(
+    base: RootedGraph,
     k: int,
     max_m: int,
     budget: int,
-) -> list[int]:
-    """Walk counts at the root of the distance-k graph via layered forward DP.
+) -> tuple[tuple[int, ...], ...]:
+    """Closed-walk counts at the root of the distance-k graph of G^{*N}, for all N.
 
-    Layer t holds the number of t-step walks from the root to each word; a
-    closed m-walk is a layer-a walk and a reversed layer-b walk meeting at
-    the same word (a = m // 2, b = m - a), so layers are only needed to
-    ceil(max_m / 2).  Layer t keeps only words with root_distance <= k * t,
-    which no prefix of a closed walk can exceed.
+    The distance-k rule only asks whether two copies are equal.  Renaming
+    the copies of a closed m-walk in order of first appearance maps the
+    walks that touch j copies onto classes of N(N-1)...(N-j+1) walks each,
+    so the count is sum_j W[m][j] * N(N-1)...(N-j+1).  Entry m lists
+    W[m][0..J] with J = max(floor(k*m/2), the largest j that occurs).  A
+    closed walk touches at most k*m/2 copies, so J = floor(k*m/2); the
+    tests check that bound, and W[m][k*m/2] / sigma^(k*m/2) is the N -> oo
+    limit of the normalized moment (the free CLT).
+
+    The forward DP runs over states (w, j): w is the current word with its
+    own copies renamed bottom letter first, j the number of copies touched.
+    From w with c copies, a neighbor y with r fresh copies reuses s of the
+    j - c touched copies that w no longer holds in C(r, s) * (j - c)_s ways
+    and takes new ones for the rest.  Layer t keeps words with root
+    distance <= k * min(t, max_m - t), which a closed walk cannot exceed;
+    every neighbor generated is charged to budget.  Nothing depends on N.
     """
-    half = (max_m + 1) // 2
-    layers: list[dict[Word, int]] = [{(): 1}]
-    nbr_cache: dict[Word, tuple[Word, ...]] = {}
+    n = base.vertex_count
+    specs: dict[int, FreePowerSpec] = {}
+    layer: dict[Word, dict[int, int]] = {(): {0: 1}}
+    closed = [layer[()]]
     expansions = 0
-    for t in range(1, half + 1):
-        radius = k * t
-        nxt: dict[Word, int] = {}
-        for w, c in layers[t - 1].items():
-            nbs = nbr_cache.get(w)
-            if nbs is None:
-                nbs = distance_k_neighbors(spec, w, k, validate=False)
-                nbr_cache[w] = nbs
+    for t in range(1, max_m + 1):
+        bound = k * min(t, max_m - t)
+        nxt: dict[Word, dict[int, int]] = {}
+        for w, masses in layer.items():
+            c = max(w) // n + 1 if w else 0
+            spec = specs.get(c)
+            if spec is None:
+                # room for the k fresh copies a distance-k step can add
+                spec = specs[c] = free_power(base, c + k)
+            nbs = distance_k_neighbors(spec, w, k, validate=False, max_root_distance=bound)
             expansions += len(nbs)
             if expansions > budget:
                 raise BudgetExceededError(expansions, budget, "walk expansions")
+            by_fresh: dict[int, list[Word]] = {}
             for y in nbs:
-                if root_distance(spec, y) > radius:
-                    continue
-                nxt[y] = nxt.get(y, 0) + c
-        layers.append(nxt)
-    moments = [1]
-    for m in range(1, max_m + 1):
-        a, b = m // 2, m - m // 2
-        fa, fb = layers[a], layers[b]
-        if len(fa) > len(fb):
-            fa, fb = fb, fa
-        moments.append(sum(c * fb.get(w, 0) for w, c in fa.items()))
-    return moments
+                relabelled = _relabel_fresh(y, n, c)
+                if relabelled is not None:
+                    by_fresh.setdefault(relabelled[1], []).append(relabelled[0])
+            for r, ys in by_fresh.items():
+                shifted: dict[int, int] = {}
+                for j, mass in masses.items():
+                    for s in range(min(r, j - c) + 1):
+                        j2 = j + r - s
+                        shifted[j2] = shifted.get(j2, 0) + mass * comb(r, s) * perm(j - c, s)
+                for y in ys:
+                    target = nxt.setdefault(y, {})
+                    for j2, mass in shifted.items():
+                        target[j2] = target.get(j2, 0) + mass
+        layer = nxt
+        closed.append(layer.get((), {}))
+    table = []
+    for m, masses in enumerate(closed):
+        row = [0] * (max([k * m // 2, *masses]) + 1)
+        for j, mass in masses.items():
+            row[j] = mass
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def vacuum_moments_distance_k(
@@ -456,8 +522,9 @@ def vacuum_moments_distance_k(
 
     Entry m is the (root, root) entry of the m-th power of the distance-k
     adjacency.  K2 bases (regular trees) collapse words to their root
-    distance (radial engine); every other base runs the layered DP, which
-    charges its neighbor expansions to budget.
+    distance (radial engine); every other base evaluates the N-free walk
+    polynomial at N = spec.copies, whose DP charges its neighbor
+    expansions to budget (so a budget fits every N or none).
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -465,7 +532,8 @@ def vacuum_moments_distance_k(
         raise ValueError("max_m must be nonnegative")
     if spec.base.vertex_count == 2:
         return _tree_vacuum_moments(spec.copies, k, max_m)
-    return _layered_vacuum_moments(spec, k, max_m, budget)
+    table = _walk_polynomial(spec.base, k, max_m, budget)
+    return [sum(w * perm(spec.copies, j) for j, w in enumerate(row)) for row in table]
 
 
 def edge_copy_is_top(spec: FreePowerSpec, j: Word, l: Word) -> bool:
@@ -571,18 +639,21 @@ def decomposition_check(spec: FreePowerSpec, k: int, ball_graph: BallGraph) -> D
     )
 
 
-def tree_recurrence_check(d: int, k: int, radius: int) -> int:
+def tree_recurrence_check(
+    d: int, k: int, radius: int, max_vertices: int = DEFAULT_BALL_BUDGET
+) -> int:
     """Max entrywise violation of A A^{[k]} = A^{[k+1]} + (d-1) A^{[k-1]}.
 
     Checked on the d-regular tree ball over pairs with both endpoints at
     root_distance <= radius - k - 1; BFS inside a tree ball gives exact
-    distances, so the entries there match the infinite tree.
+    distances, so the entries there match the infinite tree.  The ball is
+    charged to max_vertices as it grows.
     """
     if k < 2:
         raise ValueError("recurrence check needs k >= 2")
     if radius < k + 2:
         raise RadiusTooSmallError(f"radius {radius} < k + 2 = {k + 2}")
-    bg = regular_tree_ball(d, radius)
+    bg = regular_tree_ball(d, radius, max_vertices)
     g = bg.graph
     interior = bg.interior_indices(k + 1)
     max_violation = 0

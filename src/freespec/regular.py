@@ -51,7 +51,9 @@ def pairing_model(cfg: PairingConfig) -> RootedGraph:
     """A uniform simple d-regular graph on n vertices, rooted at 0.
 
     Pairs n*d half-edges by a uniform shuffle and resamples on any loop or
-    multi-edge; infeasible (n, d) surface as RetriesExhaustedError.
+    multi-edge.  A pairing is simple with probability about
+    exp(-(d^2-1)/4), so large d (or an infeasible (n, d)) runs out of
+    max_retries and raises RetriesExhaustedError.
     """
     rng = random.Random(cfg.seed)
     stubs = [v for v in range(cfg.n) for _ in range(cfg.d)]
@@ -73,7 +75,7 @@ def pairing_model(cfg: PairingConfig) -> RootedGraph:
             g = from_edge_list(cfg.n, sorted(edges), 0)
             assert all(g.degree(v) == cfg.d for v in range(cfg.n))
             return g
-    raise RetriesExhaustedError(cfg.max_retries)
+    raise RetriesExhaustedError(cfg.max_retries, cfg.d)
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,15 @@
 Everything here recomputes expected values by a route disjoint from the
 package implementation: brute-force enumeration, Floyd-Warshall distances,
 and adaptive quadrature.  Keep it that way; these are the cross-checks.
-random_graph only generates seeded inputs.
+The one exception is layered_distance_k_walks, which reuses the package's
+neighbor enumeration and nothing else.  random_graph only generates seeded
+inputs.
 """
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from freespec.freeprod import word_neighbors
+from freespec.freeprod import distance_k_neighbors, root_distance, word_neighbors
 from freespec.graphs import from_edge_list
 
 
@@ -68,6 +70,37 @@ def brute_distance_k_walks(spec, k, m):
         return sum(rec(y, steps - 1) for y in sphere(w))
 
     return rec((), m)
+
+
+def layered_distance_k_walks(spec, k, max_m):
+    """Closed m-walks at the root of the distance-k graph, m = 0..max_m.
+
+    Forward DP over the words of G^{*N} itself, copies as they are: layer t
+    holds the number of t-step walks from the root to each word, and a
+    closed m-walk is a layer-a walk and a reversed layer-b walk meeting at
+    the same word (a = m // 2, b = m - a).  Layer t keeps only words with
+    root_distance <= k * t, which no prefix of a closed walk can exceed.
+    It shares distance_k_neighbors with the package (checked on its own
+    against BFS and brute_distance_k_walks) but none of the copy
+    relabelling, so it checks the N-polynomial engine.
+    """
+    half = (max_m + 1) // 2
+    layers = [{(): 1}]
+    for t in range(1, half + 1):
+        radius = k * t
+        nxt = {}
+        for w, c in layers[t - 1].items():
+            for y in distance_k_neighbors(spec, w, k, validate=False):
+                if root_distance(spec, y) <= radius:
+                    nxt[y] = nxt.get(y, 0) + c
+        layers.append(nxt)
+    moments = [1]
+    for m in range(1, max_m + 1):
+        fa, fb = layers[m // 2], layers[m - m // 2]
+        if len(fa) > len(fb):
+            fa, fb = fb, fa
+        moments.append(sum(c * fb.get(w, 0) for w, c in fa.items()))
+    return moments
 
 
 def floyd_warshall(g):

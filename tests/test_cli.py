@@ -176,6 +176,33 @@ def test_budget_exhaustion_exits_2(capsys):
     assert err.startswith("error[BUDGET]:")
 
 
+def test_tree_decomp_check_honours_ball_budget(capsys):
+    # the radius-5 ball of the 3-regular tree has 94 vertices
+    argv = ("decomp-check", "--mode", "tree", "--d", "3", "--k", "2", "--radius", "5")
+    code, _, err = run_cli(capsys, *argv, "--ball-budget", "10")
+    assert code == 2
+    assert err.startswith("error[BUDGET]:") and "ball vertices" in err
+    code, _, _ = run_cli(capsys, *argv, "--ball-budget", "94")
+    assert code == 0
+
+
+def test_pairing_retries_exit_2_without_blaming_feasibility(capsys):
+    # 6-regular graphs on 200 vertices exist; the rejection sampler gives up
+    code, _, err = run_cli(
+        capsys, "regular-random", "--d", "6", "--k", "1", "--n-list", "200",
+        "--samples", "1",
+    )
+    assert code == 2
+    assert err.startswith("error[BUDGET]:")
+    assert "1000 pairings" in err and "exp(-(d^2-1)/4)" in err
+    assert "infeasible" not in err
+    # an odd n*d is still an input error
+    code, _, err = run_cli(
+        capsys, "regular-random", "--d", "3", "--k", "1", "--n-list", "5",
+    )
+    assert code == 1 and err.startswith("error[INPUT]:")
+
+
 def test_output_file(tmp_path, capsys):
     path = tmp_path / "report.csv"
     code, out, _ = run_cli(

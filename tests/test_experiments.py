@@ -14,7 +14,14 @@ from freespec.experiments import (
     tree_large_d_experiment,
     tree_check_experiment,
 )
-from freespec.graphs import complete_graph, cycle_graph, path_graph
+from freespec.freeprod import _walk_polynomial, free_power, vacuum_moments_distance_k
+from freespec.graphs import (
+    BUILTIN_GRAPHS,
+    builtin_graph,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+)
 from freespec.polymoments import Poly, km_support
 from freespec.reports import Budgets, ExactScaled, render_csv, render_json
 
@@ -146,3 +153,46 @@ def test_pushforward_histogram():
     transformed = [x * x - 1 for x in samples]
     assert abs(sum(transformed) / len(transformed)) < 0.02
     assert math.isclose(edges[0], min(transformed))
+
+
+def test_walk_polynomial_free_clt_limit():
+    # W[m][j] counts closed-walk classes touching j copies: its degree is at
+    # most km/2 and its top coefficient over sigma^(km/2) is the N -> oo
+    # limit E[P_k(s)^m] of the normalized moment, exactly and for no N
+    for name in BUILTIN_GRAPHS:
+        base = builtin_graph(name)
+        if base.vertex_count == 2:
+            continue  # K2 bases take the radial engine
+        sigma = base.degree(base.root)
+        for k in (1, 2, 3):
+            max_m = 4 if k == 3 else 6
+            table = _walk_polynomial(base, k, max_m, 10**8)
+            refs = chebyshev_reference_moments(k, max_m)
+            for m, row in enumerate(table):
+                half = k * m // 2
+                top = max((j for j, w in enumerate(row) if w), default=0)
+                assert top <= half, (name, k, m)
+                if k * m % 2:
+                    assert refs[m] == 0, (k, m)
+                else:
+                    assert Fraction(row[half], sigma**half) == refs[m], (name, k, m)
+
+
+def test_walk_polynomial_newton_differences():
+    # Newton forward differences at N = 1 of the closed-walk count vanish
+    # past km/2; pinned values measured with the layered DP over N = 1..9
+    cases = [
+        (K3, 2, 4, [0, 128, 992, 2016, 1152]),
+        (P3, 3, 4, [0, 78, 1380, 6342, 11760, 9600, 2880]),
+        (K3, 1, 6, [22, 238, 456, 240]),
+    ]
+    for base, k, m, expected in cases:
+        values = [
+            vacuum_moments_distance_k(free_power(base, n), k, m)[m]
+            for n in range(1, len(expected) + 2)
+        ]
+        diffs = []
+        while values:
+            diffs.append(values[0])
+            values = [b - a for a, b in zip(values, values[1:])]
+        assert diffs == expected + [0], (k, m)

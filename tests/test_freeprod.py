@@ -17,7 +17,6 @@ from freespec.errors import (
     UnreducedWordError,
 )
 from freespec.freeprod import (
-    _layered_vacuum_moments,
     ball,
     decomposition_check,
     distance_k_neighbors,
@@ -39,12 +38,15 @@ from freespec.graphs import (
     path_graph,
     vacuum_moment,
 )
-from oracles import brute_distance_k_walks
+from oracles import brute_distance_k_walks, layered_distance_k_walks
 
 K2 = complete_graph(2)
 K3 = complete_graph(3)
+K4 = complete_graph(4)
 C4 = cycle_graph(4)
+C5 = cycle_graph(5)
 P3 = path_graph(3)
+P4 = path_graph(4)
 
 
 def test_free_power_spec_fields():
@@ -206,6 +208,20 @@ def test_distance_k_neighbors_against_ball_bfs():
             assert list(distance_k_neighbors(spec, w, k)) == expected
 
 
+def test_distance_k_neighbors_root_distance_bound():
+    # the bound must act as a filter on root distance, and nothing more
+    for base, copies, radius in [(K3, 3, 3), (C4, 2, 4), (P3, 3, 4), (P4, 2, 4), (K2, 3, 4)]:
+        spec = free_power(base, copies)
+        for w in ball(spec, radius).words:
+            rd = root_distance(spec, w)
+            for k in (1, 2, 3):
+                full = distance_k_neighbors(spec, w, k)
+                for bound in range(max(rd - k - 1, 0), rd + k + 2):
+                    expected = tuple(y for y in full if root_distance(spec, y) <= bound)
+                    got = distance_k_neighbors(spec, w, k, max_root_distance=bound)
+                    assert got == expected, (w, k, bound)
+
+
 def test_vacuum_moment_distance_k_trivial():
     for base, copies in [(K3, 2), (C4, 3), (P3, 2)]:
         spec = free_power(base, copies)
@@ -227,27 +243,46 @@ def test_walk_engines_agree():
     cases = [(K3, 2, 2, 4), (C4, 2, 2, 3), (P3, 2, 2, 4), (P3, 3, 3, 3)]
     for base, copies, k, max_m in cases:
         spec = free_power(base, copies)
-        layered = vacuum_moments_distance_k(spec, k, max_m)
-        assert layered == _brute_moments(spec, k, max_m)
-    # K2 bases take the radial engine; the layered DP must agree with it
+        moments = vacuum_moments_distance_k(spec, k, max_m)
+        assert moments == _brute_moments(spec, k, max_m)
+    # K2 bases take the radial engine; the layered oracle must agree with it
     for d, k, max_m in [(2, 2, 6), (3, 2, 8), (3, 3, 6), (4, 2, 6), (4, 3, 4), (5, 4, 2)]:
         spec = free_power(K2, d)
         radial = vacuum_moments_distance_k(spec, k, max_m)
-        assert radial == _layered_vacuum_moments(spec, k, max_m, 10**8)
+        assert radial == layered_distance_k_walks(spec, k, max_m)
 
 
 def test_pruning_soundness():
-    # the layered DP drops words beyond root distance k*t; unpruned
-    # enumeration of every closed walk must give the same counts
+    # the walk engines drop words a closed walk cannot reach in time;
+    # unpruned enumeration of every closed walk must give the same counts
     for base, copies, k, max_m in [(K3, 2, 2, 4), (C4, 2, 2, 3), (K2, 3, 2, 4)]:
         spec = free_power(base, copies)
-        pruned = _layered_vacuum_moments(spec, k, max_m, 10**8)
+        pruned = vacuum_moments_distance_k(spec, k, max_m)
         assert pruned == _brute_moments(spec, k, max_m)
+
+
+def test_walk_polynomial_matches_layered_oracle():
+    # one N-free DP per (base, k, max_m), evaluated at each N, against the
+    # layered DP run on G^{*N} itself
+    cases = [(K3, 4), (C4, 4), (C5, 4), (P3, 4), (P4, 4), (K4, 3)]
+    for base, top_n in cases:
+        for k, max_m in [(1, 5), (2, 5), (3, 4)]:
+            for copies in range(1, top_n + 1):
+                spec = free_power(base, copies)
+                expected = layered_distance_k_walks(spec, k, max_m)
+                assert vacuum_moments_distance_k(spec, k, max_m) == expected, (
+                    base.vertex_count, k, copies,
+                )
 
 
 def test_walk_budget():
     with pytest.raises(BudgetExceededError):
         vacuum_moments_distance_k(free_power(K3, 4), 2, 6, budget=100)
+    # the charge does not depend on N: a budget fits every N or none
+    for copies in (1, 2, 8):
+        with pytest.raises(BudgetExceededError):
+            vacuum_moments_distance_k(free_power(C4, copies), 2, 4, budget=100)
+        assert vacuum_moments_distance_k(free_power(C4, copies), 2, 4, budget=10**4)
 
 
 def _materialized_moment(spec, k, m, max_vertices):
