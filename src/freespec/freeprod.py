@@ -448,17 +448,19 @@ def _walk_polynomial(
     k: int,
     max_m: int,
     budget: int,
+    cap: int,
 ) -> tuple[tuple[int, ...], ...]:
-    """Closed-walk counts at the root of the distance-k graph of G^{*N}, for all N.
+    """Closed-walk counts at the root of the distance-k graph of G^{*N}, by copies touched.
 
     The distance-k rule only asks whether two copies are equal.  Renaming
     the copies of a closed m-walk in order of first appearance maps the
     walks that touch j copies onto classes of N(N-1)...(N-j+1) walks each,
     so the count is sum_j W[m][j] * N(N-1)...(N-j+1).  Entry m lists
-    W[m][0..J] with J = max(floor(k*m/2), the largest j that occurs).  A
-    closed walk touches at most k*m/2 copies, so J = floor(k*m/2); the
-    tests check that bound, and W[m][k*m/2] / sigma^(k*m/2) is the N -> oo
-    limit of the normalized moment (the free CLT).
+    W[m][0..cap], exact for every j <= cap: j never drops along a walk, so
+    walks past cap copies are dropped as soon as they get there.  That
+    serves every N <= cap, and every N once cap >= k*max_m/2, since a
+    closed m-walk touches at most k*m/2 copies; W[m][k*m/2] / sigma^(k*m/2)
+    is then the N -> oo limit of the normalized moment (the free CLT).
 
     The forward DP runs over states (w, j): w is the current word with its
     own copies renamed bottom letter first, j the number of copies touched.
@@ -466,7 +468,8 @@ def _walk_polynomial(
     j - c touched copies that w no longer holds in C(r, s) * (j - c)_s ways
     and takes new ones for the rest.  Layer t keeps words with root
     distance <= k * min(t, max_m - t), which a closed walk cannot exceed;
-    every neighbor generated is charged to budget.  Nothing depends on N.
+    every neighbor generated is charged to budget, and the charge grows
+    with cap, so a budget that fits one cap fits every smaller one.
     """
     n = base.vertex_count
     specs: dict[int, FreePowerSpec] = {}
@@ -480,8 +483,8 @@ def _walk_polynomial(
             c = max(w) // n + 1 if w else 0
             spec = specs.get(c)
             if spec is None:
-                # room for the k fresh copies a distance-k step can add
-                spec = specs[c] = free_power(base, c + k)
+                # room for the fresh copies a distance-k step can add, up to cap
+                spec = specs[c] = free_power(base, min(c + k, cap))
             nbs = distance_k_neighbors(spec, w, k, validate=False, max_root_distance=bound)
             expansions += len(nbs)
             if expansions > budget:
@@ -494,7 +497,7 @@ def _walk_polynomial(
             for r, ys in by_fresh.items():
                 shifted: dict[int, int] = {}
                 for j, mass in masses.items():
-                    for s in range(min(r, j - c) + 1):
+                    for s in range(max(0, j + r - cap), min(r, j - c) + 1):
                         j2 = j + r - s
                         shifted[j2] = shifted.get(j2, 0) + mass * comb(r, s) * perm(j - c, s)
                 for y in ys:
@@ -504,12 +507,17 @@ def _walk_polynomial(
         layer = nxt
         closed.append(layer.get((), {}))
     table = []
-    for m, masses in enumerate(closed):
-        row = [0] * (max([k * m // 2, *masses]) + 1)
+    for masses in closed:
+        row = [0] * (cap + 1)
         for j, mass in masses.items():
             row[j] = mass
         table.append(tuple(row))
     return tuple(table)
+
+
+# smallest cap whose walk DP overran and its count, per (base, k, max_m,
+# budget): every larger cap overruns too, so later cells of a run fail at once
+_walk_overruns: dict[tuple, tuple[int, int]] = {}
 
 
 def vacuum_moments_distance_k(
@@ -522,9 +530,10 @@ def vacuum_moments_distance_k(
 
     Entry m is the (root, root) entry of the m-th power of the distance-k
     adjacency.  K2 bases (regular trees) collapse words to their root
-    distance (radial engine); every other base evaluates the N-free walk
-    polynomial at N = spec.copies, whose DP charges its neighbor
-    expansions to budget (so a budget fits every N or none).
+    distance (radial engine); every other base evaluates the walk
+    polynomial at N = spec.copies.  Its DP tracks min(N, k*max_m/2) copies,
+    so every N >= k*max_m/2 shares one DP and its budget charge, and a
+    smaller N pays only for its own copies.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -532,7 +541,18 @@ def vacuum_moments_distance_k(
         raise ValueError("max_m must be nonnegative")
     if spec.base.vertex_count == 2:
         return _tree_vacuum_moments(spec.copies, k, max_m)
-    table = _walk_polynomial(spec.base, k, max_m, budget)
+    cap = min(spec.copies, max(1, k * max_m // 2))
+    key = (spec.base, k, max_m, budget)
+    overrun = _walk_overruns.get(key)
+    if overrun is not None and overrun[0] <= cap:
+        raise BudgetExceededError(overrun[1], budget, "walk expansions")
+    try:
+        table = _walk_polynomial(spec.base, k, max_m, budget, cap)
+    except BudgetExceededError as err:
+        _walk_overruns[key] = (cap, err.count)
+        if len(_walk_overruns) > 16:
+            del _walk_overruns[next(iter(_walk_overruns))]
+        raise
     return [sum(w * perm(spec.copies, j) for j, w in enumerate(row)) for row in table]
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from freespec import freeprod
 from freespec.experiments import (
     SamplerConfig,
     chebyshev_reference_moments,
@@ -166,7 +167,7 @@ def test_walk_polynomial_free_clt_limit():
         sigma = base.degree(base.root)
         for k in (1, 2, 3):
             max_m = 4 if k == 3 else 6
-            table = _walk_polynomial(base, k, max_m, 10**8)
+            table = _walk_polynomial(base, k, max_m, 10**8, k * max_m // 2)
             refs = chebyshev_reference_moments(k, max_m)
             for m, row in enumerate(table):
                 half = k * m // 2
@@ -176,6 +177,29 @@ def test_walk_polynomial_free_clt_limit():
                     assert refs[m] == 0, (k, m)
                 else:
                     assert Fraction(row[half], sigma**half) == refs[m], (name, k, m)
+
+
+def test_walk_overrun_skips_larger_n_at_once(monkeypatch):
+    # an overrun at N = 3 means every larger N overruns too: the N = 4 and
+    # N = 8 cells of the same run must not rerun the DP up to the budget
+    calls = []
+    inner = freeprod.distance_k_neighbors
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(freeprod, "distance_k_neighbors", counted)
+    budgets = Budgets(walk_expansions=200)
+    per_run = []
+    for n_list in ((3,), (3, 4, 8)):
+        monkeypatch.setattr(freeprod, "_walk_overruns", {})
+        freeprod._walk_polynomial.cache_clear()
+        calls.clear()
+        rep = free_clt_experiment(C4, "c4", 2, n_list, 4, budgets=budgets)
+        assert all(row.skipped for row in rep.rows)
+        per_run.append(len(calls))
+    assert per_run[0] > 0 and per_run[1] == per_run[0]
 
 
 def test_walk_polynomial_newton_differences():

@@ -262,8 +262,8 @@ def test_pruning_soundness():
 
 
 def test_walk_polynomial_matches_layered_oracle():
-    # one N-free DP per (base, k, max_m), evaluated at each N, against the
-    # layered DP run on G^{*N} itself
+    # the walk DP over min(N, k*max_m/2) copies, evaluated at N, against
+    # the layered DP run on G^{*N} itself
     cases = [(K3, 4), (C4, 4), (C5, 4), (P3, 4), (P4, 4), (K4, 3)]
     for base, top_n in cases:
         for k, max_m in [(1, 5), (2, 5), (3, 4)]:
@@ -278,11 +278,25 @@ def test_walk_polynomial_matches_layered_oracle():
 def test_walk_budget():
     with pytest.raises(BudgetExceededError):
         vacuum_moments_distance_k(free_power(K3, 4), 2, 6, budget=100)
-    # the charge does not depend on N: a budget fits every N or none
-    for copies in (1, 2, 8):
-        with pytest.raises(BudgetExceededError):
-            vacuum_moments_distance_k(free_power(C4, copies), 2, 4, budget=100)
-        assert vacuum_moments_distance_k(free_power(C4, copies), 2, 4, budget=10**4)
+    # the charge grows with N up to k*max_m/2 copies and stays there
+    # (c4, k=2, m<=4 charges 4, 125, 286 and 410 for N = 1, 2, 3, >= 4)
+    for copies, fits in ((1, True), (2, True), (3, False), (4, False), (8, False)):
+        spec = free_power(C4, copies)
+        if fits:
+            assert vacuum_moments_distance_k(spec, 2, 4, budget=200)
+        else:
+            with pytest.raises(BudgetExceededError):
+                vacuum_moments_distance_k(spec, 2, 4, budget=200)
+        assert vacuum_moments_distance_k(spec, 2, 4, budget=10**4)
+
+
+def test_walk_engine_small_n_pays_for_its_own_copies():
+    # N = 2 tracks two copies, not k*max_m/2 = 8: about 2.6e3 expansions,
+    # where tracking five copies already takes 5.9e5
+    spec = free_power(K3, 2)
+    got = vacuum_moments_distance_k(spec, 2, 8, budget=10**4)
+    assert got == layered_distance_k_walks(spec, 2, 8)
+    assert got == [1, 0, 8, 0, 128, 160, 2976, 8960, 86656]
 
 
 def _materialized_moment(spec, k, m, max_vertices):
