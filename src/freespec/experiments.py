@@ -95,6 +95,12 @@ def free_clt_experiment(
     """Normalized vacuum moments of distance-k graphs of G^{*N} vs E[P_k(s)^m].
 
     Cells that blow the walk budget are marked skipped and the run continues.
+    The smallest N runs first: if it overruns, every other cell is skipped
+    at once.  The largest N runs next: if its walk table fits, it serves
+    every other N.  The rest follow in rising order; rows keep n_list order.
+    When the largest N overruns, the first middle N that overruns too uses
+    up the budget a second time (rising order alone would stop at it), and
+    every larger N is then skipped at once.
     """
     refs = chebyshev_reference_moments(k, max_m)
 
@@ -108,7 +114,11 @@ def free_clt_experiment(
             return None
         return counts, spec.sigma
 
-    results = run_cells(cell, list(n_list))
+    ordered = sorted(n_list)
+    if ordered:
+        ordered.insert(1, ordered.pop())
+    by_n = dict(zip(ordered, run_cells(cell, ordered)))
+    results = [by_n[n_copies] for n_copies in n_list]
     rows = []
     for n_copies, result in zip(n_list, results):
         for m in range(max_m + 1):

@@ -265,19 +265,36 @@ def regular_tree_ball(d: int, radius: int, max_vertices: int = DEFAULT_BALL_BUDG
     return ball(free_power(complete_graph(2), d), radius, max_vertices)
 
 
-@lru_cache(maxsize=128)
-def _segment_pool(spec: FreePowerSpec, bound: int):
+# built segment pools by (spec, bound), oldest first, with their word counts;
+# older pools are dropped once the cache holds more than _POOL_CACHE_WORDS
+# words, but the newest pool and the pools of the latest walk DP (their keys
+# are in _pinned until the next DP starts) always stay
+_pools: dict[tuple, tuple[tuple, int]] = {}
+_pinned: set[tuple] = set()
+_POOL_CACHE_WORDS = 10**6
+
+
+def _segment_pool(spec: FreePowerSpec, bound: int, budget: int | None = None):
     """All reduced words with root_distance <= bound, grouped by exact cost.
 
     Returns a tuple indexed by cost; each entry is a tuple of
     (word, bottom_copy) pairs in canonical order (bottom_copy is -1 for the
     empty word).  Used as the replacement-segment pool when enumerating
-    distance-k neighbors.
+    distance-k neighbors.  With budget, raises BudgetExceededError as soon
+    as more than budget nonempty words are built, or are held by the cached
+    pool.
     """
+    key = (spec, bound)
+    cached = _pools.get(key)
+    if cached is not None:
+        if budget is not None and cached[1] > budget:
+            raise BudgetExceededError(cached[1], budget, "segment-pool words")
+        return cached[0]
     n = spec.base.vertex_count
     costs = spec.letter_costs
     pools: list[list[tuple[Word, int]]] = [[] for _ in range(bound + 1)]
     pools[0].append(((), -1))
+    built = 0
     queue = deque([((), 0, -1)])
     while queue:
         word, cost, bottom = queue.popleft()
@@ -292,11 +309,21 @@ def _segment_pool(spec: FreePowerSpec, bound: int):
                 nc = cost + costs[letter]
                 if nc > bound:
                     continue
+                built += 1
+                if budget is not None and built > budget:
+                    raise BudgetExceededError(built, budget, "segment-pool words")
                 new = (letter,) + word
                 nb = bottom if word else copy
                 pools[nc].append((new, nb))
                 queue.append((new, nc, nb))
-    return tuple(tuple(sorted(p, key=lambda t: (len(t[0]), t[0]))) for p in pools)
+    result = tuple(tuple(sorted(p, key=lambda t: (len(t[0]), t[0]))) for p in pools)
+    _pools[key] = (result, built)
+    held = sum(size for _, size in _pools.values())
+    for stale in [p for p in _pools if p != key and p not in _pinned]:
+        if held <= _POOL_CACHE_WORDS:
+            break
+        held -= _pools.pop(stale)[1]
+    return result
 
 
 def distance_k_neighbors(
@@ -417,13 +444,97 @@ def _tree_vacuum_moments(d: int, k: int, max_m: int) -> list[int]:
     return moments
 
 
-def _relabel_fresh(y: Word, n: int, c: int):
-    """Copy-relabel y if its fresh copies (those >= c) appear as c, c+1, ...
+# past this many root-fixing automorphisms, or this much candidate checking
+# in the search for them, the walk DP uses the identity group alone: any
+# subgroup gives exact orbits
+_MAX_ROOT_AUTOMORPHISMS = 120
+_MAX_AUTOMORPHISM_WORK = 2 * 10**5
+
+
+@lru_cache(maxsize=16)
+def _root_automorphisms(base: RootedGraph) -> tuple[tuple[int, ...], ...]:
+    """The automorphisms of the base that fix its root, as vertex maps.
+
+    Backtracks over the vertices in order of root distance, so every vertex
+    after the root goes next to the image of a placed neighbor.  Returns the
+    identity alone once more than _MAX_ROOT_AUTOMORPHISMS are found, or once
+    the candidate checks pass _MAX_AUTOMORPHISM_WORK: sibling subtrees that
+    differ only deep down can make the search try exponentially many maps.
+    Placing vertex i scans the neighbors of a placed vertex and checks each
+    against i's placed neighbors and degree, which is charged up front.
+    """
+    n = base.vertex_count
+    nbs = [set(nb) for nb in base.neighbors]
+    dist = bfs_distances(base, base.root)
+    order = sorted(range(n), key=dist.__getitem__)
+    place = {v: i for i, v in enumerate(order)}
+    earlier = [[u for u in base.neighbors[v] if place[u] < i] for i, v in enumerate(order)]
+    scan = [
+        len(nbs[ev[0]]) * (1 + len(ev) + len(nbs[v])) if ev else 1
+        for ev, v in zip(earlier, order)
+    ]
+    image = [-1] * n
+    used = [False] * n
+
+    def candidates(i: int):
+        v = order[i]
+        if i == 0:
+            return iter((v,))
+        ev = earlier[i]
+        return (
+            u
+            for u in base.neighbors[image[ev[0]]]
+            if not used[u]
+            and dist[u] == dist[v]
+            and len(nbs[u]) == len(nbs[v])
+            and all(image[x] in nbs[u] for x in ev)
+            and sum(used[x] for x in nbs[u]) == len(ev)
+        )
+
+    found = []
+    work = 0
+    stack = [candidates(0)]
+    while stack:
+        v = order[len(stack) - 1]
+        if image[v] >= 0:
+            used[image[v]] = False
+            image[v] = -1
+        u = next(stack[-1], None)
+        if u is None:
+            stack.pop()
+            continue
+        image[v] = u
+        used[u] = True
+        if len(stack) < n:
+            work += scan[len(stack)]
+            if work > _MAX_AUTOMORPHISM_WORK:
+                return (tuple(range(n)),)
+            stack.append(candidates(len(stack)))
+            continue
+        found.append(tuple(image))
+        if len(found) > _MAX_ROOT_AUTOMORPHISMS:
+            return (tuple(range(n)),)
+    return tuple(found)
+
+
+def _least_image(seq: tuple, group, least: dict):
+    """(automorphism mapping seq to its least image, orbit size of seq), memoized."""
+    hit = least.get(seq)
+    if hit is None:
+        images = {tuple(h[v] for v in seq): h for h in group}
+        hit = least[seq] = (images[min(images)], len(images))
+    return hit
+
+
+def _canonical_fresh(y: Word, n: int, c: int, group, least: dict):
+    """Canonical form of y if its fresh copies (those >= c) appear as c, c+1, ...
 
     Scanning from the bottom letter up, copies are renamed 0, 1, ... in order
-    of first appearance.  Returns (relabelled word, number of fresh copies),
-    or None when the fresh copies are out of order: that y is a relabelling
-    of another neighbor and is counted there.
+    of first appearance, and each copy's vertex sequence (bottom letter
+    first) is mapped by the root-fixing automorphism of the base that makes
+    it least.  Returns (canonical word, number of fresh copies), or None when
+    the fresh copies are out of order: that y is a relabelling of another
+    neighbor and is counted there.
     """
     labels: dict[int, int] = {}
     fresh = c
@@ -438,8 +549,27 @@ def _relabel_fresh(y: Word, n: int, c: int):
                 fresh += 1
             label = labels[copy] = len(labels)
         out.append(label * n + vertex)
+    if len(group) > 1:
+        seqs: list[list[int]] = [[] for _ in labels]
+        for letter in out:
+            seqs[letter // n].append(letter % n)
+        maps = [_least_image(tuple(s), group, least)[0] for s in seqs]
+        out = [letter - letter % n + maps[letter // n][letter % n] for letter in out]
     out.reverse()
     return tuple(out), fresh - c
+
+
+def _orbit_size(w: Word, n: int, group, least: dict) -> int:
+    """Number of words that w's copies reach under the root-fixing automorphisms."""
+    if len(group) == 1:
+        return 1
+    seqs: dict[int, list[int]] = {}
+    for letter in reversed(w):
+        seqs.setdefault(letter // n, []).append(letter % n)
+    size = 1
+    for s in seqs.values():
+        size *= _least_image(tuple(s), group, least)[1]
+    return size
 
 
 @lru_cache(maxsize=16)
@@ -466,13 +596,22 @@ def _walk_polynomial(
     own copies renamed bottom letter first, j the number of copies touched.
     From w with c copies, a neighbor y with r fresh copies reuses s of the
     j - c touched copies that w no longer holds in C(r, s) * (j - c)_s ways
-    and takes new ones for the rest.  Layer t keeps words with root
-    distance <= k * min(t, max_m - t), which a closed walk cannot exceed;
-    every neighbor generated is charged to budget, and the charge grows
-    with cap, so a budget that fits one cap fits every smaller one.
+    and takes new ones for the rest.  A root-fixing automorphism of the
+    base applied to the letters of one copy is a root-fixing automorphism
+    of G^{*N}, so the words of one orbit carry equal masses: the DP keeps
+    one word per orbit (see _canonical_fresh) with the orbit's total mass.
+    Layer t keeps words with root distance <= k * min(t, max_m - t), which
+    a closed walk cannot exceed.  Each word is charged its neighbor count
+    times its orbit size, as if every word of the orbit were expanded; the
+    charge grows with cap, so a budget that fits one cap fits every smaller
+    one.  The segment pools behind the neighbors are held to budget words
+    on their own.
     """
     n = base.vertex_count
+    group = _root_automorphisms(base)
+    least: dict[tuple, tuple] = {}
     specs: dict[int, FreePowerSpec] = {}
+    _pinned.clear()
     layer: dict[Word, dict[int, int]] = {(): {0: 1}}
     closed = [layer[()]]
     expansions = 0
@@ -485,15 +624,17 @@ def _walk_polynomial(
             if spec is None:
                 # room for the fresh copies a distance-k step can add, up to cap
                 spec = specs[c] = free_power(base, min(c + k, cap))
+                _segment_pool(spec, k, budget)
+                _pinned.add((spec, k))
             nbs = distance_k_neighbors(spec, w, k, validate=False, max_root_distance=bound)
-            expansions += len(nbs)
+            expansions += len(nbs) * _orbit_size(w, n, group, least)
             if expansions > budget:
                 raise BudgetExceededError(expansions, budget, "walk expansions")
             by_fresh: dict[int, list[Word]] = {}
             for y in nbs:
-                relabelled = _relabel_fresh(y, n, c)
-                if relabelled is not None:
-                    by_fresh.setdefault(relabelled[1], []).append(relabelled[0])
+                canonical = _canonical_fresh(y, n, c, group, least)
+                if canonical is not None:
+                    by_fresh.setdefault(canonical[1], []).append(canonical[0])
             for r, ys in by_fresh.items():
                 shifted: dict[int, int] = {}
                 for j, mass in masses.items():
@@ -515,9 +656,20 @@ def _walk_polynomial(
     return tuple(table)
 
 
-# smallest cap whose walk DP overran and its count, per (base, k, max_m,
-# budget): every larger cap overruns too, so later cells of a run fail at once
-_walk_overruns: dict[tuple, tuple[int, int]] = {}
+# per (base, k, max_m, budget): the smallest cap whose walk DP overran, with
+# its count and stage, and the largest cap whose DP fit, with its table.
+# Every larger cap overruns too, so later cells of a run fail at once; a
+# table serves every smaller cap too, since perm(N, j) = 0 for j > N.  Each
+# keeps 16 keys; a fit holds its table, so it never outlives the data.
+_walk_overruns: dict[tuple, tuple[int, int, str]] = {}
+_walk_fits: dict[tuple, tuple[int, tuple]] = {}
+
+
+def _remember(memo: dict, key, value) -> None:
+    memo.pop(key, None)
+    memo[key] = value
+    if len(memo) > 16:
+        del memo[next(iter(memo))]
 
 
 def vacuum_moments_distance_k(
@@ -533,7 +685,8 @@ def vacuum_moments_distance_k(
     distance (radial engine); every other base evaluates the walk
     polynomial at N = spec.copies.  Its DP tracks min(N, k*max_m/2) copies,
     so every N >= k*max_m/2 shares one DP and its budget charge, and a
-    smaller N pays only for its own copies.
+    smaller N pays only for its own copies, unless a larger table for the
+    same base, k, max_m and budget already fit: that one serves it.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -545,14 +698,16 @@ def vacuum_moments_distance_k(
     key = (spec.base, k, max_m, budget)
     overrun = _walk_overruns.get(key)
     if overrun is not None and overrun[0] <= cap:
-        raise BudgetExceededError(overrun[1], budget, "walk expansions")
-    try:
-        table = _walk_polynomial(spec.base, k, max_m, budget, cap)
-    except BudgetExceededError as err:
-        _walk_overruns[key] = (cap, err.count)
-        if len(_walk_overruns) > 16:
-            del _walk_overruns[next(iter(_walk_overruns))]
-        raise
+        raise BudgetExceededError(overrun[1], budget, overrun[2])
+    fit = _walk_fits.get(key)
+    if fit is None or fit[0] < cap:
+        try:
+            fit = (cap, _walk_polynomial(spec.base, k, max_m, budget, cap))
+        except BudgetExceededError as err:
+            _remember(_walk_overruns, key, (cap, err.count, err.what))
+            raise
+    _remember(_walk_fits, key, fit)
+    table = fit[1]
     return [sum(w * perm(spec.copies, j) for j, w in enumerate(row)) for row in table]
 
 

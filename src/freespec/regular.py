@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParityError, RetriesExhaustedError
+from .errors import ComplexityRefusalError, ParityError, RetriesExhaustedError
 from .experiments import run_cells
 from .graphs import RootedGraph, count_k_cycles, distance_k_graph, from_edge_list, trace_moments
 from .polymoments import tree_distance_k_law_moments
@@ -173,11 +173,18 @@ def cycles_experiment(
     samples: int,
     seed: int,
 ) -> Report:
-    """Mean j-cycle counts across orders n, against the d-regular limit value."""
+    """Mean j-cycle counts across orders n, against the d-regular limit value.
+
+    Cells whose cycle enumeration runs past its node budget are marked
+    skipped and the run continues.
+    """
     ref = ExactScaled(cycle_limit_reference(d, j))
 
     def cell(n: int):
-        return cycle_average(n, d, j, samples, seed)
+        try:
+            return cycle_average(n, d, j, samples, seed)
+        except ComplexityRefusalError:
+            return None
 
     results = run_cells(cell, list(n_list))
     rows = [
@@ -188,8 +195,9 @@ def cycles_experiment(
             param_value=n,
             k=j,
             m=None,
-            value=ExactScaled(stats.mean),
+            value=None if stats is None else ExactScaled(stats.mean),
             reference=ref,
+            skipped=stats is None,
         )
         for n, stats in zip(n_list, results)
     ]

@@ -1,7 +1,7 @@
 """CLI tests: subcommands, schemas, exit codes, determinism."""
 import json
 
-from freespec import cli
+from freespec import cli, regular
 from freespec.graphs import builtin_graph, format_graph_text, parse_graph_text
 
 
@@ -118,6 +118,24 @@ def test_cycles_subcommand(capsys):
     assert code == 0
     refs = [line.split(",")[7] for line in out.strip().split("\n")[1:]]
     assert refs == ["1.33333333333", "1.33333333333"]
+
+
+def test_cycles_skips_refused_cells(capsys, monkeypatch):
+    # at 10^4 nodes the 8-cycles of the n=20 sample are counted (295) and
+    # the n=200 enumeration is refused: that cell is skipped, the run exits 0
+    inner = regular.count_k_cycles
+    monkeypatch.setattr(
+        regular, "count_k_cycles", lambda g, j, max_nodes: inner(g, j, max_nodes=10**4)
+    )
+    code, out, err = run_cli(
+        capsys, "cycles", "--d", "4", "--j", "8", "--n-list", "20,200",
+        "--samples", "1", "--seed", "0",
+    )
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [row[3] for row in rows] == ["20", "200"]
+    assert rows[0][6] == "295"
+    assert rows[1][6:] == ["", "", "", ""]
 
 
 def test_regular_random_subcommand(capsys):

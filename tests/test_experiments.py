@@ -25,6 +25,7 @@ from freespec.graphs import (
 )
 from freespec.polymoments import Poly, km_support
 from freespec.reports import Budgets, ExactScaled, render_csv, render_json
+from oracles import layered_distance_k_walks
 
 K3 = complete_graph(3)
 C4 = cycle_graph(4)
@@ -166,7 +167,7 @@ def test_walk_polynomial_free_clt_limit():
             continue  # K2 bases take the radial engine
         sigma = base.degree(base.root)
         for k in (1, 2, 3):
-            max_m = 4 if k == 3 else 6
+            max_m = 5 if k == 3 else 6
             table = _walk_polynomial(base, k, max_m, 10**8, k * max_m // 2)
             refs = chebyshev_reference_moments(k, max_m)
             for m, row in enumerate(table):
@@ -200,6 +201,34 @@ def test_walk_overrun_skips_larger_n_at_once(monkeypatch):
         assert all(row.skipped for row in rep.rows)
         per_run.append(len(calls))
     assert per_run[0] > 0 and per_run[1] == per_run[0]
+
+
+def test_free_clt_run_shares_one_table(monkeypatch):
+    # N = 2 first, then N = 5, whose cap-5 table serves N = 3 and 4
+    caps = []
+    inner = freeprod._walk_polynomial
+
+    def recorded(base, k, max_m, budget, cap):
+        caps.append(cap)
+        return inner(base, k, max_m, budget, cap)
+
+    monkeypatch.setattr(freeprod, "_walk_polynomial", recorded)
+    monkeypatch.setattr(freeprod, "_walk_fits", {})
+    rep = free_clt_experiment(C4, "c4", 2, (2, 3, 4, 5), 6)
+    assert caps == [2, 5]
+    assert [r.param_value for r in rep.rows] == [n for n in (2, 3, 4, 5) for _ in range(7)]
+    for n in (3, 4):
+        counts = layered_distance_k_walks(free_power(C4, n), 2, 6)
+        for m in range(7):
+            assert rep.row(n, m).value == normalized_value(counts[m], 2 * n, 2 * m)
+    # the remembered fit holds its table: with the DP cache emptied, N = 3
+    # still reads the cap-5 table, and once the fit is gone it pays cap 3
+    inner.cache_clear()
+    free_clt_experiment(C4, "c4", 2, (3,), 6)
+    assert caps == [2, 5]
+    freeprod._walk_fits.clear()
+    free_clt_experiment(C4, "c4", 2, (3,), 6)
+    assert caps == [2, 5, 3]
 
 
 def test_walk_polynomial_newton_differences():

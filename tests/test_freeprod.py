@@ -5,6 +5,7 @@ closed-form word distance must match in-ball BFS exactly wherever geodesics
 are guaranteed to stay inside the ball.
 """
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from freespec.errors import (
     RadiusTooSmallError,
     UnreducedWordError,
 )
+from freespec import freeprod
 from freespec.freeprod import (
     ball,
     decomposition_check,
@@ -35,6 +37,7 @@ from freespec.graphs import (
     complete_graph,
     cycle_graph,
     distance_k_graph,
+    from_edge_list,
     path_graph,
     vacuum_moment,
 )
@@ -47,6 +50,9 @@ C4 = cycle_graph(4)
 C5 = cycle_graph(5)
 P3 = path_graph(3)
 P4 = path_graph(4)
+STAR3 = from_edge_list(4, [(0, 1), (0, 2), (0, 3)], 0)
+STAR3_LEAF = from_edge_list(4, [(0, 1), (0, 2), (0, 3)], 1)
+STAR6 = from_edge_list(7, [(0, v) for v in range(1, 7)], 0)
 
 
 def test_free_power_spec_fields():
@@ -273,6 +279,107 @@ def test_walk_polynomial_matches_layered_oracle():
                 assert vacuum_moments_distance_k(spec, k, max_m) == expected, (
                     base.vertex_count, k, copies,
                 )
+
+
+def test_root_automorphisms():
+    # K_{1,6} at its centre has 720, past the bound: the identity stands in
+    sizes = {K3: 2, K4: 6, C4: 2, C5: 2, P3: 1, P4: 1, STAR3: 6, STAR3_LEAF: 2, STAR6: 1}
+    for base, size in sizes.items():
+        group = freeprod._root_automorphisms(base)
+        assert len(group) == size == len(set(group))
+        n = base.vertex_count
+        assert tuple(range(n)) in group
+        edges = set(base.edges())
+        for h in group:
+            assert h[base.root] == base.root
+            assert {tuple(sorted((h[u], h[v]))) for u, v in edges} == edges
+
+
+def test_root_automorphisms_bounds_the_search():
+    # a binary tree whose 32 leaves carry pendant paths of lengths 0..31 has
+    # only the identity, but sibling subtrees differ only below the leaves:
+    # an unbounded search tries every combination of the 31 sibling swaps
+    depth = 5
+    n = 2 ** (depth + 1) - 1
+    edges = [((v - 1) // 2, v) for v in range(1, n)]
+    for length, leaf in enumerate(range(2**depth - 1, 2 ** (depth + 1) - 1)):
+        prev = leaf
+        for _ in range(length):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+    tree = from_edge_list(n, edges, 0)
+    start = time.perf_counter()
+    assert freeprod._root_automorphisms(tree) == (tuple(range(n)),)
+    assert time.perf_counter() - start < 10
+
+
+def test_walk_polynomial_quotient_on_star_bases():
+    # root-fixing groups of order 6 and 2, and the identity fallback; the
+    # oracle takes 15 s on K_{1,6}^{*3} at k=2, m<=5, so that case stops at 4
+    for base in (STAR3, STAR3_LEAF, STAR6):
+        for k in (1, 2):
+            max_m = 4 if base is STAR6 and k == 2 else 5
+            for copies in (1, 2, 3):
+                spec = free_power(base, copies)
+                expected = layered_distance_k_walks(spec, k, max_m)
+                assert vacuum_moments_distance_k(spec, k, max_m) == expected, (
+                    base.root, base.vertex_count, k, copies,
+                )
+
+
+def test_walk_charge_is_orbit_weighted():
+    # k4, k=2, m<=4 at N >= 4 charged 1719 expansions before the quotient;
+    # each orbit representative is charged for every word of its orbit
+    spec = free_power(K4, 4)
+    assert vacuum_moments_distance_k(spec, 2, 4, budget=1719)
+    with pytest.raises(BudgetExceededError):
+        vacuum_moments_distance_k(spec, 2, 4, budget=1718)
+
+
+def test_segment_pool_budget():
+    # k4^*5 at bound 5 holds 339k words: the pool stops just past the budget
+    with pytest.raises(BudgetExceededError) as err:
+        freeprod._segment_pool(free_power(K4, 5), 5, 1000)
+    assert (err.value.count, err.value.what) == (1001, "segment-pool words")
+    # the walk DP checks its pools first: k3^*2 at bound 2 holds 12 words
+    with pytest.raises(BudgetExceededError) as err:
+        vacuum_moments_distance_k(free_power(K3, 2), 2, 4, budget=10)
+    assert err.value.what == "segment-pool words"
+    # a cached pool is held to the budget too
+    with pytest.raises(BudgetExceededError):
+        freeprod._segment_pool(free_power(K3, 2), 2, 11)
+    assert freeprod._segment_pool(free_power(K3, 2), 2, 12)
+
+
+def test_segment_pool_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(freeprod, "_pools", {})
+    monkeypatch.setattr(freeprod, "_pinned", set())
+    monkeypatch.setattr(freeprod, "_POOL_CACHE_WORDS", 100)
+    for copies in range(2, 6):
+        freeprod._segment_pool(free_power(K3, copies), 2)
+        held = [size for _, size in freeprod._pools.values()]
+        assert sum(held) <= 100 or len(held) == 1
+    assert len(freeprod._pools) < 4
+
+
+def test_walk_dp_keeps_its_pools(monkeypatch):
+    # k3, k=1, m<=4 at N=2 interleaves words of 1 and 2 copies, whose
+    # neighbors come from the pools of k3^*1 and k3^*2: with a cache bound
+    # below both, each pool is still built once
+    builds = []
+
+    class CountingPools(dict):
+        def __setitem__(self, key, value):
+            builds.append(key)
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(freeprod, "_pools", CountingPools())
+    monkeypatch.setattr(freeprod, "_POOL_CACHE_WORDS", 1)
+    monkeypatch.setattr(freeprod, "_walk_fits", {})
+    freeprod._walk_polynomial.cache_clear()
+    spec = free_power(K3, 2)
+    assert vacuum_moments_distance_k(spec, 1, 4) == layered_distance_k_walks(spec, 1, 4)
+    assert sorted(key[0].copies for key in builds) == [1, 2]
 
 
 def test_walk_budget():
