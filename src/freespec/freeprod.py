@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import comb, perm
 
 from .errors import (
@@ -61,6 +61,11 @@ class FreePowerSpec:
         return tuple(
             tuple(u for u in nb if u != root) for nb in self.base.neighbors
         )
+
+    @cached_property
+    def _pool_cache(self) -> dict[int, tuple[tuple, int]]:
+        # segment pools built for this spec by bound, with their word counts
+        return {}
 
 
 def free_power(base: RootedGraph, copies: int) -> FreePowerSpec:
@@ -265,27 +270,17 @@ def regular_tree_ball(d: int, radius: int, max_vertices: int = DEFAULT_BALL_BUDG
     return ball(free_power(complete_graph(2), d), radius, max_vertices)
 
 
-# built segment pools by (spec, bound), oldest first, with their word counts;
-# older pools are dropped once the cache holds more than _POOL_CACHE_WORDS
-# words, but the newest pool and the pools of the latest walk DP (their keys
-# are in _pinned until the next DP starts) always stay
-_pools: dict[tuple, tuple[tuple, int]] = {}
-_pinned: set[tuple] = set()
-_POOL_CACHE_WORDS = 10**6
-
-
 def _segment_pool(spec: FreePowerSpec, bound: int, budget: int | None = None):
     """All reduced words with root_distance <= bound, grouped by exact cost.
 
     Returns a tuple indexed by cost; each entry is a tuple of
     (word, bottom_copy) pairs in canonical order (bottom_copy is -1 for the
     empty word).  Used as the replacement-segment pool when enumerating
-    distance-k neighbors.  With budget, raises BudgetExceededError as soon
-    as more than budget nonempty words are built, or are held by the cached
-    pool.
+    distance-k neighbors, and kept on the spec, so it lives as long as the
+    spec does.  With budget, raises BudgetExceededError as soon as more than
+    budget nonempty words are built, or are held by the kept pool.
     """
-    key = (spec, bound)
-    cached = _pools.get(key)
+    cached = spec._pool_cache.get(bound)
     if cached is not None:
         if budget is not None and cached[1] > budget:
             raise BudgetExceededError(cached[1], budget, "segment-pool words")
@@ -317,12 +312,7 @@ def _segment_pool(spec: FreePowerSpec, bound: int, budget: int | None = None):
                 pools[nc].append((new, nb))
                 queue.append((new, nc, nb))
     result = tuple(tuple(sorted(p, key=lambda t: (len(t[0]), t[0]))) for p in pools)
-    _pools[key] = (result, built)
-    held = sum(size for _, size in _pools.values())
-    for stale in [p for p in _pools if p != key and p not in _pinned]:
-        if held <= _POOL_CACHE_WORDS:
-            break
-        held -= _pools.pop(stale)[1]
+    spec._pool_cache[bound] = (result, built)
     return result
 
 
@@ -336,7 +326,7 @@ def distance_k_neighbors(
 ) -> tuple[Word, ...]:
     """Exactly the reduced words at word distance k from x, sorted canonically.
 
-    Candidates are generated per suffix-strip depth of x from the cached
+    Candidates are generated per suffix-strip depth of x from the spec's
     segment pools, with constraints that make the stripped suffix exact;
     word_distance is not needed as a filter but the constraints mirror it.
     With max_root_distance, only words within that root distance are
@@ -451,7 +441,6 @@ _MAX_ROOT_AUTOMORPHISMS = 120
 _MAX_AUTOMORPHISM_WORK = 2 * 10**5
 
 
-@lru_cache(maxsize=16)
 def _root_automorphisms(base: RootedGraph) -> tuple[tuple[int, ...], ...]:
     """The automorphisms of the base that fix its root, as vertex maps.
 
@@ -532,9 +521,9 @@ def _canonical_fresh(y: Word, n: int, c: int, group, least: dict):
     Scanning from the bottom letter up, copies are renamed 0, 1, ... in order
     of first appearance, and each copy's vertex sequence (bottom letter
     first) is mapped by the root-fixing automorphism of the base that makes
-    it least.  Returns (canonical word, number of fresh copies), or None when
-    the fresh copies are out of order: that y is a relabelling of another
-    neighbor and is counted there.
+    it least.  Returns (canonical word, number of fresh copies, size of its
+    orbit), or None when the fresh copies are out of order: that y is a
+    relabelling of another neighbor and is counted there.
     """
     labels: dict[int, int] = {}
     fresh = c
@@ -549,30 +538,21 @@ def _canonical_fresh(y: Word, n: int, c: int, group, least: dict):
                 fresh += 1
             label = labels[copy] = len(labels)
         out.append(label * n + vertex)
+    size = 1
     if len(group) > 1:
         seqs: list[list[int]] = [[] for _ in labels]
         for letter in out:
             seqs[letter // n].append(letter % n)
-        maps = [_least_image(tuple(s), group, least)[0] for s in seqs]
+        maps = []
+        for seq in seqs:
+            h, orbit = _least_image(tuple(seq), group, least)
+            maps.append(h)
+            size *= orbit
         out = [letter - letter % n + maps[letter // n][letter % n] for letter in out]
     out.reverse()
-    return tuple(out), fresh - c
+    return tuple(out), fresh - c, size
 
 
-def _orbit_size(w: Word, n: int, group, least: dict) -> int:
-    """Number of words that w's copies reach under the root-fixing automorphisms."""
-    if len(group) == 1:
-        return 1
-    seqs: dict[int, list[int]] = {}
-    for letter in reversed(w):
-        seqs.setdefault(letter // n, []).append(letter % n)
-    size = 1
-    for s in seqs.values():
-        size *= _least_image(tuple(s), group, least)[1]
-    return size
-
-
-@lru_cache(maxsize=16)
 def _walk_polynomial(
     base: RootedGraph,
     k: int,
@@ -599,54 +579,56 @@ def _walk_polynomial(
     and takes new ones for the rest.  A root-fixing automorphism of the
     base applied to the letters of one copy is a root-fixing automorphism
     of G^{*N}, so the words of one orbit carry equal masses: the DP keeps
-    one word per orbit (see _canonical_fresh) with the orbit's total mass.
-    Layer t keeps words with root distance <= k * min(t, max_m - t), which
-    a closed walk cannot exceed.  Each word is charged its neighbor count
-    times its orbit size, as if every word of the orbit were expanded; the
-    charge grows with cap, so a budget that fits one cap fits every smaller
-    one.  The segment pools behind the neighbors are held to budget words
-    on their own.
+    one word per orbit (see _canonical_fresh) with the orbit's size and
+    total mass.  Layer t keeps words with root distance at most
+    k * min(t, max_m - t), which a closed walk cannot exceed.  Each word is
+    charged its neighbor count times its orbit size, as if every word of
+    the orbit were expanded; the charge grows with cap, so a budget that
+    fits one cap fits every smaller one.  The segment pools behind the
+    neighbors are held to budget words on their own; they live on the DP's
+    specs, so they go when it returns.
     """
     n = base.vertex_count
     group = _root_automorphisms(base)
     least: dict[tuple, tuple] = {}
     specs: dict[int, FreePowerSpec] = {}
-    _pinned.clear()
-    layer: dict[Word, dict[int, int]] = {(): {0: 1}}
-    closed = [layer[()]]
+    # kept word -> (orbit size, mass by copies touched)
+    layer: dict[Word, tuple[int, dict[int, int]]] = {(): (1, {0: 1})}
+    closed = [{0: 1}]
     expansions = 0
     for t in range(1, max_m + 1):
         bound = k * min(t, max_m - t)
-        nxt: dict[Word, dict[int, int]] = {}
-        for w, masses in layer.items():
+        nxt: dict[Word, tuple[int, dict[int, int]]] = {}
+        for w, (size, masses) in layer.items():
             c = max(w) // n + 1 if w else 0
-            spec = specs.get(c)
+            # room for the fresh copies a distance-k step can add, up to cap
+            copies = min(c + k, cap)
+            spec = specs.get(copies)
             if spec is None:
-                # room for the fresh copies a distance-k step can add, up to cap
-                spec = specs[c] = free_power(base, min(c + k, cap))
+                spec = specs[copies] = free_power(base, copies)
                 _segment_pool(spec, k, budget)
-                _pinned.add((spec, k))
             nbs = distance_k_neighbors(spec, w, k, validate=False, max_root_distance=bound)
-            expansions += len(nbs) * _orbit_size(w, n, group, least)
+            expansions += len(nbs) * size
             if expansions > budget:
                 raise BudgetExceededError(expansions, budget, "walk expansions")
-            by_fresh: dict[int, list[Word]] = {}
+            by_fresh: dict[int, list[tuple[Word, int]]] = {}
             for y in nbs:
                 canonical = _canonical_fresh(y, n, c, group, least)
                 if canonical is not None:
-                    by_fresh.setdefault(canonical[1], []).append(canonical[0])
+                    y, r, orbit = canonical
+                    by_fresh.setdefault(r, []).append((y, orbit))
             for r, ys in by_fresh.items():
                 shifted: dict[int, int] = {}
                 for j, mass in masses.items():
                     for s in range(max(0, j + r - cap), min(r, j - c) + 1):
                         j2 = j + r - s
                         shifted[j2] = shifted.get(j2, 0) + mass * comb(r, s) * perm(j - c, s)
-                for y in ys:
-                    target = nxt.setdefault(y, {})
+                for y, orbit in ys:
+                    target = nxt.setdefault(y, (orbit, {}))[1]
                     for j2, mass in shifted.items():
                         target[j2] = target.get(j2, 0) + mass
         layer = nxt
-        closed.append(layer.get((), {}))
+        closed.append(layer.get((), (1, {}))[1])
     table = []
     for masses in closed:
         row = [0] * (cap + 1)
@@ -656,20 +638,12 @@ def _walk_polynomial(
     return tuple(table)
 
 
-# per (base, k, max_m, budget): the smallest cap whose walk DP overran, with
-# its count and stage, and the largest cap whose DP fit, with its table.
-# Every larger cap overruns too, so later cells of a run fail at once; a
-# table serves every smaller cap too, since perm(N, j) = 0 for j > N.  Each
-# keeps 16 keys; a fit holds its table, so it never outlives the data.
-_walk_overruns: dict[tuple, tuple[int, int, str]] = {}
-_walk_fits: dict[tuple, tuple[int, tuple]] = {}
-
-
-def _remember(memo: dict, key, value) -> None:
-    memo.pop(key, None)
-    memo[key] = value
-    if len(memo) > 16:
-        del memo[next(iter(memo))]
+# per (base, k, max_m, budget), the 16 latest used: [largest cap whose walk
+# DP fit, its table, (smallest cap whose DP overran, its count and stage)].
+# A table serves every smaller cap, since perm(N, j) = 0 for j > N; the
+# charge grows with cap, so every larger cap overruns too, and later cells
+# of a run fail at once.
+_walk_tables: dict[tuple, list] = {}
 
 
 def vacuum_moments_distance_k(
@@ -696,18 +670,19 @@ def vacuum_moments_distance_k(
         return _tree_vacuum_moments(spec.copies, k, max_m)
     cap = min(spec.copies, max(1, k * max_m // 2))
     key = (spec.base, k, max_m, budget)
-    overrun = _walk_overruns.get(key)
+    entry = _walk_tables[key] = _walk_tables.pop(key, None) or [0, (), None]
+    if len(_walk_tables) > 16:
+        del _walk_tables[next(iter(_walk_tables))]
+    fit_cap, table, overrun = entry
     if overrun is not None and overrun[0] <= cap:
         raise BudgetExceededError(overrun[1], budget, overrun[2])
-    fit = _walk_fits.get(key)
-    if fit is None or fit[0] < cap:
+    if fit_cap < cap:
         try:
-            fit = (cap, _walk_polynomial(spec.base, k, max_m, budget, cap))
+            table = _walk_polynomial(spec.base, k, max_m, budget, cap)
         except BudgetExceededError as err:
-            _remember(_walk_overruns, key, (cap, err.count, err.what))
+            entry[2] = (cap, err.count, err.what)
             raise
-    _remember(_walk_fits, key, fit)
-    table = fit[1]
+        entry[:2] = cap, table
     return [sum(w * perm(spec.copies, j) for j, w in enumerate(row)) for row in table]
 
 

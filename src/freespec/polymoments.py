@@ -365,9 +365,7 @@ def pushforward_moments(p: Poly, base: MomentSequence, max_m: int) -> MomentSequ
     power = Poly([1])
     for _ in range(max_m):
         power = power * p
-        moments.append(
-            sum((c * base[j] for j, c in enumerate(power.coeffs)), Fraction(0))
-        )
+        moments.append(integrate_poly(power, base))
     return MomentSequence(moments)
 
 

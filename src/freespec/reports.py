@@ -101,10 +101,6 @@ class ExactScaled:
         return hash((self.frac, self.sqrt_den))
 
 
-def exact(value) -> ExactScaled:
-    return value if isinstance(value, ExactScaled) else ExactScaled(Fraction(value))
-
-
 @dataclass
 class ReportRow:
     experiment: str

@@ -194,8 +194,7 @@ def test_walk_overrun_skips_larger_n_at_once(monkeypatch):
     budgets = Budgets(walk_expansions=200)
     per_run = []
     for n_list in ((3,), (3, 4, 8)):
-        monkeypatch.setattr(freeprod, "_walk_overruns", {})
-        freeprod._walk_polynomial.cache_clear()
+        monkeypatch.setattr(freeprod, "_walk_tables", {})
         calls.clear()
         rep = free_clt_experiment(C4, "c4", 2, n_list, 4, budgets=budgets)
         assert all(row.skipped for row in rep.rows)
@@ -213,7 +212,7 @@ def test_free_clt_run_shares_one_table(monkeypatch):
         return inner(base, k, max_m, budget, cap)
 
     monkeypatch.setattr(freeprod, "_walk_polynomial", recorded)
-    monkeypatch.setattr(freeprod, "_walk_fits", {})
+    monkeypatch.setattr(freeprod, "_walk_tables", {})
     rep = free_clt_experiment(C4, "c4", 2, (2, 3, 4, 5), 6)
     assert caps == [2, 5]
     assert [r.param_value for r in rep.rows] == [n for n in (2, 3, 4, 5) for _ in range(7)]
@@ -221,12 +220,11 @@ def test_free_clt_run_shares_one_table(monkeypatch):
         counts = layered_distance_k_walks(free_power(C4, n), 2, 6)
         for m in range(7):
             assert rep.row(n, m).value == normalized_value(counts[m], 2 * n, 2 * m)
-    # the remembered fit holds its table: with the DP cache emptied, N = 3
-    # still reads the cap-5 table, and once the fit is gone it pays cap 3
-    inner.cache_clear()
+    # the memo holds the table: a later N = 3 reads the cap-5 table, and
+    # once the memo is emptied it pays cap 3
     free_clt_experiment(C4, "c4", 2, (3,), 6)
     assert caps == [2, 5]
-    freeprod._walk_fits.clear()
+    freeprod._walk_tables.clear()
     free_clt_experiment(C4, "c4", 2, (3,), 6)
     assert caps == [2, 5, 3]
 

@@ -4,8 +4,10 @@ The metric-vs-BFS oracle tests are the blocking gate for this module: the
 closed-form word distance must match in-ball BFS exactly wherever geodesics
 are guaranteed to stay inside the ball.
 """
+import gc
 import random
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -345,41 +347,65 @@ def test_segment_pool_budget():
     with pytest.raises(BudgetExceededError) as err:
         vacuum_moments_distance_k(free_power(K3, 2), 2, 4, budget=10)
     assert err.value.what == "segment-pool words"
-    # a cached pool is held to the budget too
+    # the pool kept on a spec is held to the budget too
+    spec = free_power(K3, 2)
+    freeprod._segment_pool(spec, 2)
     with pytest.raises(BudgetExceededError):
-        freeprod._segment_pool(free_power(K3, 2), 2, 11)
-    assert freeprod._segment_pool(free_power(K3, 2), 2, 12)
+        freeprod._segment_pool(spec, 2, 11)
+    assert freeprod._segment_pool(spec, 2, 12)
 
 
-def test_segment_pool_cache_is_bounded(monkeypatch):
-    monkeypatch.setattr(freeprod, "_pools", {})
-    monkeypatch.setattr(freeprod, "_pinned", set())
-    monkeypatch.setattr(freeprod, "_POOL_CACHE_WORDS", 100)
+def test_segment_pool_cache_is_bounded():
+    # pools are kept on their spec alone, so what is cached is bounded by the
+    # specs still alive: dropping them frees every pool
+    refs = []
     for copies in range(2, 6):
-        freeprod._segment_pool(free_power(K3, copies), 2)
-        held = [size for _, size in freeprod._pools.values()]
-        assert sum(held) <= 100 or len(held) == 1
-    assert len(freeprod._pools) < 4
+        spec = free_power(K3, copies)
+        pool = freeprod._segment_pool(spec, 2)
+        assert freeprod._segment_pool(spec, 2) is pool
+        assert spec._pool_cache[2][0] is pool
+        refs.append(weakref.ref(spec))
+        del spec, pool
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_walk_dp_pools_do_not_outlive_it(monkeypatch):
+    # the pools live on the specs the DP builds, which it drops on return
+    spec = free_power(K4, 3)
+    expected = layered_distance_k_walks(spec, 2, 4)
+    specs = []
+    inner = freeprod.free_power
+
+    def tracked(base, copies):
+        spec = inner(base, copies)
+        specs.append(weakref.ref(spec))
+        return spec
+
+    monkeypatch.setattr(freeprod, "free_power", tracked)
+    monkeypatch.setattr(freeprod, "_walk_tables", {})
+    assert vacuum_moments_distance_k(spec, 2, 4) == expected
+    gc.collect()
+    assert len(specs) > 1 and all(ref() is None for ref in specs)
 
 
 def test_walk_dp_keeps_its_pools(monkeypatch):
     # k3, k=1, m<=4 at N=2 interleaves words of 1 and 2 copies, whose
-    # neighbors come from the pools of k3^*1 and k3^*2: with a cache bound
-    # below both, each pool is still built once
-    builds = []
-
-    class CountingPools(dict):
-        def __setitem__(self, key, value):
-            builds.append(key)
-            super().__setitem__(key, value)
-
-    monkeypatch.setattr(freeprod, "_pools", CountingPools())
-    monkeypatch.setattr(freeprod, "_POOL_CACHE_WORDS", 1)
-    monkeypatch.setattr(freeprod, "_walk_fits", {})
-    freeprod._walk_polynomial.cache_clear()
+    # neighbors come from the pools of k3^*1 and k3^*2: each is built once
     spec = free_power(K3, 2)
-    assert vacuum_moments_distance_k(spec, 1, 4) == layered_distance_k_walks(spec, 1, 4)
-    assert sorted(key[0].copies for key in builds) == [1, 2]
+    expected = layered_distance_k_walks(spec, 1, 4)
+    builds = []
+    inner = freeprod._segment_pool
+
+    def counted(spec, bound, budget=None):
+        if bound not in spec._pool_cache:
+            builds.append(spec.copies)
+        return inner(spec, bound, budget)
+
+    monkeypatch.setattr(freeprod, "_segment_pool", counted)
+    monkeypatch.setattr(freeprod, "_walk_tables", {})
+    assert vacuum_moments_distance_k(spec, 1, 4) == expected
+    assert sorted(builds) == [1, 2]
 
 
 def test_walk_budget():
