@@ -45,7 +45,15 @@ from .polymoments import (
     tree_distance_poly,
 )
 from .regular import cycles_experiment, regular_limit_experiment
-from .reports import Budgets, ExactScaled, Report, ReportRow, render_csv, render_json
+from .reports import (
+    Budgets,
+    ExactScaled,
+    Report,
+    ReportRow,
+    moment_rows,
+    render_csv,
+    render_json,
+)
 
 
 class _UsageError(Exception):
@@ -192,7 +200,7 @@ def _run(args) -> Report:
         )
     if args.command == "cycles":
         n_list = _parse_int_list(args.n_list, "--n-list")
-        return cycles_experiment(args.d, args.j, n_list, args.samples, args.seed)
+        return cycles_experiment(args.d, args.j, n_list, args.samples, args.seed, budgets)
     if args.command == "decomp-check":
         return _run_decomp(args, budgets)
     if args.command == "moments":
@@ -249,39 +257,28 @@ def _run_decomp(args, budgets: Budgets) -> Report:
 
 
 def _run_moments(args, budgets: Budgets) -> Report:
-    rows = []
     if args.law is not None:
         if args.law == "semicircle":
-            ms = semicircle_moments(args.max_m)
             name = "semicircle"
+            values = semicircle_moments(args.max_m)
         elif args.law.startswith("km:"):
             d = int(args.law.split(":", 1)[1])
-            ms = kesten_mckay_moments(d, args.max_m)
             name = f"kesten-mckay-d{d}"
+            values = kesten_mckay_moments(d, args.max_m)
         else:
             raise _UsageError("--law must be semicircle or km:D")
-        for m in range(args.max_m + 1):
-            rows.append(
-                ReportRow(
-                    experiment="moments", graph=name, param_name="law",
-                    param_value=name, k=None, m=m, value=ExactScaled(ms[m]),
-                )
-            )
-        return Report(rows=rows, budgets=budgets)
-    if args.graph is None:
+        param_name, param_value = "law", name
+    elif args.graph is None:
         raise _UsageError("moments needs --graph or --law")
-    g, name = _load_graph(args.graph)
-    if args.which == "vacuum":
-        values = [ExactScaled(Fraction(vacuum_moment(g, m))) for m in range(args.max_m + 1)]
     else:
-        values = [ExactScaled(v) for v in trace_moments(g, args.max_m)]
-    for m, value in enumerate(values):
-        rows.append(
-            ReportRow(
-                experiment="moments", graph=name, param_name="state",
-                param_value=args.which, k=None, m=m, value=value,
-            )
-        )
+        g, name = _load_graph(args.graph)
+        if args.which == "vacuum":
+            values = [vacuum_moment(g, m) for m in range(args.max_m + 1)]
+        else:
+            values = trace_moments(g, args.max_m)
+        param_name, param_value = "state", args.which
+    cells = [(param_value, [ExactScaled(v) for v in values])]
+    rows = moment_rows("moments", name, param_name, None, cells, [None] * len(values))
     return Report(rows=rows, budgets=budgets)
 
 
@@ -309,7 +306,7 @@ def _run_km_density(args, budgets: Budgets) -> Report:
 
 
 def _run_hist(args, budgets: Budgets) -> Report:
-    cfg = SamplerConfig(seed=args.seed, count=args.samples, bins=args.bins, law=args.law)
+    cfg = SamplerConfig(seed=args.seed, count=args.samples, law=args.law)
     samples = sample_law(cfg)
     poly = _parse_transform(args.transform)
     edges, counts = pushforward_histogram(poly, samples, args.bins)

@@ -24,7 +24,7 @@ from .polymoments import (
     semicircle_moments,
     tree_distance_k_law_moments,
 )
-from .reports import Budgets, ExactScaled, Report, ReportRow
+from .reports import Budgets, ExactScaled, Report, moment_rows
 
 
 def run_cells(fn, items, threads: int = 1) -> list:
@@ -67,20 +67,11 @@ def tree_check_experiment(
     """
     spec = free_power(complete_graph(2), d)
     counts = vacuum_moments_distance_k(spec, k, max_m, budget=budgets.walk_expansions)
-    refs = tree_distance_k_law_moments(d, k, max_m)
-    rows = [
-        ReportRow(
-            experiment="tree-check",
-            graph=f"tree-d{d}",
-            param_name="d",
-            param_value=d,
-            k=k,
-            m=m,
-            value=ExactScaled(Fraction(counts[m])),
-            reference=ExactScaled(refs[m]),
-        )
-        for m in range(max_m + 1)
-    ]
+    values = [ExactScaled(count) for count in counts]
+    rows = moment_rows(
+        "tree-check", f"tree-d{d}", "d", k, [(d, values)],
+        tree_distance_k_law_moments(d, k, max_m),
+    )
     return Report(rows=rows, budgets=budgets)
 
 
@@ -112,44 +103,15 @@ def free_clt_experiment(
             )
         except BudgetExceededError:
             return None
-        return counts, spec.sigma
+        scale = n_copies * spec.sigma
+        return [normalized_value(count, scale, k * m) for m, count in enumerate(counts)]
 
     ordered = sorted(n_list)
     if ordered:
         ordered.insert(1, ordered.pop())
     by_n = dict(zip(ordered, run_cells(cell, ordered)))
-    results = [by_n[n_copies] for n_copies in n_list]
-    rows = []
-    for n_copies, result in zip(n_list, results):
-        for m in range(max_m + 1):
-            if result is None:
-                rows.append(
-                    ReportRow(
-                        experiment="free-clt",
-                        graph=graph_name,
-                        param_name="N",
-                        param_value=n_copies,
-                        k=k,
-                        m=m,
-                        value=None,
-                        reference=ExactScaled(refs[m]),
-                        skipped=True,
-                    )
-                )
-                continue
-            counts, sigma = result
-            rows.append(
-                ReportRow(
-                    experiment="free-clt",
-                    graph=graph_name,
-                    param_name="N",
-                    param_value=n_copies,
-                    k=k,
-                    m=m,
-                    value=normalized_value(counts[m], n_copies * sigma, k * m),
-                    reference=ExactScaled(refs[m]),
-                )
-            )
+    cells = [(n_copies, by_n[n_copies]) for n_copies in n_list]
+    rows = moment_rows("free-clt", graph_name, "N", k, cells, refs)
     return Report(rows=rows, budgets=budgets)
 
 
@@ -164,26 +126,11 @@ def tree_large_d_experiment(
 
     def cell(d: int):
         spec = free_power(complete_graph(2), d)
-        return vacuum_moments_distance_k(
-            spec, k, max_m, budget=budgets.walk_expansions
-        )
+        counts = vacuum_moments_distance_k(spec, k, max_m, budget=budgets.walk_expansions)
+        return [normalized_value(count, d, k * m) for m, count in enumerate(counts)]
 
-    results = run_cells(cell, list(d_list))
-    rows = []
-    for d, counts in zip(d_list, results):
-        for m in range(max_m + 1):
-            rows.append(
-                ReportRow(
-                    experiment="large-d",
-                    graph="tree",
-                    param_name="d",
-                    param_value=d,
-                    k=k,
-                    m=m,
-                    value=normalized_value(counts[m], d, k * m),
-                    reference=ExactScaled(refs[m]),
-                )
-            )
+    cells = zip(d_list, run_cells(cell, list(d_list)))
+    rows = moment_rows("large-d", "tree", "d", k, cells, refs)
     return Report(rows=rows, budgets=budgets)
 
 
@@ -197,7 +144,6 @@ class SamplerConfig:
 
     seed: int
     count: int
-    bins: int
     law: str = "semicircle"
 
     def density_and_support(self):
@@ -215,6 +161,8 @@ class SamplerConfig:
 
 def sample_law(cfg: SamplerConfig) -> list[float]:
     """Rejection-sample the target law from its uniform envelope, deterministically."""
+    if cfg.count < 1:
+        raise ValueError("samples must be positive")
     density, half_width, dmax = cfg.density_and_support()
     rng = random.Random(cfg.seed)
     out = []

@@ -76,18 +76,7 @@ def free_power(base: RootedGraph, copies: int) -> FreePowerSpec:
         raise ValueError("base graph must be connected")
     if copies < 1:
         raise ValueError("copies must be positive")
-    n = base.vertex_count
-    table = [bfs_distances(base, v) for v in range(n)]
-    apsp = tuple(tuple(row) for row in table)
-    for u in range(n):
-        if apsp[u][u] != 0:
-            raise ValueError("apsp diagonal must be zero")
-        for v in range(n):
-            if apsp[u][v] != apsp[v][u]:
-                raise ValueError("apsp must be symmetric")
-            for w in range(n):
-                if apsp[u][w] > apsp[u][v] + apsp[v][w]:
-                    raise ValueError("apsp violates the triangle inequality")
+    apsp = tuple(tuple(bfs_distances(base, v)) for v in range(base.vertex_count))
     return FreePowerSpec(
         base=base,
         copies=copies,
@@ -258,7 +247,6 @@ def ball(spec: FreePowerSpec, radius: int, max_vertices: int = DEFAULT_BALL_BUDG
         vertex_count=len(words),
         root=0,
         neighbors=tuple(tuple(sorted(row)) for row in adj),
-        labels=tuple(format_word(spec, w) for w in words),
     )
     return BallGraph(spec=spec, graph=graph, words=tuple(words), radius=radius)
 

@@ -29,13 +29,12 @@ class RootedGraph:
     """An undirected simple graph with a distinguished root vertex.
 
     Equality is equality of canonical forms (vertex count, root, sorted
-    adjacency); labels and ingestion flags do not participate.
+    adjacency); ingestion flags do not participate.
     """
 
     vertex_count: int
     root: int
     neighbors: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] | None = field(default=None, compare=False)
     had_duplicate_edges: bool = field(default=False, compare=False)
 
     @cached_property

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import InsufficientBaseMomentsError
 
@@ -378,18 +377,12 @@ def integrate_poly(p: Poly, base: MomentSequence) -> Fraction:
     return sum((c * base[j] for j, c in enumerate(p.coeffs)), Fraction(0))
 
 
-@lru_cache(maxsize=None)
-def _tree_law_refs(d: int, k: int, max_m: int) -> tuple:
-    """Cached pushforward moments of Q_k under the Kesten-McKay law."""
-    q = tree_distance_poly(d, k)
-    base = kesten_mckay_moments(d, max(q.degree, 0) * max_m)
-    return tuple(pushforward_moments(q, base, max_m))
-
-
 def tree_distance_k_law_moments(d: int, k: int, max_m: int) -> MomentSequence:
     """Exact law of the distance-k operator of the d-regular tree at the root.
 
     Computed entirely on the polynomial side: moments of Q_k(b) with b
     Kesten-McKay distributed.  Independent of the walk-counting engines.
     """
-    return MomentSequence(_tree_law_refs(d, k, max_m))
+    q = tree_distance_poly(d, k)
+    base = kesten_mckay_moments(d, max(q.degree, 0) * max_m)
+    return pushforward_moments(q, base, max_m)

@@ -16,7 +16,7 @@ from .errors import ComplexityRefusalError, ParityError, RetriesExhaustedError
 from .experiments import run_cells
 from .graphs import RootedGraph, count_k_cycles, distance_k_graph, from_edge_list, trace_moments
 from .polymoments import tree_distance_k_law_moments
-from .reports import Budgets, ExactScaled, Report, ReportRow
+from .reports import Budgets, ExactScaled, Report, ReportRow, moment_rows
 
 _MASK64 = (1 << 64) - 1
 
@@ -135,6 +135,8 @@ def regular_limit_experiment(
     The reference is the exact root-walk moment of the d-regular tree's
     distance-k graph, computed on the polynomial side.
     """
+    if samples < 1:
+        raise ValueError("samples must be positive")
     refs = tree_distance_k_law_moments(d, k, max_m)
 
     def cell(n: int):
@@ -145,24 +147,10 @@ def regular_limit_experiment(
             moments = trace_moments(dk, max_m)
             for m in range(max_m + 1):
                 totals[m] += moments[m]
-        return [t / samples for t in totals]
+        return [ExactScaled(t / samples) for t in totals]
 
-    results = run_cells(cell, list(n_list))
-    rows = []
-    for n, means in zip(n_list, results):
-        for m in range(max_m + 1):
-            rows.append(
-                ReportRow(
-                    experiment="regular-random",
-                    graph=f"random-regular-d{d}",
-                    param_name="n",
-                    param_value=n,
-                    k=k,
-                    m=m,
-                    value=ExactScaled(means[m]),
-                    reference=ExactScaled(refs[m]),
-                )
-            )
+    cells = zip(n_list, run_cells(cell, list(n_list)))
+    rows = moment_rows("regular-random", f"random-regular-d{d}", "n", k, cells, refs)
     return Report(rows=rows, seed=seed, budgets=budgets)
 
 
@@ -172,6 +160,7 @@ def cycles_experiment(
     n_list,
     samples: int,
     seed: int,
+    budgets: Budgets = Budgets(),
 ) -> Report:
     """Mean j-cycle counts across orders n, against the d-regular limit value.
 
@@ -201,4 +190,4 @@ def cycles_experiment(
         )
         for n, stats in zip(n_list, results)
     ]
-    return Report(rows=rows, seed=seed)
+    return Report(rows=rows, seed=seed, budgets=budgets)

@@ -130,6 +130,33 @@ class ReportRow:
         return err.to_float() / abs(self.reference.to_float())
 
 
+def moment_rows(
+    experiment: str, graph: str, param_name: str, k: int | None, cells, refs
+) -> list[ReportRow]:
+    """The rows of a moment table: one per (parameter value, m), in cell order.
+
+    cells holds (param_value, values) pairs, where values lists that
+    parameter's ExactScaled values by m, or is None for a cell skipped over
+    its budget.  refs holds one exact rational reference per m, or None
+    where the table has none.
+    """
+    return [
+        ReportRow(
+            experiment=experiment,
+            graph=graph,
+            param_name=param_name,
+            param_value=param_value,
+            k=k,
+            m=m,
+            value=None if values is None else values[m],
+            reference=None if ref is None else ExactScaled(ref),
+            skipped=values is None,
+        )
+        for param_value, values in cells
+        for m, ref in enumerate(refs)
+    ]
+
+
 @dataclass
 class Report:
     rows: list[ReportRow]
@@ -149,32 +176,30 @@ def fmt12(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _render_value(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return fmt12(v)
-    if isinstance(v, ExactScaled):
-        return fmt12(v.to_float())
-    return fmt12(float(v))
-
-
 def _render_param(v) -> str:
     if isinstance(v, float):
         return fmt12(v)
     return str(v)
 
 
+def _shown(r: ReportRow) -> tuple:
+    """A row's value, reference, abs_err and rel_err; a skipped row shows none."""
+    if r.skipped:
+        return None, None, None, None
+    return r.value, r.reference, r.abs_err, r.rel_err
+
+
+def _float(v: ExactScaled | float | None) -> float | None:
+    return v.to_float() if isinstance(v, ExactScaled) else v
+
+
+def _exact(v: ExactScaled | float | None) -> str | None:
+    return v.exact_str() if isinstance(v, ExactScaled) else None
+
+
 def render_csv(report: Report) -> str:
     lines = [CSV_HEADER]
     for r in report.rows:
-        if r.skipped:
-            value = reference = abs_err = rel_err = ""
-        else:
-            value = _render_value(r.value)
-            reference = _render_value(r.reference)
-            abs_err = _render_value(r.abs_err)
-            rel_err = _render_value(r.rel_err)
         lines.append(
             ",".join(
                 [
@@ -184,35 +209,17 @@ def render_csv(report: Report) -> str:
                     _render_param(r.param_value),
                     "" if r.k is None else str(r.k),
                     "" if r.m is None else str(r.m),
-                    value,
-                    reference,
-                    abs_err,
-                    rel_err,
                 ]
+                + ["" if v is None else fmt12(_float(v)) for v in _shown(r)]
             )
         )
     return "\n".join(lines) + "\n"
 
 
-def _json_exact(v) -> str | None:
-    if isinstance(v, ExactScaled):
-        return v.exact_str()
-    return None
-
-
-def _json_float(v) -> float | None:
-    if v is None:
-        return None
-    if isinstance(v, float):
-        return v
-    if isinstance(v, ExactScaled):
-        return v.to_float()
-    return float(v)
-
-
 def render_json(report: Report) -> str:
     rows = []
     for r in report.rows:
+        value, reference, abs_err, rel_err = _shown(r)
         rows.append(
             {
                 "experiment": r.experiment,
@@ -221,12 +228,12 @@ def render_json(report: Report) -> str:
                 "param_value": r.param_value,
                 "k": r.k,
                 "m": r.m,
-                "value": None if r.skipped else _json_float(r.value),
-                "value_exact": None if r.skipped else _json_exact(r.value),
-                "reference": None if r.skipped else _json_float(r.reference),
-                "reference_exact": None if r.skipped else _json_exact(r.reference),
-                "abs_err": None if r.skipped else _json_float(r.abs_err),
-                "rel_err": None if r.skipped else r.rel_err,
+                "value": _float(value),
+                "value_exact": _exact(value),
+                "reference": _float(reference),
+                "reference_exact": _exact(reference),
+                "abs_err": _float(abs_err),
+                "rel_err": rel_err,
                 "skipped": r.skipped,
             }
         )

@@ -120,6 +120,15 @@ def test_cycles_subcommand(capsys):
     assert refs == ["1.33333333333", "1.33333333333"]
 
 
+def test_cycles_json_reports_the_budgets_passed(capsys):
+    code, out, _ = run_cli(
+        capsys, "cycles", "--d", "3", "--j", "3", "--n-list", "20", "--samples", "1",
+        "--walk-budget", "5", "--ball-budget", "7", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["meta"]["budgets"] == {"walk_expansions": 5, "ball_vertices": 7}
+
+
 def test_cycles_skips_refused_cells(capsys, monkeypatch):
     # at 10^4 nodes the 8-cycles of the n=20 sample are counted (295) and
     # the n=200 enumeration is refused: that cell is skipped, the run exits 0
@@ -183,6 +192,14 @@ def test_input_errors_exit_1(capsys):
     assert code == 1 and err.startswith("error[INPUT]:")
     code, _, err = run_cli(capsys, "moments", "--graph", "file:/nonexistent/x.graph")
     assert code == 1 and err.startswith("error[INPUT]:")
+    for argv in (
+        ("regular-random", "--d", "3", "--k", "2", "--n-list", "10", "--samples", "0"),
+        ("hist", "--law", "semicircle", "--samples", "0"),
+        ("cycles", "--d", "3", "--j", "3", "--n-list", "10", "--samples", "0"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert err == "error[INPUT]: samples must be positive\n", (argv, err)
 
 
 def test_budget_exhaustion_exits_2(capsys):

@@ -120,7 +120,7 @@ def test_csv_layout():
 
 
 def test_sample_law_semicircle_stats():
-    samples = sample_law(SamplerConfig(seed=12345, count=100_000, bins=10))
+    samples = sample_law(SamplerConfig(seed=12345, count=100_000))
     n = len(samples)
     mean = sum(samples) / n
     m2 = sum(x * x for x in samples) / n
@@ -130,25 +130,25 @@ def test_sample_law_semicircle_stats():
 
 
 def test_sample_law_km_support():
-    cfg = SamplerConfig(seed=7, count=5000, bins=10, law="km:3")
+    cfg = SamplerConfig(seed=7, count=5000, law="km:3")
     samples = sample_law(cfg)
     w = km_support(3)
     assert all(-w <= x <= w for x in samples)
 
 
 def test_sample_law_deterministic():
-    a = sample_law(SamplerConfig(seed=9, count=1000, bins=5))
-    b = sample_law(SamplerConfig(seed=9, count=1000, bins=5))
+    a = sample_law(SamplerConfig(seed=9, count=1000))
+    b = sample_law(SamplerConfig(seed=9, count=1000))
     assert a == b
 
 
 def test_sample_law_rejects_km2():
     with pytest.raises(ValueError):
-        sample_law(SamplerConfig(seed=1, count=10, bins=2, law="km:2"))
+        sample_law(SamplerConfig(seed=1, count=10, law="km:2"))
 
 
 def test_pushforward_histogram():
-    samples = sample_law(SamplerConfig(seed=42, count=50_000, bins=10))
+    samples = sample_law(SamplerConfig(seed=42, count=50_000))
     edges, counts = pushforward_histogram(Poly([-1, 0, 1]), samples, 10)
     assert len(edges) == 11 and len(counts) == 10
     assert sum(counts) == 50_000

@@ -297,10 +297,12 @@ def test_root_automorphisms():
             assert {tuple(sorted((h[u], h[v]))) for u, v in edges} == edges
 
 
-def test_root_automorphisms_bounds_the_search():
-    # a binary tree whose 32 leaves carry pendant paths of lengths 0..31 has
-    # only the identity, but sibling subtrees differ only below the leaves:
-    # an unbounded search tries every combination of the 31 sibling swaps
+def _pendant_path_tree():
+    """A binary tree whose 32 leaves carry pendant paths of lengths 0..31.
+
+    It has 559 vertices and only the identity automorphism, but sibling
+    subtrees differ only below the leaves.
+    """
     depth = 5
     n = 2 ** (depth + 1) - 1
     edges = [((v - 1) // 2, v) for v in range(1, n)]
@@ -309,10 +311,25 @@ def test_root_automorphisms_bounds_the_search():
         for _ in range(length):
             edges.append((prev, n))
             prev, n = n, n + 1
-    tree = from_edge_list(n, edges, 0)
+    return from_edge_list(n, edges, 0)
+
+
+def test_root_automorphisms_bounds_the_search():
+    # an unbounded search tries every combination of the 31 sibling swaps
+    tree = _pendant_path_tree()
     start = time.perf_counter()
-    assert freeprod._root_automorphisms(tree) == (tuple(range(n)),)
+    assert freeprod._root_automorphisms(tree) == (tuple(range(tree.vertex_count)),)
     assert time.perf_counter() - start < 10
+
+
+def test_free_power_is_quick_on_large_bases():
+    # rechecking the BFS distances over all n^3 triples took 15 s per
+    # free_power on this base, paid again for every copy count a walk tracks
+    tree = _pendant_path_tree()
+    start = time.perf_counter()
+    assert free_power(tree, 1).sigma == 2
+    assert vacuum_moments_distance_k(free_power(tree, 2), 1, 2) == [1, 0, 4]
+    assert time.perf_counter() - start < 5
 
 
 def test_walk_polynomial_quotient_on_star_bases():
