@@ -32,9 +32,9 @@ from .graphs import (
     BUILTIN_GRAPHS,
     RootedGraph,
     builtin_graph,
+    closed_walk_counts,
     parse_graph_text,
     trace_moments,
-    vacuum_moment,
 )
 from .polymoments import (
     Poly,
@@ -109,7 +109,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--output", default=None, help="output path (default stdout)")
     common.add_argument(
         "--threads", type=int, default=1,
-        help="accepted for compatibility; cells run serially",
+        help="worker processes for the samples of regular-random and cycles "
+        "(default 1: no pool); other subcommands run serially",
     )
     common.add_argument("--walk-budget", type=int, default=Budgets().walk_expansions)
     common.add_argument("--ball-budget", type=int, default=Budgets().ball_vertices)
@@ -182,7 +183,7 @@ def _run(args) -> Report:
     budgets = Budgets(
         walk_expansions=args.walk_budget, ball_vertices=args.ball_budget
     )
-    if args.threads < 1:  # accepted for compatibility; cells run serially
+    if args.threads < 1:
         raise _UsageError("--threads must be >= 1")
     if args.command == "tree-check":
         return tree_check_experiment(args.d, args.k, args.max_m, budgets)
@@ -196,11 +197,14 @@ def _run(args) -> Report:
     if args.command == "regular-random":
         n_list = _parse_int_list(args.n_list, "--n-list")
         return regular_limit_experiment(
-            args.d, args.k, n_list, args.samples, args.max_m, args.seed, budgets
+            args.d, args.k, n_list, args.samples, args.max_m, args.seed, budgets,
+            args.threads,
         )
     if args.command == "cycles":
         n_list = _parse_int_list(args.n_list, "--n-list")
-        return cycles_experiment(args.d, args.j, n_list, args.samples, args.seed, budgets)
+        return cycles_experiment(
+            args.d, args.j, n_list, args.samples, args.seed, budgets, args.threads
+        )
     if args.command == "decomp-check":
         return _run_decomp(args, budgets)
     if args.command == "moments":
@@ -256,13 +260,20 @@ def _run_decomp(args, budgets: Budgets) -> Report:
     return Report(rows=[row], budgets=budgets)
 
 
+def _km_degree(law: str) -> int:
+    try:
+        return int(law[len("km:"):])
+    except ValueError:
+        raise ValueError("--law km:D needs an integer D") from None
+
+
 def _run_moments(args, budgets: Budgets) -> Report:
     if args.law is not None:
         if args.law == "semicircle":
             name = "semicircle"
             values = semicircle_moments(args.max_m)
         elif args.law.startswith("km:"):
-            d = int(args.law.split(":", 1)[1])
+            d = _km_degree(args.law)
             name = f"kesten-mckay-d{d}"
             values = kesten_mckay_moments(d, args.max_m)
         else:
@@ -273,7 +284,7 @@ def _run_moments(args, budgets: Budgets) -> Report:
     else:
         g, name = _load_graph(args.graph)
         if args.which == "vacuum":
-            values = [vacuum_moment(g, m) for m in range(args.max_m + 1)]
+            values = closed_walk_counts(g, g.root, args.max_m)
         else:
             values = trace_moments(g, args.max_m)
         param_name, param_value = "state", args.which
@@ -306,6 +317,11 @@ def _run_km_density(args, budgets: Budgets) -> Report:
 
 
 def _run_hist(args, budgets: Budgets) -> Report:
+    # check every flag before sampling, whose cost grows with --samples
+    if args.bins < 1:
+        raise ValueError("bins must be positive")
+    if args.law.startswith("km:"):
+        _km_degree(args.law)
     cfg = SamplerConfig(seed=args.seed, count=args.samples, law=args.law)
     samples = sample_law(cfg)
     poly = _parse_transform(args.transform)

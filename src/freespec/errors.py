@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+An error that carries fields passes them, and only them, to Exception and
+builds its message in __str__: pickling rebuilds an exception from its args,
+so this is what lets an error raised in a worker process reach the parent
+unchanged.
+"""
 import math
 
 
@@ -10,8 +16,11 @@ class LoopEdgeError(FreespecError):
     """A loop edge (u, u) was supplied; simple graphs forbid loops."""
 
     def __init__(self, vertex: int):
-        super().__init__(f"loop edge at vertex {vertex}")
+        super().__init__(vertex)
         self.vertex = vertex
+
+    def __str__(self):
+        return f"loop edge at vertex {self.vertex}"
 
 
 class RootOutOfRangeError(FreespecError):
@@ -34,19 +43,25 @@ class ComplexityRefusalError(FreespecError):
     """Cycle enumeration exceeded its node budget."""
 
     def __init__(self, nodes: int, budget: int):
-        super().__init__(f"cycle enumeration expanded {nodes} nodes (budget {budget})")
+        super().__init__(nodes, budget)
         self.nodes = nodes
         self.budget = budget
+
+    def __str__(self):
+        return f"cycle enumeration expanded {self.nodes} nodes (budget {self.budget})"
 
 
 class BudgetExceededError(FreespecError):
     """A ball or walk computation exceeded its configured budget."""
 
     def __init__(self, count: int, budget: int, what: str = "items"):
-        super().__init__(f"budget exceeded: {count} {what} (budget {budget})")
+        super().__init__(count, budget, what)
         self.count = count
         self.budget = budget
         self.what = what
+
+    def __str__(self):
+        return f"budget exceeded: {self.count} {self.what} (budget {self.budget})"
 
 
 class UnreducedWordError(FreespecError):
@@ -73,10 +88,13 @@ class RetriesExhaustedError(FreespecError):
     """The pairing model kept producing loops or multi-edges."""
 
     def __init__(self, retries: int, d: int):
-        super().__init__(
-            f"no simple graph in {retries} pairings; a pairing of degree {d} "
-            f"is simple with probability about exp(-(d^2-1)/4) = "
-            f"{math.exp(-(d * d - 1) / 4):.2g}"
-        )
+        super().__init__(retries, d)
         self.retries = retries
         self.d = d
+
+    def __str__(self):
+        return (
+            f"no simple graph in {self.retries} pairings; a pairing of degree "
+            f"{self.d} is simple with probability about exp(-(d^2-1)/4) = "
+            f"{math.exp(-(self.d * self.d - 1) / 4):.2g}"
+        )

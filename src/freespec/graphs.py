@@ -198,6 +198,8 @@ def distance_k_graph(g: RootedGraph, k: int) -> RootedGraph:
 
 def closed_walk_counts(g: RootedGraph, source: int, max_m: int) -> list[int]:
     """Counts of closed walks at ``source`` for every length 0..max_m."""
+    if max_m < 0:
+        raise ValueError("max_m must be nonnegative")
     if not 0 <= source < g.vertex_count:
         raise VertexOutOfRangeError(f"source {source}")
     counts = [1]

@@ -4,11 +4,19 @@ Sampling is rejection-based: a uniform perfect matching on half-edges is
 resampled until it yields a simple graph, which makes the draw uniform over
 simple d-regular graphs.  All randomness derives deterministically from the
 configured seeds.
+
+Each sample of an experiment re-derives its own seed from its coordinates,
+so samples run in any order and on any process: with threads > 1 they run
+on one process pool shared by the experiment's cells, and the parent
+combines their exact results in sample order.
 """
 from __future__ import annotations
 
+import functools
 import math
+import os
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -98,6 +106,66 @@ def _ensemble(values) -> EnsembleStats:
     return EnsembleStats(values=vals, mean=mean, std_err=std_err)
 
 
+def trace_sample(d: int, k: int, n: int, max_m: int, seed: int, i: int) -> list[Fraction]:
+    """Trace moments of the distance-k graph of sample i of order n."""
+    g = pairing_model(PairingConfig(n=n, d=d, seed=derive_seed(seed, n, i)))
+    return trace_moments(distance_k_graph(g, k), max_m)
+
+
+def cycle_sample(d: int, j: int, n: int, seed: int, i: int, max_nodes: int) -> int:
+    """Simple j-cycle count of sample i of order n."""
+    g = pairing_model(PairingConfig(n=n, d=d, seed=derive_seed(seed, j, i)))
+    return count_k_cycles(g, j, max_nodes=max_nodes)
+
+
+def sample_workers(threads: int, samples: int) -> int:
+    """Worker processes for a run: at most threads, samples per cell and cores."""
+    return max(1, min(threads, samples, os.cpu_count() or 1))
+
+
+class _Deferred:
+    """A sample run in the calling process when its result is read."""
+
+    def __init__(self, fn, *args):
+        self._call = functools.partial(fn, *args)
+
+    def result(self):
+        return self._call()
+
+    def cancel(self) -> bool:
+        return True
+
+
+@contextmanager
+def _sample_runner(threads: int, samples: int):
+    """Yield submit(fn, *args), whose return value has result() and cancel().
+
+    With one worker a sample runs in the calling process when its result is
+    read, and nothing new is imported.  Otherwise samples run on a process
+    pool, which is joined on exit; an error cancels the samples not started.
+
+    Workers are forked where the platform can fork.  A forked worker shares
+    the pages of the modules its parent imported, so its peak RSS stays near
+    that of a serial run; a spawned one imports them again, about 1 MB more
+    than the serial run's peak on regular-trace.  The pool forks all its
+    workers before it starts its manager thread, so the caller must not run
+    threads of its own while it starts; the CLI runs none.
+    """
+    workers = sample_workers(threads, samples)
+    if workers == 1:
+        yield _Deferred
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method))
+    try:
+        yield pool.submit
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def cycle_average(
     n: int,
     d: int,
@@ -109,11 +177,7 @@ def cycle_average(
     """Mean number of simple j-cycles over independent d-regular samples."""
     if samples < 1:
         raise ValueError("samples must be positive")
-    counts = []
-    for i in range(samples):
-        g = pairing_model(PairingConfig(n=n, d=d, seed=derive_seed(seed, j, i)))
-        counts.append(count_k_cycles(g, j, max_nodes=max_nodes))
-    return _ensemble(counts)
+    return _ensemble(cycle_sample(d, j, n, seed, i, max_nodes) for i in range(samples))
 
 
 def cycle_limit_reference(d: int, j: int) -> Fraction:
@@ -129,27 +193,33 @@ def regular_limit_experiment(
     max_m: int,
     seed: int,
     budgets: Budgets = Budgets(),
+    threads: int = 1,
 ) -> Report:
     """Mean trace moments of distance-k graphs of random d-regular graphs.
 
     The reference is the exact root-walk moment of the d-regular tree's
-    distance-k graph, computed on the polynomial side.
+    distance-k graph, computed on the polynomial side.  Samples run on up
+    to threads worker processes; the report is the same for every value.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
     refs = tree_distance_k_law_moments(d, k, max_m)
 
-    def cell(n: int):
-        totals = [Fraction(0)] * (max_m + 1)
-        for i in range(samples):
-            g = pairing_model(PairingConfig(n=n, d=d, seed=derive_seed(seed, n, i)))
-            dk = distance_k_graph(g, k)
-            moments = trace_moments(dk, max_m)
-            for m in range(max_m + 1):
-                totals[m] += moments[m]
-        return [ExactScaled(t / samples) for t in totals]
+    with _sample_runner(threads, samples) as submit:
+        pending = {
+            n: [submit(trace_sample, d, k, n, max_m, seed, i) for i in range(samples)]
+            for n in n_list
+        }
 
-    cells = zip(n_list, run_cells(cell, list(n_list)))
+        def cell(n: int):
+            totals = [Fraction(0)] * (max_m + 1)
+            for sample in pending[n]:
+                moments = sample.result()
+                for m in range(max_m + 1):
+                    totals[m] += moments[m]
+            return [ExactScaled(t / samples) for t in totals]
+
+        cells = zip(n_list, run_cells(cell, list(n_list)))
     rows = moment_rows("regular-random", f"random-regular-d{d}", "n", k, cells, refs)
     return Report(rows=rows, seed=seed, budgets=budgets)
 
@@ -161,21 +231,37 @@ def cycles_experiment(
     samples: int,
     seed: int,
     budgets: Budgets = Budgets(),
+    threads: int = 1,
 ) -> Report:
     """Mean j-cycle counts across orders n, against the d-regular limit value.
 
-    Cells whose cycle enumeration runs past its node budget are marked
-    skipped and the run continues.
+    Each enumeration may expand budgets.walk_expansions nodes.  Cells whose
+    enumeration runs past it are marked skipped and the run continues.
+    Samples run on up to threads worker processes; the report is the same
+    for every value.
     """
+    if samples < 1:
+        raise ValueError("samples must be positive")
     ref = ExactScaled(cycle_limit_reference(d, j))
 
-    def cell(n: int):
-        try:
-            return cycle_average(n, d, j, samples, seed)
-        except ComplexityRefusalError:
-            return None
+    with _sample_runner(threads, samples) as submit:
+        pending = {
+            n: [
+                submit(cycle_sample, d, j, n, seed, i, budgets.walk_expansions)
+                for i in range(samples)
+            ]
+            for n in n_list
+        }
 
-    results = run_cells(cell, list(n_list))
+        def cell(n: int):
+            try:
+                return Fraction(sum(sample.result() for sample in pending[n]), samples)
+            except ComplexityRefusalError:
+                for sample in pending[n]:
+                    sample.cancel()
+                return None
+
+        results = run_cells(cell, list(n_list))
     rows = [
         ReportRow(
             experiment="cycles",
@@ -184,10 +270,10 @@ def cycles_experiment(
             param_value=n,
             k=j,
             m=None,
-            value=None if stats is None else ExactScaled(stats.mean),
+            value=None if mean is None else ExactScaled(mean),
             reference=ref,
-            skipped=stats is None,
+            skipped=mean is None,
         )
-        for n, stats in zip(n_list, results)
+        for n, mean in zip(n_list, results)
     ]
     return Report(rows=rows, seed=seed, budgets=budgets)

@@ -1,7 +1,12 @@
 """CLI tests: subcommands, schemas, exit codes, determinism."""
 import json
+import os
+import subprocess
+import sys
 
-from freespec import cli, regular
+import pytest
+
+from freespec import cli
 from freespec.graphs import builtin_graph, format_graph_text, parse_graph_text
 
 
@@ -89,6 +94,17 @@ def test_moments_graph_vacuum(capsys):
     assert values == ["1", "0", "2", "2"]
 
 
+def test_moments_vacuum_makes_one_walk_pass(capsys, monkeypatch):
+    calls = []
+    inner = cli.closed_walk_counts
+    monkeypatch.setattr(
+        cli, "closed_walk_counts", lambda *args: calls.append(args) or inner(*args)
+    )
+    code, out, _ = run_cli(capsys, "moments", "--graph", "builtin:c4", "--max-m", "8")
+    assert code == 0 and len(out.strip().split("\n")) == 10
+    assert len(calls) == 1
+
+
 def test_decomp_check_modes(capsys):
     for argv in (
         ("decomp-check", "--mode", "square", "--graph", "builtin:k4"),
@@ -129,22 +145,56 @@ def test_cycles_json_reports_the_budgets_passed(capsys):
     assert json.loads(out)["meta"]["budgets"] == {"walk_expansions": 5, "ball_vertices": 7}
 
 
-def test_cycles_skips_refused_cells(capsys, monkeypatch):
+def test_cycles_skips_refused_cells(capsys):
     # at 10^4 nodes the 8-cycles of the n=20 sample are counted (295) and
     # the n=200 enumeration is refused: that cell is skipped, the run exits 0
-    inner = regular.count_k_cycles
-    monkeypatch.setattr(
-        regular, "count_k_cycles", lambda g, j, max_nodes: inner(g, j, max_nodes=10**4)
-    )
-    code, out, err = run_cli(
-        capsys, "cycles", "--d", "4", "--j", "8", "--n-list", "20,200",
-        "--samples", "1", "--seed", "0",
-    )
+    argv = ("cycles", "--d", "4", "--j", "8", "--n-list", "20,200", "--seed", "0",
+            "--walk-budget", "10000")
+    code, out, err = run_cli(capsys, *argv, "--samples", "1")
     assert code == 0 and err == ""
     rows = [line.split(",") for line in out.strip().split("\n")[1:]]
     assert [row[3] for row in rows] == ["20", "200"]
     assert rows[0][6] == "295"
     assert rows[1][6:] == ["", "", "", ""]
+    # on a pool the refused cell is skipped the same way
+    reports = [run_cli(capsys, *argv, "--samples", "2", "--threads", t) for t in ("1", "2")]
+    assert reports[0] == reports[1]
+    rows = [line.split(",") for line in reports[1][1].strip().split("\n")[1:]]
+    assert rows[0][6] != "" and rows[1][6:] == ["", "", "", ""]
+
+
+@pytest.mark.parametrize("argv", [
+    ("regular-random", "--d", "3", "--k", "2", "--n-list", "20,40", "--samples", "4"),
+    ("cycles", "--d", "4", "--j", "4", "--n-list", "20,40", "--samples", "4"),
+])
+def test_sampled_reports_identical_for_every_thread_count(capsys, argv):
+    for fmt in ("csv", "json"):
+        reports = [
+            run_cli(capsys, *argv, "--format", fmt, "--threads", threads)
+            for threads in ("1", "2", "3")
+        ]
+        assert reports[0][0] == 0 and reports[0][2] == ""
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_single_thread_starts_no_pool():
+    script = (
+        "import sys\n"
+        "from freespec import cli\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for argv in (
+        ("regular-random", "--d", "3", "--k", "2", "--n-list", "20", "--samples", "2"),
+        ("cycles", "--d", "3", "--j", "3", "--n-list", "20", "--samples", "2"),
+        ("cycles", "--d", "3", "--j", "3", "--n-list", "20", "--samples", "1", "--threads", "2"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
 
 
 def test_regular_random_subcommand(capsys):
@@ -200,6 +250,24 @@ def test_input_errors_exit_1(capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1, argv
         assert err == "error[INPUT]: samples must be positive\n", (argv, err)
+    for argv in (("moments", "--law", "km:x"), ("hist", "--law", "km:x")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert err == "error[INPUT]: --law km:D needs an integer D\n", (argv, err)
+    for which in ("vacuum", "trace"):
+        code, _, err = run_cli(
+            capsys, "moments", "--graph", "builtin:k3", "--which", which, "--max-m", "-1"
+        )
+        assert code == 1 and err == "error[INPUT]: max_m must be nonnegative\n", (which, err)
+
+
+def test_hist_checks_bins_before_sampling(capsys, monkeypatch):
+    def no_sampling(cfg):
+        raise AssertionError("sampled before checking --bins")
+
+    monkeypatch.setattr(cli, "sample_law", no_sampling)
+    code, _, err = run_cli(capsys, "hist", "--law", "semicircle", "--bins", "0")
+    assert code == 1 and err == "error[INPUT]: bins must be positive\n"
 
 
 def test_budget_exhaustion_exits_2(capsys):
@@ -222,20 +290,29 @@ def test_tree_decomp_check_honours_ball_budget(capsys):
 
 
 def test_pairing_retries_exit_2_without_blaming_feasibility(capsys):
-    # 6-regular graphs on 200 vertices exist; the rejection sampler gives up
-    code, _, err = run_cli(
-        capsys, "regular-random", "--d", "6", "--k", "1", "--n-list", "200",
-        "--samples", "1",
-    )
-    assert code == 2
-    assert err.startswith("error[BUDGET]:")
-    assert "1000 pairings" in err and "exp(-(d^2-1)/4)" in err
-    assert "infeasible" not in err
-    # an odd n*d is still an input error
-    code, _, err = run_cli(
-        capsys, "regular-random", "--d", "3", "--k", "1", "--n-list", "5",
-    )
-    assert code == 1 and err.startswith("error[INPUT]:")
+    # 6-regular graphs on 200 vertices exist; the rejection sampler gives up,
+    # in a worker process too
+    for threads in ("1", "2"):
+        code, _, err = run_cli(
+            capsys, "regular-random", "--d", "6", "--k", "1", "--n-list", "200",
+            "--samples", "2", "--threads", threads,
+        )
+        assert code == 2
+        assert err.startswith("error[BUDGET]:")
+        assert "1000 pairings" in err and "exp(-(d^2-1)/4)" in err
+        assert "infeasible" not in err
+        code, _, err = run_cli(
+            capsys, "regular-random", "--d", "7", "--k", "1", "--n-list", "8",
+            "--samples", "2", "--threads", threads,
+        )
+        assert code == 2
+        assert err.startswith("error[BUDGET]: no simple graph in 1000 pairings")
+        # an odd n*d is still an input error
+        code, _, err = run_cli(
+            capsys, "regular-random", "--d", "3", "--k", "1", "--n-list", "5",
+            "--threads", threads,
+        )
+        assert code == 1 and err.startswith("error[INPUT]:")
 
 
 def test_output_file(tmp_path, capsys):

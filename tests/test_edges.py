@@ -1,10 +1,12 @@
 """Edge-case contracts: validation errors, degenerate inputs, report internals."""
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from freespec import errors
 from freespec.errors import UnreducedWordError
 from freespec.freeprod import (
     ball,
@@ -93,3 +95,31 @@ def test_report_row_lookup():
     assert rep.row(2, 0) is row
     with pytest.raises(KeyError):
         rep.row(3, 0)
+
+
+def test_every_error_survives_pickling():
+    # a worker process sends its error to the parent pickled
+    fields = {
+        errors.LoopEdgeError: {"vertex": 3},
+        errors.ComplexityRefusalError: {"nodes": 11, "budget": 10},
+        errors.BudgetExceededError: {"count": 12, "budget": 10, "what": "walk expansions"},
+        errors.RetriesExhaustedError: {"retries": 1000, "d": 6},
+    }
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    classes = list(subclasses(errors.FreespecError))
+    assert set(fields) <= set(classes)
+    for cls in classes:
+        exc = cls(**fields[cls]) if cls in fields else cls(f"{cls.__name__} message")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert str(back) == str(exc)
+        assert back.args == exc.args
+        for name, value in fields.get(cls, {}).items():
+            assert getattr(back, name) == value
+    assert str(errors.LoopEdgeError(3)) == "loop edge at vertex 3"
+    assert str(errors.BudgetExceededError(5, 4)) == "budget exceeded: 5 items (budget 4)"

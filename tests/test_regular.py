@@ -1,19 +1,25 @@
 """Tests for the configuration-model sampler and regular-graph experiments."""
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
 
-from freespec.errors import ParityError, RetriesExhaustedError
+from freespec.errors import ComplexityRefusalError, ParityError, RetriesExhaustedError
 from freespec.graphs import complete_graph, count_k_cycles
 from freespec.regular import (
     EnsembleStats,
     PairingConfig,
     cycle_average,
     cycle_limit_reference,
+    cycle_sample,
     cycles_experiment,
     derive_seed,
     pairing_model,
     regular_limit_experiment,
+    sample_workers,
+    trace_sample,
 )
 from freespec.reports import ExactScaled
 
@@ -97,3 +103,25 @@ def test_cycles_experiment_report():
     assert [r.param_value for r in rep.rows] == [30, 60]
     assert all(r.k == 3 for r in rep.rows)
     assert all(r.reference == ExactScaled(Fraction(4, 3)) for r in rep.rows)
+
+
+def test_sample_workers_clamp():
+    cores = os.cpu_count() or 1
+    assert sample_workers(1, 20) == 1
+    assert sample_workers(3, 1) == 1
+    assert sample_workers(10**6, 4) == min(4, cores)
+    assert sample_workers(2, 20) == min(2, cores)
+
+
+def test_samples_give_the_same_results_on_a_spawned_pool():
+    # a sample is a pure function of its int arguments, so neither the
+    # process nor the start method changes its result; errors come back whole
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        traces = [pool.submit(trace_sample, 3, 2, 30, 4, 7, i) for i in range(2)]
+        cycles = [pool.submit(cycle_sample, 4, 4, 20, 7, i, 10**6) for i in range(2)]
+        refused = pool.submit(cycle_sample, 4, 8, 200, 0, 0, 10**4)
+        assert [f.result() for f in traces] == [trace_sample(3, 2, 30, 4, 7, i) for i in range(2)]
+        assert [f.result() for f in cycles] == [cycle_sample(4, 4, 20, 7, i, 10**6) for i in range(2)]
+        with pytest.raises(ComplexityRefusalError) as info:
+            refused.result()
+    assert (info.value.nodes, info.value.budget) == (10**4 + 1, 10**4)
