@@ -1,9 +1,10 @@
 """Command-line surface: graph ingestion, experiments, CSV/JSON reports.
 
 Exit codes: 0 success, 1 validation error, 2 budget exhaustion (pairing
-retries included), 3 internal invariant violation (a decomposition check
-reporting a nonzero violation is a bug signal, never plain data).  Errors
-print to stderr with a machine-parseable "error[CODE]:" prefix.
+retries and a worker process that ended abruptly included), 3 internal
+invariant violation (a decomposition check reporting a nonzero violation
+is a bug signal, never plain data).  Errors print to stderr with a
+machine-parseable "error[CODE]:" prefix.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from .errors import (
     ComplexityRefusalError,
     FreespecError,
     RetriesExhaustedError,
+    WorkerDiedError,
 )
 from .experiments import (
     SamplerConfig,
@@ -27,7 +29,7 @@ from .experiments import (
     tree_large_d_experiment,
     tree_check_experiment,
 )
-from .freeprod import ball, decomposition_check, free_power, tree_recurrence_check
+from .freeprod import decomposition_check, free_power, tree_recurrence_check
 from .graphs import (
     BUILTIN_GRAPHS,
     RootedGraph,
@@ -94,12 +96,16 @@ def _load_graph(source: str) -> tuple[RootedGraph, str]:
 def _parse_transform(text: str) -> Poly:
     if text == "none":
         return Poly([0, 1])
-    parts = text.split(":")
-    if parts[0] == "p" and len(parts) == 2:
-        return chebyshev_monic(int(parts[1]))
-    if parts[0] == "q" and len(parts) == 3:
-        return tree_distance_poly(int(parts[1]), int(parts[2]))
-    raise _UsageError("transform must be none, p:K, or q:D:K")
+    kind, *fields = text.split(":")
+    try:
+        values = [int(field) for field in fields]
+    except ValueError:
+        values = []
+    if kind == "p" and len(values) == 1:
+        return chebyshev_monic(*values)
+    if kind == "q" and len(values) == 2:
+        return tree_distance_poly(*values)
+    raise _UsageError("--transform must be none, p:K, or q:D:K with integers D, K")
 
 
 def _build_parser() -> _Parser:
@@ -185,6 +191,8 @@ def _run(args) -> Report:
     )
     if args.threads < 1:
         raise _UsageError("--threads must be >= 1")
+    if min(args.walk_budget, args.ball_budget) < 0:
+        raise _UsageError("--walk-budget and --ball-budget must be >= 0")
     if args.command == "tree-check":
         return tree_check_experiment(args.d, args.k, args.max_m, budgets)
     if args.command == "free-clt":
@@ -249,8 +257,7 @@ def _run_decomp(args, budgets: Budgets) -> Report:
         raise _UsageError("--mode free needs --graph, --N, --k, --radius")
     g, name = _load_graph(args.graph)
     spec = free_power(g, args.N)
-    bg = ball(spec, args.radius, max_vertices=budgets.ball_vertices)
-    report = decomposition_check(spec, args.k, bg)
+    report = decomposition_check(spec, args.k, args.radius, budgets.ball_vertices)
     row = ReportRow(
         experiment="decomp-check", graph=f"{name}^*{args.N}", param_name="radius",
         param_value=args.radius, k=args.k, m=None,
@@ -322,9 +329,9 @@ def _run_hist(args, budgets: Budgets) -> Report:
         raise ValueError("bins must be positive")
     if args.law.startswith("km:"):
         _km_degree(args.law)
+    poly = _parse_transform(args.transform)
     cfg = SamplerConfig(seed=args.seed, count=args.samples, law=args.law)
     samples = sample_law(cfg)
-    poly = _parse_transform(args.transform)
     edges, counts = pushforward_histogram(poly, samples, args.bins)
     rows = [
         ReportRow(
@@ -376,7 +383,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"error[USAGE]: {exc}\n")
         return 1
-    except (BudgetExceededError, ComplexityRefusalError, RetriesExhaustedError) as exc:
+    except (
+        BudgetExceededError, ComplexityRefusalError, RetriesExhaustedError, WorkerDiedError
+    ) as exc:
         sys.stderr.write(f"error[BUDGET]: {exc}\n")
         return 2
     except (FreespecError, OSError, ValueError) as exc:

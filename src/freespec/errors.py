@@ -98,3 +98,7 @@ class RetriesExhaustedError(FreespecError):
             f"{self.d} is simple with probability about exp(-(d^2-1)/4) = "
             f"{math.exp(-(self.d * self.d - 1) / 4):.2g}"
         )
+
+
+class WorkerDiedError(FreespecError):
+    """A sample worker process ended abruptly, most often killed for memory."""

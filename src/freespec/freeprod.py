@@ -711,8 +711,10 @@ class DecompositionReport:
     delta_entries_nonzero: int
 
 
-def decomposition_check(spec: FreePowerSpec, k: int, ball_graph: BallGraph) -> DecompositionReport:
-    """Entrywise check of the distance-k product decomposition on a ball.
+def decomposition_check(
+    spec: FreePowerSpec, k: int, radius: int, max_vertices: int = DEFAULT_BALL_BUDGET
+) -> DecompositionReport:
+    """Entrywise check of the distance-k product decomposition on the radius-ball.
 
     For interior pairs (i, j) with root_distance(i) <= root_distance(j), the
     product entry (A^{[k]} A)_{ij} = #{l ~ j : d(i, l) = k} must decompose as
@@ -724,12 +726,14 @@ def decomposition_check(spec: FreePowerSpec, k: int, ball_graph: BallGraph) -> D
     (the fresh-copy count is exactly (N-1) deg(e)) and beyond k + 1 (zero).
     The orientation constraint matters: when j is a proper suffix of i the
     fresh-copy count deviates from (N-1) deg(e), so those transposed entries
-    are outside the identity's domain.
+    are outside the identity's domain.  k and radius are checked before the
+    ball is built, and the ball is charged to max_vertices as it grows.
     """
     if k < 3:
         raise ValueError("decomposition check needs k >= 3")
-    if ball_graph.radius < k + 2:
-        raise RadiusTooSmallError(f"radius {ball_graph.radius} < k + 2 = {k + 2}")
+    if radius < k + 2:
+        raise RadiusTooSmallError(f"radius {radius} < k + 2 = {k + 2}")
+    ball_graph = ball(spec, radius, max_vertices)
     words = ball_graph.words
     rds = ball_graph.root_distances
     interior = ball_graph.interior_indices(1)

@@ -6,21 +6,20 @@ simple d-regular graphs.  All randomness derives deterministically from the
 configured seeds.
 
 Each sample of an experiment re-derives its own seed from its coordinates,
-so samples run in any order and on any process: with threads > 1 they run
-on one process pool shared by the experiment's cells, and the parent
-combines their exact results in sample order.
+so samples run in any order and on any process.  Both experiments get their
+cells from one sample path, _sampled_cells: with threads > 1 it runs every
+sample on one process pool, and each cell combines its exact results in
+sample order.
 """
 from __future__ import annotations
 
 import functools
-import math
 import os
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ComplexityRefusalError, ParityError, RetriesExhaustedError
+from .errors import ComplexityRefusalError, ParityError, RetriesExhaustedError, WorkerDiedError
 from .experiments import run_cells
 from .graphs import RootedGraph, count_k_cycles, distance_k_graph, from_edge_list, trace_moments
 from .polymoments import tree_distance_k_law_moments
@@ -86,26 +85,6 @@ def pairing_model(cfg: PairingConfig) -> RootedGraph:
     raise RetriesExhaustedError(cfg.max_retries, cfg.d)
 
 
-@dataclass(frozen=True)
-class EnsembleStats:
-    """Per-sample statistics with exact mean and a float standard error."""
-
-    values: tuple
-    mean: Fraction
-    std_err: float
-
-
-def _ensemble(values) -> EnsembleStats:
-    vals = tuple(values)
-    mean = Fraction(sum(vals), len(vals))
-    if len(vals) > 1:
-        var = sum((Fraction(v) - mean) ** 2 for v in vals) / (len(vals) - 1)
-        std_err = math.sqrt(float(var) / len(vals))
-    else:
-        std_err = 0.0
-    return EnsembleStats(values=vals, mean=mean, std_err=std_err)
-
-
 def trace_sample(d: int, k: int, n: int, max_m: int, seed: int, i: int) -> list[Fraction]:
     """Trace moments of the distance-k graph of sample i of order n."""
     g = pairing_model(PairingConfig(n=n, d=d, seed=derive_seed(seed, n, i)))
@@ -136,48 +115,52 @@ class _Deferred:
         return True
 
 
-@contextmanager
-def _sample_runner(threads: int, samples: int):
-    """Yield submit(fn, *args), whose return value has result() and cancel().
+def _sampled_cells(task, n_list, samples: int, threads: int, reduce) -> list:
+    """reduce(results of sample i of n, i in order) for each n in n_list.
 
-    With one worker a sample runs in the calling process when its result is
-    read, and nothing new is imported.  Otherwise samples run on a process
-    pool, which is joined on exit; an error cancels the samples not started.
+    task(n, i) names sample i of order n as (fn, *args).  Every sample is
+    submitted up front.  A cell whose cycle enumeration is refused gives
+    None and cancels its samples not yet started.  With one worker a sample
+    runs in the calling process when its result is read, so a refused cell
+    runs no further sample and nothing new is imported.  Otherwise samples
+    run on a process pool, joined before this returns; a worker that ends
+    abruptly raises WorkerDiedError.
 
-    Workers are forked where the platform can fork.  A forked worker shares
-    the pages of the modules its parent imported, so its peak RSS stays near
-    that of a serial run; a spawned one imports them again, about 1 MB more
-    than the serial run's peak on regular-trace.  The pool forks all its
+    Workers are forked where the platform can fork, so they share the pages
+    of the modules the parent imported (a spawned worker imports them again,
+    about 1 MB more peak RSS on regular-trace).  The pool forks all its
     workers before it starts its manager thread, so the caller must not run
     threads of its own while it starts; the CLI runs none.
     """
-    workers = sample_workers(threads, samples)
-    if workers == 1:
-        yield _Deferred
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method))
-    try:
-        yield pool.submit
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
-def cycle_average(
-    n: int,
-    d: int,
-    j: int,
-    samples: int,
-    seed: int,
-    max_nodes: int = 10**7,
-) -> EnsembleStats:
-    """Mean number of simple j-cycles over independent d-regular samples."""
     if samples < 1:
         raise ValueError("samples must be positive")
-    return _ensemble(cycle_sample(d, j, n, seed, i, max_nodes) for i in range(samples))
+    workers = sample_workers(threads, samples)
+    pool, submit, broken = None, _Deferred, ()
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method))
+        submit, broken = pool.submit, BrokenProcessPool
+    try:
+        pending = {n: [submit(*task(n, i)) for i in range(samples)] for n in n_list}
+
+        def cell(n: int):
+            try:
+                return reduce(sample.result() for sample in pending[n])
+            except ComplexityRefusalError:
+                for sample in pending[n]:
+                    sample.cancel()
+                return None
+
+        return run_cells(cell, list(n_list))
+    except broken:
+        message = "a worker process ended abruptly (killed, or out of memory)"
+        raise WorkerDiedError(message) from None
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def cycle_limit_reference(d: int, j: int) -> Fraction:
@@ -201,25 +184,22 @@ def regular_limit_experiment(
     distance-k graph, computed on the polynomial side.  Samples run on up
     to threads worker processes; the report is the same for every value.
     """
-    if samples < 1:
-        raise ValueError("samples must be positive")
+    if k < 1:
+        raise ValueError("k must be positive")
     refs = tree_distance_k_law_moments(d, k, max_m)
 
-    with _sample_runner(threads, samples) as submit:
-        pending = {
-            n: [submit(trace_sample, d, k, n, max_m, seed, i) for i in range(samples)]
-            for n in n_list
-        }
+    def mean_moments(results):
+        totals = [Fraction(0)] * (max_m + 1)
+        for moments in results:
+            for m in range(max_m + 1):
+                totals[m] += moments[m]
+        return [ExactScaled(t / samples) for t in totals]
 
-        def cell(n: int):
-            totals = [Fraction(0)] * (max_m + 1)
-            for sample in pending[n]:
-                moments = sample.result()
-                for m in range(max_m + 1):
-                    totals[m] += moments[m]
-            return [ExactScaled(t / samples) for t in totals]
-
-        cells = zip(n_list, run_cells(cell, list(n_list)))
+    means = _sampled_cells(
+        lambda n, i: (trace_sample, d, k, n, max_m, seed, i),
+        n_list, samples, threads, mean_moments,
+    )
+    cells = zip(n_list, means)
     rows = moment_rows("regular-random", f"random-regular-d{d}", "n", k, cells, refs)
     return Report(rows=rows, seed=seed, budgets=budgets)
 
@@ -240,28 +220,13 @@ def cycles_experiment(
     Samples run on up to threads worker processes; the report is the same
     for every value.
     """
-    if samples < 1:
-        raise ValueError("samples must be positive")
+    if j < 3:
+        raise ValueError("cycle length must be >= 3")
     ref = ExactScaled(cycle_limit_reference(d, j))
-
-    with _sample_runner(threads, samples) as submit:
-        pending = {
-            n: [
-                submit(cycle_sample, d, j, n, seed, i, budgets.walk_expansions)
-                for i in range(samples)
-            ]
-            for n in n_list
-        }
-
-        def cell(n: int):
-            try:
-                return Fraction(sum(sample.result() for sample in pending[n]), samples)
-            except ComplexityRefusalError:
-                for sample in pending[n]:
-                    sample.cancel()
-                return None
-
-        results = run_cells(cell, list(n_list))
+    means = _sampled_cells(
+        lambda n, i: (cycle_sample, d, j, n, seed, i, budgets.walk_expansions),
+        n_list, samples, threads, lambda counts: Fraction(sum(counts), samples),
+    )
     rows = [
         ReportRow(
             experiment="cycles",
@@ -274,6 +239,6 @@ def cycles_experiment(
             reference=ref,
             skipped=mean is None,
         )
-        for n, mean in zip(n_list, results)
+        for n, mean in zip(n_list, means)
     ]
     return Report(rows=rows, seed=seed, budgets=budgets)

@@ -29,7 +29,7 @@ from freespec.polymoments import (
     semicircle_moments,
     tree_distance_k_law_moments,
 )
-from freespec.regular import cycle_average, regular_limit_experiment
+from freespec.regular import cycles_experiment, regular_limit_experiment
 from oracles import km_moment_quad, random_graph
 
 SEED = 0
@@ -73,7 +73,7 @@ def test_criterion_2_decompositions_exact():
     # free-power decomposition, N = 2, k = 3, radius 5
     for base in (complete_graph(3), cycle_graph(4), path_graph(3)):
         spec = free_power(base, 2)
-        report = decomposition_check(spec, 3, ball(spec, 5))
+        report = decomposition_check(spec, 3, 5)
         assert report.max_violation == 0, base
     print("\nACCEPTANCE 2 (decomposition identities exact): PASS")
 
@@ -165,12 +165,12 @@ def test_criterion_7_regular_limit():
 
 
 def test_criterion_8_cycle_statistics():
-    stats = cycle_average(1000, 3, 3, samples=200, seed=SEED)
-    assert abs(stats.mean - Fraction(4, 3)) < Fraction(3, 10)
+    mean = cycles_experiment(3, 3, (1000,), samples=200, seed=SEED).row(1000, None).value
+    assert abs(mean.frac - Fraction(4, 3)) < Fraction(3, 10)
     for j in (3, 4):
-        small = cycle_average(100, 3, j, samples=50, seed=SEED)
-        large = cycle_average(2000, 3, j, samples=50, seed=SEED)
-        assert large.mean / 2000 < small.mean / 100, j
+        rep = cycles_experiment(3, j, (100, 2000), samples=50, seed=SEED)
+        small, large = (rep.row(n, None).value.frac for n in (100, 2000))
+        assert large / 2000 < small / 100, j
     print("\nACCEPTANCE 8 (cycle count statistics): PASS")
 
 

@@ -1,12 +1,13 @@
 """CLI tests: subcommands, schemas, exit codes, determinism."""
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 
 import pytest
 
-from freespec import cli
+from freespec import cli, freeprod, regular
 from freespec.graphs import builtin_graph, format_graph_text, parse_graph_text
 
 
@@ -197,6 +198,41 @@ def test_single_thread_starts_no_pool():
         assert proc.returncode == 0, (argv, proc.stderr)
 
 
+def _die(*args):
+    os._exit(9)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="a forked worker is what finds the replaced sample function",
+)
+def test_dead_worker_exits_2(capsys, monkeypatch):
+    # what the OOM killer does to a worker: it ends without a word
+    monkeypatch.setattr(regular, "trace_sample", _die)
+    code, out, err = run_cli(
+        capsys, "regular-random", "--d", "3", "--k", "2", "--n-list", "20",
+        "--samples", "2", "--threads", "2",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error[BUDGET]: a worker process ended abruptly (killed, or out of memory)\n"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sampled_commands_check_k_and_j_before_pairing(capsys, monkeypatch, threads):
+    def no_pairing(cfg):
+        raise AssertionError("paired before checking the arguments")
+
+    monkeypatch.setattr(regular, "pairing_model", no_pairing)
+    for argv, message in (
+        (("regular-random", "--d", "3", "--k", "0"), "k must be positive"),
+        (("cycles", "--d", "3", "--j", "2"), "cycle length must be >= 3"),
+    ):
+        code, _, err = run_cli(
+            capsys, *argv, "--n-list", "200000", "--samples", "2", "--threads", threads
+        )
+        assert (code, err) == (1, f"error[INPUT]: {message}\n"), argv
+
+
 def test_regular_random_subcommand(capsys):
     code, out, _ = run_cli(
         capsys, "regular-random", "--d", "3", "--k", "1", "--n-list", "20",
@@ -231,6 +267,8 @@ def test_usage_errors_exit_1(capsys):
         ("moments",),                                                  # no graph, no law
         ("km-density", "--d", "2", "--points", "1", "--range", "0,1"),
         ("large-d", "--k", "1", "--d-list", "2,3", "--threads", "0"),
+        ("free-clt", "--graph", "builtin:c4", "--k", "2", "--N", "2", "--walk-budget", "-5"),
+        ("free-clt", "--graph", "builtin:c4", "--k", "2", "--N", "2", "--ball-budget", "-1"),
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1, argv
@@ -268,6 +306,32 @@ def test_hist_checks_bins_before_sampling(capsys, monkeypatch):
     monkeypatch.setattr(cli, "sample_law", no_sampling)
     code, _, err = run_cli(capsys, "hist", "--law", "semicircle", "--bins", "0")
     assert code == 1 and err == "error[INPUT]: bins must be positive\n"
+
+
+def test_hist_checks_transform_before_sampling(capsys, monkeypatch):
+    def no_sampling(cfg):
+        raise AssertionError("sampled before checking --transform")
+
+    monkeypatch.setattr(cli, "sample_law", no_sampling)
+    for transform in ("bogus", "p:x", "q:3", "q:3:y"):
+        code, _, err = run_cli(capsys, "hist", "--law", "semicircle", "--transform", transform)
+        assert code == 1, transform
+        assert err == (
+            "error[USAGE]: --transform must be none, p:K, or q:D:K with integers D, K\n"
+        ), (transform, err)
+
+
+def test_free_decomp_check_checks_k_and_radius_before_the_ball(capsys, monkeypatch):
+    def no_ball(*args, **kwargs):
+        raise AssertionError("built the ball before checking k and the radius")
+
+    monkeypatch.setattr(freeprod, "ball", no_ball)
+    monkeypatch.setattr(cli, "ball", no_ball, raising=False)
+    argv = ("decomp-check", "--mode", "free", "--graph", "builtin:c4", "--N", "3")
+    code, _, err = run_cli(capsys, *argv, "--k", "2", "--radius", "8")
+    assert (code, err) == (1, "error[INPUT]: decomposition check needs k >= 3\n")
+    code, _, err = run_cli(capsys, *argv, "--k", "3", "--radius", "4")
+    assert (code, err) == (1, "error[INPUT]: radius 4 < k + 2 = 5\n")
 
 
 def test_budget_exhaustion_exits_2(capsys):

@@ -506,8 +506,7 @@ def test_edge_copy_is_top():
 def test_decomposition_check_trees():
     for d, k in [(3, 3), (2, 3), (4, 4)]:
         spec = free_power(K2, d)
-        bg = ball(spec, k + 2)
-        report = decomposition_check(spec, k, bg)
+        report = decomposition_check(spec, k, k + 2)
         assert report.max_violation == 0
         assert report.d_entries_nonzero == 0
         assert report.delta_entries_nonzero == 0
@@ -516,8 +515,7 @@ def test_decomposition_check_trees():
 def test_decomposition_check_small_bases():
     for base in (K3, C4, P3):
         spec = free_power(base, 2)
-        bg = ball(spec, 5)
-        report = decomposition_check(spec, 3, bg)
+        report = decomposition_check(spec, 3, 5)
         assert report.max_violation == 0
         assert report.pairs_checked > 100
 
@@ -525,9 +523,12 @@ def test_decomposition_check_small_bases():
 def test_decomposition_check_radius_guard():
     spec = free_power(K3, 2)
     with pytest.raises(RadiusTooSmallError):
-        decomposition_check(spec, 3, ball(spec, 4))
+        decomposition_check(spec, 3, 4)
     with pytest.raises(ValueError):
-        decomposition_check(spec, 2, ball(spec, 5))
+        decomposition_check(spec, 2, 5)
+    # the ball is charged to its budget as it grows
+    with pytest.raises(BudgetExceededError):
+        decomposition_check(spec, 3, 5, max_vertices=10)
 
 
 def test_tree_recurrence_check():

@@ -6,12 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from freespec import regular
 from freespec.errors import ComplexityRefusalError, ParityError, RetriesExhaustedError
 from freespec.graphs import complete_graph, count_k_cycles
 from freespec.regular import (
-    EnsembleStats,
     PairingConfig,
-    cycle_average,
     cycle_limit_reference,
     cycle_sample,
     cycles_experiment,
@@ -21,7 +20,7 @@ from freespec.regular import (
     sample_workers,
     trace_sample,
 )
-from freespec.reports import ExactScaled
+from freespec.reports import Budgets, ExactScaled
 
 
 def test_pairing_model_k4():
@@ -70,19 +69,34 @@ def test_cycle_limit_reference():
 def test_cycle_average_two_regular():
     # 2-regular graphs are disjoint cycle unions; the limiting mean triangle
     # count is (d-1)^j / (2j) = 1/6, like every other d
-    stats = cycle_average(300, 2, 3, samples=60, seed=5)
-    assert isinstance(stats, EnsembleStats)
-    assert abs(float(stats.mean) - float(cycle_limit_reference(2, 3))) < 0.15
+    mean = cycles_experiment(2, 3, (300,), samples=60, seed=5).row(300, None).value
+    assert abs(float(mean.frac) - float(cycle_limit_reference(2, 3))) < 0.15
 
 
 def test_cycle_average_values_match_counts():
-    stats = cycle_average(40, 3, 3, samples=4, seed=21)
+    rep = cycles_experiment(3, 3, (40,), samples=4, seed=21)
     expected = []
     for i in range(4):
         g = pairing_model(PairingConfig(n=40, d=3, seed=derive_seed(21, 3, i)))
         expected.append(count_k_cycles(g, 3))
-    assert list(stats.values) == expected
-    assert stats.mean == Fraction(sum(expected), 4)
+    assert rep.row(40, None).value == ExactScaled(Fraction(sum(expected), 4))
+
+
+def test_refused_cell_runs_no_further_sample(monkeypatch):
+    # serially, sample 0 of n=200 is refused at 10^4 nodes: that cell's
+    # other samples never run
+    calls = []
+
+    def cycle_sample_counted(d, j, n, seed, i, max_nodes):
+        calls.append((n, i))
+        return cycle_sample(d, j, n, seed, i, max_nodes)
+
+    monkeypatch.setattr(regular, "cycle_sample", cycle_sample_counted)
+    rep = cycles_experiment(
+        4, 8, (20, 200), samples=3, seed=0, budgets=Budgets(walk_expansions=10**4)
+    )
+    assert calls == [(20, 0), (20, 1), (20, 2), (200, 0)]
+    assert [row.skipped for row in rep.rows] == [False, True]
 
 
 def test_regular_limit_experiment_k1():
