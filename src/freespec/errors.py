@@ -40,15 +40,16 @@ class GraphFormatError(FreespecError):
 
 
 class ComplexityRefusalError(FreespecError):
-    """Cycle enumeration exceeded its node budget."""
+    """A sample's cycle enumeration or trace walks exceeded the walk budget."""
 
-    def __init__(self, nodes: int, budget: int):
-        super().__init__(nodes, budget)
+    def __init__(self, nodes: int, budget: int, what: str = "cycle enumeration"):
+        super().__init__(nodes, budget, what)
         self.nodes = nodes
         self.budget = budget
+        self.what = what
 
     def __str__(self):
-        return f"cycle enumeration expanded {self.nodes} nodes (budget {self.budget})"
+        return f"{self.what} expanded {self.nodes} nodes (budget {self.budget})"
 
 
 class BudgetExceededError(FreespecError):

@@ -232,19 +232,32 @@ def _half_walk_vectors(g: RootedGraph, source: int, half: int) -> list[dict[int,
     return vecs
 
 
-def trace_moments(g: RootedGraph, max_m: int) -> list[Fraction]:
+def trace_moments(
+    g: RootedGraph, max_m: int, max_expansions: int | None = None
+) -> list[Fraction]:
     """Normalized-trace moments (1/n) * trace(A^m) for m = 0..max_m, exactly.
 
     Closed-walk counts per vertex are combined meet-in-the-middle, so the
     cost per vertex is that of ceil(max_m / 2) adjacency applications.
+
+    Before a vertex's half-walk vectors are built, the most expansions they
+    can take are charged: sum over t < ceil(max_m / 2) of
+    min(n, D^t) * D, with D the maximum degree.  Once the charge passes
+    max_expansions (None: no limit), ComplexityRefusalError is raised.
     """
     if max_m < 0:
         raise ValueError("max_m must be nonnegative")
     n = g.vertex_count
     half = (max_m + 1) // 2
+    degree = max(map(len, g.neighbors), default=0)
+    per_vertex = sum(min(n, degree**t) * degree for t in range(half))
+    charged = 0
     totals = [0] * (max_m + 1)
     totals[0] = n
     for v in range(n):
+        charged += per_vertex
+        if max_expansions is not None and charged > max_expansions:
+            raise ComplexityRefusalError(charged, max_expansions, "trace walks")
         vecs = _half_walk_vectors(g, v, half)
         for m in range(1, max_m + 1):
             a, b = m // 2, m - m // 2

@@ -16,6 +16,8 @@ from __future__ import annotations
 import functools
 import os
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +28,9 @@ from .polymoments import tree_distance_k_law_moments
 from .reports import Budgets, ExactScaled, Report, ReportRow, moment_rows
 
 _MASK64 = (1 << 64) - 1
+# 32-bit words a shuffle draws from its generator in one call; it bounds the
+# transient memory of a shuffle, whatever the list's length
+_WORD_BATCH = 1024
 
 
 def derive_seed(*parts: int) -> int:
@@ -40,6 +45,14 @@ def derive_seed(*parts: int) -> int:
     return h
 
 
+def check_order(n: int, d: int) -> None:
+    """Raise unless the pairing model can pair n vertices of degree d."""
+    if n <= 0 or d < 2:
+        raise ValueError("need n > 0 and d >= 2")
+    if (n * d) % 2:
+        raise ParityError(f"n*d = {n * d} is odd")
+
+
 @dataclass(frozen=True)
 class PairingConfig:
     n: int
@@ -48,10 +61,40 @@ class PairingConfig:
     max_retries: int = 1000
 
     def __post_init__(self):
-        if self.n <= 0 or self.d < 2:
-            raise ValueError("need n > 0 and d >= 2")
-        if (self.n * self.d) % 2:
-            raise ParityError(f"n*d = {self.n * self.d} is odd")
+        check_order(self.n, self.d)
+
+
+def fisher_yates(rng: random.Random, x: list) -> None:
+    """Shuffle x in place exactly as rng.shuffle(x) does, for len(x) < 2**32.
+
+    rng.shuffle(x) swaps x[i] with x[j] for i from len(x) - 1 down to 1,
+    where j = getrandbits(k) with k = (i + 1).bit_length(), redrawn while
+    j > i.  In CPython getrandbits(k) for k <= 32 is the top k bits of one
+    32-bit Mersenne Twister output, and getrandbits(32 * w) is the next w
+    outputs, least significant first.  Every step takes at least one
+    output, so drawing in one call no more outputs than steps remain takes
+    exactly the outputs the steps would take one by one: the permutation
+    and the generator's state after it are those of rng.shuffle(x).
+    """
+    if len(x) < 2:
+        return
+    i = len(x) - 1
+    shift = 32 - len(x).bit_length()
+    low = (1 << (31 - shift)) - 1  # below this, i + 1 takes one bit fewer
+    while i > 0:
+        count = min(i, _WORD_BATCH)
+        words = array("I", rng.getrandbits(32 * count).to_bytes(4 * count, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        for j in words:
+            j >>= shift
+            if j > i:
+                continue
+            x[i], x[j] = x[j], x[i]
+            i -= 1
+            if i < low:
+                low >>= 1
+                shift += 1
 
 
 def pairing_model(cfg: PairingConfig) -> RootedGraph:
@@ -61,11 +104,15 @@ def pairing_model(cfg: PairingConfig) -> RootedGraph:
     multi-edge.  A pairing is simple with probability about
     exp(-(d^2-1)/4), so large d (or an infeasible (n, d)) runs out of
     max_retries and raises RetriesExhaustedError.
+
+    The shuffles are fisher_yates on random.Random(cfg.seed): the same
+    permutations and generator states as random.Random(cfg.seed).shuffle,
+    so a seed gives the graph it gave in every earlier version.
     """
     rng = random.Random(cfg.seed)
     stubs = [v for v in range(cfg.n) for _ in range(cfg.d)]
     for _ in range(cfg.max_retries):
-        rng.shuffle(stubs)
+        fisher_yates(rng, stubs)
         edges = set()
         ok = True
         for i in range(0, len(stubs), 2):
@@ -85,10 +132,12 @@ def pairing_model(cfg: PairingConfig) -> RootedGraph:
     raise RetriesExhaustedError(cfg.max_retries, cfg.d)
 
 
-def trace_sample(d: int, k: int, n: int, max_m: int, seed: int, i: int) -> list[Fraction]:
+def trace_sample(
+    d: int, k: int, n: int, max_m: int, seed: int, i: int, max_expansions: int
+) -> list[Fraction]:
     """Trace moments of the distance-k graph of sample i of order n."""
     g = pairing_model(PairingConfig(n=n, d=d, seed=derive_seed(seed, n, i)))
-    return trace_moments(distance_k_graph(g, k), max_m)
+    return trace_moments(distance_k_graph(g, k), max_m, max_expansions)
 
 
 def cycle_sample(d: int, j: int, n: int, seed: int, i: int, max_nodes: int) -> int:
@@ -181,11 +230,15 @@ def regular_limit_experiment(
     """Mean trace moments of distance-k graphs of random d-regular graphs.
 
     The reference is the exact root-walk moment of the d-regular tree's
-    distance-k graph, computed on the polynomial side.  Samples run on up
-    to threads worker processes; the report is the same for every value.
+    distance-k graph, computed on the polynomial side.  Each sample's trace
+    walks may be charged budgets.walk_expansions expansions; a cell with a
+    sample past it is marked skipped.  Samples run on up to threads worker
+    processes; the report is the same for every value.
     """
     if k < 1:
         raise ValueError("k must be positive")
+    for n in n_list:
+        check_order(n, d)
     refs = tree_distance_k_law_moments(d, k, max_m)
 
     def mean_moments(results):
@@ -196,7 +249,7 @@ def regular_limit_experiment(
         return [ExactScaled(t / samples) for t in totals]
 
     means = _sampled_cells(
-        lambda n, i: (trace_sample, d, k, n, max_m, seed, i),
+        lambda n, i: (trace_sample, d, k, n, max_m, seed, i, budgets.walk_expansions),
         n_list, samples, threads, mean_moments,
     )
     cells = zip(n_list, means)
@@ -222,6 +275,8 @@ def cycles_experiment(
     """
     if j < 3:
         raise ValueError("cycle length must be >= 3")
+    for n in n_list:
+        check_order(n, d)
     ref = ExactScaled(cycle_limit_reference(d, j))
     means = _sampled_cells(
         lambda n, i: (cycle_sample, d, j, n, seed, i, budgets.walk_expansions),

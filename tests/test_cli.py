@@ -1,4 +1,5 @@
 """CLI tests: subcommands, schemas, exit codes, determinism."""
+import hashlib
 import json
 import multiprocessing
 import os
@@ -231,6 +232,55 @@ def test_sampled_commands_check_k_and_j_before_pairing(capsys, monkeypatch, thre
             capsys, *argv, "--n-list", "200000", "--samples", "2", "--threads", threads
         )
         assert (code, err) == (1, f"error[INPUT]: {message}\n"), argv
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sampled_commands_check_every_order_before_pairing(capsys, monkeypatch, threads):
+    # an order late in --n-list is checked before the first cell is paired
+    def no_pairing(cfg):
+        raise AssertionError("paired before checking the orders")
+
+    monkeypatch.setattr(regular, "pairing_model", no_pairing)
+    for d, n_list, message in (
+        ("3", "100,100001", "n*d = 300003 is odd"),
+        ("4", "0,100", "need n > 0 and d >= 2"),
+        ("1", "100", "need n > 0 and d >= 2"),
+    ):
+        for argv in (
+            ("regular-random", "--d", d, "--k", "2"),
+            ("cycles", "--d", d, "--j", "3"),
+        ):
+            code, _, err = run_cli(
+                capsys, *argv, "--n-list", n_list, "--samples", "2", "--threads", threads
+            )
+            assert (code, err) == (1, f"error[INPUT]: {message}\n"), argv
+
+
+def test_regular_random_skips_cells_over_the_walk_budget(capsys):
+    # each n=20 sample charges at most 20 * (6 + 36 + 20*6) = 3240 trace
+    # expansions, each n=200 sample 200 * (6 + 36 + 200*6) or so: past 10^4
+    argv = ("regular-random", "--d", "3", "--k", "2", "--n-list", "20,200", "--seed", "0",
+            "--samples", "2", "--walk-budget", "10000")
+    reports = [run_cli(capsys, *argv, "--threads", t) for t in ("1", "2")]
+    assert reports[0] == reports[1]
+    code, out, err = reports[0]
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert {row[3] for row in rows if row[6] != ""} == {"20"}
+    assert {row[3] for row in rows if row[6:] == ["", "", "", ""]} == {"200"}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_regular_random_report_is_pinned(capsys, threads):
+    # taken before the trace walks were budgeted and the shuffle drew its
+    # words in bulk: the default budget and the sampler change no byte
+    code, out, _ = run_cli(
+        capsys, "regular-random", "--d", "3", "--k", "2", "--n-list", "50,120",
+        "--samples", "4", "--max-m", "6", "--seed", "0", "--threads", threads,
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "4a78304440010d6e07cd5966dee1b80c15b6e84be01f2c8767a78d0e76a70e32"
 
 
 def test_regular_random_subcommand(capsys):

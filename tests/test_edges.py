@@ -101,7 +101,7 @@ def test_every_error_survives_pickling():
     # a worker process sends its error to the parent pickled
     fields = {
         errors.LoopEdgeError: {"vertex": 3},
-        errors.ComplexityRefusalError: {"nodes": 11, "budget": 10},
+        errors.ComplexityRefusalError: {"nodes": 11, "budget": 10, "what": "trace walks"},
         errors.BudgetExceededError: {"count": 12, "budget": 10, "what": "walk expansions"},
         errors.RetriesExhaustedError: {"retries": 1000, "d": 6},
     }

@@ -16,6 +16,7 @@ from freespec.errors import (
     VertexOutOfRangeError,
 )
 from freespec.graphs import (
+    _half_walk_vectors,
     bfs_distances,
     builtin_graph,
     complete_graph,
@@ -171,6 +172,33 @@ def test_trace_moment_against_brute_force():
         for m in range(6):
             total = sum(brute_closed_walks(g, v, m) for v in range(n))
             assert trace_moments(g, m)[m] == Fraction(total, n)
+
+
+def test_trace_moments_budget():
+    # k4 at max_m 4: each vertex is charged 1*3 + 3*3 = 12 expansions
+    g = complete_graph(4)
+    assert trace_moments(g, 4, max_expansions=48) == trace_moments(g, 4)
+    with pytest.raises(ComplexityRefusalError) as info:
+        trace_moments(g, 4, max_expansions=47)
+    assert (info.value.nodes, info.value.budget) == (48, 47)
+    assert str(info.value) == "trace walks expanded 48 nodes (budget 47)"
+
+
+def test_trace_moments_charge_bounds_the_expansions():
+    # the charge is an upper bound: a budget one short of the expansions
+    # the half walks take refuses
+    for g in [path_graph(5), cycle_graph(6), random_graph(9, 0.4, 3), complete_graph(5)]:
+        n = g.vertex_count
+        for max_m in range(1, 8):
+            half = (max_m + 1) // 2
+            taken = sum(
+                g.degree(u)
+                for v in range(n)
+                for vec in _half_walk_vectors(g, v, half)[:half]
+                for u in vec
+            )
+            with pytest.raises(ComplexityRefusalError):
+                trace_moments(g, max_m, max_expansions=taken - 1)
 
 
 def test_second_moments_are_degrees():

@@ -1,6 +1,8 @@
 """Tests for the configuration-model sampler and regular-graph experiments."""
+import hashlib
 import multiprocessing
 import os
+import random
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
@@ -8,13 +10,14 @@ import pytest
 
 from freespec import regular
 from freespec.errors import ComplexityRefusalError, ParityError, RetriesExhaustedError
-from freespec.graphs import complete_graph, count_k_cycles
+from freespec.graphs import complete_graph, count_k_cycles, format_graph_text
 from freespec.regular import (
     PairingConfig,
     cycle_limit_reference,
     cycle_sample,
     cycles_experiment,
     derive_seed,
+    fisher_yates,
     pairing_model,
     regular_limit_experiment,
     sample_workers,
@@ -53,6 +56,36 @@ def test_pairing_model_deterministic():
     assert a == b
     c = pairing_model(PairingConfig(n=50, d=3, seed=100))
     assert a != c  # overwhelmingly likely; pinned by the fixed seeds
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 2**32 + 7, 2**64 - 1])
+def test_fisher_yates_is_random_shuffle(seed):
+    # the same permutation and generator state as random.Random.shuffle, on
+    # lengths across the bit-length steps, a pairing-sized list and lists
+    # longer than one word batch, shuffled again and again as pairing does
+    for length in [*range(71), 800, 1024, 1025, 2049, 4000]:
+        expected, got = list(range(length)), list(range(length))
+        reference, rng = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            reference.shuffle(expected)
+            fisher_yates(rng, got)
+            assert got == expected, length
+            assert rng.getstate() == reference.getstate(), length
+
+
+@pytest.mark.parametrize("n, d, seed, digest", [
+    (4, 3, 1, "19d4d846b78900495f3e6583aa86e634495bfafc69b154404f6d4b901d0b4db1"),
+    (30, 3, 7, "f14a0a4467eade18d873a6d6c442064f86c5c9369810d7dd015d94bb799b3ae4"),
+    (100, 4, 5, "201b3fed4763f62734227b393d4746d831d2aeee891e61378e59b5162f8bd36d"),
+    (200, 4, 2**63 + 11, "ebe32935cca81176ea4e6acd08d839d5c381870378ee1e7c859302ddb26475f3"),
+    (2000, 3, 12345, "f9664b622daf7fddfd6dde2e29964828b653c679062cfacb2f3831a85796a86a"),
+    (50, 5, 9, "7c47382b7596f516496588360f98b0d1852a8a70e394466f5b21efc5bb48a268"),
+])
+def test_pairing_model_stream_is_pinned(n, d, seed, digest):
+    # digests of the graphs drawn with random.Random.shuffle: a seed keeps
+    # its graph on every Python version
+    g = pairing_model(PairingConfig(n=n, d=d, seed=seed))
+    assert hashlib.sha256(format_graph_text(g).encode()).hexdigest() == digest
 
 
 def test_derive_seed_deterministic_and_spread():
@@ -131,10 +164,12 @@ def test_samples_give_the_same_results_on_a_spawned_pool():
     # a sample is a pure function of its int arguments, so neither the
     # process nor the start method changes its result; errors come back whole
     with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
-        traces = [pool.submit(trace_sample, 3, 2, 30, 4, 7, i) for i in range(2)]
+        traces = [pool.submit(trace_sample, 3, 2, 30, 4, 7, i, 10**6) for i in range(2)]
         cycles = [pool.submit(cycle_sample, 4, 4, 20, 7, i, 10**6) for i in range(2)]
         refused = pool.submit(cycle_sample, 4, 8, 200, 0, 0, 10**4)
-        assert [f.result() for f in traces] == [trace_sample(3, 2, 30, 4, 7, i) for i in range(2)]
+        assert [f.result() for f in traces] == [
+            trace_sample(3, 2, 30, 4, 7, i, 10**6) for i in range(2)
+        ]
         assert [f.result() for f in cycles] == [cycle_sample(4, 4, 20, 7, i, 10**6) for i in range(2)]
         with pytest.raises(ComplexityRefusalError) as info:
             refused.result()
