@@ -15,6 +15,7 @@ from .graphs import (  # noqa: F401
     from_edge_list,
     parse_graph_text,
     path_graph,
+    square_check,
     trace_moment,
     trace_moments,
     vacuum_moment,

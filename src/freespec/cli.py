@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .errors import (
     BudgetExceededError,
-    ComplexityRefusalError,
     FreespecError,
     RetriesExhaustedError,
     WorkerDiedError,
@@ -36,6 +35,7 @@ from .graphs import (
     builtin_graph,
     closed_walk_counts,
     parse_graph_text,
+    square_check,
     trace_moments,
 )
 from .polymoments import (
@@ -229,12 +229,7 @@ def _run_decomp(args, budgets: Budgets) -> Report:
         if not args.graph:
             raise _UsageError("--mode square needs --graph")
         g, name = _load_graph(args.graph)
-        from .graphs import decompose_square
-        from .intmat import adjacency_matrix, mat_add, mat_mul, max_abs_diff
-
-        atilde2, dmat, delta = decompose_square(g)
-        a = adjacency_matrix(g)
-        violation = max_abs_diff(mat_mul(a, a), mat_add(mat_add(atilde2, dmat), delta))
+        violation = square_check(g)
         row = ReportRow(
             experiment="decomp-check", graph=name, param_name="mode",
             param_value="square", k=2, m=None,
@@ -291,9 +286,9 @@ def _run_moments(args, budgets: Budgets) -> Report:
     else:
         g, name = _load_graph(args.graph)
         if args.which == "vacuum":
-            values = closed_walk_counts(g, g.root, args.max_m)
+            values = closed_walk_counts(g, g.root, args.max_m, budgets.walk_expansions)
         else:
-            values = trace_moments(g, args.max_m)
+            values = trace_moments(g, args.max_m, budgets.walk_expansions)
         param_name, param_value = "state", args.which
     cells = [(param_value, [ExactScaled(v) for v in values])]
     rows = moment_rows("moments", name, param_name, None, cells, [None] * len(values))
@@ -383,9 +378,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"error[USAGE]: {exc}\n")
         return 1
-    except (
-        BudgetExceededError, ComplexityRefusalError, RetriesExhaustedError, WorkerDiedError
-    ) as exc:
+    except (BudgetExceededError, RetriesExhaustedError, WorkerDiedError) as exc:
         sys.stderr.write(f"error[BUDGET]: {exc}\n")
         return 2
     except (FreespecError, OSError, ValueError) as exc:

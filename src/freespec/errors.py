@@ -4,8 +4,13 @@ An error that carries fields passes them, and only them, to Exception and
 builds its message in __str__: pickling rebuilds an exception from its args,
 so this is what lets an error raised in a worker process reach the parent
 unchanged.
+
+The default budgets live here too, because every engine imports this module.
 """
 import math
+
+DEFAULT_WALK_BUDGET = 10**8
+DEFAULT_BALL_BUDGET = 10**6
 
 
 class FreespecError(Exception):
@@ -39,21 +44,8 @@ class GraphFormatError(FreespecError):
     """The graph text format could not be parsed."""
 
 
-class ComplexityRefusalError(FreespecError):
-    """A sample's cycle enumeration or trace walks exceeded the walk budget."""
-
-    def __init__(self, nodes: int, budget: int, what: str = "cycle enumeration"):
-        super().__init__(nodes, budget, what)
-        self.nodes = nodes
-        self.budget = budget
-        self.what = what
-
-    def __str__(self):
-        return f"{self.what} expanded {self.nodes} nodes (budget {self.budget})"
-
-
 class BudgetExceededError(FreespecError):
-    """A ball or walk computation exceeded its configured budget."""
+    """A ball, walk or cycle enumeration exceeded its configured budget."""
 
     def __init__(self, count: int, budget: int, what: str = "items"):
         super().__init__(count, budget, what)

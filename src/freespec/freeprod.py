@@ -17,6 +17,8 @@ from functools import cached_property
 from math import comb, perm
 
 from .errors import (
+    DEFAULT_BALL_BUDGET,
+    DEFAULT_WALK_BUDGET,
     BudgetExceededError,
     NotAdjacentError,
     RadiusTooSmallError,
@@ -26,16 +28,13 @@ from .graphs import RootedGraph, bfs_distances, complete_graph
 
 Word = tuple  # packed letters, top letter first; () is the root
 
-DEFAULT_BALL_BUDGET = 10**6
-DEFAULT_WALK_BUDGET = 10**8
-
 
 @dataclass(frozen=True)
 class FreePowerSpec:
     """A connected rooted base graph together with a copy count N.
 
-    Carries the base's all-pairs distance table (validated: symmetric, zero
-    diagonal, triangle inequality), the root degree sigma, and the diameter.
+    Carries the base's all-pairs distance table (BFS distances, so exact by
+    construction), the root degree sigma, and the diameter.
     """
 
     base: RootedGraph
@@ -196,10 +195,6 @@ class BallGraph:
     graph: RootedGraph
     words: tuple[Word, ...]
     radius: int
-
-    @cached_property
-    def index(self) -> dict:
-        return {w: i for i, w in enumerate(self.words)}
 
     @cached_property
     def root_distances(self) -> tuple[int, ...]:

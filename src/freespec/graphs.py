@@ -3,6 +3,12 @@
 Graphs are immutable and canonical: sorted neighbor lists, no loops, no
 duplicate edges.  All operations are pure functions; a RootedGraph can be
 shared freely across threads.
+
+Every walk count here comes from one sparse routine, _half_walk_vectors,
+which maps each vertex reached in t steps to its number of walks: the
+vacuum and trace moments join two half walks at a common vertex, and
+square_check reads row i of A^2 as the two-step vector of i.  No n x n
+matrix is built; the dense matrices live in the tests as the oracle.
 """
 from __future__ import annotations
 
@@ -13,15 +19,14 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import (
-    ComplexityRefusalError,
+    DEFAULT_WALK_BUDGET,
+    BudgetExceededError,
     GraphFormatError,
     LoopEdgeError,
     RootOutOfRangeError,
     SizeTooSmallError,
     VertexOutOfRangeError,
 )
-
-DEFAULT_CYCLE_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -196,32 +201,8 @@ def distance_k_graph(g: RootedGraph, k: int) -> RootedGraph:
     )
 
 
-def closed_walk_counts(g: RootedGraph, source: int, max_m: int) -> list[int]:
-    """Counts of closed walks at ``source`` for every length 0..max_m."""
-    if max_m < 0:
-        raise ValueError("max_m must be nonnegative")
-    if not 0 <= source < g.vertex_count:
-        raise VertexOutOfRangeError(f"source {source}")
-    counts = [1]
-    vec: dict[int, int] = {source: 1}
-    for _ in range(max_m):
-        nxt: dict[int, int] = {}
-        for v, c in vec.items():
-            for u in g.neighbors[v]:
-                nxt[u] = nxt.get(u, 0) + c
-        vec = nxt
-        counts.append(vec.get(source, 0))
-    return counts
-
-
-def vacuum_moment(g: RootedGraph, m: int) -> int:
-    """Number of closed m-step walks at the root (the (root, root) entry of A^m)."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return closed_walk_counts(g, g.root, m)[m]
-
-
 def _half_walk_vectors(g: RootedGraph, source: int, half: int) -> list[dict[int, int]]:
+    """Walk counts from ``source``: entry t maps each vertex to its t-step walks."""
     vecs = [{source: 1}]
     for _ in range(half):
         nxt: dict[int, int] = {}
@@ -230,6 +211,55 @@ def _half_walk_vectors(g: RootedGraph, source: int, half: int) -> list[dict[int,
                 nxt[u] = nxt.get(u, 0) + c
         vecs.append(nxt)
     return vecs
+
+
+def _walk_charge(g: RootedGraph, max_m: int) -> int:
+    """Most expansions _closed_walks(g, v, max_m) takes, for any vertex v.
+
+    Half walk t < ceil(max_m / 2) reaches at most min(n, D^t) vertices and
+    expands each at most D times, with D the maximum degree.
+    """
+    degree = max(map(len, g.neighbors), default=0)
+    return sum(min(g.vertex_count, degree**t) * degree for t in range((max_m + 1) // 2))
+
+
+def _closed_walks(g: RootedGraph, source: int, max_m: int) -> list[int]:
+    # meet in the middle: an m-walk is a walk of m // 2 steps out of source
+    # joined to one of m - m // 2 steps, both ending at the same vertex
+    vecs = _half_walk_vectors(g, source, (max_m + 1) // 2)
+    counts = []
+    for m in range(max_m + 1):
+        fa, fb = vecs[m // 2], vecs[m - m // 2]
+        if len(fa) > len(fb):
+            fa, fb = fb, fa
+        counts.append(sum(c * fb.get(u, 0) for u, c in fa.items()))
+    return counts
+
+
+def closed_walk_counts(
+    g: RootedGraph, source: int, max_m: int, max_expansions: int | None = None
+) -> list[int]:
+    """Counts of closed walks at ``source`` for every length 0..max_m.
+
+    The most expansions the walks can take (see trace_moments) are charged
+    before any is built; past max_expansions (None: no limit),
+    BudgetExceededError is raised.
+    """
+    if max_m < 0:
+        raise ValueError("max_m must be nonnegative")
+    if not 0 <= source < g.vertex_count:
+        raise VertexOutOfRangeError(f"source {source}")
+    charged = _walk_charge(g, max_m)
+    if max_expansions is not None and charged > max_expansions:
+        raise BudgetExceededError(charged, max_expansions, "vacuum-walk expansions")
+    return _closed_walks(g, source, max_m)
+
+
+def vacuum_moment(g: RootedGraph, m: int) -> int:
+    """Number of closed m-step walks at the root (the (root, root) entry of A^m)."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    return closed_walk_counts(g, g.root, m)[m]
 
 
 def trace_moments(
@@ -243,28 +273,20 @@ def trace_moments(
     Before a vertex's half-walk vectors are built, the most expansions they
     can take are charged: sum over t < ceil(max_m / 2) of
     min(n, D^t) * D, with D the maximum degree.  Once the charge passes
-    max_expansions (None: no limit), ComplexityRefusalError is raised.
+    max_expansions (None: no limit), BudgetExceededError is raised.
     """
     if max_m < 0:
         raise ValueError("max_m must be nonnegative")
     n = g.vertex_count
-    half = (max_m + 1) // 2
-    degree = max(map(len, g.neighbors), default=0)
-    per_vertex = sum(min(n, degree**t) * degree for t in range(half))
+    per_vertex = _walk_charge(g, max_m)
     charged = 0
     totals = [0] * (max_m + 1)
-    totals[0] = n
     for v in range(n):
         charged += per_vertex
         if max_expansions is not None and charged > max_expansions:
-            raise ComplexityRefusalError(charged, max_expansions, "trace walks")
-        vecs = _half_walk_vectors(g, v, half)
-        for m in range(1, max_m + 1):
-            a, b = m // 2, m - m // 2
-            fa, fb = vecs[a], vecs[b]
-            if len(fa) > len(fb):
-                fa, fb = fb, fa
-            totals[m] += sum(c * fb.get(u, 0) for u, c in fa.items())
+            raise BudgetExceededError(charged, max_expansions, "trace-walk expansions")
+        for m, count in enumerate(_closed_walks(g, v, max_m)):
+            totals[m] += count
     return [Fraction(t, n) for t in totals]
 
 
@@ -273,7 +295,7 @@ def trace_moment(g: RootedGraph, m: int) -> Fraction:
     return trace_moments(g, m)[m]
 
 
-def count_k_cycles(g: RootedGraph, j: int, max_nodes: int = DEFAULT_CYCLE_BUDGET) -> int:
+def count_k_cycles(g: RootedGraph, j: int, max_nodes: int = DEFAULT_WALK_BUDGET) -> int:
     """Number of simple j-cycles as unlabeled subgraphs (each counted once).
 
     Enumeration anchors every cycle at its minimal vertex and fixes the
@@ -294,7 +316,7 @@ def count_k_cycles(g: RootedGraph, j: int, max_nodes: int = DEFAULT_CYCLE_BUDGET
             nonlocal nodes
             nodes += 1
             if nodes > max_nodes:
-                raise ComplexityRefusalError(nodes, max_nodes)
+                raise BudgetExceededError(nodes, max_nodes, "cycle-enumeration nodes")
             if depth == j:
                 return 1 if (s in adj_sets[v] and second < v) else 0
             found = 0
@@ -319,28 +341,40 @@ def count_k_cycles(g: RootedGraph, j: int, max_nodes: int = DEFAULT_CYCLE_BUDGET
 def decompose_square(g: RootedGraph):
     """Split A^2 into (two-path part at distance 2, degree diagonal, triangle part).
 
-    Returns dense integer matrices (atilde2, d, delta) with
+    Returns sparse rows (atilde2, d, delta), each a list whose entry i is a
+    {column: value} dict of the nonzero entries of row i, with
     A^2 == atilde2 + d + delta entrywise:
       d        diagonal of degrees,
       delta    common-neighbor counts on adjacent pairs,
       atilde2  common-neighbor counts on distance-2 pairs.
     """
-    n = g.vertex_count
-    atilde2 = [[0] * n for _ in range(n)]
-    dmat = [[0] * n for _ in range(n)]
-    delta = [[0] * n for _ in range(n)]
     adj_sets = [set(nb) for nb in g.neighbors]
-    for i in range(n):
-        dmat[i][i] = g.degree(i)
-        for v in range(n):
-            if v == i:
-                continue
-            common = len(adj_sets[i] & adj_sets[v])
-            if v in adj_sets[i]:
-                delta[i][v] = common
-            elif common > 0:
-                atilde2[i][v] = common
+    atilde2, dmat, delta = [], [], []
+    for i, near in enumerate(adj_sets):
+        dmat.append({i: len(near)} if near else {})
+        two_path, triangle = {}, {}
+        for v in {w for u in near for w in adj_sets[u]} - {i}:
+            part = triangle if v in near else two_path
+            part[v] = len(near & adj_sets[v])
+        atilde2.append(two_path)
+        delta.append(triangle)
     return atilde2, dmat, delta
+
+
+def square_check(g: RootedGraph) -> int:
+    """Largest entrywise gap between A^2 and the split of decompose_square.
+
+    Row i of A^2 is read from the two-step walk vector of i, so the check
+    costs about n * D^2 with D the maximum degree; it builds no matrix.
+    """
+    gap = 0
+    for i, parts in enumerate(zip(*decompose_square(g))):
+        row = _half_walk_vectors(g, i, 2)[2]
+        for part in parts:
+            for j, x in part.items():
+                row[j] = row.get(j, 0) - x
+        gap = max([gap, *map(abs, row.values())])
+    return gap
 
 
 def parse_graph_text(text: str) -> RootedGraph:

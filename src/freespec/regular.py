@@ -21,7 +21,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ComplexityRefusalError, ParityError, RetriesExhaustedError, WorkerDiedError
+from .errors import BudgetExceededError, ParityError, RetriesExhaustedError, WorkerDiedError
 from .experiments import run_cells
 from .graphs import RootedGraph, count_k_cycles, distance_k_graph, from_edge_list, trace_moments
 from .polymoments import tree_distance_k_law_moments
@@ -168,7 +168,7 @@ def _sampled_cells(task, n_list, samples: int, threads: int, reduce) -> list:
     """reduce(results of sample i of n, i in order) for each n in n_list.
 
     task(n, i) names sample i of order n as (fn, *args).  Every sample is
-    submitted up front.  A cell whose cycle enumeration is refused gives
+    submitted up front.  A cell with a sample past its walk budget gives
     None and cancels its samples not yet started.  With one worker a sample
     runs in the calling process when its result is read, so a refused cell
     runs no further sample and nothing new is imported.  Otherwise samples
@@ -198,7 +198,7 @@ def _sampled_cells(task, n_list, samples: int, threads: int, reduce) -> list:
         def cell(n: int):
             try:
                 return reduce(sample.result() for sample in pending[n])
-            except ComplexityRefusalError:
+            except BudgetExceededError:
                 for sample in pending[n]:
                     sample.cancel()
                 return None

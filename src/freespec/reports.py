@@ -13,14 +13,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
+from .errors import DEFAULT_BALL_BUDGET, DEFAULT_WALK_BUDGET
 
 CSV_HEADER = "experiment,graph,param_name,param_value,k,m,value,reference,abs_err,rel_err"
 
 
 @dataclass(frozen=True)
 class Budgets:
-    walk_expansions: int = 10**8
-    ball_vertices: int = 10**6
+    walk_expansions: int = DEFAULT_WALK_BUDGET
+    ball_vertices: int = DEFAULT_BALL_BUDGET
 
     def as_dict(self) -> dict:
         return {

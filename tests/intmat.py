@@ -1,12 +1,12 @@
-"""Dense integer matrix helpers for exact entrywise identity checks.
+"""Dense integer matrices: the oracle for the sparse walk counts of freespec.
 
 Matrices are plain lists of lists of Python ints, so every operation is
-exact regardless of magnitude.  Intended for the small graphs that the
-decomposition checks work on; walk counting uses sparse vectors instead.
+exact regardless of magnitude.  The package itself builds no n x n matrix;
+the tests compare its sparse rows and walk counts against these.
 """
 from __future__ import annotations
 
-from .graphs import RootedGraph
+from freespec.graphs import RootedGraph
 
 
 def adjacency_matrix(g: RootedGraph) -> list[list[int]]:
@@ -15,6 +15,16 @@ def adjacency_matrix(g: RootedGraph) -> list[list[int]]:
     for v in range(n):
         for u in g.neighbors[v]:
             mat[v][u] = 1
+    return mat
+
+
+def densify(rows) -> list[list[int]]:
+    """The n x n matrix whose row i has the {column: value} entries of rows[i]."""
+    n = len(rows)
+    mat = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            mat[i][j] = x
     return mat
 
 

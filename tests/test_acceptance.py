@@ -7,7 +7,8 @@ criteria use the fixed seed 0 throughout.
 import time
 from fractions import Fraction
 
-from freespec import cli, intmat
+import intmat
+from freespec import cli
 from freespec.experiments import free_clt_experiment, tree_large_d_experiment
 from freespec.freeprod import (
     ball,
@@ -61,7 +62,7 @@ def test_criterion_2_decompositions_exact():
     # square decomposition on 50 seeded random graphs of sizes 4..12
     for seed in range(50):
         g = random_graph(4 + seed % 9, 0.5, seed=seed)
-        atilde2, dmat, delta = decompose_square(g)
+        atilde2, dmat, delta = map(intmat.densify, decompose_square(g))
         a = intmat.adjacency_matrix(g)
         rhs = intmat.mat_add(intmat.mat_add(atilde2, dmat), delta)
         assert intmat.max_abs_diff(intmat.mat_mul(a, a), rhs) == 0

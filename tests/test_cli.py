@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from freespec import cli, freeprod, regular
-from freespec.graphs import builtin_graph, format_graph_text, parse_graph_text
+from freespec.graphs import builtin_graph, cycle_graph, format_graph_text, parse_graph_text
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +105,20 @@ def test_moments_vacuum_makes_one_walk_pass(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "moments", "--graph", "builtin:c4", "--max-m", "8")
     assert code == 0 and len(out.strip().split("\n")) == 10
     assert len(calls) == 1
+
+
+def test_moments_honours_the_walk_budget(tmp_path, capsys):
+    # c6 at max_m 12: one vertex's half walks are charged
+    # (1 + 2 + 4 + 6 + 6 + 6) * 2 = 50 expansions, before any is built
+    path = tmp_path / "c6.txt"
+    path.write_text(format_graph_text(cycle_graph(6)))
+    argv = ("moments", "--graph", f"file:{path}", "--max-m", "12")
+    for which in ("vacuum", "trace"):
+        code, out, err = run_cli(capsys, *argv, "--which", which, "--walk-budget", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error[BUDGET]: budget exceeded: 50 {which}-walk expansions (budget 1)\n"
+    code, out, _ = run_cli(capsys, *argv, "--which", "vacuum", "--walk-budget", "50")
+    assert code == 0 and out.strip().split("\n")[-1].split(",")[6] == "1366"
 
 
 def test_decomp_check_modes(capsys):

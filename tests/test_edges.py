@@ -1,11 +1,17 @@
 """Edge-case contracts: validation errors, degenerate inputs, report internals."""
+import inspect
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import freespec
 from freespec import errors
 from freespec.errors import UnreducedWordError
 from freespec.freeprod import (
@@ -17,14 +23,14 @@ from freespec.freeprod import (
     word_distance,
     word_letters,
 )
-from freespec.graphs import complete_graph, cycle_graph
+from freespec.graphs import complete_graph, count_k_cycles, cycle_graph
 from freespec.polymoments import (
     kesten_mckay_moments,
     pushforward_moments,
     tree_distance_k_law_moments,
     tree_distance_poly,
 )
-from freespec.reports import ExactScaled, Report, ReportRow
+from freespec.reports import Budgets, ExactScaled, Report, ReportRow
 
 
 def test_single_copy_free_power():
@@ -101,7 +107,6 @@ def test_every_error_survives_pickling():
     # a worker process sends its error to the parent pickled
     fields = {
         errors.LoopEdgeError: {"vertex": 3},
-        errors.ComplexityRefusalError: {"nodes": 11, "budget": 10, "what": "trace walks"},
         errors.BudgetExceededError: {"count": 12, "budget": 10, "what": "walk expansions"},
         errors.RetriesExhaustedError: {"retries": 1000, "d": 6},
     }
@@ -123,3 +128,36 @@ def test_every_error_survives_pickling():
             assert getattr(back, name) == value
     assert str(errors.LoopEdgeError(3)) == "loop edge at vertex 3"
     assert str(errors.BudgetExceededError(5, 4)) == "budget exceeded: 5 items (budget 4)"
+
+
+def test_budget_defaults_are_the_library_defaults():
+    # the CLI's defaults are the fields of Budgets(); the engines' own
+    # defaults are the same two constants
+    walk, balls = errors.DEFAULT_WALK_BUDGET, errors.DEFAULT_BALL_BUDGET
+    assert (walk, balls) == (10**8, 10**6)
+    assert Budgets() == Budgets(walk_expansions=walk, ball_vertices=balls)
+    for fn, name, default in (
+        (ball, "max_vertices", balls),
+        (vacuum_moments_distance_k, "budget", walk),
+        (count_k_cycles, "max_nodes", walk),
+    ):
+        assert inspect.signature(fn).parameters[name].default == default
+
+
+def test_package_imports_only_the_standard_library():
+    # the runtime has no dependencies: every module of the package imports
+    # with no site-packages and only the package's source on the path
+    script = (
+        "import importlib, pkgutil, sys, freespec\n"
+        "for info in pkgutil.iter_modules(freespec.__path__):\n"
+        "    importlib.import_module('freespec.' + info.name)\n"
+        "print(*sorted(sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(freespec.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = {name.split(".")[0] for name in done.stdout.split()}
+    assert "freespec" in loaded
+    assert loaded - set(sys.stdlib_module_names) <= {"freespec", "__main__"}

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freespec import intmat
+import intmat
+from freespec import graphs
 from freespec.errors import (
-    ComplexityRefusalError,
+    BudgetExceededError,
     GraphFormatError,
     LoopEdgeError,
     RootOutOfRangeError,
@@ -19,6 +20,7 @@ from freespec.graphs import (
     _half_walk_vectors,
     bfs_distances,
     builtin_graph,
+    closed_walk_counts,
     complete_graph,
     count_k_cycles,
     cycle_graph,
@@ -28,10 +30,12 @@ from freespec.graphs import (
     from_edge_list,
     parse_graph_text,
     path_graph,
+    square_check,
     trace_moment,
     trace_moments,
     vacuum_moment,
 )
+from freespec.regular import PairingConfig, pairing_model
 from oracles import (
     brute_closed_walks,
     brute_count_cycles,
@@ -178,27 +182,32 @@ def test_trace_moments_budget():
     # k4 at max_m 4: each vertex is charged 1*3 + 3*3 = 12 expansions
     g = complete_graph(4)
     assert trace_moments(g, 4, max_expansions=48) == trace_moments(g, 4)
-    with pytest.raises(ComplexityRefusalError) as info:
+    with pytest.raises(BudgetExceededError) as info:
         trace_moments(g, 4, max_expansions=47)
-    assert (info.value.nodes, info.value.budget) == (48, 47)
-    assert str(info.value) == "trace walks expanded 48 nodes (budget 47)"
+    assert (info.value.count, info.value.budget) == (48, 47)
+    assert str(info.value) == "budget exceeded: 48 trace-walk expansions (budget 47)"
 
 
 def test_trace_moments_charge_bounds_the_expansions():
     # the charge is an upper bound: a budget one short of the expansions
-    # the half walks take refuses
+    # the half walks take refuses, for all vertices and for one source
     for g in [path_graph(5), cycle_graph(6), random_graph(9, 0.4, 3), complete_graph(5)]:
         n = g.vertex_count
         for max_m in range(1, 8):
             half = (max_m + 1) // 2
-            taken = sum(
-                g.degree(u)
+            taken = [
+                sum(
+                    g.degree(u)
+                    for vec in _half_walk_vectors(g, v, half)[:half]
+                    for u in vec
+                )
                 for v in range(n)
-                for vec in _half_walk_vectors(g, v, half)[:half]
-                for u in vec
-            )
-            with pytest.raises(ComplexityRefusalError):
-                trace_moments(g, max_m, max_expansions=taken - 1)
+            ]
+            with pytest.raises(BudgetExceededError):
+                trace_moments(g, max_m, max_expansions=sum(taken) - 1)
+            for v in range(n):
+                with pytest.raises(BudgetExceededError):
+                    closed_walk_counts(g, v, max_m, max_expansions=taken[v] - 1)
 
 
 def test_second_moments_are_degrees():
@@ -222,14 +231,15 @@ def test_count_k_cycles_against_brute_force():
 
 
 def test_count_k_cycles_budget():
-    with pytest.raises(ComplexityRefusalError):
+    with pytest.raises(BudgetExceededError) as info:
         count_k_cycles(complete_graph(8), 6, max_nodes=10)
+    assert str(info.value) == "budget exceeded: 11 cycle-enumeration nodes (budget 10)"
 
 
 def test_decompose_square_identity_on_random_graphs():
     for seed in range(50):
         g = random_graph(4 + seed % 9, 0.5, seed=seed)
-        atilde2, dmat, delta = decompose_square(g)
+        atilde2, dmat, delta = map(intmat.densify, decompose_square(g))
         a = intmat.adjacency_matrix(g)
         lhs = intmat.mat_mul(a, a)
         rhs = intmat.mat_add(intmat.mat_add(atilde2, dmat), delta)
@@ -238,7 +248,7 @@ def test_decompose_square_identity_on_random_graphs():
 
 def test_decompose_square_on_tree():
     g = path_graph(5)
-    atilde2, dmat, delta = decompose_square(g)
+    atilde2, dmat, delta = map(intmat.densify, decompose_square(g))
     assert all(all(x == 0 for x in row) for row in delta)
     dist = floyd_warshall(g)
     for i in range(5):
@@ -248,17 +258,39 @@ def test_decompose_square_on_tree():
 
 
 def test_decompose_square_k3_c4():
-    atilde2, dmat, delta = decompose_square(complete_graph(3))
+    atilde2, dmat, delta = map(intmat.densify, decompose_square(complete_graph(3)))
     assert dmat == [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
     assert delta == intmat.adjacency_matrix(complete_graph(3))
     assert all(all(x == 0 for x in row) for row in atilde2)
 
-    atilde2, dmat, delta = decompose_square(cycle_graph(4))
+    atilde2, dmat, delta = map(intmat.densify, decompose_square(cycle_graph(4)))
     assert dmat == [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
     assert all(all(x == 0 for x in row) for row in delta)
     for i in range(4):
         for j in range(4):
             assert atilde2[i][j] == (2 if (i - j) % 4 == 2 else 0)
+
+
+def test_square_check_reads_the_gap_to_the_split(monkeypatch):
+    # an entry added to the split, and a diagonal dropped from it, show as gaps
+    assert square_check(from_edge_list(3, [(0, 1)], 0)) == 0  # an isolated vertex
+    g = cycle_graph(5)
+    assert square_check(g) == 0
+    atilde2, dmat, delta = decompose_square(g)
+    atilde2[0][2] += 3
+    monkeypatch.setattr(graphs, "decompose_square", lambda _: (atilde2, dmat, delta))
+    assert square_check(g) == 3
+    atilde2[0][2] -= 3
+    dmat[4] = {}
+    assert square_check(g) == 2
+
+
+def test_square_split_is_sparse():
+    # a 3-regular graph on 5000 vertices: every row of the split holds at
+    # most 1 + 3 * 2 entries, and the check builds no n x n matrix
+    g = pairing_model(PairingConfig(n=5000, d=3, seed=1))
+    assert all(sum(map(len, parts)) <= 7 for parts in zip(*decompose_square(g)))
+    assert square_check(g) == 0
 
 
 @given(st.integers(0, 10**6))

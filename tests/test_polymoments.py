@@ -105,7 +105,7 @@ def test_tree_poly_equals_distance_adjacency(d, k):
 
 def test_tree_poly_matrix_identity_small_dense():
     # pure-Python dense-matrix complement of the vectorized row check
-    from freespec import intmat
+    import intmat
 
     for d, k in [(2, 3), (3, 2)]:
         bg = regular_tree_ball(d, k + 4)

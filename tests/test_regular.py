@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from freespec import regular
-from freespec.errors import ComplexityRefusalError, ParityError, RetriesExhaustedError
+from freespec.errors import BudgetExceededError, ParityError, RetriesExhaustedError
 from freespec.graphs import complete_graph, count_k_cycles, format_graph_text
 from freespec.regular import (
     PairingConfig,
@@ -171,6 +171,6 @@ def test_samples_give_the_same_results_on_a_spawned_pool():
             trace_sample(3, 2, 30, 4, 7, i, 10**6) for i in range(2)
         ]
         assert [f.result() for f in cycles] == [cycle_sample(4, 4, 20, 7, i, 10**6) for i in range(2)]
-        with pytest.raises(ComplexityRefusalError) as info:
+        with pytest.raises(BudgetExceededError) as info:
             refused.result()
-    assert (info.value.nodes, info.value.budget) == (10**4 + 1, 10**4)
+    assert (info.value.count, info.value.budget) == (10**4 + 1, 10**4)
