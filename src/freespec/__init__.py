@@ -11,14 +11,11 @@ from .graphs import (  # noqa: F401
     cycle_graph,
     decompose_square,
     distance_k_graph,
-    format_graph_text,
     from_edge_list,
     parse_graph_text,
     path_graph,
     square_check,
-    trace_moment,
     trace_moments,
-    vacuum_moment,
 )
 from .freeprod import (  # noqa: F401
     BallGraph,
@@ -26,7 +23,6 @@ from .freeprod import (  # noqa: F401
     ball,
     decomposition_check,
     distance_k_neighbors,
-    edge_copy_is_top,
     free_power,
     regular_tree_ball,
     tree_recurrence_check,
@@ -37,7 +33,6 @@ from .polymoments import (  # noqa: F401
     JacobiParams,
     MomentSequence,
     Poly,
-    chebyshev_classical,
     chebyshev_monic,
     jacobi_moments,
     kesten_mckay_moments,

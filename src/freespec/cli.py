@@ -25,7 +25,6 @@ from .experiments import (
     free_clt_experiment,
     pushforward_histogram,
     sample_law,
-    tree_large_d_experiment,
     tree_check_experiment,
 )
 from .freeprod import decomposition_check, free_power, tree_recurrence_check
@@ -34,6 +33,7 @@ from .graphs import (
     RootedGraph,
     builtin_graph,
     closed_walk_counts,
+    complete_graph,
     parse_graph_text,
     square_check,
     trace_moments,
@@ -201,7 +201,13 @@ def _run(args) -> Report:
         return free_clt_experiment(g, name, args.k, n_list, args.max_m, budgets)
     if args.command == "large-d":
         d_list = _parse_int_list(args.d_list, "--d-list")
-        return tree_large_d_experiment(args.k, d_list, args.max_m, budgets)
+        # the d-regular tree is K2^{*d}: its large-d limit is the free CLT of K2
+        report = free_clt_experiment(
+            complete_graph(2), "tree", args.k, d_list, args.max_m, budgets
+        )
+        for row in report.rows:
+            row.experiment, row.param_name = "large-d", "d"
+        return report
     if args.command == "regular-random":
         n_list = _parse_int_list(args.n_list, "--n-list")
         return regular_limit_experiment(
@@ -224,42 +230,42 @@ def _run(args) -> Report:
     raise _UsageError(f"unknown command {args.command}")
 
 
+def _decomp_report(
+    budgets: Budgets, graph: str, param_name: str, param_value, k: int, violation: int
+) -> Report:
+    """The one-row report of a decomposition check: its violation against 0."""
+    row = ReportRow(
+        experiment="decomp-check", graph=graph, param_name=param_name,
+        param_value=param_value, k=k, m=None,
+        value=ExactScaled(Fraction(violation)), reference=ExactScaled(Fraction(0)),
+    )
+    return Report(rows=[row], budgets=budgets)
+
+
 def _run_decomp(args, budgets: Budgets) -> Report:
     if args.mode == "square":
         if not args.graph:
             raise _UsageError("--mode square needs --graph")
         g, name = _load_graph(args.graph)
-        violation = square_check(g)
-        row = ReportRow(
-            experiment="decomp-check", graph=name, param_name="mode",
-            param_value="square", k=2, m=None,
-            value=ExactScaled(Fraction(violation)), reference=ExactScaled(Fraction(0)),
-        )
-        return Report(rows=[row], budgets=budgets)
+        violation = square_check(g, budgets.walk_expansions)
+        return _decomp_report(budgets, name, "mode", "square", 2, violation)
     if args.mode == "tree":
         if args.d is None or args.k is None or args.radius is None:
             raise _UsageError("--mode tree needs --d, --k, --radius")
         violation = tree_recurrence_check(
             args.d, args.k, args.radius, max_vertices=budgets.ball_vertices
         )
-        row = ReportRow(
-            experiment="decomp-check", graph=f"tree-d{args.d}", param_name="radius",
-            param_value=args.radius, k=args.k, m=None,
-            value=ExactScaled(Fraction(violation)), reference=ExactScaled(Fraction(0)),
+        return _decomp_report(
+            budgets, f"tree-d{args.d}", "radius", args.radius, args.k, violation
         )
-        return Report(rows=[row], budgets=budgets)
     if args.graph is None or args.N is None or args.k is None or args.radius is None:
         raise _UsageError("--mode free needs --graph, --N, --k, --radius")
     g, name = _load_graph(args.graph)
     spec = free_power(g, args.N)
     report = decomposition_check(spec, args.k, args.radius, budgets.ball_vertices)
-    row = ReportRow(
-        experiment="decomp-check", graph=f"{name}^*{args.N}", param_name="radius",
-        param_value=args.radius, k=args.k, m=None,
-        value=ExactScaled(Fraction(report.max_violation)),
-        reference=ExactScaled(Fraction(0)),
+    return _decomp_report(
+        budgets, f"{name}^*{args.N}", "radius", args.radius, args.k, report.max_violation
     )
-    return Report(rows=[row], budgets=budgets)
 
 
 def _km_degree(law: str) -> int:

@@ -61,10 +61,6 @@ class UnreducedWordError(FreespecError):
     """A word vertex was not in reduced form."""
 
 
-class NotAdjacentError(FreespecError):
-    """The two word vertices are not adjacent in the free power."""
-
-
 class RadiusTooSmallError(FreespecError):
     """The ball radius is too small for the requested identity check."""
 

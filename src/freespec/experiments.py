@@ -115,25 +115,6 @@ def free_clt_experiment(
     return Report(rows=rows, budgets=budgets)
 
 
-def tree_large_d_experiment(
-    k: int,
-    d_list,
-    max_m: int,
-    budgets: Budgets = Budgets(),
-) -> Report:
-    """d^{-km/2}-normalized tree distance-k moments vs E[P_k(s)^m] as d grows."""
-    refs = chebyshev_reference_moments(k, max_m)
-
-    def cell(d: int):
-        spec = free_power(complete_graph(2), d)
-        counts = vacuum_moments_distance_k(spec, k, max_m, budget=budgets.walk_expansions)
-        return [normalized_value(count, d, k * m) for m, count in enumerate(counts)]
-
-    cells = zip(d_list, run_cells(cell, list(d_list)))
-    rows = moment_rows("large-d", "tree", "d", k, cells, refs)
-    return Report(rows=rows, budgets=budgets)
-
-
 @dataclass(frozen=True)
 class SamplerConfig:
     """Deterministic rejection sampler configuration.

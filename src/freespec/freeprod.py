@@ -20,7 +20,6 @@ from .errors import (
     DEFAULT_BALL_BUDGET,
     DEFAULT_WALK_BUDGET,
     BudgetExceededError,
-    NotAdjacentError,
     RadiusTooSmallError,
     UnreducedWordError,
 )
@@ -83,31 +82,6 @@ def free_power(base: RootedGraph, copies: int) -> FreePowerSpec:
         sigma=base.degree(base.root),
         diameter=max(max(row) for row in apsp),
     )
-
-
-def pack_letter(spec: FreePowerSpec, copy: int, vertex: int) -> int:
-    return copy * spec.base.vertex_count + vertex
-
-
-def unpack_letter(spec: FreePowerSpec, letter: int) -> tuple[int, int]:
-    return divmod(letter, spec.base.vertex_count)
-
-
-def make_word(spec: FreePowerSpec, letters) -> Word:
-    """Pack a sequence of (copy, vertex) pairs, top letter first."""
-    word = tuple(pack_letter(spec, c, v) for c, v in letters)
-    validate_word(spec, word)
-    return word
-
-
-def word_letters(spec: FreePowerSpec, word: Word) -> tuple[tuple[int, int], ...]:
-    return tuple(unpack_letter(spec, letter) for letter in word)
-
-
-def format_word(spec: FreePowerSpec, word: Word) -> str:
-    if not word:
-        return "e"
-    return "".join(f"({c}:{v})" for c, v in word_letters(spec, word))
 
 
 def validate_word(spec: FreePowerSpec, word: Word) -> None:
@@ -393,13 +367,19 @@ def _tree_distance_k_profile(d: int, k: int, r_max: int):
     return table
 
 
-def _tree_vacuum_moments(d: int, k: int, max_m: int) -> list[int]:
+def _tree_vacuum_moments(d: int, k: int, max_m: int, budget: int) -> list[int]:
     """Closed-walk counts at the root of the distance-k graph of the d-regular tree.
 
     The root stabilizer is transitive on spheres, so walk counts collapse to
-    the root-distance profile; the DP is exact with big integers.
+    the root-distance profile; the DP is exact with big integers.  Each of
+    its max_m steps updates at most k + 1 entries per table row; that bound
+    is charged before the table is built, and past budget
+    BudgetExceededError is raised.
     """
     r_max = k * ((max_m + 1) // 2 + 1)
+    updates = max_m * (r_max + k + 1) * (k + 1)
+    if updates > budget:
+        raise BudgetExceededError(updates, budget, "radial-walk updates")
     table = _tree_distance_k_profile(d, k, r_max + k)
     phi = [0] * (r_max + k + 1)
     phi[0] = 1
@@ -639,18 +619,19 @@ def vacuum_moments_distance_k(
 
     Entry m is the (root, root) entry of the m-th power of the distance-k
     adjacency.  K2 bases (regular trees) collapse words to their root
-    distance (radial engine); every other base evaluates the walk
-    polynomial at N = spec.copies.  Its DP tracks min(N, k*max_m/2) copies,
-    so every N >= k*max_m/2 shares one DP and its budget charge, and a
-    smaller N pays only for its own copies, unless a larger table for the
-    same base, k, max_m and budget already fit: that one serves it.
+    distance (radial engine, charged its row updates before it starts);
+    every other base evaluates the walk polynomial at N = spec.copies.
+    Its DP tracks min(N, k*max_m/2) copies, so every N >= k*max_m/2 shares
+    one DP and its budget charge, and a smaller N pays only for its own
+    copies, unless a larger table for the same base, k, max_m and budget
+    already fit: that one serves it.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if max_m < 0:
         raise ValueError("max_m must be nonnegative")
     if spec.base.vertex_count == 2:
-        return _tree_vacuum_moments(spec.copies, k, max_m)
+        return _tree_vacuum_moments(spec.copies, k, max_m, budget)
     cap = min(spec.copies, max(1, k * max_m // 2))
     key = (spec.base, k, max_m, budget)
     entry = _walk_tables[key] = _walk_tables.pop(key, None) or [0, (), None]
@@ -667,33 +648,6 @@ def vacuum_moments_distance_k(
             raise
         entry[:2] = cap, table
     return [sum(w * perm(spec.copies, j) for j, w in enumerate(row)) for row in table]
-
-
-def edge_copy_is_top(spec: FreePowerSpec, j: Word, l: Word) -> bool:
-    """Whether the edge (j, l) lies in the copy holding j's top letter.
-
-    True for moves of j's top letter within its copy (sideways, or popping
-    it to the copy root); False when l stacks a fresh letter on top of j.
-    """
-    validate_word(spec, j)
-    validate_word(spec, l)
-    n = spec.base.vertex_count
-    if len(l) + 1 == len(j) and j[1:] == l:
-        cj, vj = divmod(j[0], n)
-        if spec.base.adjacent(vj, spec.base.root):
-            return True
-        raise NotAdjacentError("top letter is not root-adjacent")
-    if len(j) + 1 == len(l) and l[1:] == j:
-        cl, vl = divmod(l[0], n)
-        if spec.base.adjacent(vl, spec.base.root):
-            return False
-        raise NotAdjacentError("fresh letter is not root-adjacent")
-    if len(j) == len(l) and j and j[1:] == l[1:]:
-        cj, vj = divmod(j[0], n)
-        cl, vl = divmod(l[0], n)
-        if cj == cl and spec.base.adjacent(vj, vl):
-            return True
-    raise NotAdjacentError("words are not adjacent in the free power")
 
 
 @dataclass(frozen=True)

@@ -255,13 +255,6 @@ def closed_walk_counts(
     return _closed_walks(g, source, max_m)
 
 
-def vacuum_moment(g: RootedGraph, m: int) -> int:
-    """Number of closed m-step walks at the root (the (root, root) entry of A^m)."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return closed_walk_counts(g, g.root, m)[m]
-
-
 def trace_moments(
     g: RootedGraph, max_m: int, max_expansions: int | None = None
 ) -> list[Fraction]:
@@ -288,11 +281,6 @@ def trace_moments(
         for m, count in enumerate(_closed_walks(g, v, max_m)):
             totals[m] += count
     return [Fraction(t, n) for t in totals]
-
-
-def trace_moment(g: RootedGraph, m: int) -> Fraction:
-    """(1/n) * (closed m-walk count summed over all vertices), exact."""
-    return trace_moments(g, m)[m]
 
 
 def count_k_cycles(g: RootedGraph, j: int, max_nodes: int = DEFAULT_WALK_BUDGET) -> int:
@@ -361,12 +349,18 @@ def decompose_square(g: RootedGraph):
     return atilde2, dmat, delta
 
 
-def square_check(g: RootedGraph) -> int:
+def square_check(g: RootedGraph, max_pairs: int | None = None) -> int:
     """Largest entrywise gap between A^2 and the split of decompose_square.
 
     Row i of A^2 is read from the two-step walk vector of i, so the check
     costs about n * D^2 with D the maximum degree; it builds no matrix.
+    The rows hold at most one entry per two-step pair (i, u, v), the sum
+    over u of deg(u)^2 in all; that count is charged before any row is
+    built, and past max_pairs (None: no limit) BudgetExceededError is raised.
     """
+    pairs = sum(len(nb) ** 2 for nb in g.neighbors)
+    if max_pairs is not None and pairs > max_pairs:
+        raise BudgetExceededError(pairs, max_pairs, "two-step pairs")
     gap = 0
     for i, parts in enumerate(zip(*decompose_square(g))):
         row = _half_walk_vectors(g, i, 2)[2]
@@ -407,8 +401,3 @@ def parse_graph_text(text: str) -> RootedGraph:
             raise GraphFormatError(f"bad edge line {line!r}") from exc
     return from_edge_list(n, edges, root)
 
-
-def format_graph_text(g: RootedGraph) -> str:
-    lines = [f"{g.vertex_count} {g.root}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"

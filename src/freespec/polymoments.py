@@ -81,11 +81,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def scale_arg(self, c) -> "Poly":
-        """P(c*x) for a rational scale c."""
-        c = Fraction(c)
-        return Poly([coef * c**j for j, coef in enumerate(self.coeffs)])
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "Poly(0)"
@@ -111,24 +106,6 @@ def chebyshev_monic(k: int) -> Poly:
     return cur
 
 
-def chebyshev_classical(k: int) -> Poly:
-    """Second-kind Chebyshev family: U0 = 1, U1 = 2x, U(k+1) = 2x*Uk - U(k-1).
-
-    k = -1 returns the zero polynomial by convention.
-    """
-    if k < -1:
-        raise ValueError("k must be >= -1")
-    if k == -1:
-        return Poly()
-    prev, cur = Poly([1]), Poly([0, 2])
-    if k == 0:
-        return prev
-    two_x = Poly([0, 2])
-    for _ in range(k - 1):
-        prev, cur = cur, two_x * cur - prev
-    return cur
-
-
 def tree_distance_poly(d: int, k: int) -> Poly:
     """The polynomial Q_k with A^{[k]} = Q_k(A) on the d-regular tree.
 
@@ -146,46 +123,6 @@ def tree_distance_poly(d: int, k: int) -> Poly:
     for _ in range(k - 2):
         prev, cur = cur, X * cur - (d - 1) * prev
     return cur
-
-
-def tree_poly_chebyshev_identity(d: int, k: int) -> bool:
-    """Exact bridge between Q_k and the scaled second-kind Chebyshev form.
-
-    Verifies coefficientwise that
-      (d-1)^{k/2} U_k(x / (2 sqrt(d-1))) - (d-1)^{(k-2)/2} U_{k-2}(x / (2 sqrt(d-1)))
-    equals Q_k(x).  Both sides are rational because U_j has parity j, so the
-    half-integer powers of (d-1) always pair up.
-    """
-    if d < 2 or k < 1:
-        raise ValueError("need d >= 2 and k >= 1")
-
-    def scaled(u: Poly, offset: int) -> Poly:
-        out = [Fraction(0)] * (u.degree + 1 if u else 1)
-        for j, c in enumerate(u.coeffs):
-            if c == 0:
-                continue
-            if (offset - j) % 2:
-                raise ValueError("parity violation; U_j should have parity j")
-            out[j] = c * Fraction((d - 1) ** ((offset - j) // 2), 2**j)
-        return Poly(out)
-
-    lhs = scaled(chebyshev_classical(k), k) - scaled(chebyshev_classical(k - 2), k - 2)
-    return lhs == tree_distance_poly(d, k)
-
-
-def scaled_limit_poly(d: int, k: int) -> Poly:
-    """d^{-k/2} * Q_k(sqrt(d) * x), exactly (Q_k has parity k)."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    q = tree_distance_poly(d, k)
-    out = [Fraction(0)] * (q.degree + 1 if q else 1)
-    for j, c in enumerate(q.coeffs):
-        if c == 0:
-            continue
-        if (k - j) % 2:
-            raise ValueError("parity violation; Q_k should have parity k")
-        out[j] = c / Fraction(d ** ((k - j) // 2))
-    return Poly(out)
 
 
 @dataclass(frozen=True)
@@ -232,38 +169,6 @@ class MomentSequence:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MomentSequence) and self.values == other.values
-
-    def hankel_positive(self) -> bool:
-        """Leading Hankel minors [m_{i+j}] all have nonnegative determinant."""
-        max_s = (len(self.values) - 1) // 2
-        for s in range(max_s + 1):
-            mat = [
-                [self.values[i + j] for j in range(s + 1)] for i in range(s + 1)
-            ]
-            if _det_fraction(mat) < 0:
-                return False
-        return True
-
-
-def _det_fraction(mat) -> Fraction:
-    n = len(mat)
-    m = [row[:] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
 
 
 def jacobi_moments(params: JacobiParams, max_m: int) -> MomentSequence:

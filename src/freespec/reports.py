@@ -56,10 +56,6 @@ class ExactScaled:
         object.__setattr__(self, "frac", frac)
         object.__setattr__(self, "sqrt_den", rest)
 
-    @property
-    def is_rational(self) -> bool:
-        return self.sqrt_den == 1
-
     def to_float(self) -> float:
         return float(self.frac) / math.sqrt(self.sqrt_den)
 

@@ -1,18 +1,27 @@
-"""Independent oracles used by the tests.
+"""Independent oracles used by the tests, and the helpers they share.
 
-Everything here recomputes expected values by a route disjoint from the
-package implementation: brute-force enumeration, Floyd-Warshall distances,
-and adaptive quadrature.  Keep it that way; these are the cross-checks.
-The one exception is layered_distance_k_walks, which reuses the package's
-neighbor enumeration and nothing else.  random_graph only generates seeded
-inputs.
+The oracles recompute expected values by a route disjoint from the package
+implementation: brute-force enumeration, Floyd-Warshall distances, Hankel
+determinants and adaptive quadrature.  Keep it that way; these are the
+cross-checks.  The one exception is layered_distance_k_walks, which reuses
+the package's neighbor enumeration and nothing else.
+
+The helpers only build inputs or read one value: random_graph generates
+seeded graphs, format_graph_text writes the graph text format, make_word
+and word_letters pack and unpack words, and vacuum_moment and
+trace_moment read one entry of the package's moment lists.
 """
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from freespec.freeprod import distance_k_neighbors, root_distance, word_neighbors
-from freespec.graphs import from_edge_list
+from freespec.freeprod import (
+    distance_k_neighbors,
+    root_distance,
+    validate_word,
+    word_neighbors,
+)
+from freespec.graphs import closed_walk_counts, from_edge_list, trace_moments
 
 
 def random_graph(n, edge_prob, seed):
@@ -25,6 +34,42 @@ def random_graph(n, edge_prob, seed):
         if rng.random() < edge_prob
     ]
     return from_edge_list(n, edges, 0)
+
+
+def format_graph_text(g):
+    """The graph text format: "n root", then one "u v" line per edge."""
+    lines = [f"{g.vertex_count} {g.root}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
+
+
+def make_word(spec, letters):
+    """Pack a sequence of (copy, vertex) pairs, top letter first."""
+    word = tuple(c * spec.base.vertex_count + v for c, v in letters)
+    validate_word(spec, word)
+    return word
+
+
+def word_letters(spec, word):
+    return tuple(divmod(letter, spec.base.vertex_count) for letter in word)
+
+
+def format_word(spec, word):
+    if not word:
+        return "e"
+    return "".join(f"({c}:{v})" for c, v in word_letters(spec, word))
+
+
+def vacuum_moment(g, m):
+    """Number of closed m-step walks at the root (the (root, root) entry of A^m)."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    return closed_walk_counts(g, g.root, m)[m]
+
+
+def trace_moment(g, m):
+    """(1/n) * (closed m-walk count summed over all vertices), exact."""
+    return trace_moments(g, m)[m]
 
 
 def brute_closed_walks(g, source, m):
@@ -138,6 +183,37 @@ def brute_count_cycles(g, j):
             if all(cyc[(i + 1) % j] in adj[cyc[i]] for i in range(j)):
                 count += 1
     return count
+
+
+def hankel_positive(moments):
+    """Leading Hankel minors [m_{i+j}] all have nonnegative determinant."""
+    values = list(moments)
+    for s in range((len(values) - 1) // 2 + 1):
+        mat = [[values[i + j] for j in range(s + 1)] for i in range(s + 1)]
+        if _det_fraction(mat) < 0:
+            return False
+    return True
+
+
+def _det_fraction(mat):
+    n = len(mat)
+    m = [row[:] for row in mat]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            factor = m[r][col] * inv
+            if factor:
+                for c in range(col, n):
+                    m[r][c] -= factor * m[col][c]
+    return det
 
 
 def weighted_path_moment(beta, gamma, m):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import intmat
 from freespec import cli
-from freespec.experiments import free_clt_experiment, tree_large_d_experiment
+from freespec.experiments import free_clt_experiment
 from freespec.freeprod import (
     ball,
     decomposition_check,
@@ -84,7 +84,7 @@ def test_criterion_3_free_clt():
     rep = free_clt_experiment(complete_graph(3), "k3", 2, (2, 4, 8), 2)
     for n, want in [(2, Fraction(1, 2)), (4, Fraction(3, 4)), (8, Fraction(7, 8))]:
         row = rep.row(n, 2)
-        assert row.value.is_rational and row.value.frac == want
+        assert row.value.sqrt_den == 1 and row.value.frac == want
         assert row.reference.frac == 1
     for base, name in [
         (complete_graph(3), "k3"),
@@ -103,14 +103,15 @@ def test_criterion_3_free_clt():
 
 
 def test_criterion_4_large_d():
+    # the d-regular tree is K2^{*d}: large-d is the free CLT of K2
     for k in (1, 2, 3):
-        rep = tree_large_d_experiment(k, (3, 50), 6)
+        rep = free_clt_experiment(complete_graph(2), "tree", k, (3, 50), 6)
         for m in range(7):
             err3 = rep.row(3, m).abs_err
             err50 = rep.row(50, m).abs_err
             assert _errors_decrease(err3, err50), (k, m)
     for d in (3, 50):
-        rep = tree_large_d_experiment(2, (d,), 2)
+        rep = free_clt_experiment(complete_graph(2), "tree", 2, (d,), 2)
         assert rep.row(d, 2).abs_err == Fraction(1, d)
     print("\nACCEPTANCE 4 (large-d tree convergence): PASS")
 

@@ -9,7 +9,8 @@ import sys
 import pytest
 
 from freespec import cli, freeprod, regular
-from freespec.graphs import builtin_graph, cycle_graph, format_graph_text, parse_graph_text
+from freespec.graphs import builtin_graph, cycle_graph, from_edge_list, parse_graph_text
+from oracles import format_graph_text
 
 
 def run_cli(capsys, *argv):
@@ -323,6 +324,52 @@ def test_large_d_subcommand(capsys):
     assert len(out.strip().split("\n")) == 7
 
 
+def test_large_d_is_free_clt_on_k2(capsys):
+    # K2^{*d} is the d-regular tree, so large-d is the free-clt table of K2
+    # under its own labels
+    labels = ("experiment", "graph", "param_name")
+    for k in ("1", "2", "3"):
+        tables = []
+        for argv in (
+            ("large-d", "--k", k, "--d-list", "3,10,50"),
+            ("free-clt", "--graph", "builtin:k2", "--k", k, "--N", "3,10,50"),
+        ):
+            code, out, _ = run_cli(capsys, *argv, "--max-m", "6", "--format", "json")
+            assert code == 0
+            tables.append(json.loads(out)["rows"])
+        large, free = tables
+        assert len(large) == len(free) == 21
+        for a, b in zip(large, free):
+            assert tuple(a[key] for key in labels) == ("large-d", "tree", "d")
+            assert tuple(b[key] for key in labels) == ("free-clt", "k2", "N")
+            for key in labels:
+                del a[key], b[key]
+            assert a == b
+
+
+def test_radial_engine_honours_the_walk_budget(capsys):
+    # the 3-regular tree at k = 2, max_m = 8: 8 steps over 13 profile rows of
+    # at most k + 1 = 3 entries, 312 updates, charged before the table is built
+    argv = ("tree-check", "--d", "3", "--k", "2", "--max-m", "8")
+    for budget in ("1", "311"):
+        code, out, err = run_cli(capsys, *argv, "--walk-budget", budget)
+        assert (code, out) == (2, "")
+        assert err == f"error[BUDGET]: budget exceeded: 312 radial-walk updates (budget {budget})\n"
+    code, _, _ = run_cli(capsys, *argv, "--walk-budget", "312")
+    assert code == 0
+    # large-d and free-clt on K2 skip every cell over the budget
+    for argv in (
+        ("large-d", "--k", "2", "--d-list", "3,10"),
+        ("free-clt", "--graph", "builtin:k2", "--k", "2", "--N", "3,10"),
+    ):
+        code, out, err = run_cli(
+            capsys, *argv, "--max-m", "8", "--walk-budget", "1", "--format", "json"
+        )
+        rows = json.loads(out)["rows"]
+        assert (code, err) == (0, "")
+        assert len(rows) == 18 and all(row["skipped"] for row in rows)
+
+
 def test_usage_errors_exit_1(capsys):
     for argv in (
         ("tree-check", "--d", "3"),                                   # missing --k
@@ -396,6 +443,22 @@ def test_free_decomp_check_checks_k_and_radius_before_the_ball(capsys, monkeypat
     assert (code, err) == (1, "error[INPUT]: decomposition check needs k >= 3\n")
     code, _, err = run_cli(capsys, *argv, "--k", "3", "--radius", "4")
     assert (code, err) == (1, "error[INPUT]: radius 4 < k + 2 = 5\n")
+
+
+def test_square_check_honours_the_walk_budget(tmp_path, capsys):
+    # the star K_{1,199}: 199^2 two-step pairs through its centre and one
+    # through each leaf, 39800 in all, charged before any row is built
+    path = tmp_path / "star.txt"
+    star = from_edge_list(200, [(0, v) for v in range(1, 200)], 0)
+    path.write_text(format_graph_text(star))
+    argv = ("decomp-check", "--mode", "square", "--graph", f"file:{path}")
+    for budget in ("1", "39799"):
+        code, out, err = run_cli(capsys, *argv, "--walk-budget", budget)
+        assert (code, out) == (2, "")
+        assert err == f"error[BUDGET]: budget exceeded: 39800 two-step pairs (budget {budget})\n"
+    code, out, _ = run_cli(capsys, *argv, "--walk-budget", "39800")
+    assert code == 0
+    assert out.split("\n")[1] == "decomp-check,star.txt,mode,square,2,,0,0,0,"
 
 
 def test_budget_exhaustion_exits_2(capsys):

@@ -12,7 +12,6 @@ from freespec.experiments import (
     normalized_value,
     pushforward_histogram,
     sample_law,
-    tree_large_d_experiment,
     tree_check_experiment,
 )
 from freespec.freeprod import _walk_polynomial, free_power, vacuum_moments_distance_k
@@ -27,6 +26,7 @@ from freespec.polymoments import Poly, km_support
 from freespec.reports import Budgets, ExactScaled, render_csv, render_json
 from oracles import layered_distance_k_walks
 
+K2 = complete_graph(2)
 K3 = complete_graph(3)
 C4 = cycle_graph(4)
 P3 = path_graph(3)
@@ -91,14 +91,15 @@ def test_free_clt_budget_skips_cells():
 
 
 def test_large_d_errors():
-    rep = tree_large_d_experiment(2, (3, 50), 6)
+    # large-d is the free CLT of K2, whose free power K2^{*d} is the d-regular tree
+    rep = free_clt_experiment(K2, "tree", 2, (3, 50), 6)
     assert rep.row(3, 2).abs_err == ExactScaled(Fraction(1, 3))
     assert rep.row(50, 2).abs_err == ExactScaled(Fraction(1, 50))
-    rep1 = tree_large_d_experiment(1, (3, 50), 4)
+    rep1 = free_clt_experiment(K2, "tree", 1, (3, 50), 4)
     for d in (3, 50):
         assert rep1.row(d, 2).value == ExactScaled(Fraction(1))
         assert rep1.row(d, 2).abs_err == 0
-    rep3 = tree_large_d_experiment(3, (3,), 2)
+    rep3 = free_clt_experiment(K2, "tree", 3, (3,), 2)
     assert rep3.row(3, 2).value == ExactScaled(Fraction(3 * 2 * 2, 27))
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from freespec.errors import (
     BudgetExceededError,
-    NotAdjacentError,
+    FreespecError,
     RadiusTooSmallError,
     UnreducedWordError,
 )
@@ -24,12 +24,11 @@ from freespec.freeprod import (
     ball,
     decomposition_check,
     distance_k_neighbors,
-    edge_copy_is_top,
     free_power,
-    make_word,
     regular_tree_ball,
     root_distance,
     tree_recurrence_check,
+    validate_word,
     vacuum_moments_distance_k,
     word_distance,
     word_neighbors,
@@ -41,9 +40,13 @@ from freespec.graphs import (
     distance_k_graph,
     from_edge_list,
     path_graph,
+)
+from oracles import (
+    brute_distance_k_walks,
+    layered_distance_k_walks,
+    make_word,
     vacuum_moment,
 )
-from oracles import brute_distance_k_walks, layered_distance_k_walks
 
 K2 = complete_graph(2)
 K3 = complete_graph(3)
@@ -489,6 +492,37 @@ def test_vacuum_moments_match_materialized_balls_trees():
                 ran += 1
                 assert moments[m] == vacuum_moment(dk, m)
     assert ran >= 30
+
+
+class NotAdjacentError(FreespecError):
+    """The two word vertices are not adjacent in the free power."""
+
+
+def edge_copy_is_top(spec, j, l):
+    """Whether the edge (j, l) lies in the copy holding j's top letter.
+
+    True for moves of j's top letter within its copy (sideways, or popping
+    it to the copy root); False when l stacks a fresh letter on top of j.
+    """
+    validate_word(spec, j)
+    validate_word(spec, l)
+    n = spec.base.vertex_count
+    if len(l) + 1 == len(j) and j[1:] == l:
+        cj, vj = divmod(j[0], n)
+        if spec.base.adjacent(vj, spec.base.root):
+            return True
+        raise NotAdjacentError("top letter is not root-adjacent")
+    if len(j) + 1 == len(l) and l[1:] == j:
+        cl, vl = divmod(l[0], n)
+        if spec.base.adjacent(vl, spec.base.root):
+            return False
+        raise NotAdjacentError("fresh letter is not root-adjacent")
+    if len(j) == len(l) and j and j[1:] == l[1:]:
+        cj, vj = divmod(j[0], n)
+        cl, vl = divmod(l[0], n)
+        if cj == cl and spec.base.adjacent(vj, vl):
+            return True
+    raise NotAdjacentError("words are not adjacent in the free power")
 
 
 def test_edge_copy_is_top():

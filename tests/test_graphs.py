@@ -26,21 +26,21 @@ from freespec.graphs import (
     cycle_graph,
     decompose_square,
     distance_k_graph,
-    format_graph_text,
     from_edge_list,
     parse_graph_text,
     path_graph,
     square_check,
-    trace_moment,
     trace_moments,
-    vacuum_moment,
 )
 from freespec.regular import PairingConfig, pairing_model
 from oracles import (
     brute_closed_walks,
     brute_count_cycles,
     floyd_warshall,
+    format_graph_text,
     random_graph,
+    trace_moment,
+    vacuum_moment,
 )
 
 

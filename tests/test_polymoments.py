@@ -7,12 +7,11 @@ import pytest
 
 from freespec.errors import InsufficientBaseMomentsError
 from freespec.freeprod import regular_tree_ball
-from freespec.graphs import bfs_distances, vacuum_moment
+from freespec.graphs import bfs_distances
 from freespec.polymoments import (
     JacobiParams,
     MomentSequence,
     Poly,
-    chebyshev_classical,
     chebyshev_monic,
     integrate_poly,
     jacobi_moments,
@@ -21,16 +20,84 @@ from freespec.polymoments import (
     km_density_max,
     km_support,
     pushforward_moments,
-    scaled_limit_poly,
     semicircle_density,
     semicircle_moments,
-    tree_poly_chebyshev_identity,
     tree_distance_k_law_moments,
     tree_distance_poly,
 )
-from oracles import km_moment_quad, semicircle_moment_quad, weighted_path_moment
+from oracles import (
+    hankel_positive,
+    km_moment_quad,
+    semicircle_moment_quad,
+    vacuum_moment,
+    weighted_path_moment,
+)
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
+
+
+def scale_arg(p, c):
+    """P(c*x) for a rational scale c."""
+    c = Fraction(c)
+    return Poly([coef * c**j for j, coef in enumerate(p.coeffs)])
+
+
+def chebyshev_classical(k):
+    """Second-kind Chebyshev family: U0 = 1, U1 = 2x, U(k+1) = 2x*Uk - U(k-1).
+
+    k = -1 returns the zero polynomial by convention.
+    """
+    if k < -1:
+        raise ValueError("k must be >= -1")
+    if k == -1:
+        return Poly()
+    prev, cur = Poly([1]), Poly([0, 2])
+    if k == 0:
+        return prev
+    two_x = Poly([0, 2])
+    for _ in range(k - 1):
+        prev, cur = cur, two_x * cur - prev
+    return cur
+
+
+def tree_poly_chebyshev_identity(d, k):
+    """Exact bridge between Q_k and the scaled second-kind Chebyshev form.
+
+    Verifies coefficientwise that
+      (d-1)^{k/2} U_k(x / (2 sqrt(d-1))) - (d-1)^{(k-2)/2} U_{k-2}(x / (2 sqrt(d-1)))
+    equals Q_k(x).  Both sides are rational because U_j has parity j, so the
+    half-integer powers of (d-1) always pair up.
+    """
+    if d < 2 or k < 1:
+        raise ValueError("need d >= 2 and k >= 1")
+
+    def scaled(u, offset):
+        out = [Fraction(0)] * (u.degree + 1 if u else 1)
+        for j, c in enumerate(u.coeffs):
+            if c == 0:
+                continue
+            if (offset - j) % 2:
+                raise ValueError("parity violation; U_j should have parity j")
+            out[j] = c * Fraction((d - 1) ** ((offset - j) // 2), 2**j)
+        return Poly(out)
+
+    lhs = scaled(chebyshev_classical(k), k) - scaled(chebyshev_classical(k - 2), k - 2)
+    return lhs == tree_distance_poly(d, k)
+
+
+def scaled_limit_poly(d, k):
+    """d^{-k/2} * Q_k(sqrt(d) * x), exactly (Q_k has parity k)."""
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    q = tree_distance_poly(d, k)
+    out = [Fraction(0)] * (q.degree + 1 if q else 1)
+    for j, c in enumerate(q.coeffs):
+        if c == 0:
+            continue
+        if (k - j) % 2:
+            raise ValueError("parity violation; Q_k should have parity k")
+        out[j] = c / Fraction(d ** ((k - j) // 2))
+    return Poly(out)
 
 
 def test_poly_arithmetic():
@@ -39,7 +106,7 @@ def test_poly_arithmetic():
     assert (Poly([0, 1]) ** 3) == Poly([0, 0, 0, 1])
     assert Poly([1, 1]) - Poly([1, 1]) == Poly()
     assert Poly([Fraction(1, 2), 1])(2) == Fraction(5, 2)
-    assert Poly([0, 0, 4]).scale_arg(Fraction(1, 2)) == Poly([0, 0, 1])
+    assert scale_arg(Poly([0, 0, 4]), Fraction(1, 2)) == Poly([0, 0, 1])
 
 
 def test_chebyshev_monic():
@@ -52,7 +119,7 @@ def test_chebyshev_classical():
     assert chebyshev_classical(-1) == Poly()
     assert chebyshev_classical(2) == Poly([-1, 0, 4])
     for k in range(9):
-        assert chebyshev_classical(k).scale_arg(Fraction(1, 2)) == chebyshev_monic(k)
+        assert scale_arg(chebyshev_classical(k), Fraction(1, 2)) == chebyshev_monic(k)
 
 
 def test_tree_distance_poly():
@@ -293,11 +360,11 @@ def test_chebyshev_mean_and_variance_under_semicircle():
 
 
 def test_hankel_positivity():
-    assert semicircle_moments(12).hankel_positive()
-    assert kesten_mckay_moments(3, 12).hankel_positive()
-    assert tree_distance_k_law_moments(3, 2, 8).hankel_positive()
+    assert hankel_positive(semicircle_moments(12))
+    assert hankel_positive(kesten_mckay_moments(3, 12))
+    assert hankel_positive(tree_distance_k_law_moments(3, 2, 8))
     bad = MomentSequence([1, 0, -1])  # negative variance
-    assert not bad.hankel_positive()
+    assert not hankel_positive(bad)
 
 
 def test_moment_sequence_validation():

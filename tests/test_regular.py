@@ -10,7 +10,7 @@ import pytest
 
 from freespec import regular
 from freespec.errors import BudgetExceededError, ParityError, RetriesExhaustedError
-from freespec.graphs import complete_graph, count_k_cycles, format_graph_text
+from freespec.graphs import complete_graph, count_k_cycles
 from freespec.regular import (
     PairingConfig,
     cycle_limit_reference,
@@ -24,6 +24,7 @@ from freespec.regular import (
     trace_sample,
 )
 from freespec.reports import Budgets, ExactScaled
+from oracles import format_graph_text
 
 
 def test_pairing_model_k4():
