@@ -37,7 +37,6 @@ from .polymoments import (  # noqa: F401
     jacobi_moments,
     kesten_mckay_moments,
     km_density,
-    pushforward_moments,
     semicircle_moments,
     tree_distance_k_law_moments,
     tree_distance_poly,

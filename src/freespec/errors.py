@@ -65,10 +65,6 @@ class RadiusTooSmallError(FreespecError):
     """The ball radius is too small for the requested identity check."""
 
 
-class InsufficientBaseMomentsError(FreespecError):
-    """Pushforward needs more base moments than were supplied."""
-
-
 class ParityError(FreespecError):
     """n*d is odd, so no d-regular graph on n vertices exists."""
 

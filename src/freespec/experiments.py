@@ -1,8 +1,9 @@
 """Experiment harness tying walk engines to exact limit-law references.
 
-Every reference moment comes from the polynomial side (Jacobi recursions and
-pushforwards); every computed moment comes from the walk engines.  The two
-sides share no code, so agreement is a genuine cross-validation.
+Every reference moment comes from the polynomial side (one Jacobi-chain
+routine, polymoments.jacobi_moments); every computed moment comes from the
+walk engines.  The two sides share no code, so agreement is a genuine
+cross-validation.
 """
 from __future__ import annotations
 
@@ -15,13 +16,13 @@ from .errors import BudgetExceededError
 from .freeprod import free_power, vacuum_moments_distance_k
 from .graphs import RootedGraph, complete_graph
 from .polymoments import (
+    SEMICIRCLE,
     Poly,
     chebyshev_monic,
+    jacobi_moments,
     km_density,
     km_density_max,
     km_support,
-    pushforward_moments,
-    semicircle_moments,
     tree_distance_k_law_moments,
 )
 from .reports import Budgets, ExactScaled, Report, moment_rows
@@ -50,9 +51,7 @@ def normalized_value(count: int, scale_base: int, power: int) -> ExactScaled:
 
 def chebyshev_reference_moments(k: int, max_m: int):
     """E[P_k(s)^m] for the semicircle variable s, m = 0..max_m, exact."""
-    p = chebyshev_monic(k)
-    base = semicircle_moments(max(p.degree, 0) * max_m)
-    return pushforward_moments(p, base, max_m)
+    return jacobi_moments(SEMICIRCLE, max_m, chebyshev_monic(k))
 
 
 def tree_check_experiment(

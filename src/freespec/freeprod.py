@@ -33,14 +33,13 @@ class FreePowerSpec:
     """A connected rooted base graph together with a copy count N.
 
     Carries the base's all-pairs distance table (BFS distances, so exact by
-    construction), the root degree sigma, and the diameter.
+    construction) and the root degree sigma.
     """
 
     base: RootedGraph
     copies: int
     apsp: tuple[tuple[int, ...], ...]
     sigma: int
-    diameter: int
 
     @cached_property
     def letter_costs(self) -> tuple[int, ...]:
@@ -80,7 +79,6 @@ def free_power(base: RootedGraph, copies: int) -> FreePowerSpec:
         copies=copies,
         apsp=apsp,
         sigma=base.degree(base.root),
-        diameter=max(max(row) for row in apsp),
     )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -34,13 +34,12 @@ class RootedGraph:
     """An undirected simple graph with a distinguished root vertex.
 
     Equality is equality of canonical forms (vertex count, root, sorted
-    adjacency); ingestion flags do not participate.
+    adjacency).
     """
 
     vertex_count: int
     root: int
     neighbors: tuple[tuple[int, ...], ...]
-    had_duplicate_edges: bool = field(default=False, compare=False)
 
     @cached_property
     def connected(self) -> bool:
@@ -66,13 +65,6 @@ class RootedGraph:
     def edge_count(self) -> int:
         return sum(len(nb) for nb in self.neighbors) // 2
 
-    def edges(self):
-        """Yield each edge once as (u, v) with u < v, in sorted order."""
-        for u in range(self.vertex_count):
-            for v in self.neighbors[u]:
-                if u < v:
-                    yield (u, v)
-
     def adjacent(self, u: int, v: int) -> bool:
         return v in self.neighbors[u]
 
@@ -80,33 +72,24 @@ class RootedGraph:
 def from_edge_list(n: int, edges, root: int) -> RootedGraph:
     """Build a canonical RootedGraph from an edge list.
 
-    Duplicate edges collapse and set ``had_duplicate_edges``; loops are
-    rejected.
+    Duplicate edges collapse; loops are rejected.
     """
     if n <= 0:
         raise SizeTooSmallError("vertex count must be positive")
     if not 0 <= root < n:
         raise RootOutOfRangeError(f"root {root} not in [0, {n})")
-    seen: set[tuple[int, int]] = set()
     adj: list[set[int]] = [set() for _ in range(n)]
-    had_duplicates = False
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise VertexOutOfRangeError(f"edge ({u}, {v}) not in [0, {n})")
         if u == v:
             raise LoopEdgeError(u)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            had_duplicates = True
-            continue
-        seen.add(key)
         adj[u].add(v)
         adj[v].add(u)
     return RootedGraph(
         vertex_count=n,
         root=root,
         neighbors=tuple(tuple(sorted(s)) for s in adj),
-        had_duplicate_edges=had_duplicates,
     )
 
 

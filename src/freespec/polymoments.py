@@ -3,14 +3,17 @@
 Polynomials carry dense Fraction coefficients; every moment computation in
 this module is exact rational arithmetic.  Floating point appears only in
 density evaluation, which is inherently continuous.
+
+A law is given by its Jacobi parameters.  One recursion builds its monic
+orthogonal polynomials, and one routine, jacobi_moments, gives the moments
+of p(b) for b of that law and any polynomial p: the semicircle and
+Kesten-McKay moments (p = x) and the distance-k laws (p = P_k or Q_k).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .errors import InsufficientBaseMomentsError
 
 
 class Poly:
@@ -67,14 +70,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = Poly([1])
-        for _ in range(n):
-            result = result * self
-        return result
-
     def __call__(self, x):
         acc = 0
         for c in reversed(self.coeffs):
@@ -92,37 +87,6 @@ class Poly:
 
 
 X = Poly([0, 1])
-
-
-def chebyshev_monic(k: int) -> Poly:
-    """Monic Chebyshev family: P0 = 1, P1 = x, x*Pn = P(n+1) + P(n-1)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    prev, cur = Poly([1]), X
-    if k == 0:
-        return prev
-    for _ in range(k - 1):
-        prev, cur = cur, X * cur - prev
-    return cur
-
-
-def tree_distance_poly(d: int, k: int) -> Poly:
-    """The polynomial Q_k with A^{[k]} = Q_k(A) on the d-regular tree.
-
-    Q0 = 1, Q1 = x, Q2 = x^2 - d, then x*Qk = Q(k+1) + (d-1)*Q(k-1).
-    """
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k == 0:
-        return Poly([1])
-    if k == 1:
-        return X
-    prev, cur = X, Poly([-d, 0, 1])
-    for _ in range(k - 2):
-        prev, cur = cur, X * cur - (d - 1) * prev
-    return cur
 
 
 @dataclass(frozen=True)
@@ -171,44 +135,92 @@ class MomentSequence:
         return isinstance(other, MomentSequence) and self.values == other.values
 
 
-def jacobi_moments(params: JacobiParams, max_m: int) -> MomentSequence:
-    """Moments as (0,0) entries of powers of the truncated Jacobi operator.
+def jacobi_moments(params: JacobiParams, max_m: int, p: Poly = X) -> MomentSequence:
+    """Moments of p(b), where b has the law of params: <e0, p(J)^m e0>.
 
-    The operator is tridiagonal with diagonal beta, superdiagonal 1 and
-    subdiagonal gamma; truncation at level floor(max_m/2) + 1 is exact
-    because a returning path of length m never climbs above level m/2.
+    J is the Jacobi operator on levels 0, 1, ...: a step goes up with
+    weight 1, stays at level i with weight beta_i, and goes down from
+    level i + 1 with weight gamma_i.  p(J) is applied by Horner's rule.
+    p(J)^m is a sum of paths of at most deg(p) * m steps, and a returning
+    path never climbs above half its length, so the chain truncated at
+    deg(p) * max_m // 2 + 2 levels is exact.  The arithmetic is in Python
+    ints when the parameters and p are integral, and in Fractions otherwise.
     """
     if max_m < 0:
         raise ValueError("max_m must be nonnegative")
-    levels = max_m // 2 + 2
-    vec = [Fraction(0)] * levels
-    vec[0] = Fraction(1)
-    moments = [Fraction(1)]
+    levels = max(p.degree, 0) * max_m // 2 + 2
+    beta = [params.beta_at(i) for i in range(levels)]
+    gamma = [params.gamma_at(i) for i in range(levels - 1)]
+    coeffs = list(p.coeffs) or [Fraction(0)]
+    if all(c.denominator == 1 for c in beta + gamma + coeffs):
+        beta, gamma, coeffs = ([int(c) for c in cs] for cs in (beta, gamma, coeffs))
+    stays = any(beta)
+    top, lower = coeffs[-1], coeffs[-2::-1]
+    vec = [1] + [0] * (levels - 1)
+    moments = [1]
     for _ in range(max_m):
-        nxt = [Fraction(0)] * levels
-        for i, c in enumerate(vec):
-            if c == 0:
-                continue
-            nxt[i] += params.beta_at(i) * c
-            if i + 1 < levels:
-                nxt[i + 1] += c
-            if i > 0:
-                nxt[i - 1] += params.gamma_at(i - 1) * c
-        vec = nxt
+        acc = [top * x for x in vec]
+        for c in lower:
+            # acc <- J acc + c vec
+            nxt = [a + g * b for a, g, b in zip([0] + acc, gamma, acc[1:])]
+            nxt.append(acc[-2])
+            if stays:
+                nxt = [a + b * x for a, b, x in zip(nxt, beta, acc)]
+            if c:
+                nxt = [a + c * x for a, x in zip(nxt, vec)]
+            acc = nxt
+        vec = acc
         moments.append(vec[0])
     return MomentSequence(moments)
 
 
+def monic_orthogonal_poly(params: JacobiParams, k: int) -> Poly:
+    """The k-th monic orthogonal polynomial of the law of params.
+
+    P_0 = 1, P_1 = x - beta_0, P_{n+1} = (x - beta_n) P_n - gamma_{n-1} P_{n-1}.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    prev, cur = Poly(), Poly([1])
+    for n in range(k):
+        nxt = X * cur - params.beta_at(n) * cur
+        if n:
+            nxt = nxt - params.gamma_at(n - 1) * prev
+        prev, cur = cur, nxt
+    return cur
+
+
+SEMICIRCLE = JacobiParams(beta=(0,), gamma=(1,))
+
+
+def kesten_mckay_params(d: int) -> JacobiParams:
+    """The Kesten-McKay law: beta = 0, gamma = (d, d - 1, d - 1, ...)."""
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    return JacobiParams(beta=(0,), gamma=(d, d - 1))
+
+
 def semicircle_moments(max_m: int) -> MomentSequence:
     """Moments of the standard semicircle law; even moments are Catalan."""
-    return jacobi_moments(JacobiParams(beta=(0,), gamma=(1,)), max_m)
+    return jacobi_moments(SEMICIRCLE, max_m)
 
 
 def kesten_mckay_moments(d: int, max_m: int) -> MomentSequence:
     """Moments of the Kesten-McKay law (gamma_0 = d, gamma_n = d - 1)."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    return jacobi_moments(JacobiParams(beta=(0,), gamma=(d, d - 1)), max_m)
+    return jacobi_moments(kesten_mckay_params(d), max_m)
+
+
+def chebyshev_monic(k: int) -> Poly:
+    """Monic Chebyshev family: P0 = 1, P1 = x, x*Pn = P(n+1) + P(n-1)."""
+    return monic_orthogonal_poly(SEMICIRCLE, k)
+
+
+def tree_distance_poly(d: int, k: int) -> Poly:
+    """The polynomial Q_k with A^{[k]} = Q_k(A) on the d-regular tree.
+
+    Q0 = 1, Q1 = x, Q2 = x^2 - d, then x*Qk = Q(k+1) + (d-1)*Q(k-1).
+    """
+    return monic_orthogonal_poly(kesten_mckay_params(d), k)
 
 
 def semicircle_density(x: float) -> float:
@@ -252,42 +264,10 @@ def km_density_max(d: int) -> float:
     return math.sqrt(d - 1) / (math.pi * d)
 
 
-def pushforward_moments(p: Poly, base: MomentSequence, max_m: int) -> MomentSequence:
-    """Moments of P(X) where X has the given base moments.
-
-    m_n(P(X)) pairs the coefficients of P^n with the base moments, so the
-    base must extend to degree deg(P) * max_m.
-    """
-    if max_m < 0:
-        raise ValueError("max_m must be nonnegative")
-    deg = max(p.degree, 0)
-    if deg * max_m >= len(base):
-        raise InsufficientBaseMomentsError(
-            f"need base moments to order {deg * max_m}, have {len(base) - 1}"
-        )
-    moments = [Fraction(1)]
-    power = Poly([1])
-    for _ in range(max_m):
-        power = power * p
-        moments.append(integrate_poly(power, base))
-    return MomentSequence(moments)
-
-
-def integrate_poly(p: Poly, base: MomentSequence) -> Fraction:
-    """Pair a polynomial's coefficients with a moment sequence (= its integral)."""
-    if p.degree >= len(base):
-        raise InsufficientBaseMomentsError(
-            f"need base moments to order {p.degree}, have {len(base) - 1}"
-        )
-    return sum((c * base[j] for j, c in enumerate(p.coeffs)), Fraction(0))
-
-
 def tree_distance_k_law_moments(d: int, k: int, max_m: int) -> MomentSequence:
     """Exact law of the distance-k operator of the d-regular tree at the root.
 
     Computed entirely on the polynomial side: moments of Q_k(b) with b
     Kesten-McKay distributed.  Independent of the walk-counting engines.
     """
-    q = tree_distance_poly(d, k)
-    base = kesten_mckay_moments(d, max(q.degree, 0) * max_m)
-    return pushforward_moments(q, base, max_m)
+    return jacobi_moments(kesten_mckay_params(d), max_m, tree_distance_poly(d, k))

@@ -3,7 +3,9 @@
 Values inside reports stay exact (rationals, possibly divided by the square
 root of an integer for odd normalization powers); floating point only
 appears at render time.  Rendering is deterministic: identical inputs give
-byte-identical output.
+byte-identical output.  An exact value past the float range renders in CSV
+from the value itself, in the same 12-digit shape, and as null in JSON,
+whose *_exact fields carry it.
 """
 from __future__ import annotations
 
@@ -75,16 +77,6 @@ class ExactScaled:
             return self
         raise ValueError("cannot subtract a nonzero rational from a surd exactly")
 
-    def __lt__(self, other: "ExactScaled") -> bool:
-        a, b = self.frac, other.frac
-        if a <= 0 and b > 0:
-            return True
-        if a >= 0 and b <= 0:
-            return False
-        lhs = a * a * other.sqrt_den
-        rhs = b * b * self.sqrt_den
-        return lhs < rhs if a > 0 else lhs > rhs
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = ExactScaled(Fraction(other))
@@ -122,9 +114,14 @@ class ReportRow:
     @property
     def rel_err(self) -> float | None:
         err = self.abs_err
-        if err is None or self.reference is None or self.reference.frac == 0:
+        ref = self.reference
+        if err is None or ref is None or ref.frac == 0:
             return None
-        return err.to_float() / abs(self.reference.to_float())
+        try:
+            return err.to_float() / abs(ref.to_float())
+        except OverflowError:
+            # references are rational, and so is err against a nonzero one
+            return float(err.frac / abs(ref.frac))
 
 
 def moment_rows(
@@ -161,12 +158,6 @@ class Report:
     budgets: Budgets = field(default_factory=Budgets)
     wall_ms: int = 0
 
-    def row(self, param_value, m: int) -> ReportRow:
-        for r in self.rows:
-            if r.param_value == param_value and r.m == m:
-                return r
-        raise KeyError((param_value, m))
-
 
 def fmt12(x: float) -> str:
     """Decimal rendering with 12 significant digits."""
@@ -186,8 +177,48 @@ def _shown(r: ReportRow) -> tuple:
     return r.value, r.reference, r.abs_err, r.rel_err
 
 
+def fmt12_exact(v: ExactScaled) -> str:
+    """fmt12 in exponent form, from the exact value rather than a float.
+
+    |v| = |frac| / sqrt(sqrt_den) is rounded half to even at 12 significant
+    digits, and written as '.12g' writes a float of at least 1e12.
+    """
+    square = v.frac * v.frac / v.sqrt_den
+    # 10^e <= |v| < 10^(e+1)
+    e = (len(str(square.numerator)) - len(str(square.denominator))) // 2
+    while square < Fraction(100) ** e:
+        e -= 1
+    while square >= Fraction(100) ** (e + 1):
+        e += 1
+    # the 12 digits are sqrt(scaled) rounded half to even
+    scaled = square * Fraction(100) ** (11 - e)
+    digits = math.isqrt(math.floor(scaled))
+    half = scaled - Fraction((2 * digits + 1) ** 2, 4)
+    if half > 0 or (half == 0 and digits % 2):
+        digits += 1
+    if digits == 10**12:
+        digits, e = 10**11, e + 1
+    text = str(digits)
+    mantissa = (text[0] + "." + text[1:]).rstrip("0").rstrip(".")
+    sign = "-" if v.frac < 0 else ""
+    return f"{sign}{mantissa}e{e:+03d}"
+
+
 def _float(v: ExactScaled | float | None) -> float | None:
-    return v.to_float() if isinstance(v, ExactScaled) else v
+    """v as a float; None for no value and for exact values past the float range."""
+    if not isinstance(v, ExactScaled):
+        return v
+    try:
+        return v.to_float()
+    except OverflowError:
+        return None
+
+
+def _csv_cell(v: ExactScaled | float | None) -> str:
+    if v is None:
+        return ""
+    x = _float(v)
+    return fmt12_exact(v) if x is None else fmt12(x)
 
 
 def _exact(v: ExactScaled | float | None) -> str | None:
@@ -207,7 +238,7 @@ def render_csv(report: Report) -> str:
                     "" if r.k is None else str(r.k),
                     "" if r.m is None else str(r.m),
                 ]
-                + ["" if v is None else fmt12(_float(v)) for v in _shown(r)]
+                + [_csv_cell(v) for v in _shown(r)]
             )
         )
     return "\n".join(lines) + "\n"
@@ -243,4 +274,4 @@ def render_json(report: Report) -> str:
         },
         "rows": rows,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"

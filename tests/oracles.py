@@ -2,14 +2,18 @@
 
 The oracles recompute expected values by a route disjoint from the package
 implementation: brute-force enumeration, Floyd-Warshall distances, Hankel
-determinants and adaptive quadrature.  Keep it that way; these are the
-cross-checks.  The one exception is layered_distance_k_walks, which reuses
-the package's neighbor enumeration and nothing else.
+determinants, adaptive quadrature, and the polynomial-power pushforward
+with the hand-written recursions of the Chebyshev and tree polynomials.
+Keep it that way; these are the cross-checks.  The one exception is
+layered_distance_k_walks, which reuses the package's neighbor enumeration
+and nothing else.
 
 The helpers only build inputs or read one value: random_graph generates
 seeded graphs, format_graph_text writes the graph text format, make_word
-and word_letters pack and unpack words, and vacuum_moment and
-trace_moment read one entry of the package's moment lists.
+and word_letters pack and unpack words, vacuum_moment and trace_moment
+read one entry of the package's moment lists, graph_edges lists a graph's
+edges, diameter reads a free power's base diameter, report_row finds a
+report row, and exact_less orders two exact values.
 """
 import random
 from fractions import Fraction
@@ -22,6 +26,7 @@ from freespec.freeprod import (
     word_neighbors,
 )
 from freespec.graphs import closed_walk_counts, from_edge_list, trace_moments
+from freespec.polymoments import Poly
 
 
 def random_graph(n, edge_prob, seed):
@@ -36,11 +41,41 @@ def random_graph(n, edge_prob, seed):
     return from_edge_list(n, edges, 0)
 
 
+def graph_edges(g):
+    """Each edge of g once as (u, v) with u < v, in sorted order."""
+    return [(u, v) for u in range(g.vertex_count) for v in g.neighbors[u] if u < v]
+
+
 def format_graph_text(g):
     """The graph text format: "n root", then one "u v" line per edge."""
     lines = [f"{g.vertex_count} {g.root}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
+    lines.extend(f"{u} {v}" for u, v in graph_edges(g))
     return "\n".join(lines) + "\n"
+
+
+def diameter(spec):
+    """The diameter of a free power's base graph."""
+    return max(max(row) for row in spec.apsp)
+
+
+def report_row(report, param_value, m):
+    """The row of a report at (param_value, m); KeyError if there is none."""
+    for r in report.rows:
+        if r.param_value == param_value and r.m == m:
+            return r
+    raise KeyError((param_value, m))
+
+
+def exact_less(a, b):
+    """a < b for ExactScaled values, by comparing squares with their signs."""
+    x, y = a.frac, b.frac
+    if x <= 0 < y:
+        return True
+    if x >= 0 >= y:
+        return False
+    lhs = x * x * b.sqrt_den
+    rhs = y * y * a.sqrt_den
+    return lhs < rhs if x > 0 else lhs > rhs
 
 
 def make_word(spec, letters):
@@ -302,3 +337,48 @@ def km_moment_quad(d, m, tol=1e-12):
             return x**m * (d * w * w * c * c) / (2.0 * math.pi * (d * d - x * x))
 
     return adaptive_simpson(integrand, -math.pi / 2.0, math.pi / 2.0, tol)
+
+
+def chebyshev_monic_recursion(k):
+    """Monic Chebyshev family: P0 = 1, P1 = x, x*Pn = P(n+1) + P(n-1)."""
+    x = Poly([0, 1])
+    prev, cur = Poly([1]), x
+    if k == 0:
+        return prev
+    for _ in range(k - 1):
+        prev, cur = cur, x * cur - prev
+    return cur
+
+
+def tree_distance_poly_recursion(d, k):
+    """Q0 = 1, Q1 = x, Q2 = x^2 - d, then x*Qk = Q(k+1) + (d-1)*Q(k-1)."""
+    x = Poly([0, 1])
+    if k == 0:
+        return Poly([1])
+    if k == 1:
+        return x
+    prev, cur = x, Poly([-d, 0, 1])
+    for _ in range(k - 2):
+        prev, cur = cur, x * cur - (d - 1) * prev
+    return cur
+
+
+def integrate_poly(p, base):
+    """Pair a polynomial's coefficients with a moment sequence (= its integral)."""
+    if p.degree >= len(base):
+        raise ValueError(f"need base moments to order {p.degree}, have {len(base) - 1}")
+    return sum((c * base[j] for j, c in enumerate(p.coeffs)), Fraction(0))
+
+
+def pushforward_moments(p, base, max_m):
+    """Moments m = 0..max_m of p(X), where X has the given base moments.
+
+    Expands p^m and pairs it with the base moments, so the base must
+    extend to degree deg(p) * max_m.
+    """
+    moments = [Fraction(1)]
+    power = Poly([1])
+    for _ in range(max_m):
+        power = power * p
+        moments.append(integrate_poly(power, base))
+    return moments

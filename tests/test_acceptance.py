@@ -31,7 +31,7 @@ from freespec.polymoments import (
     tree_distance_k_law_moments,
 )
 from freespec.regular import cycles_experiment, regular_limit_experiment
-from oracles import km_moment_quad, random_graph
+from oracles import diameter, exact_less, km_moment_quad, random_graph, report_row
 
 SEED = 0
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
@@ -41,7 +41,7 @@ def _errors_decrease(err_small, err_large):
     """Endpoint comparison: strictly smaller, except exact zero stays zero."""
     if err_small == 0:
         return err_large == 0
-    return err_large < err_small
+    return exact_less(err_large, err_small)
 
 
 def test_criterion_1_tree_exact_suite():
@@ -83,7 +83,7 @@ def test_criterion_3_free_clt():
     started = time.monotonic()
     rep = free_clt_experiment(complete_graph(3), "k3", 2, (2, 4, 8), 2)
     for n, want in [(2, Fraction(1, 2)), (4, Fraction(3, 4)), (8, Fraction(7, 8))]:
-        row = rep.row(n, 2)
+        row = report_row(rep, n, 2)
         assert row.value.sqrt_den == 1 and row.value.frac == want
         assert row.reference.frac == 1
     for base, name in [
@@ -94,8 +94,8 @@ def test_criterion_3_free_clt():
         for k in (1, 2):
             rep = free_clt_experiment(base, name, k, (2, 4, 8), 4)
             for m in range(5):
-                err2 = rep.row(2, m).abs_err
-                err8 = rep.row(8, m).abs_err
+                err2 = report_row(rep, 2, m).abs_err
+                err8 = report_row(rep, 8, m).abs_err
                 assert _errors_decrease(err2, err8), (name, k, m)
     elapsed = time.monotonic() - started
     assert elapsed < 600.0
@@ -107,12 +107,12 @@ def test_criterion_4_large_d():
     for k in (1, 2, 3):
         rep = free_clt_experiment(complete_graph(2), "tree", k, (3, 50), 6)
         for m in range(7):
-            err3 = rep.row(3, m).abs_err
-            err50 = rep.row(50, m).abs_err
+            err3 = report_row(rep, 3, m).abs_err
+            err50 = report_row(rep, 50, m).abs_err
             assert _errors_decrease(err3, err50), (k, m)
     for d in (3, 50):
         rep = free_clt_experiment(complete_graph(2), "tree", 2, (d,), 2)
-        assert rep.row(d, 2).abs_err == Fraction(1, d)
+        assert report_row(rep, d, 2).abs_err == Fraction(1, d)
     print("\nACCEPTANCE 4 (large-d tree convergence): PASS")
 
 
@@ -139,7 +139,7 @@ def test_criterion_6_word_metric_oracle():
     for base, copies, radius in cases:
         spec = free_power(base, copies)
         bg = ball(spec, radius)
-        cutoff = radius - spec.diameter
+        cutoff = radius - diameter(spec)
         admissible = [i for i, r in enumerate(bg.root_distances) if r <= cutoff]
         mismatches = 0
         for i in admissible:
@@ -155,11 +155,11 @@ def test_criterion_7_regular_limit():
     started = time.monotonic()
     rep = regular_limit_experiment(3, 2, (100, 500, 2000), samples=20, max_m=6, seed=SEED)
     for m in range(7):
-        err_small = rep.row(100, m).abs_err
-        err_large = rep.row(2000, m).abs_err
+        err_small = report_row(rep, 100, m).abs_err
+        err_large = report_row(rep, 2000, m).abs_err
         assert _errors_decrease(err_small, err_large), m
     rep1000 = regular_limit_experiment(3, 2, (1000,), samples=20, max_m=2, seed=SEED)
-    mean_m2 = rep1000.row(1000, 2).value.frac
+    mean_m2 = report_row(rep1000, 1000, 2).value.frac
     assert abs(mean_m2 - 6) < Fraction(3, 10)
     elapsed = time.monotonic() - started
     assert elapsed < 300.0
@@ -167,11 +167,12 @@ def test_criterion_7_regular_limit():
 
 
 def test_criterion_8_cycle_statistics():
-    mean = cycles_experiment(3, 3, (1000,), samples=200, seed=SEED).row(1000, None).value
+    rep = cycles_experiment(3, 3, (1000,), samples=200, seed=SEED)
+    mean = report_row(rep, 1000, None).value
     assert abs(mean.frac - Fraction(4, 3)) < Fraction(3, 10)
     for j in (3, 4):
         rep = cycles_experiment(3, j, (100, 2000), samples=50, seed=SEED)
-        small, large = (rep.row(n, None).value.frac for n in (100, 2000))
+        small, large = (report_row(rep, n, None).value.frac for n in (100, 2000))
         assert large / 2000 < small / 100, j
     print("\nACCEPTANCE 8 (cycle count statistics): PASS")
 

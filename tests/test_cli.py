@@ -1,10 +1,12 @@
 """CLI tests: subcommands, schemas, exit codes, determinism."""
+import decimal
 import hashlib
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -86,6 +88,55 @@ def test_moments_law(capsys):
     assert code == 0
     values = [line.split(",")[6] for line in out.strip().split("\n")[1:]]
     assert values == ["1", "0", "3", "0", "15"]
+
+
+def _fmt12_by_decimal(exact):
+    """An exact rational past the float range, rounded half to even at 12
+    digits by the decimal module and written in the shape of '.12g'."""
+    q = Fraction(exact)
+    ctx = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_EVEN, Emax=10**6)
+    sign, digits, exp = ctx.divide(q.numerator, q.denominator).as_tuple()
+    text = "".join(map(str, digits)).rstrip("0")
+    mantissa = text[0] + ("." + text[1:] if len(text) > 1 else "")
+    return f"{'-' if sign else ''}{mantissa}e{exp + len(digits) - 1:+03d}"
+
+
+def _reject_constant(name):
+    raise ValueError(f"JSON holds {name}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moments", "--law", "km:3", "--max-m", "700"),
+        ("moments", "--law", "semicircle", "--max-m", "1200"),
+        ("tree-check", "--d", "3", "--k", "2", "--max-m", "460"),
+    ],
+)
+def test_values_past_the_float_range_render(capsys, argv):
+    code, csv_out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    code, json_out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and err == ""
+    rows = json.loads(json_out, parse_constant=_reject_constant)["rows"]
+    lines = csv_out.strip().split("\n")[1:]
+    assert len(lines) == len(rows) == int(argv[-1]) + 1
+    past = 0
+    for line, row in zip(lines, rows):
+        cells = line.split(",")
+        for name, cell in (("value", cells[6]), ("reference", cells[7])):
+            if row[name] is None and row[name + "_exact"] is not None:
+                past += 1
+                assert cell == _fmt12_by_decimal(row[name + "_exact"])
+            elif row[name] is not None:
+                assert cell == f"{row[name]:.12g}"
+        if row["reference_exact"] is not None:
+            # tree-check: every row agrees exactly, also past the float range;
+            # a zero reference has no relative error
+            rel = None if row["reference_exact"] == "0" else 0
+            assert (cells[8], cells[9]) == ("0", "" if rel is None else "0")
+            assert (row["abs_err"], row["rel_err"]) == (0, rel)
+    assert past > 0
 
 
 def test_moments_graph_vacuum(capsys):

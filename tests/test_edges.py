@@ -19,12 +19,18 @@ from freespec.freeprod import ball, free_power, vacuum_moments_distance_k, word_
 from freespec.graphs import complete_graph, count_k_cycles, cycle_graph
 from freespec.polymoments import (
     kesten_mckay_moments,
-    pushforward_moments,
     tree_distance_k_law_moments,
     tree_distance_poly,
 )
-from freespec.reports import Budgets, ExactScaled, Report, ReportRow
-from oracles import format_word, hankel_positive, make_word, word_letters
+from freespec.reports import Budgets, ExactScaled, Report, ReportRow, fmt12, fmt12_exact
+from oracles import (
+    format_word,
+    hankel_positive,
+    make_word,
+    pushforward_moments,
+    report_row,
+    word_letters,
+)
 
 
 def test_single_copy_free_power():
@@ -89,12 +95,29 @@ def test_exact_scaled_eq_implies_same_hash(frac, sqrt_den, square):
         assert a == frac and hash(a) == hash(frac)
 
 
+def test_fmt12_exact_has_the_shape_of_fmt12():
+    # inside the float range, far from a rounding tie, both routes agree
+    for frac, sqrt_den in [
+        (Fraction(10**12), 1),
+        (Fraction(-(10**15) - 7, 3), 1),
+        (Fraction(987654321987654321), 2),
+        (Fraction(-(3**400), 5**100), 7),
+    ]:
+        v = ExactScaled(frac, sqrt_den)
+        assert fmt12_exact(v) == fmt12(v.to_float())
+    # the exact value rounds half to even
+    assert fmt12_exact(ExactScaled(Fraction(1234567890125 * 10**300))) == "1.23456789012e+312"
+    assert fmt12_exact(ExactScaled(Fraction(1234567890135 * 10**300))) == "1.23456789014e+312"
+    assert fmt12_exact(ExactScaled(Fraction(999999999999500 * 10**300))) == "1e+315"
+    assert fmt12_exact(ExactScaled(Fraction(-(10**400)), 3)) == "-5.7735026919e+399"
+
+
 def test_report_row_lookup():
     row = ReportRow("x", "g", "n", 2, 1, 0, ExactScaled(Fraction(1)))
     rep = Report(rows=[row])
-    assert rep.row(2, 0) is row
+    assert report_row(rep, 2, 0) is row
     with pytest.raises(KeyError):
-        rep.row(3, 0)
+        report_row(rep, 3, 0)
 
 
 def test_every_error_survives_pickling():

@@ -24,7 +24,7 @@ from freespec.graphs import (
 )
 from freespec.polymoments import Poly, km_support
 from freespec.reports import Budgets, ExactScaled, render_csv, render_json
-from oracles import layered_distance_k_walks
+from oracles import exact_less, layered_distance_k_walks, report_row
 
 K2 = complete_graph(2)
 K3 = complete_graph(3)
@@ -44,18 +44,18 @@ def test_exact_scaled_comparisons():
     # 2/sqrt(8) vs 3/4: (2/1)^2 * ... cross-multiplied square compare
     a = ExactScaled(Fraction(2), 8)   # ~0.7071
     b = ExactScaled(Fraction(3, 4))   # 0.75
-    assert a < b and not b < a
-    assert ExactScaled(Fraction(-1), 2) < ExactScaled(Fraction(1, 10))
+    assert exact_less(a, b) and not exact_less(b, a)
+    assert exact_less(ExactScaled(Fraction(-1), 2), ExactScaled(Fraction(1, 10)))
     assert ExactScaled(Fraction(1, 2), 4) == ExactScaled(Fraction(1, 4))
 
 
 def test_tree_check_rows_exact():
     rep = tree_check_experiment(3, 2, 4)
-    assert rep.row(3, 2).value == ExactScaled(Fraction(6))
-    assert rep.row(3, 0).value == ExactScaled(Fraction(1))
+    assert report_row(rep, 3, 2).value == ExactScaled(Fraction(6))
+    assert report_row(rep, 3, 0).value == ExactScaled(Fraction(1))
     assert all(r.abs_err == 0 for r in rep.rows)
     rep = tree_check_experiment(2, 3, 4)
-    assert rep.row(2, 2).value == ExactScaled(Fraction(2))
+    assert report_row(rep, 2, 2).value == ExactScaled(Fraction(2))
     assert all(r.abs_err == 0 for r in rep.rows)
 
 
@@ -69,7 +69,7 @@ def test_chebyshev_reference_moments():
 def test_free_clt_k3_closed_form():
     rep = free_clt_experiment(K3, "k3", 2, (2, 4, 8), 2)
     for n, want in [(2, Fraction(1, 2)), (4, Fraction(3, 4)), (8, Fraction(7, 8))]:
-        row = rep.row(n, 2)
+        row = report_row(rep, n, 2)
         assert row.value == ExactScaled(want)
         assert row.reference == ExactScaled(Fraction(1))
         assert row.abs_err == ExactScaled(Fraction(1, n))
@@ -79,8 +79,8 @@ def test_free_clt_k1_m2_is_exact():
     for base, name in [(K3, "k3"), (C4, "c4"), (P3, "p3")]:
         rep = free_clt_experiment(base, name, 1, (2, 3), 2)
         for n in (2, 3):
-            assert rep.row(n, 2).value == ExactScaled(Fraction(1))
-            assert rep.row(n, 2).abs_err == 0
+            assert report_row(rep, n, 2).value == ExactScaled(Fraction(1))
+            assert report_row(rep, n, 2).abs_err == 0
 
 
 def test_free_clt_budget_skips_cells():
@@ -93,14 +93,14 @@ def test_free_clt_budget_skips_cells():
 def test_large_d_errors():
     # large-d is the free CLT of K2, whose free power K2^{*d} is the d-regular tree
     rep = free_clt_experiment(K2, "tree", 2, (3, 50), 6)
-    assert rep.row(3, 2).abs_err == ExactScaled(Fraction(1, 3))
-    assert rep.row(50, 2).abs_err == ExactScaled(Fraction(1, 50))
+    assert report_row(rep, 3, 2).abs_err == ExactScaled(Fraction(1, 3))
+    assert report_row(rep, 50, 2).abs_err == ExactScaled(Fraction(1, 50))
     rep1 = free_clt_experiment(K2, "tree", 1, (3, 50), 4)
     for d in (3, 50):
-        assert rep1.row(d, 2).value == ExactScaled(Fraction(1))
-        assert rep1.row(d, 2).abs_err == 0
+        assert report_row(rep1, d, 2).value == ExactScaled(Fraction(1))
+        assert report_row(rep1, d, 2).abs_err == 0
     rep3 = free_clt_experiment(K2, "tree", 3, (3,), 2)
-    assert rep3.row(3, 2).value == ExactScaled(Fraction(3 * 2 * 2, 27))
+    assert report_row(rep3, 3, 2).value == ExactScaled(Fraction(3 * 2 * 2, 27))
 
 
 def test_reports_deterministic():
@@ -220,7 +220,7 @@ def test_free_clt_run_shares_one_table(monkeypatch):
     for n in (3, 4):
         counts = layered_distance_k_walks(free_power(C4, n), 2, 6)
         for m in range(7):
-            assert rep.row(n, m).value == normalized_value(counts[m], 2 * n, 2 * m)
+            assert report_row(rep, n, m).value == normalized_value(counts[m], 2 * n, 2 * m)
     # the memo holds the table: a later N = 3 reads the cap-5 table, and
     # once the memo is emptied it pays cap 3
     free_clt_experiment(C4, "c4", 2, (3,), 6)

@@ -1,34 +1,42 @@
 """Tests for exact polynomial algebra, Jacobi moments, and density bridges."""
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from freespec.errors import InsufficientBaseMomentsError
+from freespec.experiments import chebyshev_reference_moments
 from freespec.freeprod import regular_tree_ball
 from freespec.graphs import bfs_distances
 from freespec.polymoments import (
+    SEMICIRCLE,
     JacobiParams,
     MomentSequence,
     Poly,
     chebyshev_monic,
-    integrate_poly,
     jacobi_moments,
     kesten_mckay_moments,
+    kesten_mckay_params,
     km_density,
     km_density_max,
     km_support,
-    pushforward_moments,
+    monic_orthogonal_poly,
     semicircle_density,
     semicircle_moments,
     tree_distance_k_law_moments,
     tree_distance_poly,
 )
 from oracles import (
+    chebyshev_monic_recursion,
     hankel_positive,
+    integrate_poly,
     km_moment_quad,
+    pushforward_moments,
     semicircle_moment_quad,
+    tree_distance_poly_recursion,
     vacuum_moment,
     weighted_path_moment,
 )
@@ -103,7 +111,7 @@ def scaled_limit_poly(d, k):
 def test_poly_arithmetic():
     p = Poly([1, 2]) * Poly([1, 1])  # (1 + 2x)(1 + x)
     assert p == Poly([1, 3, 2])
-    assert (Poly([0, 1]) ** 3) == Poly([0, 0, 0, 1])
+    assert Poly([0, 1]) * Poly([0, 1]) * Poly([0, 1]) == Poly([0, 0, 0, 1])
     assert Poly([1, 1]) - Poly([1, 1]) == Poly()
     assert Poly([Fraction(1, 2), 1])(2) == Fraction(5, 2)
     assert scale_arg(Poly([0, 0, 4]), Fraction(1, 2)) == Poly([0, 0, 1])
@@ -128,6 +136,32 @@ def test_tree_distance_poly():
         assert tree_distance_poly(d, 3) == Poly([0, -(2 * d - 1), 0, 1])
         assert tree_distance_poly(d, 0) == Poly([1])
         assert tree_distance_poly(d, 1) == Poly([0, 1])
+
+
+def test_orthogonal_poly_recursion_matches_the_hand_written_families():
+    for k in range(12):
+        assert chebyshev_monic(k) == chebyshev_monic_recursion(k)
+        for d in range(2, 9):
+            assert tree_distance_poly(d, k) == tree_distance_poly_recursion(d, k)
+
+
+def test_orthogonal_poly_with_nonzero_beta():
+    params = JacobiParams(beta=(Fraction(5, 7), 2), gamma=(3, Fraction(1, 2)))
+    x = Poly([0, 1])
+    p1 = x - Poly([Fraction(5, 7)])
+    p2 = (x - Poly([2])) * p1 - Poly([3])
+    assert monic_orthogonal_poly(params, 1) == p1
+    assert monic_orthogonal_poly(params, 2) == p2
+    assert monic_orthogonal_poly(params, 3) == (x - Poly([2])) * p2 - Fraction(1, 2) * p1
+
+
+def test_orthogonal_poly_argument_checks():
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        chebyshev_monic(-1)
+    with pytest.raises(ValueError, match="d must be >= 2"):
+        tree_distance_poly(1, 2)
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        tree_distance_poly(3, -1)
 
 
 def _tree_poly_rows(d, k, radius):
@@ -307,22 +341,74 @@ def test_semicircle_density():
 
 def test_pushforward_identity():
     base = semicircle_moments(6)
-    assert pushforward_moments(Poly([0, 1]), base, 6) == base
+    assert jacobi_moments(SEMICIRCLE, 6, Poly([0, 1])) == base
+    assert list(pushforward_moments(Poly([0, 1]), base, 6)) == list(base)
 
 
 def test_pushforward_square_minus_one():
-    pf = pushforward_moments(Poly([-1, 0, 1]), semicircle_moments(8), 4)
+    pf = jacobi_moments(SEMICIRCLE, 4, Poly([-1, 0, 1]))
     assert list(pf) == [1, 0, 1, 1, 3]
+    assert pushforward_moments(Poly([-1, 0, 1]), semicircle_moments(8), 4) == list(pf)
 
 
 def test_pushforward_tree_poly():
-    pf = pushforward_moments(tree_distance_poly(3, 2), kesten_mckay_moments(3, 4), 2)
+    pf = jacobi_moments(kesten_mckay_params(3), 2, tree_distance_poly(3, 2))
     assert pf[2] == 6  # d(d-1) distance-2 vertices
 
 
-def test_pushforward_needs_enough_moments():
-    with pytest.raises(InsufficientBaseMomentsError):
-        pushforward_moments(Poly([-1, 0, 1]), semicircle_moments(4), 4)
+def test_pushforward_of_constants():
+    # degree 0 and the zero polynomial need only the bottom of the chain
+    assert list(jacobi_moments(SEMICIRCLE, 5, Poly([3]))) == [3**m for m in range(6)]
+    assert list(jacobi_moments(SEMICIRCLE, 3, Poly())) == [1, 0, 0, 0]
+
+
+def test_tree_law_matches_the_pushforward_oracle():
+    for d in range(2, 7):
+        for k in range(5):
+            q = tree_distance_poly_recursion(d, k)
+            base = kesten_mckay_moments(d, max(q.degree, 0) * 12)
+            assert list(tree_distance_k_law_moments(d, k, 12)) == pushforward_moments(
+                q, base, 12
+            ), (d, k)
+
+
+def test_chebyshev_law_matches_the_pushforward_oracle():
+    for k in range(6):
+        p = chebyshev_monic_recursion(k)
+        base = semicircle_moments(max(p.degree, 0) * 10)
+        assert list(chebyshev_reference_moments(k, 10)) == pushforward_moments(p, base, 10)
+
+
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=9)
+
+
+@given(
+    st.lists(_rationals, min_size=1, max_size=4),
+    st.lists(
+        st.fractions(min_value=Fraction(1, 9), max_value=4, max_denominator=9),
+        min_size=1, max_size=4,
+    ),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+    st.integers(0, 4),
+)
+@example([Fraction(5, 7)], [Fraction(1)], [0, 1], 4)
+@example([Fraction(5, 7), 0], [Fraction(2, 3), 3], [-1, 0, 2], 4)
+@settings(max_examples=60, deadline=None)
+def test_jacobi_moments_of_a_polynomial_match_the_pushforward(beta, gamma, coeffs, max_m):
+    params = JacobiParams(beta=beta, gamma=gamma)
+    p = Poly(coeffs)
+    base = jacobi_moments(params, max(p.degree, 0) * max_m)
+    for m in range(min(len(base), 7)):
+        assert base[m] == weighted_path_moment(params.beta, params.gamma, m)
+    assert list(jacobi_moments(params, max_m, p)) == pushforward_moments(p, base, max_m)
+
+
+def test_tree_law_is_quick_at_high_order():
+    # the polynomial-power pushforward took 11.6 s here; the chain takes 0.4 s
+    started = time.perf_counter()
+    law = tree_distance_k_law_moments(3, 2, 600)
+    assert time.perf_counter() - started < 5.0
+    assert law[2] == 6 and law[1] == 0
 
 
 def test_orthogonality_chebyshev_semicircle():
@@ -356,7 +442,7 @@ def test_chebyshev_mean_and_variance_under_semicircle():
     base = semicircle_moments(14)
     for k in range(1, 7):
         assert integrate_poly(chebyshev_monic(k), base) == 0
-        assert integrate_poly(chebyshev_monic(k) ** 2, base) == 1
+        assert integrate_poly(chebyshev_monic(k) * chebyshev_monic(k), base) == 1
 
 
 def test_hankel_positivity():
