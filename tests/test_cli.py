@@ -231,6 +231,20 @@ def test_cycles_skips_refused_cells(capsys):
     assert rows[0][6] != "" and rows[1][6:] == ["", "", "", ""]
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cycles_longer_than_the_recursion_limit_run_to_the_budget(capsys, threads):
+    # 1200-vertex paths: the search meets the node budget, not the recursion
+    # limit, so the cell is skipped and the run exits 0
+    code, out, err = run_cli(
+        capsys, "cycles", "--d", "3", "--j", "1200", "--n-list", "2000", "--samples", "1",
+        "--walk-budget", "100000", "--threads", threads,
+    )
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [row[3] for row in rows] == ["2000"]
+    assert rows[0][6:] == ["", "", "", ""]
+
+
 @pytest.mark.parametrize("argv", [
     ("regular-random", "--d", "3", "--k", "2", "--n-list", "20,40", "--samples", "4"),
     ("cycles", "--d", "4", "--j", "4", "--n-list", "20,40", "--samples", "4"),

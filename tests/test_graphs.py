@@ -3,7 +3,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import intmat
@@ -181,6 +181,46 @@ def test_trace_moment_against_brute_force():
             assert trace_moments(g, m)[m] == Fraction(total, n)
 
 
+@st.composite
+def small_graphs(draw):
+    """Any simple graph on 1 to 9 vertices, rooted at 0."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return from_edge_list(n, edges, 0)
+
+
+@given(small_graphs())
+@example(from_edge_list(6, [(0, 1), (0, 2), (0, 3), (3, 4)], 0))  # irregular, 5 isolated
+@example(from_edge_list(4, [(1, 2), (2, 3)], 0))  # the root is isolated
+@example(from_edge_list(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)], 0))  # disconnected
+@settings(max_examples=40, deadline=None)
+def test_trace_moments_match_dense_traces(g):
+    # max_m decides which half walk is built to w >= v only, so every
+    # max_m is checked, each at every m <= max_m
+    n = g.vertex_count
+    a = intmat.adjacency_matrix(g)
+    power = intmat.identity(n)
+    traces = []
+    for _ in range(13):
+        traces.append(Fraction(sum(power[i][i] for i in range(n)), n))
+        power = intmat.mat_mul(power, a)
+    for max_m in range(13):
+        assert trace_moments(g, max_m) == traces[: max_m + 1]
+
+
+def test_trace_moments_of_distance_k_graphs_sum_the_closed_walks():
+    # closed_walk_counts joins whole half walks, trace_moments a halved top one
+    for seed in range(3):
+        g = pairing_model(PairingConfig(n=40, d=3, seed=seed))
+        for k in (1, 2, 3):
+            dk = distance_k_graph(g, k)
+            for max_m in (5, 6):
+                rows = [closed_walk_counts(dk, v, max_m) for v in range(dk.vertex_count)]
+                sums = [Fraction(sum(col), dk.vertex_count) for col in zip(*rows)]
+                assert trace_moments(dk, max_m) == sums
+
+
 def test_trace_moments_budget():
     # k4 at max_m 4: each vertex is charged 1*3 + 3*3 = 12 expansions
     g = complete_graph(4)
@@ -231,6 +271,12 @@ def test_count_k_cycles_against_brute_force():
         g = random_graph(8, 0.5, seed=100 + seed)
         for j in (3, 4, 5):
             assert count_k_cycles(g, j) == brute_count_cycles(g, j)
+
+
+def test_count_k_cycles_past_the_recursion_limit():
+    # the search holds a path of 1500 vertices, past Python's default
+    # recursion limit of 1000
+    assert count_k_cycles(cycle_graph(1500), 1500) == 1
 
 
 def test_count_k_cycles_budget():
