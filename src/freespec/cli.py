@@ -5,6 +5,13 @@ retries and a worker process that ended abruptly included), 3 internal
 invariant violation (a decomposition check reporting a nonzero violation
 is a bug signal, never plain data).  Errors print to stderr with a
 machine-parseable "error[CODE]:" prefix.
+
+Every report is a fresh process, so start-up counts: freespec.regular (the
+graph sampler) is imported only by regular-random and cycles, and json only
+by render_json.  perfbench/traced.py replaces functions by name in the
+module where they are called (render_csv here, run_cells, pairing_model and
+the others it lists), so each of those must stay a module attribute that is
+looked up when it is called.
 """
 from __future__ import annotations
 
@@ -46,7 +53,6 @@ from .polymoments import (
     semicircle_moments,
     tree_distance_poly,
 )
-from .regular import cycles_experiment, regular_limit_experiment
 from .reports import (
     Budgets,
     ExactScaled,
@@ -109,7 +115,9 @@ def _parse_transform(text: str) -> Poly:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="freespec", description=__doc__)
+    # --help shows the docstring's first two paragraphs, for users; the
+    # notes on start-up after them are for readers of this module
+    parser = _Parser(prog="freespec", description="\n\n".join(__doc__.split("\n\n")[:2]))
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--output", default=None, help="output path (default stdout)")
@@ -209,12 +217,16 @@ def _run(args) -> Report:
             row.experiment, row.param_name = "large-d", "d"
         return report
     if args.command == "regular-random":
+        from .regular import regular_limit_experiment
+
         n_list = _parse_int_list(args.n_list, "--n-list")
         return regular_limit_experiment(
             args.d, args.k, n_list, args.samples, args.max_m, args.seed, budgets,
             args.threads,
         )
     if args.command == "cycles":
+        from .regular import cycles_experiment
+
         n_list = _parse_int_list(args.n_list, "--n-list")
         return cycles_experiment(
             args.d, args.j, n_list, args.samples, args.seed, budgets, args.threads
@@ -301,6 +313,12 @@ def _run_moments(args, budgets: Budgets) -> Report:
     return Report(rows=rows, budgets=budgets)
 
 
+def _charge_held(count: int, budgets: Budgets, what: str) -> None:
+    """Charge count values a command will hold to the ball budget, up front."""
+    if count > budgets.ball_vertices:
+        raise BudgetExceededError(count, budgets.ball_vertices, what)
+
+
 def _run_km_density(args, budgets: Budgets) -> Report:
     parts = args.xrange.split(",")
     if len(parts) != 2:
@@ -311,6 +329,7 @@ def _run_km_density(args, budgets: Budgets) -> Report:
         raise _UsageError("--range expects numbers lo,hi")
     if args.points < 2 or hi <= lo:
         raise _UsageError("need --points >= 2 and hi > lo")
+    _charge_held(args.points, budgets, "density points")
     rows = []
     for i in range(args.points):
         x = lo + (hi - lo) * i / (args.points - 1)
@@ -331,6 +350,8 @@ def _run_hist(args, budgets: Budgets) -> Report:
     if args.law.startswith("km:"):
         _km_degree(args.law)
     poly = _parse_transform(args.transform)
+    _charge_held(args.samples, budgets, "histogram samples")
+    _charge_held(args.bins, budgets, "histogram bins")
     cfg = SamplerConfig(seed=args.seed, count=args.samples, law=args.law)
     samples = sample_law(cfg)
     edges, counts = pushforward_histogram(poly, samples, args.bins)

@@ -5,12 +5,61 @@ builds its message in __str__: pickling rebuilds an exception from its args,
 so this is what lets an error raised in a worker process reach the parent
 unchanged.
 
-The default budgets live here too, because every engine imports this module.
+The default budgets and the record base classes live here too, because
+every engine imports this module.  The records are plain classes rather than
+dataclasses, because the dataclasses module imports inspect and ast, and
+every CLI run is a fresh process that would pay for them.
 """
 import math
 
 DEFAULT_WALK_BUDGET = 10**8
 DEFAULT_BALL_BUDGET = 10**6
+
+
+class Record:
+    """A record whose fields, named in _fields, give its equality and repr.
+
+    __init__ takes the field values in _fields order.  Records compare equal
+    when they are of the same class and their fields are equal; a mutable
+    record is unhashable.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        # object.__setattr__, as a frozen dataclass does: writing
+        # self.__dict__ directly would make CPython drop its inline attribute
+        # values and slow every later field load
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Frozen(Record):
+    """An immutable Record, hashed by its fields.
+
+    A functools.cached_property still works: it writes the instance dict.
+    """
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class FreespecError(Exception):

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, Frozen
 from .freeprod import free_power, vacuum_moments_distance_k
 from .graphs import RootedGraph, complete_graph
 from .polymoments import (
@@ -114,17 +113,17 @@ def free_clt_experiment(
     return Report(rows=rows, budgets=budgets)
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
+class SamplerConfig(Frozen):
     """Deterministic rejection sampler configuration.
 
     law is "semicircle" or "km:D" for the Kesten-McKay law of parameter D
     (D >= 3; the D = 2 density is unbounded, so no uniform envelope exists).
     """
 
-    seed: int
-    count: int
-    law: str = "semicircle"
+    _fields = ("seed", "count", "law")
+
+    def __init__(self, seed: int, count: int, law: str = "semicircle"):
+        super().__init__(seed, count, law)
 
     def density_and_support(self):
         if self.law == "semicircle":

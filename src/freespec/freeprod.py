@@ -12,7 +12,6 @@ which is the blocking correctness gate for everything built on top.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb, perm
 
@@ -20,6 +19,7 @@ from .errors import (
     DEFAULT_BALL_BUDGET,
     DEFAULT_WALK_BUDGET,
     BudgetExceededError,
+    Frozen,
     RadiusTooSmallError,
     UnreducedWordError,
 )
@@ -28,18 +28,19 @@ from .graphs import RootedGraph, bfs_distances, complete_graph
 Word = tuple  # packed letters, top letter first; () is the root
 
 
-@dataclass(frozen=True)
-class FreePowerSpec:
+class FreePowerSpec(Frozen):
     """A connected rooted base graph together with a copy count N.
 
     Carries the base's all-pairs distance table (BFS distances, so exact by
     construction) and the root degree sigma.
     """
 
-    base: RootedGraph
-    copies: int
-    apsp: tuple[tuple[int, ...], ...]
-    sigma: int
+    _fields = ("base", "copies", "apsp", "sigma")
+
+    def __init__(
+        self, base: RootedGraph, copies: int, apsp: tuple[tuple[int, ...], ...], sigma: int
+    ):
+        super().__init__(base, copies, apsp, sigma)
 
     @cached_property
     def letter_costs(self) -> tuple[int, ...]:
@@ -159,14 +160,15 @@ def word_distance(spec: FreePowerSpec, x: Word, y: Word, validate: bool = True) 
     return dx - costs[xs[-1]] + spec.apsp[va][vb] + dy - costs[ys[-1]]
 
 
-@dataclass(frozen=True)
-class BallGraph:
+class BallGraph(Frozen):
     """Truncated free power: all words with root_distance <= radius."""
 
-    spec: FreePowerSpec
-    graph: RootedGraph
-    words: tuple[Word, ...]
-    radius: int
+    _fields = ("spec", "graph", "words", "radius")
+
+    def __init__(
+        self, spec: FreePowerSpec, graph: RootedGraph, words: tuple[Word, ...], radius: int
+    ):
+        super().__init__(spec, graph, words, radius)
 
     @cached_property
     def root_distances(self) -> tuple[int, ...]:
@@ -648,14 +650,19 @@ def vacuum_moments_distance_k(
     return [sum(w * perm(spec.copies, j) for j, w in enumerate(row)) for row in table]
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(Frozen):
     """Outcome of an entrywise decomposition check over interior ball pairs."""
 
-    max_violation: int
-    pairs_checked: int
-    d_entries_nonzero: int
-    delta_entries_nonzero: int
+    _fields = ("max_violation", "pairs_checked", "d_entries_nonzero", "delta_entries_nonzero")
+
+    def __init__(
+        self,
+        max_violation: int,
+        pairs_checked: int,
+        d_entries_nonzero: int,
+        delta_entries_nonzero: int,
+    ):
+        super().__init__(max_violation, pairs_checked, d_entries_nonzero, delta_entries_nonzero)
 
 
 def decomposition_check(

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -31,6 +30,7 @@ from operator import mul
 from .errors import (
     DEFAULT_WALK_BUDGET,
     BudgetExceededError,
+    Frozen,
     GraphFormatError,
     LoopEdgeError,
     RootOutOfRangeError,
@@ -39,17 +39,17 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class RootedGraph:
+class RootedGraph(Frozen):
     """An undirected simple graph with a distinguished root vertex.
 
     Equality is equality of canonical forms (vertex count, root, sorted
     adjacency).
     """
 
-    vertex_count: int
-    root: int
-    neighbors: tuple[tuple[int, ...], ...]
+    _fields = ("vertex_count", "root", "neighbors")
+
+    def __init__(self, vertex_count: int, root: int, neighbors: tuple[tuple[int, ...], ...]):
+        super().__init__(vertex_count, root, neighbors)
 
     @cached_property
     def connected(self) -> bool:

@@ -12,8 +12,9 @@ Kesten-McKay moments (p = x) and the distance-k laws (p = P_k or Q_k).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .errors import Frozen
 
 
 class Poly:
@@ -89,20 +90,19 @@ class Poly:
 X = Poly([0, 1])
 
 
-@dataclass(frozen=True)
-class JacobiParams:
+class JacobiParams(Frozen):
     """Three-term recursion coefficients; finite prefixes extend by last value."""
 
-    beta: tuple
-    gamma: tuple
+    _fields = ("beta", "gamma")
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta", tuple(Fraction(b) for b in self.beta))
-        object.__setattr__(self, "gamma", tuple(Fraction(g) for g in self.gamma))
-        if not self.beta or not self.gamma:
+    def __init__(self, beta, gamma):
+        beta = tuple(Fraction(b) for b in beta)
+        gamma = tuple(Fraction(g) for g in gamma)
+        if not beta or not gamma:
             raise ValueError("beta and gamma must be nonempty")
-        if any(g <= 0 for g in self.gamma):
+        if any(g <= 0 for g in gamma):
             raise ValueError("gamma entries must be positive")
+        super().__init__(beta, gamma)
 
     def beta_at(self, i: int) -> Fraction:
         return self.beta[min(i, len(self.beta) - 1)]

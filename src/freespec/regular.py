@@ -18,10 +18,15 @@ import os
 import random
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError, ParityError, RetriesExhaustedError, WorkerDiedError
+from .errors import (
+    BudgetExceededError,
+    Frozen,
+    ParityError,
+    RetriesExhaustedError,
+    WorkerDiedError,
+)
 from .experiments import run_cells
 from .graphs import RootedGraph, count_k_cycles, distance_k_graph, from_edge_list, trace_moments
 from .polymoments import tree_distance_k_law_moments
@@ -53,15 +58,12 @@ def check_order(n: int, d: int) -> None:
         raise ParityError(f"n*d = {n * d} is odd")
 
 
-@dataclass(frozen=True)
-class PairingConfig:
-    n: int
-    d: int
-    seed: int
-    max_retries: int = 1000
+class PairingConfig(Frozen):
+    _fields = ("n", "d", "seed", "max_retries")
 
-    def __post_init__(self):
-        check_order(self.n, self.d)
+    def __init__(self, n: int, d: int, seed: int, max_retries: int = 1000):
+        check_order(n, d)
+        super().__init__(n, d, seed, max_retries)
 
 
 def fisher_yates(rng: random.Random, x: list) -> None:

@@ -5,25 +5,28 @@ root of an integer for odd normalization powers); floating point only
 appears at render time.  Rendering is deterministic: identical inputs give
 byte-identical output.  An exact value past the float range renders in CSV
 from the value itself, in the same 12-digit shape, and as null in JSON,
-whose *_exact fields carry it.
+whose *_exact fields carry it.  A surd (sqrt_den > 1) also renders in CSV
+from the value itself, so its 12 digits are rounded once; JSON floats and
+rational CSV cells go through float.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
-from .errors import DEFAULT_BALL_BUDGET, DEFAULT_WALK_BUDGET
+from .errors import DEFAULT_BALL_BUDGET, DEFAULT_WALK_BUDGET, Frozen, Record
 
 CSV_HEADER = "experiment,graph,param_name,param_value,k,m,value,reference,abs_err,rel_err"
 
 
-@dataclass(frozen=True)
-class Budgets:
-    walk_expansions: int = DEFAULT_WALK_BUDGET
-    ball_vertices: int = DEFAULT_BALL_BUDGET
+class Budgets(Frozen):
+    _fields = ("walk_expansions", "ball_vertices")
+
+    def __init__(
+        self, walk_expansions: int = DEFAULT_WALK_BUDGET, ball_vertices: int = DEFAULT_BALL_BUDGET
+    ):
+        super().__init__(walk_expansions, ball_vertices)
 
     def as_dict(self) -> dict:
         return {
@@ -32,21 +35,19 @@ class Budgets:
         }
 
 
-@dataclass(frozen=True)
-class ExactScaled:
+class ExactScaled(Frozen):
     """An exact value frac / sqrt(sqrt_den); sqrt_den = 1 means plain rational.
 
     Stored in canonical form: sqrt_den is squarefree (square factors move
     into frac) and zero has sqrt_den 1, so equal values have equal fields.
     """
 
-    frac: Fraction
-    sqrt_den: int = 1
+    _fields = ("frac", "sqrt_den")
 
-    def __post_init__(self):
-        if self.sqrt_den < 1:
+    def __init__(self, frac: Fraction, sqrt_den: int = 1):
+        if sqrt_den < 1:
             raise ValueError("sqrt_den must be >= 1")
-        frac, rest = Fraction(self.frac), self.sqrt_den
+        frac, rest = Fraction(frac), sqrt_den
         if frac == 0:
             rest = 1
         f = 2
@@ -55,8 +56,7 @@ class ExactScaled:
                 rest //= f * f
                 frac /= f
             f += 1
-        object.__setattr__(self, "frac", frac)
-        object.__setattr__(self, "sqrt_den", rest)
+        super().__init__(frac, rest)
 
     def to_float(self) -> float:
         return float(self.frac) / math.sqrt(self.sqrt_den)
@@ -90,17 +90,27 @@ class ExactScaled:
         return hash((self.frac, self.sqrt_den))
 
 
-@dataclass
-class ReportRow:
-    experiment: str
-    graph: str
-    param_name: str
-    param_value: object
-    k: int | None
-    m: int | None
-    value: ExactScaled | float | None
-    reference: ExactScaled | None = None
-    skipped: bool = False
+class ReportRow(Record):
+    _fields = (
+        "experiment", "graph", "param_name", "param_value", "k", "m",
+        "value", "reference", "skipped",
+    )
+
+    def __init__(
+        self,
+        experiment: str,
+        graph: str,
+        param_name: str,
+        param_value: object,
+        k: int | None,
+        m: int | None,
+        value: ExactScaled | float | None,
+        reference: ExactScaled | None = None,
+        skipped: bool = False,
+    ):
+        super().__init__(
+            experiment, graph, param_name, param_value, k, m, value, reference, skipped
+        )
 
     @property
     def abs_err(self) -> ExactScaled | None:
@@ -151,12 +161,17 @@ def moment_rows(
     ]
 
 
-@dataclass
-class Report:
-    rows: list[ReportRow]
-    seed: int | None = None
-    budgets: Budgets = field(default_factory=Budgets)
-    wall_ms: int = 0
+class Report(Record):
+    _fields = ("rows", "seed", "budgets", "wall_ms")
+
+    def __init__(
+        self,
+        rows: list[ReportRow],
+        seed: int | None = None,
+        budgets: Budgets = Budgets(),
+        wall_ms: int = 0,
+    ):
+        super().__init__(rows, seed, budgets, wall_ms)
 
 
 def fmt12(x: float) -> str:
@@ -178,10 +193,11 @@ def _shown(r: ReportRow) -> tuple:
 
 
 def fmt12_exact(v: ExactScaled) -> str:
-    """fmt12 in exponent form, from the exact value rather than a float.
+    """fmt12 from the exact value rather than a float, for a nonzero v.
 
     |v| = |frac| / sqrt(sqrt_den) is rounded half to even at 12 significant
-    digits, and written as '.12g' writes a float of at least 1e12.
+    digits and laid out as '.12g' lays out a float: fixed notation when the
+    rounded value's decimal exponent is in -4..11, exponent form otherwise.
     """
     square = v.frac * v.frac / v.sqrt_den
     # 10^e <= |v| < 10^(e+1)
@@ -199,8 +215,13 @@ def fmt12_exact(v: ExactScaled) -> str:
     if digits == 10**12:
         digits, e = 10**11, e + 1
     text = str(digits)
-    mantissa = (text[0] + "." + text[1:]).rstrip("0").rstrip(".")
     sign = "-" if v.frac < 0 else ""
+    if -4 <= e < 12:
+        if e < 0:
+            text = "0" * -e + text
+        point = max(e, 0) + 1
+        return sign + (text[:point] + "." + text[point:]).rstrip("0").rstrip(".")
+    mantissa = (text[0] + "." + text[1:]).rstrip("0").rstrip(".")
     return f"{sign}{mantissa}e{e:+03d}"
 
 
@@ -217,6 +238,9 @@ def _float(v: ExactScaled | float | None) -> float | None:
 def _csv_cell(v: ExactScaled | float | None) -> str:
     if v is None:
         return ""
+    if isinstance(v, ExactScaled) and v.sqrt_den > 1:
+        # through float(frac) / math.sqrt(sqrt_den) a surd would round twice
+        return fmt12_exact(v)
     x = _float(v)
     return fmt12_exact(v) if x is None else fmt12(x)
 
@@ -245,6 +269,8 @@ def render_csv(report: Report) -> str:
 
 
 def render_json(report: Report) -> str:
+    import json
+
     rows = []
     for r in report.rows:
         value, reference, abs_err, rel_err = _shown(r)

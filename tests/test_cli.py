@@ -279,6 +279,28 @@ def test_single_thread_starts_no_pool():
         assert proc.returncode == 0, (argv, proc.stderr)
 
 
+def test_cli_imports_only_what_a_command_uses():
+    # every report is a fresh process, so each module the CLI imports is
+    # start-up paid by every run; free-clt needs neither json nor the sampler
+    script = (
+        "import sys\n"
+        "from freespec import cli\n"
+        "unused = ('dataclasses', 'inspect', 'json', 'freespec.regular',\n"
+        "          'multiprocessing', 'concurrent.futures')\n"
+        "print(*[name for name in unused if name in sys.modules])\n"
+        "code = cli.main(['free-clt', '--graph', 'builtin:c4', '--k', '2', '--N', '2,3',\n"
+        "                 '--max-m', '4', '--output', sys.argv[1]])\n"
+        "print(code, *[name for name in ('json', 'freespec.regular') if name in sys.modules])\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, os.devnull],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["", "0"]
+
+
 def _die(*args):
     os._exit(9)
 
@@ -533,6 +555,34 @@ def test_budget_exhaustion_exits_2(capsys):
     )
     assert code == 2
     assert err.startswith("error[BUDGET]:")
+
+
+def test_hist_and_km_density_charge_the_ball_budget_first(capsys, monkeypatch):
+    # the values a command holds are charged before any is sampled or built
+    def no_sampling(cfg):
+        raise AssertionError("sampled before charging the ball budget")
+
+    monkeypatch.setattr(cli, "sample_law", no_sampling)
+    hist = ("hist", "--law", "semicircle")
+    for argv, what in [
+        ((*hist, "--samples", "10", "--bins", "21"), "21 histogram bins"),
+        ((*hist, "--samples", "21", "--bins", "5"), "21 histogram samples"),
+        (("km-density", "--d", "3", "--points", "21", "--range", "-1,1"), "21 density points"),
+    ]:
+        code, out, err = run_cli(capsys, *argv, "--ball-budget", "20")
+        assert code == 2 and out == "", argv
+        assert err == f"error[BUDGET]: budget exceeded: {what} (budget 20)\n", argv
+    monkeypatch.undo()
+    code, out, _ = run_cli(
+        capsys, "hist", "--law", "semicircle", "--samples", "20", "--bins", "20",
+        "--ball-budget", "20",
+    )
+    assert code == 0 and len(out.splitlines()) == 21
+    code, out, _ = run_cli(
+        capsys, "km-density", "--d", "3", "--points", "20", "--range", "-1,1",
+        "--ball-budget", "20",
+    )
+    assert code == 0 and len(out.splitlines()) == 21
 
 
 def test_tree_decomp_check_honours_ball_budget(capsys):

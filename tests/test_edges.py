@@ -14,15 +14,25 @@ from hypothesis import strategies as st
 
 import freespec
 from freespec import errors
-from freespec.errors import UnreducedWordError
+from freespec.errors import ParityError, UnreducedWordError
 from freespec.freeprod import ball, free_power, vacuum_moments_distance_k, word_distance
-from freespec.graphs import complete_graph, count_k_cycles, cycle_graph
+from freespec.graphs import RootedGraph, complete_graph, count_k_cycles, cycle_graph
 from freespec.polymoments import (
+    JacobiParams,
     kesten_mckay_moments,
     tree_distance_k_law_moments,
     tree_distance_poly,
 )
-from freespec.reports import Budgets, ExactScaled, Report, ReportRow, fmt12, fmt12_exact
+from freespec.regular import PairingConfig
+from freespec.reports import (
+    Budgets,
+    ExactScaled,
+    Report,
+    ReportRow,
+    fmt12,
+    fmt12_exact,
+    render_csv,
+)
 from oracles import (
     format_word,
     hankel_positive,
@@ -110,6 +120,92 @@ def test_fmt12_exact_has_the_shape_of_fmt12():
     assert fmt12_exact(ExactScaled(Fraction(1234567890135 * 10**300))) == "1.23456789014e+312"
     assert fmt12_exact(ExactScaled(Fraction(999999999999500 * 10**300))) == "1e+315"
     assert fmt12_exact(ExactScaled(Fraction(-(10**400)), 3)) == "-5.7735026919e+399"
+    # inside the float range '.12g' switches to fixed notation at exponents -4..11
+    for x in (1e-5, 1.5e-4, 0.000123456789012345, 0.5, 1.0, 2.5, 123456.789, 99999999999.9,
+              123456789012.0, 999999999999.4, 999999999999.6, -3.25e-3, 7e14):
+        assert fmt12_exact(ExactScaled(Fraction(x))) == fmt12(x), x
+    assert fmt12_exact(ExactScaled(Fraction(1), 2)) == "0.707106781187"
+    assert fmt12_exact(ExactScaled(Fraction(1, 1000), 2)) == "0.000707106781187"
+    assert fmt12_exact(ExactScaled(Fraction(1, 10**4), 2)) == "7.07106781187e-05"
+    assert fmt12_exact(ExactScaled(Fraction(10**12), 2)) == "707106781187"
+    assert fmt12_exact(ExactScaled(Fraction(-(10**23)), 2)) == "-7.07106781187e+22"
+
+
+def test_surd_cells_render_from_the_exact_value():
+    # |value| = 5.0418025325649996...e+150; float(frac) / math.sqrt(6) rounds
+    # twice and lands above the tie of the 12th digit
+    numerator = int(
+        "-911219216816213015588359292900074547504174991168495767500483397512006616262221253"
+        "460822340022335701492969324077780289483419107381527598456334819360387584469817"
+    )
+    frac = Fraction(numerator, 73783867)
+    value = ExactScaled(frac, 6)
+    assert fmt12(value.to_float()) == "-5.04180253257e+150"
+    row = ReportRow("free-clt", "g", "N", 2, 3, 1, value, ExactScaled(Fraction(0)))
+    cells = render_csv(Report(rows=[row])).splitlines()[1].split(",")
+    assert cells[6:] == ["-5.04180253256e+150", "0", "5.04180253256e+150", ""]
+
+
+def test_records_keep_value_semantics():
+    # plain record classes: equal fields give equal objects and equal hashes
+    equal_pairs = [
+        (complete_graph(3), RootedGraph(3, 0, ((1, 2), (0, 2), (0, 1)))),
+        (free_power(cycle_graph(4), 3), free_power(cycle_graph(4), 3)),
+        (ExactScaled(Fraction(2), 8), ExactScaled(Fraction(1), 2)),
+        (Budgets(5, 7), Budgets(walk_expansions=5, ball_vertices=7)),
+        (PairingConfig(n=10, d=3, seed=4), PairingConfig(10, 3, 4, 1000)),
+        (JacobiParams((0,), (1, 2)), JacobiParams([Fraction(0)], [Fraction(1), 2])),
+    ]
+    for a, b in equal_pairs:
+        assert a is not b
+        assert a == b and hash(a) == hash(b), a
+        assert pickle.loads(pickle.dumps(a)) == a
+    assert complete_graph(3) != RootedGraph(3, 1, ((1, 2), (0, 2), (0, 1)))
+    assert Budgets(5, 7) != Budgets(5, 8)
+    assert PairingConfig(10, 3, 4) != PairingConfig(10, 3, 5)
+    assert len({Budgets(), Budgets(), Budgets(1, 1)}) == 2
+    # frozen classes refuse assignment; cached properties still fill in
+    for record, name in [
+        (complete_graph(3), "root"),
+        (free_power(cycle_graph(4), 3), "copies"),
+        (ExactScaled(Fraction(1), 2), "sqrt_den"),
+        (Budgets(), "walk_expansions"),
+        (PairingConfig(10, 3, 4), "seed"),
+        (JacobiParams((0,), (1,)), "gamma"),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert complete_graph(3).connected
+    assert free_power(cycle_graph(4), 3).letter_costs == (0, 1, 2, 1) * 3
+    # a report stays mutable: large-d relabels rows, --timing sets wall_ms
+    row = ReportRow("free-clt", "tree", "N", 3, 2, 0, ExactScaled(Fraction(1)))
+    row.experiment, row.param_name = "large-d", "d"
+    report = Report(rows=[row])
+    report.wall_ms = 12
+    assert (row.experiment, row.param_name, report.wall_ms) == ("large-d", "d", 12)
+    same = ReportRow("large-d", "tree", "d", 3, 2, 0, ExactScaled(1))
+    assert report == Report([same], wall_ms=12)
+    with pytest.raises(TypeError):
+        hash(report)
+
+
+def test_records_validate_their_fields():
+    with pytest.raises(ParityError):
+        PairingConfig(n=5, d=3, seed=0)
+    with pytest.raises(ValueError, match="gamma entries must be positive"):
+        JacobiParams((0,), (1, 0))
+    with pytest.raises(ValueError, match="nonempty"):
+        JacobiParams((), (1,))
+    assert JacobiParams((1,), (2,)).gamma == (Fraction(2),)
+    with pytest.raises(ValueError):
+        ExactScaled(Fraction(1), 0)
+    # canonical form: square factors leave the root, and zero carries none
+    v = ExactScaled(Fraction(3), 12)
+    assert (v.frac, v.sqrt_den) == (Fraction(3, 2), 3)
+    assert ExactScaled(Fraction(0), 5).sqrt_den == 1
+    assert ExactScaled(7).frac == Fraction(7) and type(ExactScaled(7).frac) is Fraction
 
 
 def test_report_row_lookup():
