@@ -31,7 +31,6 @@ from .freeprod import (  # noqa: F401
 )
 from .polymoments import (  # noqa: F401
     JacobiParams,
-    MomentSequence,
     Poly,
     chebyshev_monic,
     jacobi_moments,

@@ -28,8 +28,8 @@ from .errors import (
     WorkerDiedError,
 )
 from .experiments import (
-    SamplerConfig,
     free_clt_experiment,
+    parse_law,
     pushforward_histogram,
     sample_law,
     tree_check_experiment,
@@ -280,24 +280,15 @@ def _run_decomp(args, budgets: Budgets) -> Report:
     )
 
 
-def _km_degree(law: str) -> int:
-    try:
-        return int(law[len("km:"):])
-    except ValueError:
-        raise ValueError("--law km:D needs an integer D") from None
-
-
 def _run_moments(args, budgets: Budgets) -> Report:
     if args.law is not None:
-        if args.law == "semicircle":
-            name = "semicircle"
-            values = semicircle_moments(args.max_m)
-        elif args.law.startswith("km:"):
-            d = _km_degree(args.law)
-            name = f"kesten-mckay-d{d}"
-            values = kesten_mckay_moments(d, args.max_m)
+        if args.graph is not None:
+            raise _UsageError("moments takes --graph or --law, not both")
+        d = parse_law(args.law)
+        if d is None:
+            name, values = "semicircle", semicircle_moments(args.max_m)
         else:
-            raise _UsageError("--law must be semicircle or km:D")
+            name, values = f"kesten-mckay-d{d}", kesten_mckay_moments(d, args.max_m)
         param_name, param_value = "law", name
     elif args.graph is None:
         raise _UsageError("moments needs --graph or --law")
@@ -347,13 +338,10 @@ def _run_hist(args, budgets: Budgets) -> Report:
     # check every flag before sampling, whose cost grows with --samples
     if args.bins < 1:
         raise ValueError("bins must be positive")
-    if args.law.startswith("km:"):
-        _km_degree(args.law)
     poly = _parse_transform(args.transform)
     _charge_held(args.samples, budgets, "histogram samples")
     _charge_held(args.bins, budgets, "histogram bins")
-    cfg = SamplerConfig(seed=args.seed, count=args.samples, law=args.law)
-    samples = sample_law(cfg)
+    samples = sample_law(args.law, args.samples, args.seed)
     edges, counts = pushforward_histogram(poly, samples, args.bins)
     rows = [
         ReportRow(

@@ -11,7 +11,7 @@ import math
 import random
 from fractions import Fraction
 
-from .errors import BudgetExceededError, Frozen
+from .errors import BudgetExceededError
 from .freeprod import free_power, vacuum_moments_distance_k
 from .graphs import RootedGraph, complete_graph
 from .polymoments import (
@@ -22,6 +22,7 @@ from .polymoments import (
     km_density,
     km_density_max,
     km_support,
+    semicircle_density,
     tree_distance_k_law_moments,
 )
 from .reports import Budgets, ExactScaled, Report, moment_rows
@@ -113,39 +114,37 @@ def free_clt_experiment(
     return Report(rows=rows, budgets=budgets)
 
 
-class SamplerConfig(Frozen):
-    """Deterministic rejection sampler configuration.
+def parse_law(law: str) -> int | None:
+    """The D of law "km:D" (the Kesten-McKay law), or None for "semicircle"."""
+    if law == "semicircle":
+        return None
+    if not law.startswith("km:"):
+        raise ValueError("--law must be semicircle or km:D")
+    try:
+        return int(law[len("km:"):])
+    except ValueError:
+        raise ValueError("--law km:D needs an integer D") from None
 
-    law is "semicircle" or "km:D" for the Kesten-McKay law of parameter D
-    (D >= 3; the D = 2 density is unbounded, so no uniform envelope exists).
+
+def sample_law(law: str, count: int, seed: int) -> list[float]:
+    """count draws of law, rejection-sampled from its uniform envelope.
+
+    law is parsed by parse_law.  km:D needs D >= 3: the D = 2 density is
+    unbounded, so no uniform envelope exists.  The draws depend only on
+    (law, count, seed).
     """
-
-    _fields = ("seed", "count", "law")
-
-    def __init__(self, seed: int, count: int, law: str = "semicircle"):
-        super().__init__(seed, count, law)
-
-    def density_and_support(self):
-        if self.law == "semicircle":
-            from .polymoments import semicircle_density
-
-            return semicircle_density, 2.0, 1.0 / math.pi
-        if self.law.startswith("km:"):
-            d = int(self.law.split(":", 1)[1])
-            if d < 3:
-                raise ValueError("kesten-mckay sampling needs d >= 3 (bounded density)")
-            return (lambda x: km_density(d, x)), km_support(d), km_density_max(d)
-        raise ValueError(f"unknown law {self.law!r}")
-
-
-def sample_law(cfg: SamplerConfig) -> list[float]:
-    """Rejection-sample the target law from its uniform envelope, deterministically."""
-    if cfg.count < 1:
+    d = parse_law(law)
+    if count < 1:
         raise ValueError("samples must be positive")
-    density, half_width, dmax = cfg.density_and_support()
-    rng = random.Random(cfg.seed)
+    if d is None:
+        density, half_width, dmax = semicircle_density, 2.0, 1.0 / math.pi
+    elif d < 3:
+        raise ValueError("kesten-mckay sampling needs d >= 3 (bounded density)")
+    else:
+        density, half_width, dmax = (lambda x: km_density(d, x)), km_support(d), km_density_max(d)
+    rng = random.Random(seed)
     out = []
-    while len(out) < cfg.count:
+    while len(out) < count:
         x = rng.uniform(-half_width, half_width)
         y = rng.uniform(0.0, dmax)
         if y <= density(x):

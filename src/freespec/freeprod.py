@@ -31,22 +31,29 @@ Word = tuple  # packed letters, top letter first; () is the root
 class FreePowerSpec(Frozen):
     """A connected rooted base graph together with a copy count N.
 
-    Carries the base's all-pairs distance table (BFS distances, so exact by
-    construction) and the root degree sigma.
+    The base's all-pairs distance table (BFS distances, so exact by
+    construction) and the root degree sigma are derived from the base when
+    first read.
     """
 
-    _fields = ("base", "copies", "apsp", "sigma")
+    _fields = ("base", "copies")
 
-    def __init__(
-        self, base: RootedGraph, copies: int, apsp: tuple[tuple[int, ...], ...], sigma: int
-    ):
-        super().__init__(base, copies, apsp, sigma)
+    def __init__(self, base: RootedGraph, copies: int):
+        super().__init__(base, copies)
+
+    @cached_property
+    def apsp(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(bfs_distances(self.base, v)) for v in range(self.base.vertex_count))
+
+    @cached_property
+    def sigma(self) -> int:
+        return self.base.degree(self.base.root)
 
     @cached_property
     def letter_costs(self) -> tuple[int, ...]:
         # cost of a packed letter = base distance from its vertex to the root
         n = self.base.vertex_count
-        root_row = [self.apsp[v][self.base.root] for v in range(n)]
+        root_row = self.apsp[self.base.root]
         return tuple(root_row[letter % n] for letter in range(self.copies * n))
 
     @cached_property
@@ -67,20 +74,14 @@ class FreePowerSpec(Frozen):
 
 
 def free_power(base: RootedGraph, copies: int) -> FreePowerSpec:
-    """Validate the base and assemble a FreePowerSpec for G^{*copies}."""
+    """Validate the base and the copy count of G^{*copies}."""
     if base.vertex_count < 2:
         raise ValueError("base graph needs at least 2 vertices")
     if not base.connected:
         raise ValueError("base graph must be connected")
     if copies < 1:
         raise ValueError("copies must be positive")
-    apsp = tuple(tuple(bfs_distances(base, v)) for v in range(base.vertex_count))
-    return FreePowerSpec(
-        base=base,
-        copies=copies,
-        apsp=apsp,
-        sigma=base.degree(base.root),
-    )
+    return FreePowerSpec(base, copies)
 
 
 def validate_word(spec: FreePowerSpec, word: Word) -> None:

@@ -53,20 +53,7 @@ class RootedGraph(Frozen):
 
     @cached_property
     def connected(self) -> bool:
-        if self.vertex_count == 0:
-            return True
-        seen = [False] * self.vertex_count
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            v = queue.popleft()
-            for u in self.neighbors[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    count += 1
-                    queue.append(u)
-        return count == self.vertex_count
+        return self.vertex_count == 0 or None not in bfs_distances(self, 0)
 
     @cached_property
     def _descending_neighbors(self) -> tuple[tuple[int, ...], ...]:

@@ -111,31 +111,7 @@ class JacobiParams(Frozen):
         return self.gamma[min(i, len(self.gamma) - 1)]
 
 
-class MomentSequence:
-    """Exact moments m_0..m_M of a probability law (m_0 = 1)."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        vals = tuple(Fraction(v) for v in values)
-        if not vals or vals[0] != 1:
-            raise ValueError("moment sequences start with m_0 = 1")
-        self.values = vals
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, m: int) -> Fraction:
-        return self.values[m]
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MomentSequence) and self.values == other.values
-
-
-def jacobi_moments(params: JacobiParams, max_m: int, p: Poly = X) -> MomentSequence:
+def jacobi_moments(params: JacobiParams, max_m: int, p: Poly = X) -> tuple[Fraction, ...]:
     """Moments of p(b), where b has the law of params: <e0, p(J)^m e0>.
 
     J is the Jacobi operator on levels 0, 1, ...: a step goes up with
@@ -145,6 +121,7 @@ def jacobi_moments(params: JacobiParams, max_m: int, p: Poly = X) -> MomentSeque
     path never climbs above half its length, so the chain truncated at
     deg(p) * max_m // 2 + 2 levels is exact.  The arithmetic is in Python
     ints when the parameters and p are integral, and in Fractions otherwise.
+    The result is m_0 = 1, ..., m_max_m, a tuple of Fractions.
     """
     if max_m < 0:
         raise ValueError("max_m must be nonnegative")
@@ -171,7 +148,7 @@ def jacobi_moments(params: JacobiParams, max_m: int, p: Poly = X) -> MomentSeque
             acc = nxt
         vec = acc
         moments.append(vec[0])
-    return MomentSequence(moments)
+    return tuple(map(Fraction, moments))
 
 
 def monic_orthogonal_poly(params: JacobiParams, k: int) -> Poly:
@@ -200,12 +177,12 @@ def kesten_mckay_params(d: int) -> JacobiParams:
     return JacobiParams(beta=(0,), gamma=(d, d - 1))
 
 
-def semicircle_moments(max_m: int) -> MomentSequence:
+def semicircle_moments(max_m: int) -> tuple[Fraction, ...]:
     """Moments of the standard semicircle law; even moments are Catalan."""
     return jacobi_moments(SEMICIRCLE, max_m)
 
 
-def kesten_mckay_moments(d: int, max_m: int) -> MomentSequence:
+def kesten_mckay_moments(d: int, max_m: int) -> tuple[Fraction, ...]:
     """Moments of the Kesten-McKay law (gamma_0 = d, gamma_n = d - 1)."""
     return jacobi_moments(kesten_mckay_params(d), max_m)
 
@@ -264,7 +241,7 @@ def km_density_max(d: int) -> float:
     return math.sqrt(d - 1) / (math.pi * d)
 
 
-def tree_distance_k_law_moments(d: int, k: int, max_m: int) -> MomentSequence:
+def tree_distance_k_law_moments(d: int, k: int, max_m: int) -> tuple[Fraction, ...]:
     """Exact law of the distance-k operator of the d-regular tree at the root.
 
     Computed entirely on the polynomial side: moments of Q_k(b) with b

@@ -137,7 +137,16 @@ def pairing_model(cfg: PairingConfig) -> RootedGraph:
 def trace_sample(
     d: int, k: int, n: int, max_m: int, seed: int, i: int, max_expansions: int
 ) -> list[Fraction]:
-    """Trace moments of the distance-k graph of sample i of order n."""
+    """Trace moments of the distance-k graph of sample i of order n.
+
+    The distance-k graph holds at most n * min(n - 1, d * (d - 1)^(k - 1))
+    entries.  That bound is charged to max_expansions before the sample is
+    paired, so a graph past the budget is refused before anything is built;
+    the trace walks are then charged to max_expansions on their own.
+    """
+    entries = n * min(n - 1, d * (d - 1) ** (k - 1))
+    if entries > max_expansions:
+        raise BudgetExceededError(entries, max_expansions, "distance-k graph entries")
     g = pairing_model(PairingConfig(n=n, d=d, seed=derive_seed(seed, n, i)))
     return trace_moments(distance_k_graph(g, k), max_m, max_expansions)
 

@@ -114,9 +114,8 @@ class ReportRow(Record):
 
     @property
     def abs_err(self) -> ExactScaled | None:
+        # a float value (km-density) never carries a reference
         if self.skipped or self.value is None or self.reference is None:
-            return None
-        if isinstance(self.value, float):
             return None
         # surd-scaled values only ever face a zero reference (odd powers)
         return self.value.sub_rational(self.reference.frac).abs()

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from freespec import cli, freeprod, regular
+from freespec.errors import BudgetExceededError
 from freespec.graphs import builtin_graph, cycle_graph, from_edge_list, parse_graph_text
 from oracles import format_graph_text
 
@@ -498,7 +499,7 @@ def test_input_errors_exit_1(capsys):
 
 
 def test_hist_checks_bins_before_sampling(capsys, monkeypatch):
-    def no_sampling(cfg):
+    def no_sampling(*args):
         raise AssertionError("sampled before checking --bins")
 
     monkeypatch.setattr(cli, "sample_law", no_sampling)
@@ -507,7 +508,7 @@ def test_hist_checks_bins_before_sampling(capsys, monkeypatch):
 
 
 def test_hist_checks_transform_before_sampling(capsys, monkeypatch):
-    def no_sampling(cfg):
+    def no_sampling(*args):
         raise AssertionError("sampled before checking --transform")
 
     monkeypatch.setattr(cli, "sample_law", no_sampling)
@@ -559,7 +560,7 @@ def test_budget_exhaustion_exits_2(capsys):
 
 def test_hist_and_km_density_charge_the_ball_budget_first(capsys, monkeypatch):
     # the values a command holds are charged before any is sampled or built
-    def no_sampling(cfg):
+    def no_sampling(*args):
         raise AssertionError("sampled before charging the ball budget")
 
     monkeypatch.setattr(cli, "sample_law", no_sampling)
@@ -668,3 +669,80 @@ def test_timing_flag_populates_wall_ms(capsys):
     )
     assert code == 0
     assert json.loads(out)["meta"]["wall_ms"] >= 0
+
+
+def test_regular_random_charges_the_distance_k_graph_before_pairing(capsys, monkeypatch):
+    # the distance-13 graph of a 3-regular graph on 20000 vertices may hold
+    # 20000 * min(19999, 3 * 2^12) = 245760000 entries, far past a budget of 1
+    def never(*args, **kwargs):
+        raise AssertionError("paired or built a graph past the walk budget")
+
+    monkeypatch.setattr(regular, "pairing_model", never)
+    monkeypatch.setattr(regular, "distance_k_graph", never)
+    code, out, err = run_cli(
+        capsys, "regular-random", "--d", "3", "--k", "13", "--n-list", "20000",
+        "--samples", "1", "--max-m", "2", "--walk-budget", "1",
+    )
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 3 and all(row[6:] == ["", "", "", ""] for row in rows)
+    with pytest.raises(BudgetExceededError, match="245760000 distance-k graph entries"):
+        regular.trace_sample(3, 13, 20000, 2, 0, 0, 245759999)
+
+
+def test_moments_takes_graph_or_law_not_both(capsys):
+    code, out, err = run_cli(capsys, "moments", "--graph", "builtin:k3", "--law", "km:3")
+    assert (code, out) == (1, "")
+    assert err == "error[USAGE]: moments takes --graph or --law, not both\n"
+
+
+@pytest.mark.parametrize("law, message", [
+    ("foo", "--law must be semicircle or km:D"),
+    ("km:x", "--law km:D needs an integer D"),
+])
+def test_moments_and_hist_reject_a_bad_law_alike(capsys, law, message):
+    for command in ("moments", "hist"):
+        code, out, err = run_cli(capsys, command, "--law", law)
+        assert (code, out, err) == (1, "", f"error[INPUT]: {message}\n"), command
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (("free-clt", "--graph", "builtin:k3", "--k", "1", "--N", "2,x"), 1,
+     "error[USAGE]: --N expects a comma-separated integer list\n"),
+    (("free-clt", "--graph", "builtin:k3", "--k", "1", "--N", ""), 1,
+     "error[USAGE]: --N must not be empty\n"),
+    (("hist", "--law", "semicircle", "--samples", "50", "--transform", "q:3:2"), 0, ""),
+    (("hist", "--law", "semicircle", "--samples", "50", "--transform", "p:0"), 0, ""),
+    (("decomp-check", "--mode", "square"), 1,
+     "error[USAGE]: --mode square needs --graph\n"),
+    (("decomp-check", "--mode", "tree", "--d", "3", "--k", "2"), 1,
+     "error[USAGE]: --mode tree needs --d, --k, --radius\n"),
+    (("decomp-check", "--mode", "free", "--graph", "builtin:k3", "--N", "2", "--k", "3"), 1,
+     "error[USAGE]: --mode free needs --graph, --N, --k, --radius\n"),
+    (("km-density", "--d", "3", "--range", "1"), 1, "error[USAGE]: --range expects lo,hi\n"),
+    (("km-density", "--d", "3", "--range", "a,b"), 1,
+     "error[USAGE]: --range expects numbers lo,hi\n"),
+])
+def test_flag_errors_and_rare_flags(capsys, argv, code, err):
+    assert run_cli(capsys, *argv)[::2] == (code, err)
+
+
+def test_surd_json_string(capsys):
+    code, out, _ = run_cli(
+        capsys, "free-clt", "--graph", "builtin:k3", "--k", "1", "--N", "3", "--max-m", "3",
+        "--format", "json",
+    )
+    assert code == 0
+    row = json.loads(out)["rows"][3]
+    assert (row["m"], row["value_exact"], row["reference_exact"]) == (3, "(1)/sqrt(6)", "0")
+
+
+@pytest.mark.parametrize("command", [
+    (), ("tree-check",), ("free-clt",), ("large-d",), ("regular-random",), ("cycles",),
+    ("decomp-check",), ("moments",), ("km-density",), ("hist",),
+])
+def test_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*command, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: freespec")

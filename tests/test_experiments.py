@@ -6,7 +6,6 @@ import pytest
 
 from freespec import freeprod
 from freespec.experiments import (
-    SamplerConfig,
     chebyshev_reference_moments,
     free_clt_experiment,
     normalized_value,
@@ -121,7 +120,7 @@ def test_csv_layout():
 
 
 def test_sample_law_semicircle_stats():
-    samples = sample_law(SamplerConfig(seed=12345, count=100_000))
+    samples = sample_law("semicircle", 100_000, 12345)
     n = len(samples)
     mean = sum(samples) / n
     m2 = sum(x * x for x in samples) / n
@@ -131,25 +130,24 @@ def test_sample_law_semicircle_stats():
 
 
 def test_sample_law_km_support():
-    cfg = SamplerConfig(seed=7, count=5000, law="km:3")
-    samples = sample_law(cfg)
+    samples = sample_law("km:3", 5000, 7)
     w = km_support(3)
     assert all(-w <= x <= w for x in samples)
 
 
 def test_sample_law_deterministic():
-    a = sample_law(SamplerConfig(seed=9, count=1000))
-    b = sample_law(SamplerConfig(seed=9, count=1000))
+    a = sample_law("semicircle", 1000, 9)
+    b = sample_law("semicircle", 1000, 9)
     assert a == b
 
 
 def test_sample_law_rejects_km2():
     with pytest.raises(ValueError):
-        sample_law(SamplerConfig(seed=1, count=10, law="km:2"))
+        sample_law("km:2", 10, 1)
 
 
 def test_pushforward_histogram():
-    samples = sample_law(SamplerConfig(seed=42, count=50_000))
+    samples = sample_law("semicircle", 50_000, 42)
     edges, counts = pushforward_histogram(Poly([-1, 0, 1]), samples, 10)
     assert len(edges) == 11 and len(counts) == 10
     assert sum(counts) == 50_000

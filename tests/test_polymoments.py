@@ -14,7 +14,6 @@ from freespec.graphs import bfs_distances
 from freespec.polymoments import (
     SEMICIRCLE,
     JacobiParams,
-    MomentSequence,
     Poly,
     chebyshev_monic,
     jacobi_moments,
@@ -269,6 +268,19 @@ def test_jacobi_moments_against_path_enumeration():
             assert ms[m] == weighted_path_moment(beta, gamma, m)
 
 
+def test_jacobi_moments_are_a_tuple_of_fractions_from_one():
+    # integer and rational arithmetic alike give exact Fractions with m_0 = 1
+    for params, p in [
+        (SEMICIRCLE, Poly([0, 1])),
+        (kesten_mckay_params(3), tree_distance_poly(3, 2)),
+        (JacobiParams(beta=(Fraction(1, 2),), gamma=(Fraction(2, 3),)), Poly([1, 0, 2])),
+        (SEMICIRCLE, Poly()),
+    ]:
+        ms = jacobi_moments(params, 5, p)
+        assert type(ms) is tuple and len(ms) == 6 and ms[0] == 1
+        assert all(type(m) is Fraction for m in ms)
+
+
 def test_jacobi_moments_first_moment_is_beta0():
     ms = jacobi_moments(JacobiParams(beta=(Fraction(5, 7),), gamma=(1,)), 3)
     assert ms[1] == Fraction(5, 7)
@@ -449,12 +461,4 @@ def test_hankel_positivity():
     assert hankel_positive(semicircle_moments(12))
     assert hankel_positive(kesten_mckay_moments(3, 12))
     assert hankel_positive(tree_distance_k_law_moments(3, 2, 8))
-    bad = MomentSequence([1, 0, -1])  # negative variance
-    assert not hankel_positive(bad)
-
-
-def test_moment_sequence_validation():
-    with pytest.raises(ValueError):
-        MomentSequence([2, 0])
-    ms = MomentSequence([1, 0, 1])
-    assert len(ms) == 3 and ms[2] == 1
+    assert not hankel_positive([1, 0, -1])  # negative variance
