@@ -696,14 +696,12 @@ def test_moments_takes_graph_or_law_not_both(capsys):
     assert err == "error[USAGE]: moments takes --graph or --law, not both\n"
 
 
-@pytest.mark.parametrize("law, message", [
-    ("foo", "--law must be semicircle or km:D"),
-    ("km:x", "--law km:D needs an integer D"),
-])
-def test_moments_and_hist_reject_a_bad_law_alike(capsys, law, message):
+def test_moments_and_hist_reject_an_unknown_law_alike(capsys):
+    # km:x gives one line in both too: test_input_errors_exit_1
     for command in ("moments", "hist"):
-        code, out, err = run_cli(capsys, command, "--law", law)
-        assert (code, out, err) == (1, "", f"error[INPUT]: {message}\n"), command
+        code, out, err = run_cli(capsys, command, "--law", "foo")
+        assert (code, out) == (1, ""), command
+        assert err == "error[INPUT]: --law must be semicircle or km:D\n", command
 
 
 @pytest.mark.parametrize("argv, code, err", [
@@ -724,7 +722,8 @@ def test_moments_and_hist_reject_a_bad_law_alike(capsys, law, message):
      "error[USAGE]: --range expects numbers lo,hi\n"),
 ])
 def test_flag_errors_and_rare_flags(capsys, argv, code, err):
-    assert run_cli(capsys, *argv)[::2] == (code, err)
+    got_code, _, got_err = run_cli(capsys, *argv)
+    assert (got_code, got_err) == (code, err)
 
 
 def test_surd_json_string(capsys):
