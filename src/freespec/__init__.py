@@ -18,13 +18,11 @@ from .graphs import (  # noqa: F401
     trace_moments,
 )
 from .freeprod import (  # noqa: F401
-    BallGraph,
     FreePowerSpec,
     ball,
     decomposition_check,
     distance_k_neighbors,
     free_power,
-    regular_tree_ball,
     tree_recurrence_check,
     vacuum_moments_distance_k,
     word_distance,

@@ -130,7 +130,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--ball-budget", type=int, default=Budgets().ball_vertices)
     common.add_argument(
         "--timing", action="store_true",
-        help="record real wall time in JSON meta (off keeps output reproducible)",
+        help="record real wall time in JSON meta; JSON only (off keeps output "
+        "reproducible)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -175,7 +176,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("moments", parents=[common])
     p.add_argument("--graph", default=None)
-    p.add_argument("--which", choices=("vacuum", "trace"), default="vacuum")
+    p.add_argument("--which", choices=("vacuum", "trace"), help="with --graph (default vacuum)")
     p.add_argument("--law", default=None, help="semicircle or km:D")
     p.add_argument("--max-m", type=int, default=8)
 
@@ -201,6 +202,8 @@ def _run(args) -> Report:
         raise _UsageError("--threads must be >= 1")
     if min(args.walk_budget, args.ball_budget) < 0:
         raise _UsageError("--walk-budget and --ball-budget must be >= 0")
+    if args.timing and args.format == "csv":
+        raise _UsageError("--timing is JSON-only: it needs --format json")
     if args.command == "tree-check":
         return tree_check_experiment(args.d, args.k, args.max_m, budgets)
     if args.command == "free-clt":
@@ -265,7 +268,7 @@ def _run_decomp(args, budgets: Budgets) -> Report:
         if args.d is None or args.k is None or args.radius is None:
             raise _UsageError("--mode tree needs --d, --k, --radius")
         violation = tree_recurrence_check(
-            args.d, args.k, args.radius, max_vertices=budgets.ball_vertices
+            args.d, args.k, args.radius, budgets.ball_vertices, budgets.walk_expansions
         )
         return _decomp_report(
             budgets, f"tree-d{args.d}", "radius", args.radius, args.k, violation
@@ -274,7 +277,9 @@ def _run_decomp(args, budgets: Budgets) -> Report:
         raise _UsageError("--mode free needs --graph, --N, --k, --radius")
     g, name = _load_graph(args.graph)
     spec = free_power(g, args.N)
-    report = decomposition_check(spec, args.k, args.radius, budgets.ball_vertices)
+    report = decomposition_check(
+        spec, args.k, args.radius, budgets.ball_vertices, budgets.walk_expansions
+    )
     return _decomp_report(
         budgets, f"{name}^*{args.N}", "radius", args.radius, args.k, report.max_violation
     )
@@ -284,6 +289,8 @@ def _run_moments(args, budgets: Budgets) -> Report:
     if args.law is not None:
         if args.graph is not None:
             raise _UsageError("moments takes --graph or --law, not both")
+        if args.which is not None:
+            raise _UsageError("--which applies to --graph, not --law")
         d = parse_law(args.law)
         if d is None:
             name, values = "semicircle", semicircle_moments(args.max_m)
@@ -294,11 +301,11 @@ def _run_moments(args, budgets: Budgets) -> Report:
         raise _UsageError("moments needs --graph or --law")
     else:
         g, name = _load_graph(args.graph)
-        if args.which == "vacuum":
+        param_name, param_value = "state", args.which or "vacuum"
+        if param_value == "vacuum":
             values = closed_walk_counts(g, g.root, args.max_m, budgets.walk_expansions)
         else:
             values = trace_moments(g, args.max_m, budgets.walk_expansions)
-        param_name, param_value = "state", args.which
     cells = [(param_value, [ExactScaled(v) for v in values])]
     rows = moment_rows("moments", name, param_name, None, cells, [None] * len(values))
     return Report(rows=rows, budgets=budgets)

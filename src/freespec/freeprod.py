@@ -99,11 +99,6 @@ def validate_word(spec: FreePowerSpec, word: Word) -> None:
     # top-to-bottom scan: prev_copy ends at the bottom letter, unused
 
 
-def root_distance(spec: FreePowerSpec, word: Word) -> int:
-    costs = spec.letter_costs
-    return sum(costs[letter] for letter in word)
-
-
 def word_neighbors(spec: FreePowerSpec, word: Word) -> list[Word]:
     """All free-power neighbors of a word, in a fixed deterministic order.
 
@@ -161,71 +156,38 @@ def word_distance(spec: FreePowerSpec, x: Word, y: Word, validate: bool = True) 
     return dx - costs[xs[-1]] + spec.apsp[va][vb] + dy - costs[ys[-1]]
 
 
-class BallGraph(Frozen):
-    """Truncated free power: all words with root_distance <= radius."""
+def _word_bfs(
+    spec: FreePowerSpec, source: Word, depth: int, max_vertices: int | None = None
+) -> dict[Word, int]:
+    """Each word within graph distance depth of source, with that distance, in BFS order.
 
-    _fields = ("spec", "graph", "words", "radius")
+    Layer by layer over word_neighbors.  With max_vertices, raises
+    BudgetExceededError as soon as more than max_vertices words are found.
+    """
+    dist = {source: 0}
+    frontier = [source]
+    for step in range(1, depth + 1):
+        nxt = []
+        for w in frontier:
+            for nb in word_neighbors(spec, w):
+                if nb not in dist:
+                    dist[nb] = step
+                    nxt.append(nb)
+                    if max_vertices is not None and len(dist) > max_vertices:
+                        raise BudgetExceededError(len(dist), max_vertices, "ball vertices")
+        frontier = nxt
+    return dist
 
-    def __init__(
-        self, spec: FreePowerSpec, graph: RootedGraph, words: tuple[Word, ...], radius: int
-    ):
-        super().__init__(spec, graph, words, radius)
 
-    @cached_property
-    def root_distances(self) -> tuple[int, ...]:
-        return tuple(root_distance(self.spec, w) for w in self.words)
+def ball(spec: FreePowerSpec, radius: int, max_vertices: int = DEFAULT_BALL_BUDGET) -> dict:
+    """The radius-ball of G^{*N}: {word: root distance} in BFS order from the root.
 
-    def interior_indices(self, margin: int) -> list[int]:
-        cutoff = self.radius - margin
-        return [i for i, r in enumerate(self.root_distances) if r <= cutoff]
-
-
-def ball(spec: FreePowerSpec, radius: int, max_vertices: int = DEFAULT_BALL_BUDGET) -> BallGraph:
-    """Materialize the radius-ball of G^{*N} with its induced adjacency.
-
-    Discovery only ever expands words strictly inside the radius: every word
-    is reachable from the root along a path of nondecreasing root distance
-    (build each letter along its in-copy geodesic).
+    The root distance of a word is its graph distance from the root, so it
+    is the BFS depth.  The ball is charged to max_vertices as it grows.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    words: list[Word] = [()]
-    dist = {(): 0}
-    queue = deque([()])
-    while queue:
-        w = queue.popleft()
-        if dist[w] >= radius:
-            continue
-        for nb in word_neighbors(spec, w):
-            if nb in dist:
-                continue
-            d = root_distance(spec, nb)
-            if d <= radius:
-                dist[nb] = d
-                words.append(nb)
-                if len(words) > max_vertices:
-                    raise BudgetExceededError(len(words), max_vertices, "ball vertices")
-                queue.append(nb)
-    index = {w: i for i, w in enumerate(words)}
-    adj: list[list[int]] = [[] for _ in words]
-    for i, w in enumerate(words):
-        for nb in word_neighbors(spec, w):
-            j = index.get(nb)
-            if j is not None:
-                adj[i].append(j)
-    graph = RootedGraph(
-        vertex_count=len(words),
-        root=0,
-        neighbors=tuple(tuple(sorted(row)) for row in adj),
-    )
-    return BallGraph(spec=spec, graph=graph, words=tuple(words), radius=radius)
-
-
-def regular_tree_ball(d: int, radius: int, max_vertices: int = DEFAULT_BALL_BUDGET) -> BallGraph:
-    """Radius-ball of the d-regular tree, realized as the d-fold free power of K2."""
-    if d < 2:
-        raise ValueError("tree degree must be >= 2")
-    return ball(free_power(complete_graph(2), d), radius, max_vertices)
+    return _word_bfs(spec, (), radius, max_vertices)
 
 
 def _segment_pool(spec: FreePowerSpec, bound: int, budget: int | None = None):
@@ -652,7 +614,10 @@ def vacuum_moments_distance_k(
 
 
 class DecompositionReport(Frozen):
-    """Outcome of an entrywise decomposition check over interior ball pairs."""
+    """Outcome of an entrywise decomposition check over interior ball pairs.
+
+    pairs_checked counts the pairs within distance k+1: the rest are zero.
+    """
 
     _fields = ("max_violation", "pairs_checked", "d_entries_nonzero", "delta_entries_nonzero")
 
@@ -666,8 +631,32 @@ class DecompositionReport(Frozen):
         super().__init__(max_violation, pairs_checked, d_entries_nonzero, delta_entries_nonzero)
 
 
+def _check_rows(spec: FreePowerSpec, k: int, rds: dict, cutoff: int, budget: int):
+    """The BFS row to depth k+1 of each interior word, charged before the first.
+
+    The interior is the words of the ball rds at root distance <= cutoff,
+    in ball order.  Row b is {a: d(a, b)} over the words a within k+1 of b.
+    A pair further apart has zero on both sides of either checked identity:
+    d(a, l) > k for every neighbour l of b.  With D the maximum degree of
+    G^{*N}, the BFS of a row scans the neighbours of the words within k of
+    b, and a check scans at most D neighbours for b and for each word of
+    its row.  The words within r of one word number at most
+    1 + D + ... + D^r, and for every k >= 2 (k >= 3 when D = 1) the whole
+    row then takes at most D * (1 + D + ... + D^(k+1)) neighbour scans.
+    That times the interior words is charged to budget before any row.
+    """
+    interior = [w for w, r in rds.items() if r <= cutoff]
+    degree = max(map(len, spec.base.neighbors)) + (spec.copies - 1) * spec.sigma
+    steps = len(interior) * sum(degree**i for i in range(k + 2)) * degree
+    if steps > budget:
+        raise BudgetExceededError(steps, budget, "check-row neighbour scans")
+    for b in interior:
+        yield b, _word_bfs(spec, b, k + 1)
+
+
 def decomposition_check(
-    spec: FreePowerSpec, k: int, radius: int, max_vertices: int = DEFAULT_BALL_BUDGET
+    spec: FreePowerSpec, k: int, radius: int,
+    max_vertices: int = DEFAULT_BALL_BUDGET, budget: int = DEFAULT_WALK_BUDGET,
 ) -> DecompositionReport:
     """Entrywise check of the distance-k product decomposition on the radius-ball.
 
@@ -683,29 +672,27 @@ def decomposition_check(
     fresh-copy count deviates from (N-1) deg(e), so those transposed entries
     are outside the identity's domain.  k and radius are checked before the
     ball is built, and the ball is charged to max_vertices as it grows.
+    Row j visits the interior i within k+1 of it that come no later in ball
+    order; the rows are charged to budget first (see _check_rows).
     """
     if k < 3:
         raise ValueError("decomposition check needs k >= 3")
     if radius < k + 2:
         raise RadiusTooSmallError(f"radius {radius} < k + 2 = {k + 2}")
-    ball_graph = ball(spec, radius, max_vertices)
-    words = ball_graph.words
-    rds = ball_graph.root_distances
-    interior = ball_graph.interior_indices(1)
+    rds = ball(spec, radius, max_vertices)
     fresh = (spec.copies - 1) * spec.sigma
     max_violation = 0
     pairs = 0
     d_nonzero = 0
     delta_nonzero = 0
-    nbrs_cache = {b: word_neighbors(spec, words[b]) for b in interior}
-    for bi, b in enumerate(interior):
-        wb = words[b]
-        nbrs_b = nbrs_cache[b]
-        for a in interior[: bi + 1]:
-            wa = words[a]
-            if rds[a] > rds[b]:
+    done = set()
+    for wb, row in _check_rows(spec, k, rds, radius - 1, budget):
+        done.add(wb)
+        rd_b = rds[wb]
+        nbrs_b = word_neighbors(spec, wb)
+        for wa, dij in row.items():
+            if wa not in done or rds[wa] > rd_b:
                 continue
-            dij = word_distance(spec, wa, wb, validate=False)
             lhs = 0
             d_entry = 0
             for l in nbrs_b:
@@ -728,37 +715,36 @@ def decomposition_check(
             violation = abs(lhs - rhs)
             if violation > max_violation:
                 max_violation = violation
-    return DecompositionReport(
-        max_violation=max_violation,
-        pairs_checked=pairs,
-        d_entries_nonzero=d_nonzero,
-        delta_entries_nonzero=delta_nonzero,
-    )
+    return DecompositionReport(max_violation, pairs, d_nonzero, delta_nonzero)
 
 
 def tree_recurrence_check(
-    d: int, k: int, radius: int, max_vertices: int = DEFAULT_BALL_BUDGET
+    d: int, k: int, radius: int,
+    max_vertices: int = DEFAULT_BALL_BUDGET, budget: int = DEFAULT_WALK_BUDGET,
 ) -> int:
     """Max entrywise violation of A A^{[k]} = A^{[k+1]} + (d-1) A^{[k-1]}.
 
-    Checked on the d-regular tree ball over pairs with both endpoints at
-    root_distance <= radius - k - 1; BFS inside a tree ball gives exact
-    distances, so the entries there match the infinite tree.  The ball is
-    charged to max_vertices as it grows.
+    Checked on the words of K2^{*d}, the d-regular tree, over pairs with
+    both endpoints at root_distance <= radius - k - 1.  The radius-ball is
+    built, and charged to max_vertices as it grows, for that interior; the
+    rows come from BFS over the whole tree, so the distances are exact, and
+    they are charged to budget first (see _check_rows).
     """
     if k < 2:
         raise ValueError("recurrence check needs k >= 2")
     if radius < k + 2:
         raise RadiusTooSmallError(f"radius {radius} < k + 2 = {k + 2}")
-    bg = regular_tree_ball(d, radius, max_vertices)
-    g = bg.graph
-    interior = bg.interior_indices(k + 1)
+    if d < 2:
+        raise ValueError("tree degree must be >= 2")
+    spec = free_power(complete_graph(2), d)
+    cutoff = radius - k - 1
+    rds = ball(spec, radius, max_vertices)
     max_violation = 0
-    for j in interior:
-        dist_j = bfs_distances(g, j, depth_cap=k + 1)
-        for i in interior:
-            lhs = sum(1 for l in g.neighbors[i] if dist_j[l] == k)
-            dij = dist_j[i]
+    for j, row in _check_rows(spec, k, rds, cutoff, budget):
+        for i, dij in row.items():
+            if rds[i] > cutoff:
+                continue
+            lhs = sum(1 for l in word_neighbors(spec, i) if row.get(l) == k)
             rhs = (1 if dij == k + 1 else 0) + (d - 1) * (1 if dij == k - 1 else 0)
             max_violation = max(max_violation, abs(lhs - rhs))
     return max_violation

@@ -3,15 +3,17 @@
 Values inside reports stay exact (rationals, possibly divided by the square
 root of an integer for odd normalization powers); floating point only
 appears at render time.  Rendering is deterministic: identical inputs give
-byte-identical output.  An exact value past the float range renders in CSV
-from the value itself, in the same 12-digit shape, and as null in JSON,
-whose *_exact fields carry it.  A surd (sqrt_den > 1) also renders in CSV
+byte-identical output.  A nonzero exact value outside the normal float
+range (past its top, or below sys.float_info.min) renders in CSV from the
+value itself, in the same 12-digit shape, and as null in JSON, whose
+*_exact fields carry it.  A surd (sqrt_den > 1) also renders in CSV
 from the value itself, so its 12 digits are rounded once; JSON floats and
 rational CSV cells go through float.
 """
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from . import __version__
@@ -128,8 +130,9 @@ class ReportRow(Record):
             return None
         try:
             return err.to_float() / abs(ref.to_float())
-        except OverflowError:
-            # references are rational, and so is err against a nonzero one
+        except (OverflowError, ZeroDivisionError):
+            # outside the float range: references are rational, and so is
+            # err against a nonzero one
             return float(err.frac / abs(ref.frac))
 
 
@@ -225,13 +228,15 @@ def fmt12_exact(v: ExactScaled) -> str:
 
 
 def _float(v: ExactScaled | float | None) -> float | None:
-    """v as a float; None for no value and for exact values past the float range."""
+    """v as a float; None for no value and for nonzero exact values outside
+    the normal float range, past its top or below sys.float_info.min."""
     if not isinstance(v, ExactScaled):
         return v
     try:
-        return v.to_float()
+        x = v.to_float()
     except OverflowError:
         return None
+    return None if v.frac and abs(x) < sys.float_info.min else x
 
 
 def _csv_cell(v: ExactScaled | float | None) -> str:

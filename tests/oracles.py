@@ -4,28 +4,39 @@ The oracles recompute expected values by a route disjoint from the package
 implementation: brute-force enumeration, Floyd-Warshall distances, Hankel
 determinants, adaptive quadrature, and the polynomial-power pushforward
 with the hand-written recursions of the Chebyshev and tree polynomials.
-Keep it that way; these are the cross-checks.  The one exception is
-layered_distance_k_walks, which reuses the package's neighbor enumeration
-and nothing else.
+Keep it that way; these are the cross-checks.  The exceptions reuse the
+package's neighbor enumeration and nothing else: layered_distance_k_walks,
+and materialized_ball, which adds the induced adjacency to the package's
+ball, with the pair loops of the two ball checks built on it.
 
 The helpers only build inputs or read one value: random_graph generates
 seeded graphs, format_graph_text writes the graph text format, make_word
 and word_letters pack and unpack words, vacuum_moment and trace_moment
 read one entry of the package's moment lists, graph_edges lists a graph's
-edges, diameter reads a free power's base diameter, report_row finds a
-report row, and exact_less orders two exact values.
+edges, diameter reads a free power's base diameter, root_distance sums a
+word's letter costs, report_row finds a report row, and exact_less orders
+two exact values.
 """
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
 from freespec.freeprod import (
+    ball,
     distance_k_neighbors,
-    root_distance,
+    free_power,
     validate_word,
+    word_distance,
     word_neighbors,
 )
-from freespec.graphs import closed_walk_counts, from_edge_list, trace_moments
+from freespec.graphs import (
+    RootedGraph,
+    bfs_distances,
+    closed_walk_counts,
+    complete_graph,
+    from_edge_list,
+    trace_moments,
+)
 from freespec.polymoments import Poly
 
 
@@ -76,6 +87,12 @@ def exact_less(a, b):
     lhs = x * x * b.sqrt_den
     rhs = y * y * a.sqrt_den
     return lhs < rhs if x > 0 else lhs > rhs
+
+
+def root_distance(spec, word):
+    """The root distance of a word: the sum of its letters' costs."""
+    costs = spec.letter_costs
+    return sum(costs[letter] for letter in word)
 
 
 def make_word(spec, letters):
@@ -181,6 +198,109 @@ def layered_distance_k_walks(spec, k, max_m):
             fa, fb = fb, fa
         moments.append(sum(c * fb.get(w, 0) for w, c in fa.items()))
     return moments
+
+
+class MaterializedBall:
+    """A radius-ball of a free power with its induced adjacency as a RootedGraph.
+
+    words and root_distances list the ball in the package's BFS order, and
+    vertex i of graph is words[i]; the root is vertex 0.
+    """
+
+    def __init__(self, spec, radius, max_vertices=10**6):
+        rds = ball(spec, radius, max_vertices)
+        self.spec, self.radius = spec, radius
+        self.words = tuple(rds)
+        self.root_distances = tuple(rds.values())
+        index = {w: i for i, w in enumerate(self.words)}
+        adj = [[] for _ in self.words]
+        for i, w in enumerate(self.words):
+            for nb in word_neighbors(spec, w):
+                j = index.get(nb)
+                if j is not None:
+                    adj[i].append(j)
+        self.graph = RootedGraph(
+            vertex_count=len(self.words),
+            root=0,
+            neighbors=tuple(tuple(sorted(row)) for row in adj),
+        )
+
+    def interior_indices(self, margin):
+        cutoff = self.radius - margin
+        return [i for i, r in enumerate(self.root_distances) if r <= cutoff]
+
+
+def regular_tree_ball(d, radius, max_vertices=10**6):
+    """Radius-ball of the d-regular tree, realized as the d-fold free power of K2."""
+    if d < 2:
+        raise ValueError("tree degree must be >= 2")
+    return MaterializedBall(free_power(complete_graph(2), d), radius, max_vertices)
+
+
+def pair_decomposition_check(spec, k, radius):
+    """The free-power decomposition check over every pair of interior ball words.
+
+    The loop body is the package's (see freeprod.decomposition_check); this
+    visits each pair (a, b) with a no later than b in ball order and
+    root_distance(a) <= root_distance(b), whatever their distance.  Returns
+    max_violation, the pairs visited, the pairs within distance k+1, and
+    the nonzero counts of the top-copy and same-distance entries.
+    """
+    bg = MaterializedBall(spec, radius)
+    words, rds = bg.words, bg.root_distances
+    interior = bg.interior_indices(1)
+    fresh = (spec.copies - 1) * spec.sigma
+    out = dict(max_violation=0, pairs=0, pairs_within=0, d_nonzero=0, delta_nonzero=0)
+    for bi, b in enumerate(interior):
+        wb = words[b]
+        nbrs_b = word_neighbors(spec, wb)
+        for a in interior[: bi + 1]:
+            wa = words[a]
+            if rds[a] > rds[b]:
+                continue
+            dij = word_distance(spec, wa, wb, validate=False)
+            lhs = 0
+            d_entry = 0
+            for l in nbrs_b:
+                if word_distance(spec, wa, l, validate=False) != k:
+                    continue
+                lhs += 1
+                if wb and (l == wb[1:] or (len(l) == len(wb) and l[1:] == wb[1:])):
+                    d_entry += 1
+            if dij == k + 1 or dij == k:
+                rhs = lhs
+                if dij == k and lhs:
+                    out["delta_nonzero"] += 1
+            elif dij == k - 1:
+                rhs = fresh + d_entry
+                if d_entry:
+                    out["d_nonzero"] += 1
+            else:
+                rhs = 0
+            out["pairs"] += 1
+            out["pairs_within"] += dij <= k + 1
+            out["max_violation"] = max(out["max_violation"], abs(lhs - rhs))
+    return out
+
+
+def pair_tree_recurrence_check(d, k, radius):
+    """Max violation of A A^{[k]} = A^{[k+1]} + (d-1) A^{[k-1]} over all interior pairs.
+
+    Distances come from BFS in the materialized tree ball, whose interior
+    (root distance <= radius - k - 1) sees exact tree distances to k+1.
+    """
+    bg = regular_tree_ball(d, radius)
+    g = bg.graph
+    interior = bg.interior_indices(k + 1)
+    max_violation = 0
+    for j in interior:
+        dist_j = bfs_distances(g, j, depth_cap=k + 1)
+        for i in interior:
+            lhs = sum(1 for l in g.neighbors[i] if dist_j[l] == k)
+            dij = dist_j[i]
+            rhs = (1 if dij == k + 1 else 0) + (d - 1) * (1 if dij == k - 1 else 0)
+            max_violation = max(max_violation, abs(lhs - rhs))
+    return max_violation
 
 
 def floyd_warshall(g):

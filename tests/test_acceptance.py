@@ -11,7 +11,6 @@ import intmat
 from freespec import cli
 from freespec.experiments import free_clt_experiment
 from freespec.freeprod import (
-    ball,
     decomposition_check,
     free_power,
     tree_recurrence_check,
@@ -31,7 +30,14 @@ from freespec.polymoments import (
     tree_distance_k_law_moments,
 )
 from freespec.regular import cycles_experiment, regular_limit_experiment
-from oracles import diameter, exact_less, km_moment_quad, random_graph, report_row
+from oracles import (
+    MaterializedBall,
+    diameter,
+    exact_less,
+    km_moment_quad,
+    random_graph,
+    report_row,
+)
 
 SEED = 0
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
@@ -138,7 +144,7 @@ def test_criterion_6_word_metric_oracle():
     ]
     for base, copies, radius in cases:
         spec = free_power(base, copies)
-        bg = ball(spec, radius)
+        bg = MaterializedBall(spec, radius)
         cutoff = radius - diameter(spec)
         admissible = [i for i, r in enumerate(bg.root_distances) if r <= cutoff]
         mismatches = 0

@@ -140,6 +140,20 @@ def test_values_past_the_float_range_render(capsys, argv):
     assert past > 0
 
 
+def test_values_below_the_float_range_render(capsys):
+    # m = 3 on k4^{*N} with N = 10^700 is about 1.1547e-350, below any float
+    n = "1" + "0" * 700
+    argv = ("free-clt", "--graph", "builtin:k4", "--k", "1", "--N", n, "--max-m", "3")
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    row = json.loads(out, parse_constant=_reject_constant)["rows"][3]
+    assert (row["value"], row["abs_err"], row["reference"]) == (None, None, 0)
+    assert row["value_exact"] == f"(1/5{'0' * 349})/sqrt(3)"
+    code, out, _ = run_cli(capsys, *argv)
+    cells = out.splitlines()[4].split(",")
+    assert cells[6:] == ["1.15470053838e-350", "0", "1.15470053838e-350", ""]
+
+
 def test_moments_graph_vacuum(capsys):
     code, out, _ = run_cli(
         capsys, "moments", "--graph", "builtin:k3", "--which", "vacuum", "--max-m", "3"
@@ -468,6 +482,8 @@ def test_usage_errors_exit_1(capsys):
         ("large-d", "--k", "1", "--d-list", "2,3", "--threads", "0"),
         ("free-clt", "--graph", "builtin:c4", "--k", "2", "--N", "2", "--walk-budget", "-5"),
         ("free-clt", "--graph", "builtin:c4", "--k", "2", "--N", "2", "--ball-budget", "-1"),
+        ("moments", "--law", "km:3", "--which", "trace", "--max-m", "2"),  # --which needs --graph
+        ("tree-check", "--d", "3", "--k", "2", "--timing"),           # --timing is JSON-only
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1, argv
@@ -586,6 +602,26 @@ def test_hist_and_km_density_charge_the_ball_budget_first(capsys, monkeypatch):
     assert code == 0 and len(out.splitlines()) == 21
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--mode", "free", "--graph", "builtin:k3", "--N", "3", "--k", "3", "--radius", "7"),
+        ("--mode", "tree", "--d", "3", "--k", "3", "--radius", "17"),
+    ],
+)
+def test_decomp_check_rows_honour_the_walk_budget(argv):
+    # the rows are charged before the first; the balls fit the ball budget
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "freespec.cli", "decomp-check", *argv, "--walk-budget", "1"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error[BUDGET]: budget exceeded: ")
+    assert lines[0].endswith(" check-row neighbour scans (budget 1)")
+
+
 def test_tree_decomp_check_honours_ball_budget(capsys):
     # the radius-5 ball of the 3-regular tree has 94 vertices
     argv = ("decomp-check", "--mode", "tree", "--d", "3", "--k", "2", "--radius", "5")
@@ -671,6 +707,17 @@ def test_timing_flag_populates_wall_ms(capsys):
     assert json.loads(out)["meta"]["wall_ms"] >= 0
 
 
+def test_timing_is_json_only(capsys):
+    # CSV has nowhere to put the wall time, so the pair is refused
+    for argv in (("--timing",), ("--timing", "--format", "csv")):
+        code, out, err = run_cli(capsys, "tree-check", "--d", "3", "--k", "2", *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == "error[USAGE]: --timing is JSON-only: it needs --format json\n"
+    with pytest.raises(SystemExit):
+        cli.main(["tree-check", "--help"])
+    assert "JSON meta; JSON only" in " ".join(capsys.readouterr().out.split())
+
+
 def test_regular_random_charges_the_distance_k_graph_before_pairing(capsys, monkeypatch):
     # the distance-13 graph of a 3-regular graph on 20000 vertices may hold
     # 20000 * min(19999, 3 * 2^12) = 245760000 entries, far past a budget of 1
@@ -694,6 +741,16 @@ def test_moments_takes_graph_or_law_not_both(capsys):
     code, out, err = run_cli(capsys, "moments", "--graph", "builtin:k3", "--law", "km:3")
     assert (code, out) == (1, "")
     assert err == "error[USAGE]: moments takes --graph or --law, not both\n"
+    # --which picks the state of a graph, so a law refuses it
+    for which in ("vacuum", "trace"):
+        code, out, err = run_cli(capsys, "moments", "--law", "km:3", "--which", which)
+        assert (code, out) == (1, ""), which
+        assert err == "error[USAGE]: --which applies to --graph, not --law\n"
+    # with --graph it defaults to the vacuum state
+    default = run_cli(capsys, "moments", "--graph", "builtin:c4", "--max-m", "4")
+    assert default == run_cli(
+        capsys, "moments", "--graph", "builtin:c4", "--which", "vacuum", "--max-m", "4"
+    )
 
 
 def test_moments_and_hist_reject_an_unknown_law_alike(capsys):

@@ -1,6 +1,7 @@
 """Edge-case contracts: validation errors, degenerate inputs, report internals."""
 import ast
 import inspect
+import json
 import os
 import pickle
 import subprocess
@@ -32,6 +33,7 @@ from freespec.reports import (
     fmt12,
     fmt12_exact,
     render_csv,
+    render_json,
 )
 from oracles import (
     format_word,
@@ -47,7 +49,7 @@ def test_single_copy_free_power():
     # N = 1 degenerates to the base graph itself
     spec = free_power(complete_graph(2), 1)
     assert vacuum_moments_distance_k(spec, 1, 4) == [1, 0, 1, 0, 1]
-    assert len(ball(spec, 3).words) == 2
+    assert len(ball(spec, 3)) == 2
 
 
 def test_word_distance_validates_reduction():
@@ -68,9 +70,7 @@ def test_word_round_trip_and_format():
 
 def test_ball_radius_zero():
     spec = free_power(complete_graph(3), 2)
-    bg = ball(spec, 0)
-    assert bg.words == ((),)
-    assert bg.graph.edge_count == 0
+    assert ball(spec, 0) == {(): 0}
 
 
 def test_hankel_positcheck_across_produced_sequences():
@@ -129,6 +129,31 @@ def test_fmt12_exact_has_the_shape_of_fmt12():
     assert fmt12_exact(ExactScaled(Fraction(1, 10**4), 2)) == "7.07106781187e-05"
     assert fmt12_exact(ExactScaled(Fraction(10**12), 2)) == "707106781187"
     assert fmt12_exact(ExactScaled(Fraction(-(10**23)), 2)) == "-7.07106781187e+22"
+
+
+def test_values_below_the_normal_float_range_render_exactly():
+    # a subnormal float or 0.0 would lose digits: JSON null, CSV from the value
+    for frac, cell in [
+        (Fraction(1, 10**310), "1e-310"),
+        (Fraction(-3, 10**400), "-3e-400"),
+        (Fraction(1, 10**307), "1e-307"),
+    ]:
+        row = ReportRow("free-clt", "g", "N", 2, 1, 3, ExactScaled(frac), ExactScaled(Fraction(0)))
+        report = Report(rows=[row])
+        assert render_csv(report).splitlines()[1].split(",")[6] == cell
+        shown = json.loads(render_json(report))["rows"][0]
+        assert shown["value_exact"] == str(frac)
+        if abs(frac) < Fraction(sys.float_info.min):
+            assert (shown["value"], shown["abs_err"]) == (None, None)
+        else:
+            assert shown["value"] == float(frac)
+    # a reference that small still gives the relative error, from the exact values
+    value, reference = (ExactScaled(Fraction(c, 10**400)) for c in (3, 2))
+    row = ReportRow("free-clt", "g", "N", 2, 1, 3, value, reference)
+    assert row.rel_err == 0.5
+    assert render_csv(Report(rows=[row])).splitlines()[1].split(",")[6:] == [
+        "3e-400", "2e-400", "1e-400", "0.5",
+    ]
 
 
 def test_surd_cells_render_from_the_exact_value():

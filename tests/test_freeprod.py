@@ -26,8 +26,6 @@ from freespec.freeprod import (
     decomposition_check,
     distance_k_neighbors,
     free_power,
-    regular_tree_ball,
-    root_distance,
     tree_recurrence_check,
     validate_word,
     vacuum_moments_distance_k,
@@ -43,11 +41,16 @@ from freespec.graphs import (
     path_graph,
 )
 from oracles import (
+    MaterializedBall,
     brute_distance_k_walks,
     diameter,
     graph_edges,
     layered_distance_k_walks,
     make_word,
+    pair_decomposition_check,
+    pair_tree_recurrence_check,
+    regular_tree_ball,
+    root_distance,
     vacuum_moment,
 )
 
@@ -115,7 +118,7 @@ def metric_vs_bfs_mismatches(base, copies, radius):
     which guarantees geodesics stay inside the ball.
     """
     spec = free_power(base, copies)
-    bg = ball(spec, radius)
+    bg = MaterializedBall(spec, radius)
     cutoff = radius - diameter(spec)
     admissible = [i for i, r in enumerate(bg.root_distances) if r <= cutoff]
     mismatches = 0
@@ -140,8 +143,8 @@ def test_metric_oracle_tree():
     assert metric_vs_bfs_mismatches(K2, 3, 6) == 0
 
 
-def _random_ball_word(rng, bg):
-    return bg.words[rng.randrange(len(bg.words))]
+def _random_ball_word(rng, words):
+    return words[rng.randrange(len(words))]
 
 
 @given(st.integers(0, 10**6))
@@ -149,8 +152,8 @@ def _random_ball_word(rng, bg):
 def test_word_distance_is_a_metric(seed):
     rng = random.Random(seed)
     spec = free_power(C4, 3)
-    bg = ball(spec, 4)
-    x, y, z = (_random_ball_word(rng, bg) for _ in range(3))
+    words = tuple(ball(spec, 4))
+    x, y, z = (_random_ball_word(rng, words) for _ in range(3))
     dxy = word_distance(spec, x, y)
     assert dxy == word_distance(spec, y, x)
     assert (dxy == 0) == (x == y)
@@ -158,10 +161,10 @@ def test_word_distance_is_a_metric(seed):
 
 
 def test_ball_sizes():
-    assert len(regular_tree_ball(3, 2).words) == 10
-    assert len(ball(free_power(K3, 2), 1).words) == 5
-    assert len(ball(free_power(K3, 2), 2).words) == 13
-    assert len(regular_tree_ball(4, 2).words) == 17
+    assert len(ball(free_power(K2, 3), 2)) == 10
+    assert len(ball(free_power(K3, 2), 1)) == 5
+    assert len(ball(free_power(K3, 2), 2)) == 13
+    assert len(ball(free_power(K2, 4), 2)) == 17
 
 
 def test_tree_ball_degenerate_cases():
@@ -174,15 +177,20 @@ def test_tree_ball_degenerate_cases():
 
 
 def test_ball_budget():
-    with pytest.raises(BudgetExceededError):
-        regular_tree_ball(3, 8, max_vertices=50)
+    # the ball stops at the first word past its budget: 766 words fit K2^{*3} at radius 8
+    spec = free_power(K2, 3)
+    assert len(ball(spec, 8, max_vertices=766)) == 766
+    for budget in (50, 765):
+        with pytest.raises(BudgetExceededError) as info:
+            ball(spec, 8, max_vertices=budget)
+        assert str(info.value) == f"budget exceeded: {budget + 1} ball vertices (budget {budget})"
 
 
 def test_ball_degrees():
     # root degree N * sigma; non-root word v.u has degree deg(v) + (N-1) * sigma
     for base, copies in [(K3, 2), (C4, 2), (P3, 3), (K2, 4)]:
         spec = free_power(base, copies)
-        bg = ball(spec, 4)
+        bg = MaterializedBall(spec, 4)
         g = bg.graph
         assert g.degree(0) == copies * spec.sigma
         for i, w in enumerate(bg.words):
@@ -213,7 +221,7 @@ def test_distance_k_neighbors_against_ball_bfs():
     # words within the safe region must see exactly the BFS distance-k sphere
     for base, copies, radius, k in [(K3, 2, 5, 2), (C4, 2, 6, 2), (P3, 2, 6, 3), (K2, 3, 6, 2)]:
         spec = free_power(base, copies)
-        bg = ball(spec, radius)
+        bg = MaterializedBall(spec, radius)
         cutoff = radius - k - diameter(spec)
         for i, w in enumerate(bg.words):
             if bg.root_distances[i] > cutoff:
@@ -230,8 +238,7 @@ def test_distance_k_neighbors_root_distance_bound():
     # the bound must act as a filter on root distance, and nothing more
     for base, copies, radius in [(K3, 3, 3), (C4, 2, 4), (P3, 3, 4), (P4, 2, 4), (K2, 3, 4)]:
         spec = free_power(base, copies)
-        for w in ball(spec, radius).words:
-            rd = root_distance(spec, w)
+        for w, rd in ball(spec, radius).items():
             for k in (1, 2, 3):
                 full = distance_k_neighbors(spec, w, k)
                 for bound in range(max(rd - k - 1, 0), rd + k + 2):
@@ -460,7 +467,7 @@ def test_walk_engine_small_n_pays_for_its_own_copies():
 
 
 def _materialized_moment(spec, k, m, max_vertices):
-    bg = ball(spec, m * k, max_vertices=max_vertices)
+    bg = MaterializedBall(spec, m * k, max_vertices)
     return vacuum_moment(distance_k_graph(bg.graph, k), m)
 
 
@@ -488,7 +495,7 @@ def test_vacuum_moments_match_materialized_balls_trees():
             top_m = None
             for m in range(4, 0, -1):
                 try:
-                    bg = ball(spec, m * k, max_vertices=budget)
+                    bg = MaterializedBall(spec, m * k, budget)
                 except BudgetExceededError:
                     continue  # not small enough to materialize
                 top_m = m
@@ -570,6 +577,88 @@ def test_decomposition_check_radius_guard():
     # the ball is charged to its budget as it grows
     with pytest.raises(BudgetExceededError):
         decomposition_check(spec, 3, 5, max_vertices=10)
+
+
+def test_ball_is_the_bfs_of_the_root():
+    # words within each root distance, with that distance, in BFS order
+    for base, copies, radius in [(K3, 2, 5), (C4, 3, 4), (P3, 3, 5), (P4, 2, 5), (K2, 3, 6)]:
+        spec = free_power(base, copies)
+        rds = ball(spec, radius)
+        assert list(rds)[0] == ()
+        assert all(r == root_distance(spec, w) for w, r in rds.items())
+        assert list(rds.values()) == sorted(rds.values())
+        for w, r in rds.items():
+            for nb in word_neighbors(spec, w):
+                assert (nb in rds) == (root_distance(spec, nb) <= radius)
+
+
+def test_decomposition_rows_match_the_pair_oracle():
+    # rows visit exactly the oracle's pairs within k+1, and agree on the rest
+    for base, copies, pairs in [(K3, 2, 643), (C4, 2, 1168), (P3, 2, 144), (K2, 3, None)]:
+        spec = free_power(base, copies)
+        report = decomposition_check(spec, 3, 5)
+        oracle = pair_decomposition_check(spec, 3, 5)
+        assert report.max_violation == oracle["max_violation"] == 0
+        assert report.d_entries_nonzero == oracle["d_nonzero"]
+        assert report.delta_entries_nonzero == oracle["delta_nonzero"]
+        assert report.pairs_checked == oracle["pairs_within"] < oracle["pairs"]
+        assert pairs is None or report.pairs_checked == pairs
+
+
+def test_tree_rows_match_the_pair_oracle():
+    for d, k, radius in [(3, 2, 6), (2, 3, 8), (4, 3, 7)]:
+        assert tree_recurrence_check(d, k, radius) == pair_tree_recurrence_check(d, k, radius)
+
+
+def _counted_work(monkeypatch, run):
+    """Neighbour words listed plus word_distance calls made by run()."""
+    work = [0]
+    neighbors, distance = freeprod.word_neighbors, freeprod.word_distance
+
+    def counted_neighbors(spec, word):
+        out = neighbors(spec, word)
+        work[0] += len(out)
+        return out
+
+    def counted_distance(*args, **kwargs):
+        work[0] += 1
+        return distance(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(freeprod, "word_neighbors", counted_neighbors)
+        patch.setattr(freeprod, "word_distance", counted_distance)
+        run()
+    return work[0]
+
+
+@pytest.mark.parametrize(
+    "check, args, spec, cutoff",
+    [
+        (decomposition_check, (free_power(K3, 2), 3, 5), free_power(K3, 2), 4),
+        (decomposition_check, (free_power(C4, 2), 3, 6), free_power(C4, 2), 5),
+        (tree_recurrence_check, (3, 2, 6), free_power(K2, 3), 3),
+        (tree_recurrence_check, (4, 3, 7), free_power(K2, 4), 3),
+    ],
+)
+def test_check_rows_are_charged_before_the_first(monkeypatch, check, args, spec, cutoff):
+    # interior words x (1 + D + ... + D^(k+1)) x D, with D the maximum degree
+    k, radius = args[1], args[2]
+    degree = max(map(len, spec.base.neighbors)) + (spec.copies - 1) * spec.sigma
+    interior = sum(1 for r in ball(spec, radius).values() if r <= cutoff)
+    charge = interior * sum(degree**i for i in range(k + 2)) * degree
+    ball_work = _counted_work(monkeypatch, lambda: ball(spec, radius))
+    with pytest.raises(BudgetExceededError) as info:
+        check(*args, budget=0)
+    assert str(info.value) == f"budget exceeded: {charge} check-row neighbour scans (budget 0)"
+
+    def short():
+        with pytest.raises(BudgetExceededError):
+            check(*args, budget=charge - 1)
+
+    # past the budget, nothing runs after the ball
+    assert _counted_work(monkeypatch, short) == ball_work
+    work = _counted_work(monkeypatch, lambda: check(*args, budget=charge))
+    assert 0 < work - ball_work <= charge
 
 
 def test_tree_recurrence_check():

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freespec.experiments import chebyshev_reference_moments
-from freespec.freeprod import regular_tree_ball
 from freespec.graphs import bfs_distances
 from freespec.polymoments import (
     SEMICIRCLE,
@@ -34,6 +33,7 @@ from oracles import (
     integrate_poly,
     km_moment_quad,
     pushforward_moments,
+    regular_tree_ball,
     semicircle_moment_quad,
     tree_distance_poly_recursion,
     vacuum_moment,
