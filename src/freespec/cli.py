@@ -16,12 +16,15 @@ looked up when it is called.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
 from fractions import Fraction
 
 from .errors import (
+    DEFAULT_BALL_BUDGET,
+    DEFAULT_WALK_BUDGET,
     BudgetExceededError,
     FreespecError,
     RetriesExhaustedError,
@@ -114,6 +117,50 @@ def _parse_transform(text: str) -> Poly:
     raise _UsageError("--transform must be none, p:K, or q:D:K with integers D, K")
 
 
+# The flags each subcommand reads, by mode for decomp-check and moments (a
+# mode is named by the flag that picks it); each subparser is built from its
+# entry.  "--d!" is required, "--max-m=8" defaults to 8 and any other flag to
+# None, so a flag is given when it is not None.  A flag that some mode of a
+# subcommand does not read is refused in that mode.
+_READS = {
+    "tree-check": {"": "--d! --k! --max-m=8 --walk-budget"},
+    "free-clt": {"": "--graph! --k! --N! --max-m=4 --walk-budget"},
+    "large-d": {"": "--k! --d-list! --max-m=6 --walk-budget"},
+    "regular-random": {"": "--d! --k! --n-list! --samples=20 --max-m=6 --seed=0 --walk-budget"},
+    "cycles": {"": "--d! --j! --n-list! --samples=50 --seed=0 --walk-budget"},
+    "decomp-check": {
+        "--mode square": "--graph! --walk-budget",
+        "--mode tree": "--d! --k! --radius! --walk-budget --ball-budget",
+        "--mode free": "--graph! --N! --k! --radius! --walk-budget --ball-budget",
+    },
+    "moments": {"--graph": "--graph --which --max-m=8 --walk-budget", "--law": "--law --max-m=8"},
+    "km-density": {"": "--d! --points=11 --range! --ball-budget"},
+    "hist": {"": "--law! --samples=10000 --bins=20 --seed=0 --transform=none --ball-budget"},
+}
+
+# how a flag parses where it is not an integer
+_TEXT_FLAGS = {
+    "--graph": {}, "--d-list": {}, "--n-list": {}, "--transform": {},
+    "--N": {"help": "copy count; comma-separated copy counts in free-clt"},
+    "--which": {"choices": ("vacuum", "trace"), "help": "with --graph (default vacuum)"},
+    "--law": {"help": "semicircle or km:D"},
+    "--range": {"dest": "xrange", "help": "lo,hi"},
+}
+
+
+def _readers(modes: dict) -> dict[str, dict[str, str]]:
+    """{flag: {mode: the flag's token in that mode}} over one entry of _READS."""
+    out = {}
+    for mode, tokens in modes.items():
+        for token in tokens.split():
+            out.setdefault(token.split("=")[0].rstrip("!"), {})[mode] = token
+    return out
+
+
+def _dest(flag: str) -> str:
+    return _TEXT_FLAGS.get(flag, {}).get("dest", flag[2:].replace("-", "_"))
+
+
 def _build_parser() -> _Parser:
     # --help shows the docstring's first two paragraphs, for users; the
     # notes on start-up after them are for readers of this module
@@ -126,81 +173,59 @@ def _build_parser() -> _Parser:
         help="worker processes for the samples of regular-random and cycles "
         "(default 1: no pool); other subcommands run serially",
     )
-    common.add_argument("--walk-budget", type=int, default=Budgets().walk_expansions)
-    common.add_argument("--ball-budget", type=int, default=Budgets().ball_vertices)
     common.add_argument(
         "--timing", action="store_true",
         help="record real wall time in JSON meta; JSON only (off keeps output "
         "reproducible)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("tree-check", parents=[common])
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-m", type=int, default=8)
-
-    p = sub.add_parser("free-clt", parents=[common])
-    p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--N", required=True, help="comma-separated copy counts")
-    p.add_argument("--max-m", type=int, default=4)
-
-    p = sub.add_parser("large-d", parents=[common])
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d-list", required=True)
-    p.add_argument("--max-m", type=int, default=6)
-
-    p = sub.add_parser("regular-random", parents=[common])
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n-list", required=True)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--max-m", type=int, default=6)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("cycles", parents=[common])
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--n-list", required=True)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("decomp-check", parents=[common])
-    p.add_argument("--mode", choices=("square", "tree", "free"), required=True)
-    p.add_argument("--graph", default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--radius", type=int, default=None)
-
-    p = sub.add_parser("moments", parents=[common])
-    p.add_argument("--graph", default=None)
-    p.add_argument("--which", choices=("vacuum", "trace"), help="with --graph (default vacuum)")
-    p.add_argument("--law", default=None, help="semicircle or km:D")
-    p.add_argument("--max-m", type=int, default=8)
-
-    p = sub.add_parser("km-density", parents=[common])
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--points", type=int, default=11)
-    p.add_argument("--range", dest="xrange", required=True, help="lo,hi")
-
-    p = sub.add_parser("hist", parents=[common])
-    p.add_argument("--law", required=True)
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--bins", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--transform", default="none")
+    for command, modes in _READS.items():
+        p = sub.add_parser(command, parents=[common])
+        if command == "decomp-check":
+            p.add_argument("--mode", choices=[mode.split()[1] for mode in modes], required=True)
+        for flag, readers in _readers(modes).items():
+            kwargs = dict(_TEXT_FLAGS.get(flag, {"type": int}))
+            if len(readers) == len(modes):  # every mode reads it: argparse checks it
+                token = readers.popitem()[1]
+                kwargs["required"] = token.endswith("!")
+                kwargs["default"] = token.partition("=")[2] or None
+            p.add_argument(flag, **kwargs)
     return parser
 
 
+def _check_mode(args) -> None:
+    """Refuse a flag the mode of args.command does not read.
+
+    A mode missing a flag it needs names all of them.
+    """
+    if args.command == "decomp-check":
+        mode = f"--mode {args.mode}"
+    elif args.command != "moments":
+        return
+    elif args.graph is not None and args.law is not None:
+        raise _UsageError("moments takes --graph or --law, not both")
+    elif args.graph is None and args.law is None:
+        raise _UsageError("moments needs --graph or --law")
+    else:
+        mode = "--graph" if args.law is None else "--law"
+    for flag, modes in _readers(_READS[args.command]).items():
+        if mode not in modes and getattr(args, _dest(flag)) is not None:
+            raise _UsageError(f"{flag} applies to {' and '.join(modes)}, not {mode}")
+    needs = [token[:-1] for token in _READS[args.command][mode].split() if token[-1] == "!"]
+    if any(getattr(args, _dest(flag)) is None for flag in needs):
+        raise _UsageError(f"{mode} needs {', '.join(needs)}")
+
+
 def _run(args) -> Report:
+    _check_mode(args)
+    walk, ball = (getattr(args, name, None) for name in ("walk_budget", "ball_budget"))
     budgets = Budgets(
-        walk_expansions=args.walk_budget, ball_vertices=args.ball_budget
+        DEFAULT_WALK_BUDGET if walk is None else walk,
+        DEFAULT_BALL_BUDGET if ball is None else ball,
     )
     if args.threads < 1:
         raise _UsageError("--threads must be >= 1")
-    if min(args.walk_budget, args.ball_budget) < 0:
+    if min(budgets.walk_expansions, budgets.ball_vertices) < 0:
         raise _UsageError("--walk-budget and --ball-budget must be >= 0")
     if args.timing and args.format == "csv":
         raise _UsageError("--timing is JSON-only: it needs --format json")
@@ -259,46 +284,36 @@ def _decomp_report(
 
 def _run_decomp(args, budgets: Budgets) -> Report:
     if args.mode == "square":
-        if not args.graph:
-            raise _UsageError("--mode square needs --graph")
         g, name = _load_graph(args.graph)
         violation = square_check(g, budgets.walk_expansions)
         return _decomp_report(budgets, name, "mode", "square", 2, violation)
     if args.mode == "tree":
-        if args.d is None or args.k is None or args.radius is None:
-            raise _UsageError("--mode tree needs --d, --k, --radius")
         violation = tree_recurrence_check(
             args.d, args.k, args.radius, budgets.ball_vertices, budgets.walk_expansions
         )
         return _decomp_report(
             budgets, f"tree-d{args.d}", "radius", args.radius, args.k, violation
         )
-    if args.graph is None or args.N is None or args.k is None or args.radius is None:
-        raise _UsageError("--mode free needs --graph, --N, --k, --radius")
+    if not args.N.isdecimal():
+        raise _UsageError("--N expects one integer in --mode free")
     g, name = _load_graph(args.graph)
-    spec = free_power(g, args.N)
+    spec = free_power(g, int(args.N))
     report = decomposition_check(
         spec, args.k, args.radius, budgets.ball_vertices, budgets.walk_expansions
     )
     return _decomp_report(
-        budgets, f"{name}^*{args.N}", "radius", args.radius, args.k, report.max_violation
+        budgets, f"{name}^*{spec.copies}", "radius", args.radius, args.k, report.max_violation
     )
 
 
 def _run_moments(args, budgets: Budgets) -> Report:
     if args.law is not None:
-        if args.graph is not None:
-            raise _UsageError("moments takes --graph or --law, not both")
-        if args.which is not None:
-            raise _UsageError("--which applies to --graph, not --law")
         d = parse_law(args.law)
         if d is None:
             name, values = "semicircle", semicircle_moments(args.max_m)
         else:
             name, values = f"kesten-mckay-d{d}", kesten_mckay_moments(d, args.max_m)
         param_name, param_value = "law", name
-    elif args.graph is None:
-        raise _UsageError("moments needs --graph or --law")
     else:
         g, name = _load_graph(args.graph)
         param_name, param_value = "state", args.which or "vacuum"
@@ -325,6 +340,8 @@ def _run_km_density(args, budgets: Budgets) -> Report:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise _UsageError("--range expects numbers lo,hi")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise _UsageError("--range expects finite numbers lo,hi")
     if args.points < 2 or hi <= lo:
         raise _UsageError("need --points >= 2 and hi > lo")
     _charge_held(args.points, budgets, "density points")

@@ -156,38 +156,59 @@ def word_distance(spec: FreePowerSpec, x: Word, y: Word, validate: bool = True) 
     return dx - costs[xs[-1]] + spec.apsp[va][vb] + dy - costs[ys[-1]]
 
 
-def _word_bfs(
-    spec: FreePowerSpec, source: Word, depth: int, max_vertices: int | None = None
-) -> dict[Word, int]:
-    """Each word within graph distance depth of source, with that distance, in BFS order.
-
-    Layer by layer over word_neighbors.  With max_vertices, raises
-    BudgetExceededError as soon as more than max_vertices words are found.
-    """
+def _word_bfs(spec: FreePowerSpec, source: Word, depth: int) -> dict[Word, int]:
+    """Each word within graph distance depth of source, with that distance, in BFS order."""
     dist = {source: 0}
     frontier = [source]
-    for step in range(1, depth + 1):
+    step = 0
+    while frontier and step < depth:
+        step += 1
         nxt = []
         for w in frontier:
             for nb in word_neighbors(spec, w):
                 if nb not in dist:
                     dist[nb] = step
                     nxt.append(nb)
-                    if max_vertices is not None and len(dist) > max_vertices:
-                        raise BudgetExceededError(len(dist), max_vertices, "ball vertices")
         frontier = nxt
     return dist
+
+
+def _ball_size(spec: FreePowerSpec, radius: int, max_vertices: int) -> int:
+    """len(ball(spec, radius)), counted without building a word.
+
+    Raises BudgetExceededError, naming the count, at the first radius whose
+    count passes max_vertices.  A word is a stack of non-root letters, each
+    in a copy other than the one below it, and its root distance is the sum
+    of its letters' base distances to the root.  So with w[s] the words of
+    root distance s whose bottom letter is in one given copy, w[s] sums
+    [c == s] + (N - 1) * w[s - c] over the non-root base vertices of cost c,
+    and the r-ball holds 1 + N * (w[1] + ... + w[r]) words.
+    """
+    root = spec.base.root
+    costs = [c for v, c in enumerate(spec.apsp[root]) if v != root]
+    w = [0] * max(costs)  # w[-c] is w[s - c]; 0 for s - c <= 0
+    count = 1
+    for s in range(1, radius + 1):
+        w = w[1:] + [sum((c == s) + (spec.copies - 1) * w[-c] for c in costs)]
+        count += spec.copies * w[-1]
+        if count > max_vertices:
+            raise BudgetExceededError(count, max_vertices, "ball vertices")
+        if not any(w):
+            break  # N = 1, and no word is further out
+    return count
 
 
 def ball(spec: FreePowerSpec, radius: int, max_vertices: int = DEFAULT_BALL_BUDGET) -> dict:
     """The radius-ball of G^{*N}: {word: root distance} in BFS order from the root.
 
     The root distance of a word is its graph distance from the root, so it
-    is the BFS depth.  The ball is charged to max_vertices as it grows.
+    is the BFS depth.  The ball is charged to max_vertices from its count
+    before any word is built.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    return _word_bfs(spec, (), radius, max_vertices)
+    _ball_size(spec, radius, max_vertices)
+    return _word_bfs(spec, (), radius)
 
 
 def _segment_pool(spec: FreePowerSpec, bound: int, budget: int | None = None):
@@ -631,27 +652,28 @@ class DecompositionReport(Frozen):
         super().__init__(max_violation, pairs_checked, d_entries_nonzero, delta_entries_nonzero)
 
 
-def _check_rows(spec: FreePowerSpec, k: int, rds: dict, cutoff: int, budget: int):
-    """The BFS row to depth k+1 of each interior word, charged before the first.
+def _check_interior(
+    spec: FreePowerSpec, k: int, radius: int, cutoff: int, max_vertices: int, budget: int
+) -> dict:
+    """The interior a check visits, ball(spec, cutoff), after both charges.
 
-    The interior is the words of the ball rds at root distance <= cutoff,
-    in ball order.  Row b is {a: d(a, b)} over the words a within k+1 of b.
-    A pair further apart has zero on both sides of either checked identity:
-    d(a, l) > k for every neighbour l of b.  With D the maximum degree of
-    G^{*N}, the BFS of a row scans the neighbours of the words within k of
-    b, and a check scans at most D neighbours for b and for each word of
-    its row.  The words within r of one word number at most
-    1 + D + ... + D^r, and for every k >= 2 (k >= 3 when D = 1) the whole
-    row then takes at most D * (1 + D + ... + D^(k+1)) neighbour scans.
-    That times the interior words is charged to budget before any row.
+    The radius-ball is charged to max_vertices from its count (_ball_size),
+    then the rows to budget from the interior's, before any word is built.
+    Row b is the BFS of b to depth k+1, {a: d(a, b)}: a pair further apart
+    has zero on both sides of either checked identity, since d(a, l) > k for
+    every neighbour l of b.  With D the maximum degree of G^{*N}, the BFS of
+    a row scans the neighbours of the words within k of b, and a check scans
+    at most D neighbours for b and for each word of its row.  The words
+    within r of one word number at most 1 + D + ... + D^r, and for every
+    k >= 2 (k >= 3 when D = 1) the whole row then takes at most
+    D * (1 + D + ... + D^(k+1)) neighbour scans.
     """
-    interior = [w for w, r in rds.items() if r <= cutoff]
+    _ball_size(spec, radius, max_vertices)
     degree = max(map(len, spec.base.neighbors)) + (spec.copies - 1) * spec.sigma
-    steps = len(interior) * sum(degree**i for i in range(k + 2)) * degree
+    steps = _ball_size(spec, cutoff, max_vertices) * sum(degree**i for i in range(k + 2)) * degree
     if steps > budget:
         raise BudgetExceededError(steps, budget, "check-row neighbour scans")
-    for b in interior:
-        yield b, _word_bfs(spec, b, k + 1)
+    return ball(spec, cutoff, max_vertices)
 
 
 def decomposition_check(
@@ -670,25 +692,26 @@ def decomposition_check(
     (the fresh-copy count is exactly (N-1) deg(e)) and beyond k + 1 (zero).
     The orientation constraint matters: when j is a proper suffix of i the
     fresh-copy count deviates from (N-1) deg(e), so those transposed entries
-    are outside the identity's domain.  k and radius are checked before the
-    ball is built, and the ball is charged to max_vertices as it grows.
+    are outside the identity's domain.  The interior is root distance
+    <= radius - 1.  k and radius are checked, and the radius-ball and the
+    rows are charged, before the interior is built (see _check_interior).
     Row j visits the interior i within k+1 of it that come no later in ball
-    order; the rows are charged to budget first (see _check_rows).
+    order.
     """
     if k < 3:
         raise ValueError("decomposition check needs k >= 3")
     if radius < k + 2:
         raise RadiusTooSmallError(f"radius {radius} < k + 2 = {k + 2}")
-    rds = ball(spec, radius, max_vertices)
+    rds = _check_interior(spec, k, radius, radius - 1, max_vertices, budget)
     fresh = (spec.copies - 1) * spec.sigma
     max_violation = 0
     pairs = 0
     d_nonzero = 0
     delta_nonzero = 0
     done = set()
-    for wb, row in _check_rows(spec, k, rds, radius - 1, budget):
+    for wb, rd_b in rds.items():
+        row = _word_bfs(spec, wb, k + 1)
         done.add(wb)
-        rd_b = rds[wb]
         nbrs_b = word_neighbors(spec, wb)
         for wa, dij in row.items():
             if wa not in done or rds[wa] > rd_b:
@@ -725,10 +748,10 @@ def tree_recurrence_check(
     """Max entrywise violation of A A^{[k]} = A^{[k+1]} + (d-1) A^{[k-1]}.
 
     Checked on the words of K2^{*d}, the d-regular tree, over pairs with
-    both endpoints at root_distance <= radius - k - 1.  The radius-ball is
-    built, and charged to max_vertices as it grows, for that interior; the
-    rows come from BFS over the whole tree, so the distances are exact, and
-    they are charged to budget first (see _check_rows).
+    both endpoints at root_distance <= radius - k - 1.  The radius-ball and
+    the rows are charged before that interior is built (see
+    _check_interior); the rows come from BFS over the whole tree, so the
+    distances are exact.
     """
     if k < 2:
         raise ValueError("recurrence check needs k >= 2")
@@ -738,11 +761,12 @@ def tree_recurrence_check(
         raise ValueError("tree degree must be >= 2")
     spec = free_power(complete_graph(2), d)
     cutoff = radius - k - 1
-    rds = ball(spec, radius, max_vertices)
+    interior = _check_interior(spec, k, radius, cutoff, max_vertices, budget)
     max_violation = 0
-    for j, row in _check_rows(spec, k, rds, cutoff, budget):
+    for j in interior:
+        row = _word_bfs(spec, j, k + 1)
         for i, dij in row.items():
-            if rds[i] > cutoff:
+            if i not in interior:
                 continue
             lhs = sum(1 for l in word_neighbors(spec, i) if row.get(l) == k)
             rhs = (1 if dij == k + 1 else 0) + (d - 1) * (1 if dij == k - 1 else 0)

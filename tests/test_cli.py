@@ -219,13 +219,21 @@ def test_cycles_subcommand(capsys):
     assert refs == ["1.33333333333", "1.33333333333"]
 
 
-def test_cycles_json_reports_the_budgets_passed(capsys):
+def test_json_reports_the_budgets_passed(capsys):
+    # the 94-word ball and the rows' 1200 neighbour scans fit exactly
     code, out, _ = run_cli(
-        capsys, "cycles", "--d", "3", "--j", "3", "--n-list", "20", "--samples", "1",
-        "--walk-budget", "5", "--ball-budget", "7", "--format", "json",
+        capsys, "decomp-check", "--mode", "tree", "--d", "3", "--k", "2", "--radius", "5",
+        "--walk-budget", "1200", "--ball-budget", "94", "--format", "json",
     )
     assert code == 0
-    assert json.loads(out)["meta"]["budgets"] == {"walk_expansions": 5, "ball_vertices": 7}
+    assert json.loads(out)["meta"]["budgets"] == {"walk_expansions": 1200, "ball_vertices": 94}
+    # a flag a subcommand does not take is reported at its default
+    code, out, _ = run_cli(
+        capsys, "cycles", "--d", "3", "--j", "3", "--n-list", "20", "--samples", "1",
+        "--walk-budget", "5", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["meta"]["budgets"] == {"walk_expansions": 5, "ball_vertices": 10**6}
 
 
 def test_cycles_skips_refused_cells(capsys):
@@ -481,7 +489,7 @@ def test_usage_errors_exit_1(capsys):
         ("km-density", "--d", "2", "--points", "1", "--range", "0,1"),
         ("large-d", "--k", "1", "--d-list", "2,3", "--threads", "0"),
         ("free-clt", "--graph", "builtin:c4", "--k", "2", "--N", "2", "--walk-budget", "-5"),
-        ("free-clt", "--graph", "builtin:c4", "--k", "2", "--N", "2", "--ball-budget", "-1"),
+        ("hist", "--law", "semicircle", "--ball-budget", "-1"),
         ("moments", "--law", "km:3", "--which", "trace", "--max-m", "2"),  # --which needs --graph
         ("tree-check", "--d", "3", "--k", "2", "--timing"),           # --timing is JSON-only
     ):
@@ -761,6 +769,11 @@ def test_moments_and_hist_reject_an_unknown_law_alike(capsys):
         assert err == "error[INPUT]: --law must be semicircle or km:D\n", command
 
 
+SQUARE = ("decomp-check", "--mode", "square", "--graph", "builtin:c5")
+TREE = ("decomp-check", "--mode", "tree", "--d", "3", "--k", "2", "--radius", "5")
+FREE = ("decomp-check", "--mode", "free", "--graph", "builtin:k3", "--k", "3", "--radius", "5")
+
+
 @pytest.mark.parametrize("argv, code, err", [
     (("free-clt", "--graph", "builtin:k3", "--k", "1", "--N", "2,x"), 1,
      "error[USAGE]: --N expects a comma-separated integer list\n"),
@@ -777,6 +790,30 @@ def test_moments_and_hist_reject_an_unknown_law_alike(capsys):
     (("km-density", "--d", "3", "--range", "1"), 1, "error[USAGE]: --range expects lo,hi\n"),
     (("km-density", "--d", "3", "--range", "a,b"), 1,
      "error[USAGE]: --range expects numbers lo,hi\n"),
+    # nan compares false with anything, so hi <= lo would not catch it
+    (("km-density", "--d", "3", "--points", "3", "--range", "nan,1"), 1,
+     "error[USAGE]: --range expects finite numbers lo,hi\n"),
+    (("km-density", "--d", "3", "--points", "3", "--range", "-inf,1", "--format", "json"), 1,
+     "error[USAGE]: --range expects finite numbers lo,hi\n"),
+    # a flag the mode does not read (test_every_budget_flag_a_mode_takes_is_read
+    # covers the budget flags of every mode)
+    ((*SQUARE, "--d", "3"), 1, "error[USAGE]: --d applies to --mode tree, not --mode square\n"),
+    ((*SQUARE, "--N", "2"), 1, "error[USAGE]: --N applies to --mode free, not --mode square\n"),
+    ((*SQUARE, "--k", "3"), 1,
+     "error[USAGE]: --k applies to --mode tree and --mode free, not --mode square\n"),
+    ((*SQUARE, "--radius", "5"), 1,
+     "error[USAGE]: --radius applies to --mode tree and --mode free, not --mode square\n"),
+    ((*SQUARE, "--ball-budget", "5"), 1,
+     "error[USAGE]: --ball-budget applies to --mode tree and --mode free, not --mode square\n"),
+    # it used to report tree-d3 and never read k4
+    ((*TREE, "--graph", "builtin:k4"), 1,
+     "error[USAGE]: --graph applies to --mode square and --mode free, not --mode tree\n"),
+    ((*TREE, "--N", "7"), 1, "error[USAGE]: --N applies to --mode free, not --mode tree\n"),
+    ((*FREE, "--N", "2", "--d", "3"), 1,
+     "error[USAGE]: --d applies to --mode tree, not --mode free\n"),
+    ((*FREE, "--N", "2,3"), 1, "error[USAGE]: --N expects one integer in --mode free\n"),
+    (("moments", "--law", "semicircle", "--walk-budget", "5"), 1,
+     "error[USAGE]: --walk-budget applies to --graph, not --law\n"),
 ])
 def test_flag_errors_and_rare_flags(capsys, argv, code, err):
     got_code, _, got_err = run_cli(capsys, *argv)
@@ -802,3 +839,40 @@ def test_help_exits_0(capsys, command):
         cli.main([*command, "--help"])
     assert exit_info.value.code == 0
     assert capsys.readouterr().out.startswith("usage: freespec")
+
+
+# one fast argv per subcommand and mode of cli._READS, within both default budgets
+BUDGET_BASES = {
+    ("tree-check", ""): "tree-check --d 3 --k 2 --max-m 4",
+    ("free-clt", ""): "free-clt --graph builtin:k3 --k 2 --N 2 --max-m 2",
+    ("large-d", ""): "large-d --k 2 --d-list 3 --max-m 2",
+    ("regular-random", ""): "regular-random --d 3 --k 2 --n-list 20 --samples 1 --max-m 2",
+    ("cycles", ""): "cycles --d 3 --j 3 --n-list 20 --samples 1",
+    ("decomp-check", "--mode square"): "decomp-check --mode square --graph builtin:c5",
+    ("decomp-check", "--mode tree"): "decomp-check --mode tree --d 3 --k 2 --radius 5",
+    ("decomp-check", "--mode free"):
+        "decomp-check --mode free --graph builtin:k3 --N 2 --k 3 --radius 5",
+    ("moments", "--graph"): "moments --graph builtin:c4 --max-m 2",
+    ("moments", "--law"): "moments --law semicircle --max-m 2",
+    ("km-density", ""): "km-density --d 3 --points 3 --range -1,1",
+    ("hist", ""): "hist --law semicircle --samples 10 --bins 2",
+}
+
+
+@pytest.mark.parametrize(
+    "command, mode", [(command, mode) for command in cli._READS for mode in cli._READS[command]]
+)
+def test_every_budget_flag_a_mode_takes_is_read(capsys, command, mode):
+    # a budget of 0 must refuse the run or skip a cell wherever the flag is
+    # taken, and a flag a mode does not take is one usage error line
+    argv = BUDGET_BASES[command, mode].split()
+    code, default, _ = run_cli(capsys, *argv)
+    assert code == 0
+    readers = cli._readers(cli._READS[command])
+    for flag in ("--walk-budget", "--ball-budget"):
+        code, out, err = run_cli(capsys, *argv, flag, "0")
+        if mode in readers.get(flag, ()):
+            assert code == 2 or (code == 0 and out != default), flag
+        else:
+            assert (code, out) == (1, ""), flag
+            assert err.startswith("error[USAGE]: ") and err.count("\n") == 1, (flag, err)

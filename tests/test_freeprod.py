@@ -33,7 +33,9 @@ from freespec.freeprod import (
     word_neighbors,
 )
 from freespec.graphs import (
+    BUILTIN_GRAPHS,
     bfs_distances,
+    builtin_graph,
     complete_graph,
     cycle_graph,
     distance_k_graph,
@@ -177,13 +179,14 @@ def test_tree_ball_degenerate_cases():
 
 
 def test_ball_budget():
-    # the ball stops at the first word past its budget: 766 words fit K2^{*3} at radius 8
+    # 766 words fit K2^{*3} at radius 8; the ball is charged from its count,
+    # and the error names the count at the first radius past the budget
     spec = free_power(K2, 3)
     assert len(ball(spec, 8, max_vertices=766)) == 766
-    for budget in (50, 765):
+    for budget, count in ((50, 94), (765, 766)):
         with pytest.raises(BudgetExceededError) as info:
             ball(spec, 8, max_vertices=budget)
-        assert str(info.value) == f"budget exceeded: {budget + 1} ball vertices (budget {budget})"
+        assert str(info.value) == f"budget exceeded: {count} ball vertices (budget {budget})"
 
 
 def test_ball_degrees():
@@ -574,9 +577,31 @@ def test_decomposition_check_radius_guard():
         decomposition_check(spec, 3, 4)
     with pytest.raises(ValueError):
         decomposition_check(spec, 2, 5)
-    # the ball is charged to its budget as it grows
-    with pytest.raises(BudgetExceededError):
+    # the radius-ball is charged from its count, which passes 10 at radius 2
+    with pytest.raises(BudgetExceededError, match="^budget exceeded: 13 ball vertices"):
         decomposition_check(spec, 3, 5, max_vertices=10)
+
+
+def test_ball_counts_are_the_ball_sizes():
+    # the closed form, on every builtin base, against the BFS it stands for
+    for name in BUILTIN_GRAPHS:
+        for copies, radius in [(1, 5), (2, 6), (3, 5), (5, 4)]:
+            spec = free_power(builtin_graph(name), copies)
+            counts = [len(ball(spec, r)) for r in range(radius + 1)]
+            assert [freeprod._ball_size(spec, r, 10**9) for r in range(radius + 1)] == counts
+            # it names the count at the first radius past its budget
+            budget = counts[-2] - 1
+            first = next(count for count in counts if count > budget)
+            with pytest.raises(BudgetExceededError, match=f"^budget exceeded: {first} ball"):
+                freeprod._ball_size(spec, radius, budget)
+
+
+def test_a_single_copy_ball_stops_at_the_base():
+    # G^{*1} is G: the count and the BFS stop where the base ends, so a
+    # radius of 10^8 costs what the base's eccentricity does
+    spec = free_power(P4, 1)
+    assert freeprod._ball_size(spec, 10**8, 4) == len(ball(spec, 10**8, 4)) == 4
+    assert decomposition_check(free_power(K3, 1), 3, 10**8).max_violation == 0
 
 
 def test_ball_is_the_bfs_of_the_root():
@@ -642,11 +667,10 @@ def _counted_work(monkeypatch, run):
 )
 def test_check_rows_are_charged_before_the_first(monkeypatch, check, args, spec, cutoff):
     # interior words x (1 + D + ... + D^(k+1)) x D, with D the maximum degree
-    k, radius = args[1], args[2]
+    k = args[1]
     degree = max(map(len, spec.base.neighbors)) + (spec.copies - 1) * spec.sigma
-    interior = sum(1 for r in ball(spec, radius).values() if r <= cutoff)
-    charge = interior * sum(degree**i for i in range(k + 2)) * degree
-    ball_work = _counted_work(monkeypatch, lambda: ball(spec, radius))
+    charge = len(ball(spec, cutoff)) * sum(degree**i for i in range(k + 2)) * degree
+    ball_work = _counted_work(monkeypatch, lambda: ball(spec, cutoff))
     with pytest.raises(BudgetExceededError) as info:
         check(*args, budget=0)
     assert str(info.value) == f"budget exceeded: {charge} check-row neighbour scans (budget 0)"
@@ -655,8 +679,9 @@ def test_check_rows_are_charged_before_the_first(monkeypatch, check, args, spec,
         with pytest.raises(BudgetExceededError):
             check(*args, budget=charge - 1)
 
-    # past the budget, nothing runs after the ball
-    assert _counted_work(monkeypatch, short) == ball_work
+    # past the budget nothing runs, not even the ball; within it only the
+    # interior's ball is built
+    assert _counted_work(monkeypatch, short) == 0
     work = _counted_work(monkeypatch, lambda: check(*args, budget=charge))
     assert 0 < work - ball_work <= charge
 
