@@ -103,7 +103,11 @@ class BudgetExceededError(FreespecError):
         self.what = what
 
     def __str__(self):
-        return f"budget exceeded: {self.count} {self.what} (budget {self.budget})"
+        try:
+            count = str(self.count)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            count = f"at least 2^{self.count.bit_length() - 1}"
+        return f"budget exceeded: {count} {self.what} (budget {self.budget})"
 
 
 class UnreducedWordError(FreespecError):

@@ -11,7 +11,6 @@ which is the blocking correctness gate for everything built on top.
 """
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from math import comb, perm
 
@@ -68,8 +67,8 @@ class FreePowerSpec(Frozen):
         )
 
     @cached_property
-    def _pool_cache(self) -> dict[int, tuple[tuple, int]]:
-        # segment pools built for this spec by bound, with their word counts
+    def _pool_cache(self) -> dict[int, list]:
+        # segment pools built for this spec, by bound
         return {}
 
 
@@ -212,49 +211,27 @@ def ball(spec: FreePowerSpec, radius: int, max_vertices: int = DEFAULT_BALL_BUDG
 
 
 def _segment_pool(spec: FreePowerSpec, bound: int, budget: int | None = None):
-    """All reduced words with root_distance <= bound, grouped by exact cost.
+    """The bound-ball of G^{*N}, grouped by root distance.
 
-    Returns a tuple indexed by cost; each entry is a tuple of
-    (word, bottom_copy) pairs in canonical order (bottom_copy is -1 for the
-    empty word).  Used as the replacement-segment pool when enumerating
-    distance-k neighbors, and kept on the spec, so it lives as long as the
-    spec does.  With budget, raises BudgetExceededError as soon as more than
-    budget nonempty words are built, or are held by the kept pool.
+    Entry c lists (word, bottom copy) for each word of root distance c, with
+    bottom copy -1 for the root.  Used as the replacement-segment pool when
+    enumerating distance-k neighbors, and kept on the spec, so it lives as
+    long as the spec does.  With budget, the ball is counted first
+    (_ball_size), and BudgetExceededError is raised before any word is built
+    once it holds more than budget nonempty words.
     """
-    cached = spec._pool_cache.get(bound)
-    if cached is not None:
-        if budget is not None and cached[1] > budget:
-            raise BudgetExceededError(cached[1], budget, "segment-pool words")
-        return cached[0]
-    n = spec.base.vertex_count
-    costs = spec.letter_costs
-    pools: list[list[tuple[Word, int]]] = [[] for _ in range(bound + 1)]
-    pools[0].append(((), -1))
-    built = 0
-    queue = deque([((), 0, -1)])
-    while queue:
-        word, cost, bottom = queue.popleft()
-        top_copy = word[0] // n if word else -1
-        for copy in range(spec.copies):
-            if copy == top_copy:
-                continue
-            for vertex in range(n):
-                if vertex == spec.base.root:
-                    continue
-                letter = copy * n + vertex
-                nc = cost + costs[letter]
-                if nc > bound:
-                    continue
-                built += 1
-                if budget is not None and built > budget:
-                    raise BudgetExceededError(built, budget, "segment-pool words")
-                new = (letter,) + word
-                nb = bottom if word else copy
-                pools[nc].append((new, nb))
-                queue.append((new, nc, nb))
-    result = tuple(tuple(sorted(p, key=lambda t: (len(t[0]), t[0]))) for p in pools)
-    spec._pool_cache[bound] = (result, built)
-    return result
+    if budget is not None:
+        try:
+            _ball_size(spec, bound, budget + 1)
+        except BudgetExceededError as err:
+            raise BudgetExceededError(err.count - 1, budget, "segment-pool words") from None
+    pools = spec._pool_cache.get(bound)
+    if pools is None:
+        n = spec.base.vertex_count
+        pools = spec._pool_cache[bound] = [[] for _ in range(bound + 1)]
+        for word, cost in _word_bfs(spec, (), bound).items():
+            pools[cost].append((word, word[-1] // n if word else -1))
+    return pools
 
 
 def distance_k_neighbors(
@@ -535,13 +512,27 @@ def _walk_polynomial(
     neighbors are held to budget words on their own; they live on the DP's
     specs, so they go when it returns.
     """
+    table = [(1,) + (0,) * cap]
+    for layer in _walk_layers(base, k, max_m, budget, cap):
+        row = [0] * (cap + 1)
+        for j, mass in layer.get((), (1, {}))[1].items():
+            row[j] = mass
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _walk_layers(base: RootedGraph, k: int, max_m: int, budget: int, cap: int):
+    """Layers 1..max_m of the walk DP of _walk_polynomial, one per step.
+
+    Each layer maps a kept canonical word to (its orbit size, {copies
+    touched: mass}).  The pools and the expansions are charged as the
+    docstring of _walk_polynomial says.
+    """
     n = base.vertex_count
     group = _root_automorphisms(base)
     least: dict[tuple, tuple] = {}
     specs: dict[int, FreePowerSpec] = {}
-    # kept word -> (orbit size, mass by copies touched)
     layer: dict[Word, tuple[int, dict[int, int]]] = {(): (1, {0: 1})}
-    closed = [{0: 1}]
     expansions = 0
     for t in range(1, max_m + 1):
         bound = k * min(t, max_m - t)
@@ -575,14 +566,7 @@ def _walk_polynomial(
                     for j2, mass in shifted.items():
                         target[j2] = target.get(j2, 0) + mass
         layer = nxt
-        closed.append(layer.get((), (1, {}))[1])
-    table = []
-    for masses in closed:
-        row = [0] * (cap + 1)
-        for j, mass in masses.items():
-            row[j] = mass
-        table.append(tuple(row))
-    return tuple(table)
+        yield layer
 
 
 # per (base, k, max_m, budget), the 16 latest used: [largest cap whose walk
@@ -670,7 +654,8 @@ def _check_interior(
     """
     _ball_size(spec, radius, max_vertices)
     degree = max(map(len, spec.base.neighbors)) + (spec.copies - 1) * spec.sigma
-    steps = _ball_size(spec, cutoff, max_vertices) * sum(degree**i for i in range(k + 2)) * degree
+    row = (degree ** (k + 2) - 1) // (degree - 1) if degree > 1 else k + 2
+    steps = _ball_size(spec, cutoff, max_vertices) * row * degree
     if steps > budget:
         raise BudgetExceededError(steps, budget, "check-row neighbour scans")
     return ball(spec, cutoff, max_vertices)

@@ -221,10 +221,20 @@ def _walk_charge(g: RootedGraph, max_m: int) -> int:
     trace_moments takes no more: only its last half walk is cut short.
 
     Half walk t < ceil(max_m / 2) reaches at most min(n, D^t) vertices and
-    expands each at most D times, with D the maximum degree.
+    expands each at most D times, with D the maximum degree.  Once D^t >= n,
+    or D < 2, every later term equals this one, so no larger power is raised.
     """
+    n = g.vertex_count
     degree = max(map(len, g.neighbors), default=0)
-    return sum(min(g.vertex_count, degree**t) * degree for t in range((max_m + 1) // 2))
+    half = (max_m + 1) // 2
+    charge = 0
+    reach = 1
+    for t in range(half):
+        if reach >= n or degree < 2:
+            return charge + (half - t) * min(n, reach) * degree
+        charge += reach * degree
+        reach *= degree
+    return charge
 
 
 def _closed_walks(g: RootedGraph, source: int, max_m: int) -> list[int]:

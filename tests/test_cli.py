@@ -630,6 +630,41 @@ def test_decomp_check_rows_honour_the_walk_budget(argv):
     assert lines[0].endswith(" check-row neighbour scans (budget 1)")
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            "decomp-check --mode tree --d 2 --k 20000 --radius 20002",
+            "at least 2^20004 check-row neighbour scans",
+        ),
+        (
+            "decomp-check --mode tree --d 2 --k 200000 --radius 200002",
+            "at least 2^200004 check-row neighbour scans",
+        ),
+        ("moments --graph builtin:k3 --max-m 200000", "599994 vacuum-walk expansions"),
+    ],
+)
+def test_huge_charges_are_refused_at_once(argv, err):
+    # each charge is found without raising every power it sums, and a count
+    # past Python's int-to-str digit limit prints from its bit length
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "freespec.cli", *argv.split(), "--walk-budget", "1"],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error[BUDGET]: budget exceeded: {err} (budget 1)\n"
+
+
+def test_budget_errors_print_counts_past_the_digit_limit():
+    # a count Python can print prints as it is; a longer one by its bit length
+    digits = sys.get_int_max_str_digits()
+    wide = BudgetExceededError(10 ** (digits - 1), 7, "words")
+    assert str(wide) == f"budget exceeded: 1{'0' * (digits - 1)} words (budget 7)"
+    wider = BudgetExceededError(2**20000 * 3, 7, "words")
+    assert str(wider) == "budget exceeded: at least 2^20001 words (budget 7)"
+
+
 def test_tree_decomp_check_honours_ball_budget(capsys):
     # the radius-5 ball of the 3-regular tree has 94 vertices
     argv = ("decomp-check", "--mode", "tree", "--d", "3", "--k", "2", "--radius", "5")

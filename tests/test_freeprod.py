@@ -7,6 +7,7 @@ are guaranteed to stay inside the ball.
 import gc
 import random
 import time
+import tracemalloc
 import weakref
 
 import pytest
@@ -376,10 +377,11 @@ def test_walk_charge_is_orbit_weighted():
 
 
 def test_segment_pool_budget():
-    # k4^*5 at bound 5 holds 339k words: the pool stops just past the budget
+    # k4^*5 at bound 5 holds 339k words: the pool is refused from its count,
+    # which names the words within the first radius past the budget
     with pytest.raises(BudgetExceededError) as err:
         freeprod._segment_pool(free_power(K4, 5), 5, 1000)
-    assert (err.value.count, err.value.what) == (1001, "segment-pool words")
+    assert (err.value.count, err.value.what) == (2355, "segment-pool words")
     # the walk DP checks its pools first: k3^*2 at bound 2 holds 12 words
     with pytest.raises(BudgetExceededError) as err:
         vacuum_moments_distance_k(free_power(K3, 2), 2, 4, budget=10)
@@ -392,6 +394,19 @@ def test_segment_pool_budget():
     assert freeprod._segment_pool(spec, 2, 12)
 
 
+def test_a_refused_pool_builds_nothing():
+    # k4^*5 at bound 5 is refused from its count, before any of its 339k
+    # words (about 140 bytes each) is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="segment-pool words"):
+            freeprod._segment_pool(free_power(K4, 5), 5, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
 def test_segment_pool_cache_is_bounded():
     # pools are kept on their spec alone, so what is cached is bounded by the
     # specs still alive: dropping them frees every pool
@@ -400,7 +415,7 @@ def test_segment_pool_cache_is_bounded():
         spec = free_power(K3, copies)
         pool = freeprod._segment_pool(spec, 2)
         assert freeprod._segment_pool(spec, 2) is pool
-        assert spec._pool_cache[2][0] is pool
+        assert spec._pool_cache[2] is pool
         refs.append(weakref.ref(spec))
         del spec, pool
     gc.collect()
@@ -589,6 +604,16 @@ def test_ball_counts_are_the_ball_sizes():
             spec = free_power(builtin_graph(name), copies)
             counts = [len(ball(spec, r)) for r in range(radius + 1)]
             assert [freeprod._ball_size(spec, r, 10**9) for r in range(radius + 1)] == counts
+            # the segment pool is that ball, by root distance, with bottom copies
+            pools = freeprod._segment_pool(spec, radius)
+            words = [w for pool in pools for w, _ in pool]
+            assert len(set(words)) == len(words) == counts[-1]
+            n = spec.base.vertex_count
+            for c, pool in enumerate(pools):
+                for w, bottom in pool:
+                    validate_word(spec, w)
+                    assert root_distance(spec, w) == c
+                    assert bottom == (w[-1] // n if w else -1)
             # it names the count at the first radius past its budget
             budget = counts[-2] - 1
             first = next(count for count in counts if count > budget)
