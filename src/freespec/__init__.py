@@ -25,7 +25,6 @@ from .freeprod import (  # noqa: F401
     free_power,
     tree_recurrence_check,
     vacuum_moments_distance_k,
-    word_distance,
 )
 from .polymoments import (  # noqa: F401
     JacobiParams,

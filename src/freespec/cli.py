@@ -7,8 +7,9 @@ is a bug signal, never plain data).  Errors print to stderr with a
 machine-parseable "error[CODE]:" prefix.
 
 Every report is a fresh process, so start-up counts: freespec.regular (the
-graph sampler) is imported only by regular-random and cycles, and json only
-by render_json.  perfbench/traced.py replaces functions by name in the
+graph sampler) is imported only by regular-random and cycles, json only by
+render_json, and the parser adds the flags of the subcommand it runs and no
+other (_Subcommand).  perfbench/traced.py replaces functions by name in the
 module where they are called (render_csv here, run_cells, pairing_model and
 the others it lists), so each of those must stay a module attribute that is
 looked up when it is called.
@@ -161,35 +162,49 @@ def _dest(flag: str) -> str:
     return _TEXT_FLAGS.get(flag, {}).get("dest", flag[2:].replace("-", "_"))
 
 
-def _build_parser() -> _Parser:
-    # --help shows the docstring's first two paragraphs, for users; the
-    # notes on start-up after them are for readers of this module
-    parser = _Parser(prog="freespec", description="\n\n".join(__doc__.split("\n\n")[:2]))
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--output", default=None, help="output path (default stdout)")
-    common.add_argument(
-        "--threads", type=int, default=1,
-        help="worker processes for the samples of regular-random and cycles "
-        "(default 1: no pool); other subcommands run serially",
-    )
-    common.add_argument(
-        "--timing", action="store_true",
-        help="record real wall time in JSON meta; JSON only (off keeps output "
-        "reproducible)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, modes in _READS.items():
-        p = sub.add_parser(command, parents=[common])
-        if command == "decomp-check":
-            p.add_argument("--mode", choices=[mode.split()[1] for mode in modes], required=True)
+class _Subcommand(_Parser):
+    # adds its flags (pending: an entry of _READS) when it first parses, so a
+    # run adds those of the subcommand it runs only: argparse builds a help
+    # formatter for every flag it adds
+    pending = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.pending is not None:
+            modes, self.pending = self.pending, None
+            self._add_flags(modes)
+        return super().parse_known_args(args, namespace)
+
+    def _add_flags(self, modes: dict) -> None:
+        self.add_argument("--format", choices=("csv", "json"), default="csv")
+        self.add_argument("--output", default=None, help="output path (default stdout)")
+        self.add_argument(
+            "--threads", type=int, default=1,
+            help="worker processes for the samples of regular-random and cycles "
+            "(default 1: no pool); other subcommands run serially",
+        )
+        self.add_argument(
+            "--timing", action="store_true",
+            help="record real wall time in JSON meta; JSON only (off keeps output "
+            "reproducible)",
+        )
+        if next(iter(modes)).startswith("--mode "):  # decomp-check
+            self.add_argument("--mode", choices=[mode.split()[1] for mode in modes], required=True)
         for flag, readers in _readers(modes).items():
             kwargs = dict(_TEXT_FLAGS.get(flag, {"type": int}))
             if len(readers) == len(modes):  # every mode reads it: argparse checks it
                 token = readers.popitem()[1]
                 kwargs["required"] = token.endswith("!")
                 kwargs["default"] = token.partition("=")[2] or None
-            p.add_argument(flag, **kwargs)
+            self.add_argument(flag, **kwargs)
+
+
+def _build_parser() -> _Parser:
+    # --help shows the docstring's first two paragraphs, for users; the
+    # notes on start-up after them are for readers of this module
+    parser = _Parser(prog="freespec", description="\n\n".join(__doc__.split("\n\n")[:2]))
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    for command, modes in _READS.items():
+        sub.add_parser(command).pending = modes
     return parser
 
 

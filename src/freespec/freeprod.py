@@ -4,10 +4,11 @@ Vertices of the free power are reduced words of letters (copy, local
 vertex != base root), stored top letter first and packed into small
 integers (letter = copy * base_n + vertex).  The empty word is the root.
 
-The word metric is computed by a closed-form suffix-stripping rule rather
-than BFS; geodesics in a free power decompose through the junction copy.
-The rule is validated against an in-ball BFS oracle by the test suite,
-which is the blocking correctness gate for everything built on top.
+Word distances have one source in the engine, a BFS over word_neighbors
+(_word_bfs): the ball, the segment pools and both decomposition checks read
+its rows.  The closed-form suffix-stripping metric (geodesics decompose
+through the junction copy) is a test oracle in tests/oracles.py; the
+candidate constraints of distance_k_neighbors mirror it.
 """
 from __future__ import annotations
 
@@ -127,34 +128,6 @@ def word_neighbors(spec: FreePowerSpec, word: Word) -> list[Word]:
     return out
 
 
-def word_distance(spec: FreePowerSpec, x: Word, y: Word, validate: bool = True) -> int:
-    """Graph distance in G^{*N} via the suffix-stripping closed form."""
-    if validate:
-        validate_word(spec, x)
-        validate_word(spec, y)
-    lx, ly = len(x), len(y)
-    common = 0
-    while common < lx and common < ly and x[lx - 1 - common] == y[ly - 1 - common]:
-        common += 1
-    xs = x[: lx - common]
-    ys = y[: ly - common]
-    costs = spec.letter_costs
-    if not xs and not ys:
-        return 0
-    if not xs:
-        return sum(costs[letter] for letter in ys)
-    if not ys:
-        return sum(costs[letter] for letter in xs)
-    n = spec.base.vertex_count
-    ca, va = divmod(xs[-1], n)
-    cb, vb = divmod(ys[-1], n)
-    dx = sum(costs[letter] for letter in xs)
-    dy = sum(costs[letter] for letter in ys)
-    if ca != cb:
-        return dx + dy
-    return dx - costs[xs[-1]] + spec.apsp[va][vb] + dy - costs[ys[-1]]
-
-
 def _word_bfs(spec: FreePowerSpec, source: Word, depth: int) -> dict[Word, int]:
     """Each word within graph distance depth of source, with that distance, in BFS order."""
     dist = {source: 0}
@@ -245,11 +218,11 @@ def distance_k_neighbors(
     """Exactly the reduced words at word distance k from x, sorted canonically.
 
     Candidates are generated per suffix-strip depth of x from the spec's
-    segment pools, with constraints that make the stripped suffix exact;
-    word_distance is not needed as a filter but the constraints mirror it.
-    With max_root_distance, only words within that root distance are
-    returned.  Every candidate of one strip depth and junction vertex has
-    the same root distance, so the bound is applied before any is built.
+    segment pools, with constraints that make the stripped suffix exact, so
+    no distance is computed as a filter.  With max_root_distance, only words
+    within that root distance are returned.  Every candidate of one strip
+    depth and junction vertex has the same root distance, so the bound is
+    applied before any is built.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -643,14 +616,14 @@ def _check_interior(
 
     The radius-ball is charged to max_vertices from its count (_ball_size),
     then the rows to budget from the interior's, before any word is built.
-    Row b is the BFS of b to depth k+1, {a: d(a, b)}: a pair further apart
-    has zero on both sides of either checked identity, since d(a, l) > k for
-    every neighbour l of b.  With D the maximum degree of G^{*N}, the BFS of
-    a row scans the neighbours of the words within k of b, and a check scans
-    at most D neighbours for b and for each word of its row.  The words
-    within r of one word number at most 1 + D + ... + D^r, and for every
-    k >= 2 (k >= 3 when D = 1) the whole row then takes at most
-    D * (1 + D + ... + D^(k+1)) neighbour scans.
+    Row x is the BFS of x to depth k+1, {y: d(x, y)}: a pair further apart
+    has zero on both sides of either checked identity, since d(x, l) > k for
+    every neighbour l of y.  With D the maximum degree of G^{*N}, the BFS of
+    a row scans the neighbours of the words within k of x, and a check scans
+    at most D neighbours for each word of its row.  The words within r of
+    one word number at most 1 + D + ... + D^r, and for every k >= 2 (k >= 3
+    when D = 1) the whole row then takes at most D * (1 + D + ... + D^(k+1))
+    neighbour scans.
     """
     _ball_size(spec, radius, max_vertices)
     degree = max(map(len, spec.base.neighbors)) + (spec.copies - 1) * spec.sigma
@@ -659,6 +632,24 @@ def _check_interior(
     if steps > budget:
         raise BudgetExceededError(steps, budget, "check-row neighbour scans")
     return ball(spec, cutoff, max_vertices)
+
+
+def _check_pairs(spec: FreePowerSpec, interior: dict, k: int, later_only: bool):
+    """(d(x, y), y, [l ~ y : d(x, l) = k]) for interior pairs x, y within k+1.
+
+    Every distance is read from the row of x, its BFS to depth k+1: a
+    neighbour l of y lies within k+2 of x, so row[l] == k exactly when
+    d(x, l) = k.  With later_only, y comes no earlier than x in the
+    interior's BFS order, so rd(x) <= rd(y).
+    """
+    earlier = set()
+    for x in interior:
+        row = _word_bfs(spec, x, k + 1)
+        for y, dxy in row.items():
+            if y in interior and y not in earlier:
+                yield dxy, y, [l for l in word_neighbors(spec, y) if row.get(l) == k]
+        if later_only:
+            earlier.add(x)
 
 
 def decomposition_check(
@@ -680,49 +671,29 @@ def decomposition_check(
     are outside the identity's domain.  The interior is root distance
     <= radius - 1.  k and radius are checked, and the radius-ball and the
     rows are charged, before the interior is built (see _check_interior).
-    Row j visits the interior i within k+1 of it that come no later in ball
-    order.
+    Row i visits the interior j within k+1 of it that come no earlier in
+    ball order (see _check_pairs).
     """
     if k < 3:
         raise ValueError("decomposition check needs k >= 3")
     if radius < k + 2:
         raise RadiusTooSmallError(f"radius {radius} < k + 2 = {k + 2}")
-    rds = _check_interior(spec, k, radius, radius - 1, max_vertices, budget)
+    interior = _check_interior(spec, k, radius, radius - 1, max_vertices, budget)
     fresh = (spec.copies - 1) * spec.sigma
-    max_violation = 0
-    pairs = 0
-    d_nonzero = 0
-    delta_nonzero = 0
-    done = set()
-    for wb, rd_b in rds.items():
-        row = _word_bfs(spec, wb, k + 1)
-        done.add(wb)
-        nbrs_b = word_neighbors(spec, wb)
-        for wa, dij in row.items():
-            if wa not in done or rds[wa] > rd_b:
-                continue
-            lhs = 0
-            d_entry = 0
-            for l in nbrs_b:
-                if word_distance(spec, wa, l, validate=False) != k:
-                    continue
-                lhs += 1
-                if wb and (l == wb[1:] or (len(l) == len(wb) and l[1:] == wb[1:])):
-                    d_entry += 1  # top-copy move of j (pop or sideways)
-            if dij == k + 1 or dij == k:
-                rhs = lhs  # definitional buckets
-                if dij == k and lhs:
-                    delta_nonzero += 1
-            elif dij == k - 1:
-                rhs = fresh + d_entry
-                if d_entry:
-                    d_nonzero += 1
-            else:
-                rhs = 0
-            pairs += 1
-            violation = abs(lhs - rhs)
-            if violation > max_violation:
-                max_violation = violation
+    max_violation = pairs = d_nonzero = delta_nonzero = 0
+    for dij, j, hits in _check_pairs(spec, interior, k, later_only=True):
+        lhs = len(hits)
+        if dij == k - 1:
+            # a neighbour of j no longer than j moves j's top letter within
+            # its copy (pop or sideways); a longer one stacks a fresh letter
+            d_entry = sum(len(l) <= len(j) for l in hits)
+            rhs = fresh + d_entry
+            d_nonzero += d_entry > 0
+        else:
+            rhs = lhs if dij >= k else 0  # d = k, k+1: definitional buckets
+            delta_nonzero += dij == k and lhs > 0
+        pairs += 1
+        max_violation = max(max_violation, abs(lhs - rhs))
     return DecompositionReport(max_violation, pairs, d_nonzero, delta_nonzero)
 
 
@@ -745,15 +716,9 @@ def tree_recurrence_check(
     if d < 2:
         raise ValueError("tree degree must be >= 2")
     spec = free_power(complete_graph(2), d)
-    cutoff = radius - k - 1
-    interior = _check_interior(spec, k, radius, cutoff, max_vertices, budget)
+    interior = _check_interior(spec, k, radius, radius - k - 1, max_vertices, budget)
     max_violation = 0
-    for j in interior:
-        row = _word_bfs(spec, j, k + 1)
-        for i, dij in row.items():
-            if i not in interior:
-                continue
-            lhs = sum(1 for l in word_neighbors(spec, i) if row.get(l) == k)
-            rhs = (1 if dij == k + 1 else 0) + (d - 1) * (1 if dij == k - 1 else 0)
-            max_violation = max(max_violation, abs(lhs - rhs))
+    for dij, _, hits in _check_pairs(spec, interior, k, later_only=False):
+        rhs = (dij == k + 1) + (d - 1) * (dij == k - 1)
+        max_violation = max(max_violation, abs(len(hits) - rhs))
     return max_violation

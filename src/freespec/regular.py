@@ -158,8 +158,11 @@ def cycle_sample(d: int, j: int, n: int, seed: int, i: int, max_nodes: int) -> i
 
 
 def sample_workers(threads: int, samples: int) -> int:
-    """Worker processes for a run: at most threads, samples per cell and cores."""
-    return max(1, min(threads, samples, os.cpu_count() or 1))
+    """Worker processes for a run: at most threads, samples per cell and the
+    CPUs this process may run on (the host's where it has no affinity mask)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return max(1, min(threads, samples, cpus))
 
 
 class _Deferred:
@@ -303,7 +306,6 @@ def cycles_experiment(
             m=None,
             value=None if mean is None else ExactScaled(mean),
             reference=ref,
-            skipped=mean is None,
         )
         for n, mean in zip(n_list, means)
     ]

@@ -95,7 +95,7 @@ class ExactScaled(Frozen):
 class ReportRow(Record):
     _fields = (
         "experiment", "graph", "param_name", "param_value", "k", "m",
-        "value", "reference", "skipped",
+        "value", "reference",
     )
 
     def __init__(
@@ -108,16 +108,18 @@ class ReportRow(Record):
         m: int | None,
         value: ExactScaled | float | None,
         reference: ExactScaled | None = None,
-        skipped: bool = False,
     ):
-        super().__init__(
-            experiment, graph, param_name, param_value, k, m, value, reference, skipped
-        )
+        super().__init__(experiment, graph, param_name, param_value, k, m, value, reference)
+
+    @property
+    def skipped(self) -> bool:
+        """Whether the row's cell was skipped over its budget: it has no value."""
+        return self.value is None
 
     @property
     def abs_err(self) -> ExactScaled | None:
         # a float value (km-density) never carries a reference
-        if self.skipped or self.value is None or self.reference is None:
+        if self.value is None or self.reference is None:
             return None
         # surd-scaled values only ever face a zero reference (odd powers)
         return self.value.sub_rational(self.reference.frac).abs()
@@ -156,7 +158,6 @@ def moment_rows(
             m=m,
             value=None if values is None else values[m],
             reference=None if ref is None else ExactScaled(ref),
-            skipped=values is None,
         )
         for param_value, values in cells
         for m, ref in enumerate(refs)
@@ -202,8 +203,10 @@ def fmt12_exact(v: ExactScaled) -> str:
     rounded value's decimal exponent is in -4..11, exponent form otherwise.
     """
     square = v.frac * v.frac / v.sqrt_den
-    # 10^e <= |v| < 10^(e+1)
-    e = (len(str(square.numerator)) - len(str(square.denominator))) // 2
+    # 10^e <= |v| < 10^(e+1); bit lengths give e to within one, with no
+    # int-to-str conversion, whose digit limit a huge value would pass
+    bits = square.numerator.bit_length() - square.denominator.bit_length()
+    e = math.floor(bits * math.log10(2) / 2)
     while square < Fraction(100) ** e:
         e -= 1
     while square >= Fraction(100) ** (e + 1):
@@ -275,26 +278,35 @@ def render_csv(report: Report) -> str:
 def render_json(report: Report) -> str:
     import json
 
-    rows = []
-    for r in report.rows:
-        value, reference, abs_err, rel_err = _shown(r)
-        rows.append(
-            {
-                "experiment": r.experiment,
-                "graph": r.graph,
-                "param_name": r.param_name,
-                "param_value": r.param_value,
-                "k": r.k,
-                "m": r.m,
-                "value": _float(value),
-                "value_exact": _exact(value),
-                "reference": _float(reference),
-                "reference_exact": _exact(reference),
-                "abs_err": _float(abs_err),
-                "rel_err": rel_err,
-                "skipped": r.skipped,
-            }
-        )
+    # each *_exact field spells its value in full: Python's int-to-str digit
+    # limit, where the interpreter has one, is lifted while rendering
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        rows = []
+        for r in report.rows:
+            value, reference, abs_err, rel_err = _shown(r)
+            rows.append(
+                {
+                    "experiment": r.experiment,
+                    "graph": r.graph,
+                    "param_name": r.param_name,
+                    "param_value": r.param_value,
+                    "k": r.k,
+                    "m": r.m,
+                    "value": _float(value),
+                    "value_exact": _exact(value),
+                    "reference": _float(reference),
+                    "reference_exact": _exact(reference),
+                    "abs_err": _float(abs_err),
+                    "rel_err": rel_err,
+                    "skipped": r.skipped,
+                }
+            )
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     doc = {
         "meta": {
             "seed": report.seed,

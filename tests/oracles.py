@@ -5,9 +5,13 @@ implementation: brute-force enumeration, Floyd-Warshall distances, Hankel
 determinants, adaptive quadrature, and the polynomial-power pushforward
 with the hand-written recursions of the Chebyshev and tree polynomials.
 Keep it that way; these are the cross-checks.  The exceptions reuse the
-package's neighbor enumeration and nothing else: layered_distance_k_walks,
-and materialized_ball, which adds the induced adjacency to the package's
-ball, with the pair loops of the two ball checks built on it.
+package's neighbor enumeration and nothing else: layered_distance_k_walks;
+MaterializedBall, which adds the induced adjacency to the package's ball,
+with the tree check's pair loop built on it; and pair_decomposition_check,
+whose pairs come from the package's ball and distance-k neighbors and whose
+distances all come from word_distance.  That closed-form word metric is
+checked against BFS in a materialized ball by the tests; the package reads
+every distance from BFS rows instead.
 
 The helpers only build inputs or read one value: random_graph generates
 seeded graphs, format_graph_text writes the graph text format, make_word
@@ -26,7 +30,6 @@ from freespec.freeprod import (
     distance_k_neighbors,
     free_power,
     validate_word,
-    word_distance,
     word_neighbors,
 )
 from freespec.graphs import (
@@ -93,6 +96,36 @@ def root_distance(spec, word):
     """The root distance of a word: the sum of its letters' costs."""
     costs = spec.letter_costs
     return sum(costs[letter] for letter in word)
+
+
+def word_distance(spec, x, y, validate=True):
+    """Graph distance in G^{*N} via the suffix-stripping closed form.
+
+    Strip the common suffix s of x and y.  If what is left of either is
+    empty, the distance is the other's root distance over s; otherwise the
+    geodesic passes through the junction copy of the two bottom letters
+    left, taking the base distance between them when they share a copy.
+    """
+    if validate:
+        validate_word(spec, x)
+        validate_word(spec, y)
+    lx, ly = len(x), len(y)
+    common = 0
+    while common < lx and common < ly and x[lx - 1 - common] == y[ly - 1 - common]:
+        common += 1
+    xs = x[: lx - common]
+    ys = y[: ly - common]
+    costs = spec.letter_costs
+    dx = sum(costs[letter] for letter in xs)
+    dy = sum(costs[letter] for letter in ys)
+    if not xs or not ys:
+        return dx + dy
+    n = spec.base.vertex_count
+    ca, va = divmod(xs[-1], n)
+    cb, vb = divmod(ys[-1], n)
+    if ca != cb:
+        return dx + dy
+    return dx - costs[xs[-1]] + spec.apsp[va][vb] + dy - costs[ys[-1]]
 
 
 def make_word(spec, letters):
@@ -237,26 +270,33 @@ def regular_tree_ball(d, radius, max_vertices=10**6):
     return MaterializedBall(free_power(complete_graph(2), d), radius, max_vertices)
 
 
-def pair_decomposition_check(spec, k, radius):
-    """The free-power decomposition check over every pair of interior ball words.
+def pair_decomposition_check(spec, k, radius, near=False):
+    """The free-power decomposition check, every distance by word_distance.
 
-    The loop body is the package's (see freeprod.decomposition_check); this
-    visits each pair (a, b) with a no later than b in ball order and
-    root_distance(a) <= root_distance(b), whatever their distance.  Returns
-    max_violation, the pairs visited, the pairs within distance k+1, and
-    the nonzero counts of the top-copy and same-distance entries.
+    d(a, b), and d(a, l) for each neighbour l of b, come from the closed
+    form, not from the BFS rows the package reads (freeprod._check_pairs).
+    It visits each pair (a, b) of interior words with a no later than b in
+    ball order and root_distance(a) <= root_distance(b): every such pair,
+    whatever its distance, or with near only those within k+1 of b, taken
+    from distance_k_neighbors at each distance, so larger balls stay cheap.
+    Returns max_violation, the pairs visited, the pairs within distance k+1,
+    and the nonzero counts of the top-copy and same-distance entries.
     """
-    bg = MaterializedBall(spec, radius)
-    words, rds = bg.words, bg.root_distances
-    interior = bg.interior_indices(1)
+    rds = ball(spec, radius - 1)
+    order = {w: i for i, w in enumerate(rds)}
     fresh = (spec.copies - 1) * spec.sigma
     out = dict(max_violation=0, pairs=0, pairs_within=0, d_nonzero=0, delta_nonzero=0)
-    for bi, b in enumerate(interior):
-        wb = words[b]
+    for wb, rd_b in rds.items():
+        others = rds
+        if near:
+            others = [wb] + [
+                w
+                for dist in range(1, k + 2)
+                for w in distance_k_neighbors(spec, wb, dist, max_root_distance=rd_b)
+            ]
         nbrs_b = word_neighbors(spec, wb)
-        for a in interior[: bi + 1]:
-            wa = words[a]
-            if rds[a] > rds[b]:
+        for wa in others:
+            if order[wa] > order[wb] or rds[wa] > rd_b:
                 continue
             dij = word_distance(spec, wa, wb, validate=False)
             lhs = 0

@@ -15,7 +15,6 @@ from freespec.freeprod import (
     free_power,
     tree_recurrence_check,
     vacuum_moments_distance_k,
-    word_distance,
 )
 from freespec.graphs import (
     bfs_distances,
@@ -37,6 +36,7 @@ from oracles import (
     km_moment_quad,
     random_graph,
     report_row,
+    word_distance,
 )
 
 SEED = 0

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import freespec
 from freespec import errors
 from freespec.errors import ParityError, UnreducedWordError
-from freespec.freeprod import ball, free_power, vacuum_moments_distance_k, word_distance
+from freespec.freeprod import ball, free_power, vacuum_moments_distance_k
 from freespec.graphs import RootedGraph, complete_graph, count_k_cycles, cycle_graph
 from freespec.polymoments import (
     JacobiParams,
@@ -41,6 +41,7 @@ from oracles import (
     make_word,
     pushforward_moments,
     report_row,
+    word_distance,
     word_letters,
 )
 
@@ -169,6 +170,33 @@ def test_surd_cells_render_from_the_exact_value():
     row = ReportRow("free-clt", "g", "N", 2, 3, 1, value, ExactScaled(Fraction(0)))
     cells = render_csv(Report(rows=[row])).splitlines()[1].split(",")
     assert cells[6:] == ["-5.04180253256e+150", "0", "5.04180253256e+150", ""]
+
+
+@pytest.mark.parametrize(
+    "value, cell",
+    [
+        (ExactScaled(Fraction(3**5000)), "4.03899762979e+2385"),
+        (ExactScaled(Fraction(3**10000)), "1.63135018534e+4771"),
+        (ExactScaled(Fraction(-(3**10001)), 2), "-3.46061633564e+4771"),
+    ],
+)
+def test_values_past_the_int_digit_limit_render(value, cell):
+    # the CSV exponent comes from bit lengths; JSON lifts the digit limit
+    # only while it renders
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    row = ReportRow("moments", "g", "state", "vacuum", None, 9, value)
+    report = Report(rows=[row])
+    assert render_csv(report).splitlines()[1].split(",")[6] == cell
+    shown = json.loads(render_json(report))["rows"][0]
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+    try:
+        assert shown["value_exact"] == value.exact_str()
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert (shown["value"], shown["skipped"]) == (None, False)
 
 
 def test_records_keep_value_semantics():

@@ -30,7 +30,6 @@ from freespec.freeprod import (
     tree_recurrence_check,
     validate_word,
     vacuum_moments_distance_k,
-    word_distance,
     word_neighbors,
 )
 from freespec.graphs import (
@@ -55,6 +54,7 @@ from oracles import (
     regular_tree_ball,
     root_distance,
     vacuum_moment,
+    word_distance,
 )
 
 K2 = complete_graph(2)
@@ -655,28 +655,49 @@ def test_decomposition_rows_match_the_pair_oracle():
         assert pairs is None or report.pairs_checked == pairs
 
 
+_FREE_ORACLE_CASES = [
+    (name, copies, radius)
+    for name in BUILTIN_GRAPHS
+    if name != "k2"
+    for copies in (2, 3)
+    for radius in (5, 6)
+    # k4^*3 at radius 6 takes about a minute for the check and the oracle
+    if (name, copies, radius) != ("k4", 3, 6)
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name, copies, radius", _FREE_ORACLE_CASES)
+def test_free_check_matches_the_pair_oracle(name, copies, radius):
+    # all four fields against the closed-form metric's loop, k = 3
+    spec = free_power(builtin_graph(name), copies)
+    # k4^*3 at radius 5 charges 154,912,428 row scans, past the default budget
+    report = decomposition_check(spec, 3, radius, budget=2 * 10**8)
+    oracle = pair_decomposition_check(spec, 3, radius, near=True)
+    assert report == freeprod.DecompositionReport(
+        oracle["max_violation"], oracle["pairs_within"],
+        oracle["d_nonzero"], oracle["delta_nonzero"],
+    )
+    assert report.max_violation == 0
+
+
 def test_tree_rows_match_the_pair_oracle():
-    for d, k, radius in [(3, 2, 6), (2, 3, 8), (4, 3, 7)]:
+    for d, k, radius in [(3, 2, 6), (2, 3, 8), (4, 3, 7), (3, 3, 7), (4, 2, 6)]:
         assert tree_recurrence_check(d, k, radius) == pair_tree_recurrence_check(d, k, radius)
 
 
 def _counted_work(monkeypatch, run):
-    """Neighbour words listed plus word_distance calls made by run()."""
+    """Neighbour words listed by run(): every distance a check reads is a BFS row."""
     work = [0]
-    neighbors, distance = freeprod.word_neighbors, freeprod.word_distance
+    neighbors = freeprod.word_neighbors
 
     def counted_neighbors(spec, word):
         out = neighbors(spec, word)
         work[0] += len(out)
         return out
 
-    def counted_distance(*args, **kwargs):
-        work[0] += 1
-        return distance(*args, **kwargs)
-
     with monkeypatch.context() as patch:
         patch.setattr(freeprod, "word_neighbors", counted_neighbors)
-        patch.setattr(freeprod, "word_distance", counted_distance)
         run()
     return work[0]
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from freespec import regular
+from freespec import cli, regular
 from freespec.errors import BudgetExceededError, ParityError, RetriesExhaustedError
 from freespec.graphs import complete_graph, count_k_cycles
 from freespec.regular import (
@@ -155,11 +155,33 @@ def test_cycles_experiment_report():
 
 
 def test_sample_workers_clamp():
-    cores = os.cpu_count() or 1
+    # the CPUs this process may run on, where the platform says which
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
     assert sample_workers(1, 20) == 1
     assert sample_workers(3, 1) == 1
     assert sample_workers(10**6, 4) == min(4, cores)
     assert sample_workers(2, 20) == min(2, cores)
+
+
+def test_one_allowed_cpu_starts_no_pool(monkeypatch, capsys):
+    # an affinity mask of one CPU runs --threads 4 in the calling process
+    import concurrent.futures.process
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", no_pool)
+    assert sample_workers(4, 20) == 1
+    argv = ["cycles", "--d", "3", "--j", "3", "--n-list", "30", "--samples", "4"]
+    reports = []
+    for threads in ("4", "1"):
+        assert cli.main(argv + ["--threads", threads]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 def test_samples_give_the_same_results_on_a_spawned_pool():
