@@ -78,9 +78,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _to_int(text: str, flag: str) -> int:
+    # Python's int-to-str digit limit stays: lifting it would let an odd k*m
+    # free-clt cell that large stall in ExactScaled's trial division
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and len(text) > limit:
+        raise _UsageError(f"{flag} takes integers of at most {limit} digits (Python's limit)")
+    return int(text)
+
+
 def _parse_int_list(text: str, flag: str) -> list[int]:
     try:
-        values = [int(part) for part in text.split(",") if part != ""]
+        values = [_to_int(part, flag) for part in text.split(",") if part != ""]
     except ValueError:
         raise _UsageError(f"{flag} expects a comma-separated integer list")
     if not values:
@@ -311,8 +320,9 @@ def _run_decomp(args, budgets: Budgets) -> Report:
         )
     if not args.N.isdecimal():
         raise _UsageError("--N expects one integer in --mode free")
+    copies = _to_int(args.N, "--N")
     g, name = _load_graph(args.graph)
-    spec = free_power(g, int(args.N))
+    spec = free_power(g, copies)
     report = decomposition_check(
         spec, args.k, args.radius, budgets.ball_vertices, budgets.walk_expansions
     )
@@ -396,14 +406,11 @@ def _run_hist(args, budgets: Budgets) -> Report:
 def _preprocess(argv):
     # argparse mistakes "--range -2,2" for a missing argument; fold the value in
     out = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--range" and i + 1 < len(argv):
-            out.append(f"--range={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(argv[i])
-        i += 1
+    for arg in argv:
+        if out and out[-1] == "--range":
+            out[-1] = f"--range={arg}"
+        else:
+            out.append(arg)
     return out
 
 

@@ -1,14 +1,13 @@
 """Report structures and CSV/JSON rendering.
 
 Values inside reports stay exact (rationals, possibly divided by the square
-root of an integer for odd normalization powers); floating point only
-appears at render time.  Rendering is deterministic: identical inputs give
-byte-identical output.  A nonzero exact value outside the normal float
-range (past its top, or below sys.float_info.min) renders in CSV from the
-value itself, in the same 12-digit shape, and as null in JSON, whose
-*_exact fields carry it.  A surd (sqrt_den > 1) also renders in CSV
-from the value itself, so its 12 digits are rounded once; JSON floats and
-rational CSV cells go through float.
+root of an integer for odd normalization powers); rounding only happens at
+render time.  Rendering is deterministic: identical inputs give
+byte-identical output.  Every exact CSV cell is rounded once, from its
+integers, to 12 significant digits (fmt12_exact); float cells go through
+fmt12.  JSON floats go through float: a nonzero exact value outside the
+normal float range (past its top, or below sys.float_info.min) is null
+there, and the row's *_exact fields carry it.
 """
 from __future__ import annotations
 
@@ -31,10 +30,7 @@ class Budgets(Frozen):
         super().__init__(walk_expansions, ball_vertices)
 
     def as_dict(self) -> dict:
-        return {
-            "walk_expansions": self.walk_expansions,
-            "ball_vertices": self.ball_vertices,
-        }
+        return dict(zip(self._fields, self._values()))
 
 
 class ExactScaled(Frozen):
@@ -182,12 +178,6 @@ def fmt12(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _render_param(v) -> str:
-    if isinstance(v, float):
-        return fmt12(v)
-    return str(v)
-
-
 def _shown(r: ReportRow) -> tuple:
     """A row's value, reference, abs_err and rel_err; a skipped row shows none."""
     if r.skipped:
@@ -196,25 +186,29 @@ def _shown(r: ReportRow) -> tuple:
 
 
 def fmt12_exact(v: ExactScaled) -> str:
-    """fmt12 from the exact value rather than a float, for a nonzero v.
+    """fmt12 from the exact value rather than a float; zero renders as "0".
 
     |v| = |frac| / sqrt(sqrt_den) is rounded half to even at 12 significant
     digits and laid out as '.12g' lays out a float: fixed notation when the
     rounded value's decimal exponent is in -4..11, exponent form otherwise.
+    The work is on the integers of v^2 = num / den alone.
     """
-    square = v.frac * v.frac / v.sqrt_den
-    # 10^e <= |v| < 10^(e+1); bit lengths give e to within one, with no
-    # int-to-str conversion, whose digit limit a huge value would pass
-    bits = square.numerator.bit_length() - square.denominator.bit_length()
-    e = math.floor(bits * math.log10(2) / 2)
-    while square < Fraction(100) ** e:
-        e -= 1
-    while square >= Fraction(100) ** (e + 1):
-        e += 1
-    # the 12 digits are sqrt(scaled) rounded half to even
-    scaled = square * Fraction(100) ** (11 - e)
-    digits = math.isqrt(math.floor(scaled))
-    half = scaled - Fraction((2 * digits + 1) ** 2, 4)
+    num = v.frac.numerator ** 2
+    den = v.frac.denominator ** 2 * v.sqrt_den
+    if num == 0:
+        return "0"
+    # 10^e <= |v| < 10^(e+1), so a / b = v^2 * 100^(11 - e) is in
+    # [10^22, 10^24); bit lengths give e to within one, with no int-to-str
+    # conversion, whose digit limit a huge value would pass
+    e = math.floor((num.bit_length() - den.bit_length()) * math.log10(2) / 2)
+    a, b = (num * 100 ** (11 - e), den) if e <= 11 else (num, den * 100 ** (e - 11))
+    while a < 10**22 * b:
+        a, e = a * 100, e - 1
+    while a >= 10**24 * b:
+        b, e = b * 100, e + 1
+    # the 12 digits are sqrt(a / b) rounded half to even
+    digits = math.isqrt(a // b)
+    half = 4 * a - (2 * digits + 1) ** 2 * b
     if half > 0 or (half == 0 and digits % 2):
         digits += 1
     if digits == 10**12:
@@ -242,14 +236,12 @@ def _float(v: ExactScaled | float | None) -> float | None:
     return None if v.frac and abs(x) < sys.float_info.min else x
 
 
-def _csv_cell(v: ExactScaled | float | None) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, ExactScaled) and v.sqrt_den > 1:
-        # through float(frac) / math.sqrt(sqrt_den) a surd would round twice
+def _csv_cell(v) -> str:
+    if isinstance(v, ExactScaled):
         return fmt12_exact(v)
-    x = _float(v)
-    return fmt12_exact(v) if x is None else fmt12(x)
+    if isinstance(v, float):
+        return fmt12(v)
+    return "" if v is None else str(v)
 
 
 def _exact(v: ExactScaled | float | None) -> str | None:
@@ -259,19 +251,8 @@ def _exact(v: ExactScaled | float | None) -> str | None:
 def render_csv(report: Report) -> str:
     lines = [CSV_HEADER]
     for r in report.rows:
-        lines.append(
-            ",".join(
-                [
-                    r.experiment,
-                    r.graph,
-                    r.param_name,
-                    _render_param(r.param_value),
-                    "" if r.k is None else str(r.k),
-                    "" if r.m is None else str(r.m),
-                ]
-                + [_csv_cell(v) for v in _shown(r)]
-            )
-        )
+        cells = (r.experiment, r.graph, r.param_name, r.param_value, r.k, r.m, *_shown(r))
+        lines.append(",".join(map(_csv_cell, cells)))
     return "\n".join(lines) + "\n"
 
 

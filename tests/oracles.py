@@ -2,8 +2,9 @@
 
 The oracles recompute expected values by a route disjoint from the package
 implementation: brute-force enumeration, Floyd-Warshall distances, Hankel
-determinants, adaptive quadrature, and the polynomial-power pushforward
-with the hand-written recursions of the Chebyshev and tree polynomials.
+determinants, adaptive quadrature, the polynomial-power pushforward with
+the hand-written recursions of the Chebyshev and tree polynomials, and
+12-digit rounding by the decimal module.
 Keep it that way; these are the cross-checks.  The exceptions reuse the
 package's neighbor enumeration and nothing else: layered_distance_k_walks;
 MaterializedBall, which adds the induced adjacency to the package's ball,
@@ -21,6 +22,7 @@ edges, diameter reads a free power's base diameter, root_distance sums a
 word's letter costs, report_row finds a report row, and exact_less orders
 two exact values.
 """
+import decimal
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -90,6 +92,37 @@ def exact_less(a, b):
     lhs = x * x * b.sqrt_den
     rhs = y * y * a.sqrt_den
     return lhs < rhs if x > 0 else lhs > rhs
+
+
+def fmt12_by_decimal(frac, sqrt_den=1):
+    """frac / sqrt(sqrt_den) rounded half to even at 12 digits by the decimal
+    module and written in the shape of '.12g': fixed notation for decimal
+    exponents -4..11, exponent form otherwise.
+
+    frac is anything Fraction takes.  A rational is divided once, correctly
+    rounded; a surd's square root is taken at 40 digits first.
+    """
+    q = Fraction(frac)
+    if q == 0:
+        return "0"
+    ctx = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_EVEN, Emax=10**6, Emin=-(10**6))
+    if sqrt_den == 1:
+        x = ctx.divide(abs(q.numerator), q.denominator)
+    else:
+        wide = ctx.copy()
+        wide.prec = 40
+        root = wide.sqrt(wide.divide(q.numerator**2, q.denominator**2 * sqrt_den))
+        x = ctx.plus(root)
+    e = x.adjusted()
+    text = "".join(map(str, x.as_tuple().digits)).rstrip("0")
+    if e < -4 or e >= 12:
+        body = text[0] + ("." + text[1:] if len(text) > 1 else "") + f"e{e:+03d}"
+    elif e < 0:
+        body = "0." + "0" * (-e - 1) + text
+    else:
+        text = text.ljust(e + 1, "0")
+        body = text[: e + 1] + ("." + text[e + 1:] if len(text) > e + 1 else "")
+    return ("-" if q < 0 else "") + body
 
 
 def root_distance(spec, word):

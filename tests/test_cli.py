@@ -1,5 +1,4 @@
 """CLI tests: subcommands, schemas, exit codes, determinism."""
-import decimal
 import hashlib
 import json
 import multiprocessing
@@ -13,7 +12,7 @@ import pytest
 from freespec import cli, freeprod, regular
 from freespec.errors import BudgetExceededError
 from freespec.graphs import builtin_graph, cycle_graph, from_edge_list, parse_graph_text
-from oracles import format_graph_text
+from oracles import fmt12_by_decimal, format_graph_text
 
 
 def run_cli(capsys, *argv):
@@ -91,17 +90,6 @@ def test_moments_law(capsys):
     assert values == ["1", "0", "3", "0", "15"]
 
 
-def _fmt12_by_decimal(exact):
-    """An exact rational past the float range, rounded half to even at 12
-    digits by the decimal module and written in the shape of '.12g'."""
-    q = Fraction(exact)
-    ctx = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_EVEN, Emax=10**6)
-    sign, digits, exp = ctx.divide(q.numerator, q.denominator).as_tuple()
-    text = "".join(map(str, digits)).rstrip("0")
-    mantissa = text[0] + ("." + text[1:] if len(text) > 1 else "")
-    return f"{'-' if sign else ''}{mantissa}e{exp + len(digits) - 1:+03d}"
-
-
 def _reject_constant(name):
     raise ValueError(f"JSON holds {name}")
 
@@ -128,7 +116,7 @@ def test_values_past_the_float_range_render(capsys, argv):
         for name, cell in (("value", cells[6]), ("reference", cells[7])):
             if row[name] is None and row[name + "_exact"] is not None:
                 past += 1
-                assert cell == _fmt12_by_decimal(row[name + "_exact"])
+                assert cell == fmt12_by_decimal(row[name + "_exact"])
             elif row[name] is not None:
                 assert cell == f"{row[name]:.12g}"
         if row["reference_exact"] is not None:
@@ -853,6 +841,23 @@ FREE = ("decomp-check", "--mode", "free", "--graph", "builtin:k3", "--k", "3", "
 def test_flag_errors_and_rare_flags(capsys, argv, code, err):
     got_code, _, got_err = run_cli(capsys, *argv)
     assert (got_code, got_err) == (code, err)
+
+
+HUGE = "1" * 4400  # past Python's 4300-digit int-to-str limit
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("free-clt", "--graph", "builtin:k3", "--k", "1", "--max-m", "2", "--N", f"2,{HUGE}"), "--N"),
+    (("large-d", "--k", "1", "--max-m", "2", "--d-list", HUGE), "--d-list"),
+    (("regular-random", "--d", "3", "--k", "1", "--n-list", HUGE), "--n-list"),
+    (("cycles", "--d", "3", "--j", "3", "--n-list", HUGE), "--n-list"),
+    ((*FREE, "--N", HUGE), "--N"),
+])
+def test_an_integer_past_the_digit_limit_is_named(capsys, argv, flag):
+    # it used to read as a malformed list, or as Python's raw message
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error[USAGE]: {flag} takes integers of at most 4300 digits (Python's limit)\n"
 
 
 def test_surd_json_string(capsys):

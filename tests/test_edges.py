@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import freespec
@@ -36,6 +36,7 @@ from freespec.reports import (
     render_json,
 )
 from oracles import (
+    fmt12_by_decimal,
     format_word,
     hankel_positive,
     make_word,
@@ -130,6 +131,47 @@ def test_fmt12_exact_has_the_shape_of_fmt12():
     assert fmt12_exact(ExactScaled(Fraction(1, 10**4), 2)) == "7.07106781187e-05"
     assert fmt12_exact(ExactScaled(Fraction(10**12), 2)) == "707106781187"
     assert fmt12_exact(ExactScaled(Fraction(-(10**23)), 2)) == "-7.07106781187e+22"
+    # zero, with or without a surd, is "0"; a negative surd keeps its sign
+    assert fmt12_exact(ExactScaled(Fraction(0))) == fmt12(0.0) == "0"
+    assert fmt12_exact(ExactScaled(Fraction(0), 7)) == "0"
+    assert fmt12_exact(ExactScaled(Fraction(-1), 2)) == "-0.707106781187"
+    assert fmt12_exact(ExactScaled(Fraction(-1, 10**6), 3)) == "-5.7735026919e-07"
+
+
+def test_a_13_digit_tie_rounds_half_to_even_in_csv():
+    # 7.495225879535 exactly: through float it rounded down to ...953
+    value = ExactScaled(Fraction(1499045175907, 200000000000))
+    row = ReportRow("free-clt", "g", "N", 2, 1, 3, value)
+    assert render_csv(Report(rows=[row])).splitlines()[1].split(",")[6] == "7.49522587954"
+
+
+_TIES = st.builds(
+    lambda k, shift, sign: sign * Fraction(10 * k + 5) * Fraction(10) ** shift,
+    st.integers(10**11, 10**12 - 1),
+    st.integers(-400, 400),
+    st.sampled_from((1, -1)),
+)
+_IN_RANGE = st.builds(
+    lambda q, sign: sign * q,
+    st.fractions(min_value=Fraction(1, 10**5), max_value=10**15, max_denominator=10**18),
+    st.sampled_from((1, -1)),
+)
+_PAST_FLOAT = st.builds(
+    lambda p, q, shift: Fraction(p, q) * Fraction(10) ** shift,
+    st.integers(-(10**30), 10**30).filter(bool),
+    st.integers(1, 10**30),
+    st.sampled_from((-1, 1)).flatmap(lambda s: st.integers(310, 2000).map(lambda e: s * e)),
+)
+
+
+@given(st.one_of(_TIES, _IN_RANGE, _PAST_FLOAT), st.sampled_from((1, 2, 3, 6, 10, 4099)))
+@example(Fraction(1499045175907, 200000000000), 1)
+@example(Fraction(-(10**12) - 5, 10**420), 1)
+def test_fmt12_exact_matches_decimal_rounding(frac, sqrt_den):
+    # rationals against one correctly rounded decimal division, surds
+    # against a 40-digit decimal square root
+    v = ExactScaled(frac, sqrt_den)
+    assert fmt12_exact(v) == fmt12_by_decimal(v.frac, v.sqrt_den)
 
 
 def test_values_below_the_normal_float_range_render_exactly():
