@@ -25,7 +25,7 @@ from .polymoments import (
     semicircle_density,
     tree_distance_k_law_moments,
 )
-from .reports import Budgets, ExactScaled, Report, moment_rows
+from .reports import Budgets, ExactScaled, Report, moment_rows, square_root_part
 
 
 def run_cells(fn, items, threads: int = 1) -> list:
@@ -44,9 +44,7 @@ def normalized_value(count: int, scale_base: int, power: int) -> ExactScaled:
     Even powers give a plain rational; odd powers keep a 1/sqrt(scale_base)
     factor symbolically.
     """
-    if power % 2 == 0:
-        return ExactScaled(Fraction(count, scale_base ** (power // 2)))
-    return ExactScaled(Fraction(count, scale_base ** (power // 2)), scale_base)
+    return ExactScaled(Fraction(count, scale_base ** (power // 2)), scale_base if power % 2 else 1)
 
 
 def chebyshev_reference_moments(k: int, max_m: int):
@@ -87,22 +85,24 @@ def free_clt_experiment(
     Cells that blow the walk budget are marked skipped and the run continues.
     The smallest N runs first: if it overruns, every other cell is skipped
     at once.  The largest N runs next: if its walk table fits, it serves
-    every other N.  The rest follow in rising order; rows keep n_list order.
-    When the largest N overruns, the first middle N that overruns too uses
-    up the budget a second time (rising order alone would stop at it), and
-    every larger N is then skipped at once.
+    every other N through the run's memo.  The rest follow in rising order;
+    rows keep n_list order.  When the largest N overruns, the first middle
+    N that overruns too uses up the budget a second time (rising order
+    alone would stop at it), and every larger N is then skipped at once.
+    With k odd, the surd's trial divisions are charged first, on their own.
     """
     refs = chebyshev_reference_moments(k, max_m)
+    tables: dict = {}
 
     def cell(n_copies: int):
         spec = free_power(base, n_copies)
+        scale = n_copies * spec.sigma
         try:
-            counts = vacuum_moments_distance_k(
-                spec, k, max_m, budget=budgets.walk_expansions
-            )
+            if k % 2 and max_m:
+                square_root_part(scale, budgets.walk_expansions)
+            counts = vacuum_moments_distance_k(spec, k, max_m, budgets.walk_expansions, tables)
         except BudgetExceededError:
             return None
-        scale = n_copies * spec.sigma
         return [normalized_value(count, scale, k * m) for m, count in enumerate(counts)]
 
     ordered = sorted(n_list)

@@ -542,19 +542,12 @@ def _walk_layers(base: RootedGraph, k: int, max_m: int, budget: int, cap: int):
         yield layer
 
 
-# per (base, k, max_m, budget), the 16 latest used: [largest cap whose walk
-# DP fit, its table, (smallest cap whose DP overran, its count and stage)].
-# A table serves every smaller cap, since perm(N, j) = 0 for j > N; the
-# charge grows with cap, so every larger cap overruns too, and later cells
-# of a run fail at once.
-_walk_tables: dict[tuple, list] = {}
-
-
 def vacuum_moments_distance_k(
     spec: FreePowerSpec,
     k: int,
     max_m: int,
     budget: int = DEFAULT_WALK_BUDGET,
+    tables: dict | None = None,
 ) -> list[int]:
     """Exact closed-walk counts at the root of the distance-k graph of G^{*N}.
 
@@ -564,8 +557,9 @@ def vacuum_moments_distance_k(
     every other base evaluates the walk polynomial at N = spec.copies.
     Its DP tracks min(N, k*max_m/2) copies, so every N >= k*max_m/2 shares
     one DP and its budget charge, and a smaller N pays only for its own
-    copies, unless a larger table for the same base, k, max_m and budget
-    already fit: that one serves it.
+    copies.  A memo its caller owns for one run, tables keeps per (base, k,
+    max_m, budget) the largest table that fit, which serves every smaller
+    cap, and the smallest cap that overran, past which every cap fails.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -574,10 +568,8 @@ def vacuum_moments_distance_k(
     if spec.base.vertex_count == 2:
         return _tree_vacuum_moments(spec.copies, k, max_m, budget)
     cap = min(spec.copies, max(1, k * max_m // 2))
-    key = (spec.base, k, max_m, budget)
-    entry = _walk_tables[key] = _walk_tables.pop(key, None) or [0, (), None]
-    if len(_walk_tables) > 16:
-        del _walk_tables[next(iter(_walk_tables))]
+    memo = {} if tables is None else tables
+    entry = memo.setdefault((spec.base, k, max_m, budget), [0, (), None])
     fit_cap, table, overrun = entry
     if overrun is not None and overrun[0] <= cap:
         raise BudgetExceededError(overrun[1], budget, overrun[2])

@@ -154,17 +154,20 @@ def jacobi_moments(params: JacobiParams, max_m: int, p: Poly = X) -> tuple[Fract
 def monic_orthogonal_poly(params: JacobiParams, k: int) -> Poly:
     """The k-th monic orthogonal polynomial of the law of params.
 
-    P_0 = 1, P_1 = x - beta_0, P_{n+1} = (x - beta_n) P_n - gamma_{n-1} P_{n-1}.
+    P_0 = 1, P_1 = x - beta_0, P_{n+1} = (x - beta_n) P_n - gamma_{n-1} P_{n-1},
+    on coefficient lists, in Python ints when the parameters are integral.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    prev, cur = Poly(), Poly([1])
-    for n in range(k):
-        nxt = X * cur - params.beta_at(n) * cur
-        if n:
-            nxt = nxt - params.gamma_at(n - 1) * prev
-        prev, cur = cur, nxt
-    return cur
+    beta = [params.beta_at(n) for n in range(k)]
+    gamma = [0] + [params.gamma_at(n) for n in range(k - 1)]  # gamma_{n-1}, none at n = 0
+    if all(c.denominator == 1 for c in beta + gamma):
+        beta, gamma = [int(c) for c in beta], [int(c) for c in gamma]
+    prev, cur = [], [1]  # coefficients, constant first
+    for b, g in zip(beta, gamma):
+        nxt = [x - g * p for x, p in zip([0] + cur, prev + [0, 0])]
+        prev, cur = cur, [x - b * c for x, c in zip(nxt, cur + [0])] if b else nxt
+    return Poly(cur)
 
 
 SEMICIRCLE = JacobiParams(beta=(0,), gamma=(1,))

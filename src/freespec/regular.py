@@ -7,9 +7,9 @@ configured seeds.
 
 Each sample of an experiment re-derives its own seed from its coordinates,
 so samples run in any order and on any process.  Both experiments get their
-cells from one sample path, _sampled_cells: with threads > 1 it runs every
-sample on one process pool, and each cell combines its exact results in
-sample order.
+cells from one sample path, _sampled_cells: each cell reads its samples
+through a map, the builtin map with one worker and the map of one process
+pool otherwise, and combines their exact results in sample order.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ import random
 import sys
 from array import array
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import (
     BudgetExceededError,
@@ -165,29 +166,14 @@ def sample_workers(threads: int, samples: int) -> int:
     return max(1, min(threads, samples, cpus))
 
 
-class _Deferred:
-    """A sample run in the calling process when its result is read."""
-
-    def __init__(self, fn, *args):
-        self._call = functools.partial(fn, *args)
-
-    def result(self):
-        return self._call()
-
-    def cancel(self) -> bool:
-        return True
-
-
-def _sampled_cells(task, n_list, samples: int, threads: int, reduce) -> list:
+def _sampled_cells(sample, n_list, samples: int, threads: int, budget: int, reduce) -> list:
     """reduce(results of sample i of n, i in order) for each n in n_list.
 
-    task(n, i) names sample i of order n as (fn, *args).  Every sample is
-    submitted up front.  A cell with a sample past its walk budget gives
-    None and cancels its samples not yet started.  With one worker a sample
-    runs in the calling process when its result is read, so a refused cell
-    runs no further sample and nothing new is imported.  Otherwise samples
-    run on a process pool, joined before this returns; a worker that ends
-    abruptly raises WorkerDiedError.
+    A cell maps sample(n) over (range(samples), repeat(budget)), and a
+    sample past the budget makes it None.  With one worker the builtin map
+    runs each sample here when it is read, importing nothing new; else a
+    pool's map submits every sample up front, and cancels those not started
+    once an error ends its iterator.  A worker that dies raises WorkerDiedError.
 
     Workers are forked where the platform can fork, so they share the pages
     of the modules the parent imported (a spawned worker imports them again,
@@ -198,26 +184,24 @@ def _sampled_cells(task, n_list, samples: int, threads: int, reduce) -> list:
     if samples < 1:
         raise ValueError("samples must be positive")
     workers = sample_workers(threads, samples)
-    pool, submit, broken = None, _Deferred, ()
+    pool, run, broken = None, map, ()
     if workers > 1:
         import multiprocessing
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method))
-        submit, broken = pool.submit, BrokenProcessPool
+        run, broken = pool.map, BrokenProcessPool
     try:
-        pending = {n: [submit(*task(n, i)) for i in range(samples)] for n in n_list}
+        pending = [run(sample(n), range(samples), repeat(budget)) for n in n_list]
 
-        def cell(n: int):
+        def cell(results):
             try:
-                return reduce(sample.result() for sample in pending[n])
+                return reduce(results)
             except BudgetExceededError:
-                for sample in pending[n]:
-                    sample.cancel()
                 return None
 
-        return run_cells(cell, list(n_list))
+        return run_cells(cell, pending)
     except broken:
         message = "a worker process ended abruptly (killed, or out of memory)"
         raise WorkerDiedError(message) from None
@@ -263,8 +247,8 @@ def regular_limit_experiment(
         return [ExactScaled(t / samples) for t in totals]
 
     means = _sampled_cells(
-        lambda n, i: (trace_sample, d, k, n, max_m, seed, i, budgets.walk_expansions),
-        n_list, samples, threads, mean_moments,
+        lambda n: functools.partial(trace_sample, d, k, n, max_m, seed),
+        n_list, samples, threads, budgets.walk_expansions, mean_moments,
     )
     cells = zip(n_list, means)
     rows = moment_rows("regular-random", f"random-regular-d{d}", "n", k, cells, refs)
@@ -293,8 +277,9 @@ def cycles_experiment(
         check_order(n, d)
     ref = ExactScaled(cycle_limit_reference(d, j))
     means = _sampled_cells(
-        lambda n, i: (cycle_sample, d, j, n, seed, i, budgets.walk_expansions),
-        n_list, samples, threads, lambda counts: Fraction(sum(counts), samples),
+        lambda n: functools.partial(cycle_sample, d, j, n, seed),
+        n_list, samples, threads, budgets.walk_expansions,
+        lambda counts: Fraction(sum(counts), samples),
     )
     rows = [
         ReportRow(

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import DEFAULT_BALL_BUDGET, DEFAULT_WALK_BUDGET, Frozen, Record
+from .errors import DEFAULT_BALL_BUDGET, DEFAULT_WALK_BUDGET, BudgetExceededError, Frozen, Record
 
 CSV_HEADER = "experiment,graph,param_name,param_value,k,m,value,reference,abs_err,rel_err"
 
@@ -33,6 +33,27 @@ class Budgets(Frozen):
         return dict(zip(self._fields, self._values()))
 
 
+def square_root_part(n: int, budget: int | None = None) -> int:
+    """The largest s with s * s dividing n >= 1, by trial division.
+
+    Past the cube root of m, n with the primes found divided out, m has at
+    most two prime factors, so it holds a square only if it is one.  Each
+    division is charged to budget, if one is given.
+    """
+    s, m, f = 1, n, 2
+    while f * f * f <= m:
+        if budget is not None and f > budget + 1:
+            raise BudgetExceededError(f - 1, budget, "surd trial divisions")
+        while m % f == 0:
+            m //= f
+            if m % f == 0:
+                m //= f
+                s *= f
+        f += 1
+    r = math.isqrt(m)
+    return s * r if r * r == m else s
+
+
 class ExactScaled(Frozen):
     """An exact value frac / sqrt(sqrt_den); sqrt_den = 1 means plain rational.
 
@@ -45,16 +66,11 @@ class ExactScaled(Frozen):
     def __init__(self, frac: Fraction, sqrt_den: int = 1):
         if sqrt_den < 1:
             raise ValueError("sqrt_den must be >= 1")
-        frac, rest = Fraction(frac), sqrt_den
+        frac = Fraction(frac)
         if frac == 0:
-            rest = 1
-        f = 2
-        while f * f <= rest:
-            while rest % (f * f) == 0:
-                rest //= f * f
-                frac /= f
-            f += 1
-        super().__init__(frac, rest)
+            sqrt_den = 1
+        s = square_root_part(sqrt_den)
+        super().__init__(frac / s if s > 1 else frac, sqrt_den // (s * s))
 
     def to_float(self) -> float:
         return float(self.frac) / math.sqrt(self.sqrt_den)
@@ -65,7 +81,10 @@ class ExactScaled(Frozen):
         return f"({self.frac})/sqrt({self.sqrt_den})"
 
     def abs(self) -> "ExactScaled":
-        return ExactScaled(abs(self.frac), self.sqrt_den)
+        # sqrt_den is already squarefree: keep it rather than factor it again
+        out = object.__new__(ExactScaled)
+        Frozen.__init__(out, abs(self.frac), self.sqrt_den)
+        return out
 
     def sub_rational(self, q: Fraction) -> "ExactScaled":
         """self - q, exactly; only defined when one side carries no surd."""

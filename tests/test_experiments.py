@@ -1,10 +1,12 @@
 """Tests for the experiment harness: references, normalization, sampling."""
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from freespec import freeprod
+from freespec.errors import BudgetExceededError
 from freespec.experiments import (
     chebyshev_reference_moments,
     free_clt_experiment,
@@ -22,7 +24,7 @@ from freespec.graphs import (
     path_graph,
 )
 from freespec.polymoments import Poly, km_support
-from freespec.reports import Budgets, ExactScaled, render_csv, render_json
+from freespec.reports import Budgets, ExactScaled, render_csv, render_json, square_root_part
 from oracles import exact_less, layered_distance_k_walks, report_row
 
 K2 = complete_graph(2)
@@ -87,6 +89,50 @@ def test_free_clt_budget_skips_cells():
     assert all(r.skipped for r in rep.rows)
     csv = render_csv(rep)
     assert ",,,," in csv  # empty value columns for skipped cells
+
+
+def test_free_clt_charges_surd_trial_divisions():
+    # an odd k*m row divides by sqrt(N * sigma) in canonical form: its trial
+    # divisions (99 for 3 * (10^6 + 3), 3 times a prime) are charged to the
+    # walk budget on their own, before the walk (which fits in 15 here)
+    n = 10**6 + 3
+    K4 = complete_graph(4)
+    over = free_clt_experiment(K4, "k4", 1, (n,), 3, Budgets(walk_expansions=98))
+    assert all(row.skipped for row in over.rows)
+    rep = free_clt_experiment(K4, "k4", 1, (n,), 3, Budgets(walk_expansions=99))
+    value = report_row(rep, n, 3).value
+    assert (value.frac, value.sqrt_den) == (2, 3 * n)
+    assert report_row(rep, n, 3).abs_err == value
+    # even k builds no surd, so nothing is charged for one
+    rep = free_clt_experiment(K4, "k4", 2, (n,), 2, Budgets(walk_expansions=98))
+    assert not any(row.skipped for row in rep.rows)
+    # N = 2^61 - 1 takes about 1.9e6 divisions (cube root, not square root)
+    n = 2**61 - 1
+    over = free_clt_experiment(K4, "k4", 1, (n,), 3, Budgets(walk_expansions=10**5))
+    assert all(row.skipped for row in over.rows)
+    value = report_row(free_clt_experiment(K4, "k4", 1, (n,), 3), n, 3).value
+    assert (value.frac, value.sqrt_den) == (2, 3 * n)
+
+
+def test_square_root_part_matches_plain_trial_division():
+    def plain(n):
+        s, f = 1, 2
+        while f * f <= n:
+            while n % (f * f) == 0:
+                n //= f * f
+                s *= f
+            f += 1
+        return s
+
+    rng = random.Random(5)
+    cases = list(range(1, 3000)) + [rng.randrange(1, 10**9) for _ in range(300)]
+    cases += [p * p * q for p in (1009, 7919) for q in (1, 2, 3, 12, 1009, 7919)]
+    for n in cases:
+        assert square_root_part(n) == plain(n), n
+    assert square_root_part(3 * 10**700) == 10**350
+    with pytest.raises(BudgetExceededError) as info:
+        square_root_part(3 * (10**6 + 3), 98)
+    assert (info.value.count, info.value.budget) == (99, 98)
 
 
 def test_large_d_errors():
@@ -193,7 +239,6 @@ def test_walk_overrun_skips_larger_n_at_once(monkeypatch):
     budgets = Budgets(walk_expansions=200)
     per_run = []
     for n_list in ((3,), (3, 4, 8)):
-        monkeypatch.setattr(freeprod, "_walk_tables", {})
         calls.clear()
         rep = free_clt_experiment(C4, "c4", 2, n_list, 4, budgets=budgets)
         assert all(row.skipped for row in rep.rows)
@@ -211,7 +256,6 @@ def test_free_clt_run_shares_one_table(monkeypatch):
         return inner(base, k, max_m, budget, cap)
 
     monkeypatch.setattr(freeprod, "_walk_polynomial", recorded)
-    monkeypatch.setattr(freeprod, "_walk_tables", {})
     rep = free_clt_experiment(C4, "c4", 2, (2, 3, 4, 5), 6)
     assert caps == [2, 5]
     assert [r.param_value for r in rep.rows] == [n for n in (2, 3, 4, 5) for _ in range(7)]
@@ -219,11 +263,7 @@ def test_free_clt_run_shares_one_table(monkeypatch):
         counts = layered_distance_k_walks(free_power(C4, n), 2, 6)
         for m in range(7):
             assert report_row(rep, n, m).value == normalized_value(counts[m], 2 * n, 2 * m)
-    # the memo holds the table: a later N = 3 reads the cap-5 table, and
-    # once the memo is emptied it pays cap 3
-    free_clt_experiment(C4, "c4", 2, (3,), 6)
-    assert caps == [2, 5]
-    freeprod._walk_tables.clear()
+    # the memo belongs to the run: a later run with N = 3 pays cap 3
     free_clt_experiment(C4, "c4", 2, (3,), 6)
     assert caps == [2, 5, 3]
 

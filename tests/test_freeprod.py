@@ -435,7 +435,6 @@ def test_walk_dp_pools_do_not_outlive_it(monkeypatch):
         return spec
 
     monkeypatch.setattr(freeprod, "free_power", tracked)
-    monkeypatch.setattr(freeprod, "_walk_tables", {})
     assert vacuum_moments_distance_k(spec, 2, 4) == expected
     gc.collect()
     assert len(specs) > 1 and all(ref() is None for ref in specs)
@@ -455,9 +454,35 @@ def test_walk_dp_keeps_its_pools(monkeypatch):
         return inner(spec, bound, budget)
 
     monkeypatch.setattr(freeprod, "_segment_pool", counted)
-    monkeypatch.setattr(freeprod, "_walk_tables", {})
     assert vacuum_moments_distance_k(spec, 1, 4) == expected
     assert sorted(builds) == [1, 2]
+
+
+def test_walk_tables_are_not_kept_between_calls(monkeypatch):
+    # without a memo of its caller's, a call builds its own table every time
+    caps = []
+    inner = freeprod._walk_polynomial
+
+    def recorded(base, k, max_m, budget, cap):
+        caps.append(cap)
+        return inner(base, k, max_m, budget, cap)
+
+    monkeypatch.setattr(freeprod, "_walk_polynomial", recorded)
+    spec = free_power(K3, 2)
+    assert vacuum_moments_distance_k(spec, 2, 4) == vacuum_moments_distance_k(spec, 2, 4)
+    assert caps == [2, 2]
+    # a memo serves a smaller cap from a larger table, and refuses a larger
+    # cap than one that overran at once
+    tables = {}
+    big = vacuum_moments_distance_k(free_power(K3, 4), 2, 4, 10**4, tables)
+    assert vacuum_moments_distance_k(spec, 2, 4, 10**4, tables) == layered_distance_k_walks(spec, 2, 4)
+    assert big == layered_distance_k_walks(free_power(K3, 4), 2, 4)
+    assert caps == [2, 2, 4]
+    tables = {}
+    for copies in (3, 4):
+        with pytest.raises(BudgetExceededError):
+            vacuum_moments_distance_k(free_power(C4, copies), 2, 4, 200, tables)
+    assert caps == [2, 2, 4, 3]
 
 
 def test_walk_budget():

@@ -144,6 +144,12 @@ def test_orthogonal_poly_recursion_matches_the_hand_written_families():
             assert tree_distance_poly(d, k) == tree_distance_poly_recursion(d, k)
 
 
+def test_orthogonal_poly_recursion_at_a_large_k():
+    # the recursion runs in ints; the hand-written families run in Poly
+    assert chebyshev_monic(150) == chebyshev_monic_recursion(150)
+    assert tree_distance_poly(1000, 150) == tree_distance_poly_recursion(1000, 150)
+
+
 def test_orthogonal_poly_with_nonzero_beta():
     params = JacobiParams(beta=(Fraction(5, 7), 2), gamma=(3, Fraction(1, 2)))
     x = Poly([0, 1])

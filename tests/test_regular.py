@@ -1,8 +1,10 @@
 """Tests for the configuration-model sampler and regular-graph experiments."""
+import functools
 import hashlib
 import multiprocessing
 import os
 import random
+import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
@@ -182,6 +184,28 @@ def test_one_allowed_cpu_starts_no_pool(monkeypatch, capsys):
         assert cli.main(argv + ["--threads", threads]) == 0
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
+
+
+def _marked_sample(folder, n, i, budget):
+    # leaves a file for every sample that starts; sample 0 of n = 0 is
+    # refused, and the other samples of n = 0 take a while
+    open(os.path.join(folder, f"{n}-{i}"), "w").close()
+    if n == 0 and i == 0:
+        raise BudgetExceededError(budget + 1, budget, "units")
+    if n == 0:
+        time.sleep(0.05)
+    return i
+
+
+def test_a_pool_cell_past_its_budget_leaves_its_samples_unstarted(tmp_path, monkeypatch):
+    # once a cell reads a refused sample, its pool map cancels the samples
+    # that no worker has taken yet; the next cell still reads all of its own
+    monkeypatch.setattr(regular, "sample_workers", lambda threads, samples: 2)
+    sample = functools.partial(_marked_sample, str(tmp_path))
+    cells = regular._sampled_cells(lambda n: functools.partial(sample, n), [0, 1], 40, 2, 5, sum)
+    assert cells == [None, sum(range(40))]
+    started = [name for name in os.listdir(tmp_path) if name.startswith("0-")]
+    assert 1 <= len(started) < 20
 
 
 def test_samples_give_the_same_results_on_a_spawned_pool():
