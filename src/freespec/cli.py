@@ -79,8 +79,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _to_int(text: str, flag: str) -> int:
-    # Python's int-to-str digit limit stays: lifting it would let an odd k*m
-    # free-clt cell that large stall in ExactScaled's trial division
+    # Python's int-to-str digit limit stays: it is the interpreter's guard
+    # against quadratic-time parsing of a huge integer
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and len(text) > limit:
         raise _UsageError(f"{flag} takes integers of at most {limit} digits (Python's limit)")

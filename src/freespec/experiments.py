@@ -25,7 +25,7 @@ from .polymoments import (
     semicircle_density,
     tree_distance_k_law_moments,
 )
-from .reports import Budgets, ExactScaled, Report, moment_rows, square_root_part
+from .reports import Budgets, ExactScaled, Report, moment_rows
 
 
 def run_cells(fn, items, threads: int = 1) -> list:
@@ -89,7 +89,6 @@ def free_clt_experiment(
     rows keep n_list order.  When the largest N overruns, the first middle
     N that overruns too uses up the budget a second time (rising order
     alone would stop at it), and every larger N is then skipped at once.
-    With k odd, the surd's trial divisions are charged first, on their own.
     """
     refs = chebyshev_reference_moments(k, max_m)
     tables: dict = {}
@@ -98,8 +97,6 @@ def free_clt_experiment(
         spec = free_power(base, n_copies)
         scale = n_copies * spec.sigma
         try:
-            if k % 2 and max_m:
-                square_root_part(scale, budgets.walk_expansions)
             counts = vacuum_moments_distance_k(spec, k, max_m, budgets.walk_expansions, tables)
         except BudgetExceededError:
             return None

@@ -1,13 +1,14 @@
 """Report structures and CSV/JSON rendering.
 
-Values inside reports stay exact (rationals, possibly divided by the square
-root of an integer for odd normalization powers); rounding only happens at
-render time.  Rendering is deterministic: identical inputs give
-byte-identical output.  Every exact CSV cell is rounded once, from its
-integers, to 12 significant digits (fmt12_exact); float cells go through
-fmt12.  JSON floats go through float: a nonzero exact value outside the
-normal float range (past its top, or below sys.float_info.min) is null
-there, and the row's *_exact fields carry it.
+Values inside reports stay exact: a rational, or for odd normalization
+powers a surd, the signed square root of a rational, kept as that signed
+square (canonical with no factoring) and spelled [-]sqrt(v^2) in JSON.
+Rounding only happens at render time.  Rendering is deterministic:
+identical inputs give byte-identical output.  Every exact CSV cell is
+rounded once, from its integers, to 12 significant digits (fmt12_exact);
+float cells go through fmt12.  JSON floats go through float: a nonzero
+exact value outside the normal float range (past its top, or below
+sys.float_info.min) is null there, and the row's *_exact fields carry it.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import DEFAULT_BALL_BUDGET, DEFAULT_WALK_BUDGET, BudgetExceededError, Frozen, Record
+from .errors import DEFAULT_BALL_BUDGET, DEFAULT_WALK_BUDGET, Frozen, Record
 
 CSV_HEADER = "experiment,graph,param_name,param_value,k,m,value,reference,abs_err,rel_err"
 
@@ -33,78 +34,69 @@ class Budgets(Frozen):
         return dict(zip(self._fields, self._values()))
 
 
-def square_root_part(n: int, budget: int | None = None) -> int:
-    """The largest s with s * s dividing n >= 1, by trial division.
-
-    Past the cube root of m, n with the primes found divided out, m has at
-    most two prime factors, so it holds a square only if it is one.  Each
-    division is charged to budget, if one is given.
-    """
-    s, m, f = 1, n, 2
-    while f * f * f <= m:
-        if budget is not None and f > budget + 1:
-            raise BudgetExceededError(f - 1, budget, "surd trial divisions")
-        while m % f == 0:
-            m //= f
-            if m % f == 0:
-                m //= f
-                s *= f
-        f += 1
-    r = math.isqrt(m)
-    return s * r if r * r == m else s
-
-
 class ExactScaled(Frozen):
     """An exact value frac / sqrt(sqrt_den); sqrt_den = 1 means plain rational.
 
-    Stored in canonical form: sqrt_den is squarefree (square factors move
-    into frac) and zero has sqrt_den 1, so equal values have equal fields.
+    Stored in canonical form, with no factoring: a rational value keeps its
+    Fraction in rational, and any other value v keeps its signed square
+    v * |v|, a Fraction, in square.  Exactly one of the two is set, so equal
+    values have equal fields.
     """
 
-    _fields = ("frac", "sqrt_den")
+    _fields = ("rational", "square")
 
     def __init__(self, frac: Fraction, sqrt_den: int = 1):
         if sqrt_den < 1:
             raise ValueError("sqrt_den must be >= 1")
         frac = Fraction(frac)
-        if frac == 0:
-            sqrt_den = 1
-        s = square_root_part(sqrt_den)
-        super().__init__(frac / s if s > 1 else frac, sqrt_den // (s * s))
+        if sqrt_den == 1:
+            super().__init__(frac, None)
+            return
+        square = frac * abs(frac) / sqrt_den
+        num, den = abs(square.numerator), square.denominator
+        r, s = math.isqrt(num), math.isqrt(den)
+        if r * r == num and s * s == den:
+            super().__init__(Fraction(-r if square < 0 else r, s), None)
+        else:
+            super().__init__(None, square)
 
     def to_float(self) -> float:
-        return float(self.frac) / math.sqrt(self.sqrt_den)
+        if self.square is None:
+            return float(self.rational)
+        # sqrt(num / den) from an integer root of about 64 bits, so a square
+        # past the float range still gives its root
+        num, den = abs(self.square.numerator), self.square.denominator
+        shift = (128 - num.bit_length() + den.bit_length()) // 2
+        scaled = (num << 2 * shift) // den if shift >= 0 else num // (den << -2 * shift)
+        root = math.ldexp(math.isqrt(scaled), -shift)
+        return -root if self.square < 0 else root
 
     def exact_str(self) -> str:
-        if self.sqrt_den == 1:
-            return str(self.frac)
-        return f"({self.frac})/sqrt({self.sqrt_den})"
+        if self.square is None:
+            return str(self.rational)
+        return f"sqrt({self.square})" if self.square > 0 else f"-sqrt({-self.square})"
 
     def abs(self) -> "ExactScaled":
-        # sqrt_den is already squarefree: keep it rather than factor it again
-        out = object.__new__(ExactScaled)
-        Frozen.__init__(out, abs(self.frac), self.sqrt_den)
-        return out
+        if self.square is None:
+            return ExactScaled(abs(self.rational))
+        num, den = abs(self.square.numerator), self.square.denominator
+        return ExactScaled(Fraction(num), num * den)  # sqrt(num / den) = num / sqrt(num * den)
 
     def sub_rational(self, q: Fraction) -> "ExactScaled":
         """self - q, exactly; only defined when one side carries no surd."""
-        if self.sqrt_den == 1:
-            return ExactScaled(self.frac - q)
+        if self.square is None:
+            return ExactScaled(self.rational - q)
         if q == 0:
             return self
         raise ValueError("cannot subtract a nonzero rational from a surd exactly")
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = ExactScaled(Fraction(other))
-        if isinstance(other, ExactScaled):
-            return self.frac == other.frac and self.sqrt_den == other.sqrt_den
-        return NotImplemented
+            return self.square is None and self.rational == other
+        return super().__eq__(other)
 
     def __hash__(self):
-        if self.sqrt_den == 1:
-            return hash(self.frac)
-        return hash((self.frac, self.sqrt_den))
+        return hash(self.rational) if self.square is None else super().__hash__()
 
 
 class ReportRow(Record):
@@ -137,20 +129,20 @@ class ReportRow(Record):
         if self.value is None or self.reference is None:
             return None
         # surd-scaled values only ever face a zero reference (odd powers)
-        return self.value.sub_rational(self.reference.frac).abs()
+        return self.value.sub_rational(self.reference.rational).abs()
 
     @property
     def rel_err(self) -> float | None:
         err = self.abs_err
         ref = self.reference
-        if err is None or ref is None or ref.frac == 0:
+        if err is None or ref is None or ref == 0:
             return None
         try:
             return err.to_float() / abs(ref.to_float())
         except (OverflowError, ZeroDivisionError):
             # outside the float range: references are rational, and so is
             # err against a nonzero one
-            return float(err.frac / abs(ref.frac))
+            return float(err.rational / abs(ref.rational))
 
 
 def moment_rows(
@@ -207,13 +199,15 @@ def _shown(r: ReportRow) -> tuple:
 def fmt12_exact(v: ExactScaled) -> str:
     """fmt12 from the exact value rather than a float; zero renders as "0".
 
-    |v| = |frac| / sqrt(sqrt_den) is rounded half to even at 12 significant
-    digits and laid out as '.12g' lays out a float: fixed notation when the
-    rounded value's decimal exponent is in -4..11, exponent form otherwise.
-    The work is on the integers of v^2 = num / den alone.
+    |v| is rounded half to even at 12 significant digits and laid out as
+    '.12g' lays out a float: fixed notation when the rounded value's decimal
+    exponent is in -4..11, exponent form otherwise.  The work is on the
+    integers of v^2 = num / den alone.
     """
-    num = v.frac.numerator ** 2
-    den = v.frac.denominator ** 2 * v.sqrt_den
+    if v.square is None:
+        signed, num, den = v.rational, v.rational.numerator ** 2, v.rational.denominator ** 2
+    else:
+        signed, num, den = v.square, abs(v.square.numerator), v.square.denominator
     if num == 0:
         return "0"
     # 10^e <= |v| < 10^(e+1), so a / b = v^2 * 100^(11 - e) is in
@@ -233,7 +227,7 @@ def fmt12_exact(v: ExactScaled) -> str:
     if digits == 10**12:
         digits, e = 10**11, e + 1
     text = str(digits)
-    sign = "-" if v.frac < 0 else ""
+    sign = "-" if signed < 0 else ""
     if -4 <= e < 12:
         if e < 0:
             text = "0" * -e + text
@@ -252,7 +246,7 @@ def _float(v: ExactScaled | float | None) -> float | None:
         x = v.to_float()
     except OverflowError:
         return None
-    return None if v.frac and abs(x) < sys.float_info.min else x
+    return None if v != 0 and abs(x) < sys.float_info.min else x
 
 
 def _csv_cell(v) -> str:

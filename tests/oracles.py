@@ -4,7 +4,7 @@ The oracles recompute expected values by a route disjoint from the package
 implementation: brute-force enumeration, Floyd-Warshall distances, Hankel
 determinants, adaptive quadrature, the polynomial-power pushforward with
 the hand-written recursions of the Chebyshev and tree polynomials, and
-12-digit rounding by the decimal module.
+12-digit rounding and 40-digit square roots by the decimal module.
 Keep it that way; these are the cross-checks.  The exceptions reuse the
 package's neighbor enumeration and nothing else: layered_distance_k_walks;
 MaterializedBall, which adds the induced adjacency to the package's ball,
@@ -19,8 +19,9 @@ seeded graphs, format_graph_text writes the graph text format, make_word
 and word_letters pack and unpack words, vacuum_moment and trace_moment
 read one entry of the package's moment lists, graph_edges lists a graph's
 edges, diameter reads a free power's base diameter, root_distance sums a
-word's letter costs, report_row finds a report row, and exact_less orders
-two exact values.
+word's letter costs, report_row finds a report row, signed_square reads
+v * |v| from an exact value's fields, and exact_less orders two exact
+values given by their construction inputs.
 """
 import decimal
 import random
@@ -82,15 +83,22 @@ def report_row(report, param_value, m):
     raise KeyError((param_value, m))
 
 
+def signed_square(v):
+    """v * |v| for an ExactScaled v, read from its fields: it orders values
+    as v does."""
+    return v.rational * abs(v.rational) if v.square is None else v.square
+
+
 def exact_less(a, b):
-    """a < b for ExactScaled values, by comparing squares with their signs."""
-    x, y = a.frac, b.frac
+    """a < b for values given as (frac, sqrt_den) pairs, each meaning
+    frac / sqrt(sqrt_den), by comparing squares with their signs."""
+    (x, s), (y, t) = a, b
     if x <= 0 < y:
         return True
     if x >= 0 >= y:
         return False
-    lhs = x * x * b.sqrt_den
-    rhs = y * y * a.sqrt_den
+    lhs = x * x * t
+    rhs = y * y * s
     return lhs < rhs if x > 0 else lhs > rhs
 
 
@@ -109,10 +117,7 @@ def fmt12_by_decimal(frac, sqrt_den=1):
     if sqrt_den == 1:
         x = ctx.divide(abs(q.numerator), q.denominator)
     else:
-        wide = ctx.copy()
-        wide.prec = 40
-        root = wide.sqrt(wide.divide(q.numerator**2, q.denominator**2 * sqrt_den))
-        x = ctx.plus(root)
+        x = ctx.plus(sqrt_by_decimal(q, sqrt_den).copy_abs())
     e = x.adjusted()
     text = "".join(map(str, x.as_tuple().digits)).rstrip("0")
     if e < -4 or e >= 12:
@@ -123,6 +128,15 @@ def fmt12_by_decimal(frac, sqrt_den=1):
         text = text.ljust(e + 1, "0")
         body = text[: e + 1] + ("." + text[e + 1:] if len(text) > e + 1 else "")
     return ("-" if q < 0 else "") + body
+
+
+def sqrt_by_decimal(frac, sqrt_den):
+    """frac / sqrt(sqrt_den) as a decimal.Decimal: the square root of
+    frac^2 / sqrt_den at 40 significant digits, with the sign of frac."""
+    q = Fraction(frac)
+    wide = decimal.Context(prec=40, Emax=10**6, Emin=-(10**6))
+    root = wide.sqrt(wide.divide(q.numerator**2, q.denominator**2 * sqrt_den))
+    return root.copy_negate() if q < 0 else root
 
 
 def root_distance(spec, word):

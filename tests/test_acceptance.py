@@ -32,10 +32,10 @@ from freespec.regular import cycles_experiment, regular_limit_experiment
 from oracles import (
     MaterializedBall,
     diameter,
-    exact_less,
     km_moment_quad,
     random_graph,
     report_row,
+    signed_square,
     word_distance,
 )
 
@@ -47,7 +47,7 @@ def _errors_decrease(err_small, err_large):
     """Endpoint comparison: strictly smaller, except exact zero stays zero."""
     if err_small == 0:
         return err_large == 0
-    return exact_less(err_large, err_small)
+    return signed_square(err_large) < signed_square(err_small)
 
 
 def test_criterion_1_tree_exact_suite():
@@ -90,8 +90,8 @@ def test_criterion_3_free_clt():
     rep = free_clt_experiment(complete_graph(3), "k3", 2, (2, 4, 8), 2)
     for n, want in [(2, Fraction(1, 2)), (4, Fraction(3, 4)), (8, Fraction(7, 8))]:
         row = report_row(rep, n, 2)
-        assert row.value.sqrt_den == 1 and row.value.frac == want
-        assert row.reference.frac == 1
+        assert row.value.square is None and row.value.rational == want
+        assert row.reference.rational == 1
     for base, name in [
         (complete_graph(3), "k3"),
         (cycle_graph(4), "c4"),
@@ -165,7 +165,7 @@ def test_criterion_7_regular_limit():
         err_large = report_row(rep, 2000, m).abs_err
         assert _errors_decrease(err_small, err_large), m
     rep1000 = regular_limit_experiment(3, 2, (1000,), samples=20, max_m=2, seed=SEED)
-    mean_m2 = report_row(rep1000, 1000, 2).value.frac
+    mean_m2 = report_row(rep1000, 1000, 2).value.rational
     assert abs(mean_m2 - 6) < Fraction(3, 10)
     elapsed = time.monotonic() - started
     assert elapsed < 300.0
@@ -175,10 +175,10 @@ def test_criterion_7_regular_limit():
 def test_criterion_8_cycle_statistics():
     rep = cycles_experiment(3, 3, (1000,), samples=200, seed=SEED)
     mean = report_row(rep, 1000, None).value
-    assert abs(mean.frac - Fraction(4, 3)) < Fraction(3, 10)
+    assert abs(mean.rational - Fraction(4, 3)) < Fraction(3, 10)
     for j in (3, 4):
         rep = cycles_experiment(3, j, (100, 2000), samples=50, seed=SEED)
-        small, large = (report_row(rep, n, None).value.frac for n in (100, 2000))
+        small, large = (report_row(rep, n, None).value.rational for n in (100, 2000))
         assert large / 2000 < small / 100, j
     print("\nACCEPTANCE 8 (cycle count statistics): PASS")
 

@@ -2,6 +2,7 @@
 import ast
 import inspect
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -42,6 +43,7 @@ from oracles import (
     make_word,
     pushforward_moments,
     report_row,
+    sqrt_by_decimal,
     word_distance,
     word_letters,
 )
@@ -91,20 +93,33 @@ def test_exact_scaled_sub_rational_guard():
     assert surd.sub_rational(Fraction(0)) == surd
 
 
+_LARGE_PRIME = 10**30 + 57
+
+
 @given(
     st.fractions(max_denominator=50).filter(lambda q: abs(q) <= 50),
-    st.integers(min_value=1, max_value=400),
+    st.one_of(
+        st.integers(min_value=1, max_value=400),
+        st.integers(min_value=1, max_value=400).map(lambda c: c * _LARGE_PRIME),
+    ),
     st.integers(min_value=1, max_value=20),
 )
+@example(Fraction(-3, 8), 2 * _LARGE_PRIME, 7)
 def test_exact_scaled_eq_implies_same_hash(frac, sqrt_den, square):
-    # frac / sqrt(sqrt_den) written a second way: scale both by square
+    # frac / sqrt(sqrt_den) written a second way: scale both by square.  One
+    # canonical form, found with no factoring, also past a large prime
     a = ExactScaled(frac, sqrt_den)
     b = ExactScaled(frac * square, sqrt_den * square * square)
-    assert a == b
+    assert a == b and (a.rational, a.square) == (b.rational, b.square)
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
-    if sqrt_den == 1:
-        assert a == frac and hash(a) == hash(frac)
+    assert a.exact_str() == b.exact_str() and fmt12_exact(a) == fmt12_exact(b)
+    root = math.isqrt(sqrt_den)
+    if frac == 0 or root * root == sqrt_den:
+        q = frac / root
+        assert a.square is None and a == q and hash(a) == hash(q)
+    else:
+        assert a.rational is None
 
 
 def test_fmt12_exact_has_the_shape_of_fmt12():
@@ -171,7 +186,7 @@ def test_fmt12_exact_matches_decimal_rounding(frac, sqrt_den):
     # rationals against one correctly rounded decimal division, surds
     # against a 40-digit decimal square root
     v = ExactScaled(frac, sqrt_den)
-    assert fmt12_exact(v) == fmt12_by_decimal(v.frac, v.sqrt_den)
+    assert fmt12_exact(v) == fmt12_by_decimal(frac, sqrt_den)
 
 
 def test_values_below_the_normal_float_range_render_exactly():
@@ -200,18 +215,32 @@ def test_values_below_the_normal_float_range_render_exactly():
 
 
 def test_surd_cells_render_from_the_exact_value():
-    # |value| = 5.0418025325649996...e+150; float(frac) / math.sqrt(6) rounds
-    # twice and lands above the tie of the 12th digit
+    # |value| = 5.0418025325649996...e+150, just below the tie of the 12th
+    # digit: a route through floats can land above it
     numerator = int(
         "-911219216816213015588359292900074547504174991168495767500483397512006616262221253"
         "460822340022335701492969324077780289483419107381527598456334819360387584469817"
     )
     frac = Fraction(numerator, 73783867)
     value = ExactScaled(frac, 6)
-    assert fmt12(value.to_float()) == "-5.04180253257e+150"
     row = ReportRow("free-clt", "g", "N", 2, 3, 1, value, ExactScaled(Fraction(0)))
     cells = render_csv(Report(rows=[row])).splitlines()[1].split(",")
     assert cells[6:] == ["-5.04180253256e+150", "0", "5.04180253256e+150", ""]
+
+
+@pytest.mark.parametrize("frac, sqrt_den", [
+    (Fraction(7 * 10**200), 3),
+    (Fraction(-(10**400), 3), 10**201 + 7),
+    (Fraction(1, 10**200), 5),
+    (Fraction(-5, 7), 2),
+])
+def test_surd_floats_come_from_the_square(frac, sqrt_den):
+    # the square of a value near 1e200 overflows a float, near 1e-200 it
+    # underflows, and frac itself may overflow: to_float still lands within
+    # one ulp of the 40-digit root
+    x = ExactScaled(frac, sqrt_den).to_float()
+    want = float(sqrt_by_decimal(frac, sqrt_den))
+    assert math.isfinite(x) and abs(x - want) <= math.ulp(want)
 
 
 @pytest.mark.parametrize(
@@ -263,7 +292,7 @@ def test_records_keep_value_semantics():
     for record, name in [
         (complete_graph(3), "root"),
         (free_power(cycle_graph(4), 3), "copies"),
-        (ExactScaled(Fraction(1), 2), "sqrt_den"),
+        (ExactScaled(Fraction(1), 2), "square"),
         (Budgets(), "walk_expansions"),
         (PairingConfig(10, 3, 4), "seed"),
         (JacobiParams((0,), (1,)), "gamma"),
@@ -296,11 +325,18 @@ def test_records_validate_their_fields():
     assert JacobiParams((1,), (2,)).gamma == (Fraction(2),)
     with pytest.raises(ValueError):
         ExactScaled(Fraction(1), 0)
-    # canonical form: square factors leave the root, and zero carries none
-    v = ExactScaled(Fraction(3), 12)
-    assert (v.frac, v.sqrt_den) == (Fraction(3, 2), 3)
-    assert ExactScaled(Fraction(0), 5).sqrt_den == 1
-    assert ExactScaled(7).frac == Fraction(7) and type(ExactScaled(7).frac) is Fraction
+    # canonical form: a surd keeps its signed square, and a value whose
+    # square is a rational's square, zero among them, keeps that rational
+    for frac, sqrt_den, fields, text in [
+        (Fraction(3), 12, (None, Fraction(3, 4)), "sqrt(3/4)"),
+        (Fraction(-3, 8), 2, (None, Fraction(-9, 128)), "-sqrt(9/128)"),
+        (Fraction(-3), 36, (Fraction(-1, 2), None), "-1/2"),
+        (Fraction(0), 5, (Fraction(0), None), "0"),
+        (7, 1, (Fraction(7), None), "7"),
+    ]:
+        v = ExactScaled(frac, sqrt_den)
+        assert ((v.rational, v.square), v.exact_str()) == (fields, text)
+        assert type(v.rational if v.square is None else v.square) is Fraction
 
 
 def test_report_row_lookup():

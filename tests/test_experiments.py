@@ -1,12 +1,10 @@
 """Tests for the experiment harness: references, normalization, sampling."""
 import math
-import random
 from fractions import Fraction
 
 import pytest
 
 from freespec import freeprod
-from freespec.errors import BudgetExceededError
 from freespec.experiments import (
     chebyshev_reference_moments,
     free_clt_experiment,
@@ -24,29 +22,37 @@ from freespec.graphs import (
     path_graph,
 )
 from freespec.polymoments import Poly, km_support
-from freespec.reports import Budgets, ExactScaled, render_csv, render_json, square_root_part
-from oracles import exact_less, layered_distance_k_walks, report_row
+from freespec.reports import Budgets, ExactScaled, render_csv, render_json
+from oracles import exact_less, layered_distance_k_walks, report_row, signed_square
 
 K2 = complete_graph(2)
 K3 = complete_graph(3)
 C4 = cycle_graph(4)
+K4 = complete_graph(4)
 P3 = path_graph(3)
 
 
 def test_normalized_value():
     v = normalized_value(7, 8, 2)
     assert v == ExactScaled(Fraction(7, 8))
-    v = normalized_value(2, 8, 3)  # (2/8)/sqrt(8), canonically (1/8)/sqrt(2)
-    assert v.frac == Fraction(1, 8) and v.sqrt_den == 2
+    v = normalized_value(2, 8, 3)  # (2/8)/sqrt(8), whose square is 1/128
+    assert (v.rational, v.square) == (None, Fraction(1, 128))
+    assert v == ExactScaled(Fraction(1, 8), 2)
     assert v.to_float() == pytest.approx(2 / 8**1.5)
 
 
 def test_exact_scaled_comparisons():
-    # 2/sqrt(8) vs 3/4: (2/1)^2 * ... cross-multiplied square compare
-    a = ExactScaled(Fraction(2), 8)   # ~0.7071
-    b = ExactScaled(Fraction(3, 4))   # 0.75
+    # 2/sqrt(8) ~ 0.7071 vs 3/4: cross-multiplied square compare
+    a, b = (Fraction(2), 8), (Fraction(3, 4), 1)
     assert exact_less(a, b) and not exact_less(b, a)
-    assert exact_less(ExactScaled(Fraction(-1), 2), ExactScaled(Fraction(1, 10)))
+    assert exact_less((Fraction(-1), 2), (Fraction(1, 10), 1))
+    # the stored signed square orders values as the oracle orders their inputs
+    inputs = [a, b, (Fraction(-1), 2), (Fraction(1, 10), 1), (Fraction(-3), 12),
+              (Fraction(1, 2), 4), (Fraction(0), 5), (Fraction(-7, 9), 1)]
+    for x in inputs:
+        for y in inputs:
+            engine = signed_square(ExactScaled(*x)) < signed_square(ExactScaled(*y))
+            assert engine == exact_less(x, y), (x, y)
     assert ExactScaled(Fraction(1, 2), 4) == ExactScaled(Fraction(1, 4))
 
 
@@ -91,48 +97,39 @@ def test_free_clt_budget_skips_cells():
     assert ",,,," in csv  # empty value columns for skipped cells
 
 
-def test_free_clt_charges_surd_trial_divisions():
-    # an odd k*m row divides by sqrt(N * sigma) in canonical form: its trial
-    # divisions (99 for 3 * (10^6 + 3), 3 times a prime) are charged to the
-    # walk budget on their own, before the walk (which fits in 15 here)
+def test_free_clt_builds_surds_without_factoring():
+    # an odd k*m row divides by sqrt(N * sigma), kept as its signed square:
+    # nothing is factored or charged beyond the walk (which fits in 15 here)
     n = 10**6 + 3
-    K4 = complete_graph(4)
-    over = free_clt_experiment(K4, "k4", 1, (n,), 3, Budgets(walk_expansions=98))
-    assert all(row.skipped for row in over.rows)
-    rep = free_clt_experiment(K4, "k4", 1, (n,), 3, Budgets(walk_expansions=99))
-    value = report_row(rep, n, 3).value
-    assert (value.frac, value.sqrt_den) == (2, 3 * n)
-    assert report_row(rep, n, 3).abs_err == value
-    # even k builds no surd, so nothing is charged for one
-    rep = free_clt_experiment(K4, "k4", 2, (n,), 2, Budgets(walk_expansions=98))
+    rep = free_clt_experiment(K4, "k4", 1, (n,), 3, Budgets(walk_expansions=98))
     assert not any(row.skipped for row in rep.rows)
-    # N = 2^61 - 1 takes about 1.9e6 divisions (cube root, not square root)
+    value = report_row(rep, n, 3).value
+    assert (value.rational, value.square) == (None, Fraction(4, 3 * n))
+    assert value == ExactScaled(Fraction(2), 3 * n)
+    assert report_row(rep, n, 3).abs_err == value
+
+
+def test_free_clt_surds_of_large_primes():
+    # N = 10^30 + 57 is prime: the canonical form factors nothing, so no
+    # row waits on N * sigma's prime factors or is skipped for them
+    n = 10**30 + 57
+    rep = free_clt_experiment(K4, "k4", 1, (n,), 7)
+    assert not any(row.skipped for row in rep.rows)
+    assert render_csv(rep).splitlines()[-1].split(",")[6] == "2.4248711306e-14"
+    # N = 2^61 - 1: the cells as rendered from the squarefree-root form
     n = 2**61 - 1
-    over = free_clt_experiment(K4, "k4", 1, (n,), 3, Budgets(walk_expansions=10**5))
-    assert all(row.skipped for row in over.rows)
-    value = report_row(free_clt_experiment(K4, "k4", 1, (n,), 3), n, 3).value
-    assert (value.frac, value.sqrt_den) == (2, 3 * n)
-
-
-def test_square_root_part_matches_plain_trial_division():
-    def plain(n):
-        s, f = 1, 2
-        while f * f <= n:
-            while n % (f * f) == 0:
-                n //= f * f
-                s *= f
-            f += 1
-        return s
-
-    rng = random.Random(5)
-    cases = list(range(1, 3000)) + [rng.randrange(1, 10**9) for _ in range(300)]
-    cases += [p * p * q for p in (1009, 7919) for q in (1, 2, 3, 12, 1009, 7919)]
-    for n in cases:
-        assert square_root_part(n) == plain(n), n
-    assert square_root_part(3 * 10**700) == 10**350
-    with pytest.raises(BudgetExceededError) as info:
-        square_root_part(3 * (10**6 + 3), 98)
-    assert (info.value.count, info.value.budget) == (99, 98)
+    assert render_csv(free_clt_experiment(K4, "k4", 1, (n,), 7)).splitlines()[1:] == [
+        f"free-clt,k4,N,{n},1,{cells}" for cells in (
+            "0,1,1,0,0",
+            "1,0,0,0,",
+            "2,1,1,0,0",
+            "3,7.60421697914e-10,0,7.60421697914e-10,",
+            "4,2,2,1.44560289665e-19,7.22801448324e-20",
+            "5,3.80210848957e-09,0,3.80210848957e-09,",
+            "6,5,5,2.60208521397e-18,5.20417042793e-19",
+            "7,1.59688556562e-08,0,1.59688556562e-08,",
+        )
+    ]
 
 
 def test_large_d_errors():

@@ -28,10 +28,10 @@ GOLDEN = [
         "31d2f77a6ff250c9ab1d3a33e2751b73995197a4eba90c8729b470b939129252",
         "f9a434ea2863cdd988ff63d2e8fc32b70d77d269bc62e9894f67f66132d1d0d4",
     ),
-    (   # a surd cell: (1)/sqrt(6) at m = 3
+    (   # a surd cell: sqrt(1/6) at m = 3
         "free-clt --graph builtin:k3 --k 1 --N 3 --max-m 3",
         "a0bd707f4b30d1202cf35b78743ee45a510dc91660b8feaedae3132f05e68edd",
-        "f07c3487fba490d1210c705891bdb900ef0e55df63a18147999f6323091fd65c",
+        "41e1b1b84836254d1f82446269d589f6dcc1a86ba977c8151e54e60b0b9a0490",
     ),
     (   # N = 3 is skipped over its walk budget
         "free-clt --graph builtin:c4 --k 2 --N 2,3 --max-m 4 --walk-budget 200",

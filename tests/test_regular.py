@@ -107,7 +107,7 @@ def test_cycle_average_two_regular():
     # count is (d-1)^j / (2j) = 1/6, like every other d
     rep = cycles_experiment(2, 3, (300,), samples=60, seed=5)
     mean = report_row(rep, 300, None).value
-    assert abs(float(mean.frac) - float(cycle_limit_reference(2, 3))) < 0.15
+    assert abs(float(mean.rational) - float(cycle_limit_reference(2, 3))) < 0.15
 
 
 def test_cycle_average_values_match_counts():
