@@ -175,6 +175,8 @@ def distance_k_graph(g: RootedGraph, k: int) -> RootedGraph:
                         seen.add(u)
                         nxt.append(u)
             frontier = nxt
+            if not frontier:  # past v's eccentricity: row v is empty
+                break
         frontier.sort()
         rows.append(tuple(frontier))
     return RootedGraph(vertex_count=g.vertex_count, root=g.root, neighbors=tuple(rows))

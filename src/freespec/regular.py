@@ -14,6 +14,7 @@ pool otherwise, and combines their exact results in sample order.
 from __future__ import annotations
 
 import functools
+import operator
 import os
 import random
 import sys
@@ -104,7 +105,11 @@ def pairing_model(cfg: PairingConfig) -> RootedGraph:
     """A uniform simple d-regular graph on n vertices, rooted at 0.
 
     Pairs n*d half-edges by a uniform shuffle and resamples on any loop or
-    multi-edge.  A pairing is simple with probability about
+    multi-edge.  Stub 2i is paired with stub 2i + 1: the pairing has a loop
+    exactly when some pair has equal ends, a test that stops at the first
+    loop, and is otherwise simple exactly when its n*d/2 pairs, each with
+    its smaller end first, are distinct.  That set of pairs is the edge
+    list of the graph.  A pairing is simple with probability about
     exp(-(d^2-1)/4), so large d (or an infeasible (n, d)) runs out of
     max_retries and raises RetriesExhaustedError.
 
@@ -116,20 +121,12 @@ def pairing_model(cfg: PairingConfig) -> RootedGraph:
     stubs = [v for v in range(cfg.n) for _ in range(cfg.d)]
     for _ in range(cfg.max_retries):
         fisher_yates(rng, stubs)
-        edges = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v:
-                ok = False
-                break
-            key = (u, v) if u < v else (v, u)
-            if key in edges:
-                ok = False
-                break
-            edges.add(key)
-        if ok:
-            g = from_edge_list(cfg.n, sorted(edges), 0)
+        ends, others = stubs[::2], stubs[1::2]
+        if any(map(operator.eq, ends, others)):
+            continue
+        edges = {(u, v) if u < v else (v, u) for u, v in zip(ends, others)}
+        if len(edges) == len(ends):
+            g = from_edge_list(cfg.n, edges, 0)
             assert all(g.degree(v) == cfg.d for v in range(cfg.n))
             return g
     raise RetriesExhaustedError(cfg.max_retries, cfg.d)

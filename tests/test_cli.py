@@ -3,6 +3,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -642,6 +643,42 @@ def test_huge_charges_are_refused_at_once(argv, err):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error[BUDGET]: budget exceeded: {err} (budget 1)\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "decomp-check --mode free --graph builtin:k3 --N 3 --k 3 --radius 7 --walk-budget 1",
+        "decomp-check --mode tree --d 3 --k 3 --radius 17 --walk-budget 1",
+        "decomp-check --mode tree --d 2 --k 200000 --radius 200002 --walk-budget 1",
+        "moments --graph builtin:k3 --max-m 200000 --walk-budget 1",
+        "regular-random --d 3 --k 13 --n-list 20000 --samples 1 --max-m 2 --walk-budget 1",
+        "km-density --d 3 --points 30000000 --range -1,1",
+        "hist --law semicircle --samples 30000000",
+        "hist --law semicircle --samples 10 --bins 300000000",
+        "free-clt --graph builtin:k4 --k 1 --N 2305843009213693951 --max-m 3",
+    ],
+)
+def test_adversarial_argv_keep_the_budget_contract(argv):
+    # each argv would blow up without its budget: within 60 s and 800 MB of
+    # address space it ends with a documented exit code, and a failure says
+    # so in one error line, not a traceback
+    resource = pytest.importorskip("resource")
+    limit = 800 * 2**20
+
+    def limit_memory():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "freespec.cli", *argv.split()],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+    )
+    assert proc.returncode in (0, 1, 2, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
+    if proc.returncode:
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and re.fullmatch(r"error\[[A-Z]+\]: .+", lines[0]), lines
 
 
 def test_budget_errors_print_counts_past_the_digit_limit():

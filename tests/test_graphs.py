@@ -1,4 +1,5 @@
 """Tests for the rooted-graph core: builders, BFS, moments, cycles, decomposition."""
+import time
 import warnings
 from fractions import Fraction
 
@@ -119,6 +120,14 @@ def test_distance_k_graph_matches_floyd_warshall():
                 if dist[u][v] == k
             }
             assert set(graph_edges(dk)) == expected
+
+
+def test_distance_k_graph_past_the_diameter_is_built_at_once():
+    # each BFS stops at its empty frontier, not after k rounds
+    start = time.perf_counter()
+    dk = distance_k_graph(cycle_graph(50), 10**6)
+    assert time.perf_counter() - start < 1
+    assert dk.vertex_count == 50 and dk.edge_count == 0
 
 
 def test_distance_1_graph_is_identity_on_connected():

@@ -12,7 +12,7 @@ import pytest
 
 from freespec import cli, regular
 from freespec.errors import BudgetExceededError, ParityError, RetriesExhaustedError
-from freespec.graphs import complete_graph, count_k_cycles
+from freespec.graphs import complete_graph, count_k_cycles, from_edge_list
 from freespec.regular import (
     PairingConfig,
     cycle_limit_reference,
@@ -59,6 +59,52 @@ def test_pairing_model_deterministic():
     assert a == b
     c = pairing_model(PairingConfig(n=50, d=3, seed=100))
     assert a != c  # overwhelmingly likely; pinned by the fixed seeds
+
+
+def _crafted_shuffles(monkeypatch, orders):
+    """Make each shuffle of pairing_model hand out the next of orders."""
+    orders = iter(orders)
+
+    def shuffle(rng, stubs):
+        order = next(orders)
+        assert sorted(order) == sorted(stubs)
+        stubs[:] = order
+
+    monkeypatch.setattr(regular, "fisher_yates", shuffle)
+    return orders
+
+
+def _stub_order(pairs):
+    return [v for pair in pairs for v in pair]
+
+
+@pytest.mark.parametrize("n, d, rejected, simple", [
+    (4, 3, [
+        # a loop in the last pair (at n = 4 it comes with a double edge)
+        [(0, 1), (0, 1), (0, 2), (1, 2), (2, 3), (3, 3)],
+        # double edges in the same orientation
+        [(0, 1), (0, 1), (0, 2), (1, 3), (2, 3), (2, 3)],
+        # double edges in reversed orientation
+        [(0, 1), (1, 0), (0, 2), (1, 3), (2, 3), (3, 2)],
+    ], [(1, 0), (2, 3), (0, 2), (3, 1), (0, 3), (2, 1)]),
+    # a loop in the last pair as the only defect
+    (4, 2, [[(0, 1), (1, 2), (2, 0), (3, 3)]], [(0, 1), (2, 1), (2, 3), (3, 0)]),
+])
+def test_pairing_model_rejects_every_defect(monkeypatch, n, d, rejected, simple):
+    orders = _crafted_shuffles(
+        monkeypatch, [*map(_stub_order, rejected), _stub_order(simple), []]
+    )
+    g = pairing_model(PairingConfig(n=n, d=d, seed=0))
+    assert g == from_edge_list(n, simple, 0)
+    assert next(orders) == []  # the simple pairing was the last one drawn
+
+
+def test_pairing_model_gives_up_after_max_retries(monkeypatch):
+    double = _stub_order([(0, 1), (1, 0), (0, 2), (1, 3), (2, 3), (3, 2)])
+    orders = _crafted_shuffles(monkeypatch, [double] * 5 + [[]])
+    with pytest.raises(RetriesExhaustedError):
+        pairing_model(PairingConfig(n=4, d=3, seed=0, max_retries=5))
+    assert next(orders) == []  # every retry drew, and no more
 
 
 @pytest.mark.parametrize("seed", [0, 1, 5, 2**32 + 7, 2**64 - 1])
