@@ -442,6 +442,9 @@ def main(argv=None) -> int:
     except (BudgetExceededError, RetriesExhaustedError, WorkerDiedError) as exc:
         sys.stderr.write(f"error[BUDGET]: {exc}\n")
         return 2
+    except MemoryError:
+        sys.stderr.write("error[BUDGET]: the process ran out of memory\n")
+        return 2
     except (FreespecError, OSError, ValueError) as exc:
         sys.stderr.write(f"error[INPUT]: {exc}\n")
         return 1

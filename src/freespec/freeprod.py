@@ -13,7 +13,8 @@ candidate constraints of distance_k_neighbors mirror it.
 from __future__ import annotations
 
 from functools import cached_property
-from math import comb, perm
+from itertools import chain, permutations, product
+from math import comb, factorial, perm, prod
 
 from .errors import (
     DEFAULT_BALL_BUDGET,
@@ -331,76 +332,39 @@ def _tree_vacuum_moments(d: int, k: int, max_m: int, budget: int) -> list[int]:
     return moments
 
 
-# past this many root-fixing automorphisms, or this much candidate checking
-# in the search for them, the walk DP uses the identity group alone: any
-# subgroup gives exact orbits
+# past this many candidate maps (7!), or this many automorphisms among them,
+# the walk DP uses the identity group alone: any subgroup gives exact orbits
+_MAX_AUTOMORPHISM_CANDIDATES = 5040
 _MAX_ROOT_AUTOMORPHISMS = 120
-_MAX_AUTOMORPHISM_WORK = 2 * 10**5
 
 
 def _root_automorphisms(base: RootedGraph) -> tuple[tuple[int, ...], ...]:
     """The automorphisms of the base that fix its root, as vertex maps.
 
-    Backtracks over the vertices in order of root distance, so every vertex
-    after the root goes next to the image of a placed neighbor.  Returns the
-    identity alone once more than _MAX_ROOT_AUTOMORPHISMS are found, or once
-    the candidate checks pass _MAX_AUTOMORPHISM_WORK: sibling subtrees that
-    differ only deep down can make the search try exponentially many maps.
-    Placing vertex i scans the neighbors of a placed vertex and checks each
-    against i's placed neighbors and degree, which is charged up front.
+    Such a map keeps each vertex's root distance and degree, so it permutes
+    each class of vertices that share both.  The candidates are the
+    products of permutations within the classes, and those that map every
+    edge onto an edge are kept.  Returns the identity alone when the
+    candidates, counted first as the product of the class factorials,
+    number more than _MAX_AUTOMORPHISM_CANDIDATES, or when more than
+    _MAX_ROOT_AUTOMORPHISMS are kept.
     """
     n = base.vertex_count
-    nbs = [set(nb) for nb in base.neighbors]
     dist = bfs_distances(base, base.root)
-    order = sorted(range(n), key=dist.__getitem__)
-    place = {v: i for i, v in enumerate(order)}
-    earlier = [[u for u in base.neighbors[v] if place[u] < i] for i, v in enumerate(order)]
-    scan = [
-        len(nbs[ev[0]]) * (1 + len(ev) + len(nbs[v])) if ev else 1
-        for ev, v in zip(earlier, order)
-    ]
-    image = [-1] * n
-    used = [False] * n
-
-    def candidates(i: int):
-        v = order[i]
-        if i == 0:
-            return iter((v,))
-        ev = earlier[i]
-        return (
-            u
-            for u in base.neighbors[image[ev[0]]]
-            if not used[u]
-            and dist[u] == dist[v]
-            and len(nbs[u]) == len(nbs[v])
-            and all(image[x] in nbs[u] for x in ev)
-            and sum(used[x] for x in nbs[u]) == len(ev)
-        )
-
+    classes: dict[tuple[int, int], list[int]] = {}
+    for v in range(n):
+        classes.setdefault((dist[v], base.degree(v)), []).append(v)
+    identity = (tuple(range(n)),)
+    if prod(factorial(len(c)) for c in classes.values()) > _MAX_AUTOMORPHISM_CANDIDATES:
+        return identity
+    order = list(chain.from_iterable(classes.values()))
+    arcs = {(u, v) for u in range(n) for v in base.neighbors[u]}
     found = []
-    work = 0
-    stack = [candidates(0)]
-    while stack:
-        v = order[len(stack) - 1]
-        if image[v] >= 0:
-            used[image[v]] = False
-            image[v] = -1
-        u = next(stack[-1], None)
-        if u is None:
-            stack.pop()
-            continue
-        image[v] = u
-        used[u] = True
-        if len(stack) < n:
-            work += scan[len(stack)]
-            if work > _MAX_AUTOMORPHISM_WORK:
-                return (tuple(range(n)),)
-            stack.append(candidates(len(stack)))
-            continue
-        found.append(tuple(image))
-        if len(found) > _MAX_ROOT_AUTOMORPHISMS:
-            return (tuple(range(n)),)
-    return tuple(found)
+    for images in product(*map(permutations, classes.values())):
+        h = dict(zip(order, chain.from_iterable(images)))
+        if all((h[u], h[v]) in arcs for u, v in arcs):
+            found.append(tuple(map(h.__getitem__, range(n))))
+    return tuple(found) if len(found) <= _MAX_ROOT_AUTOMORPHISMS else identity
 
 
 def _least_image(seq: tuple, group, least: dict):

@@ -657,12 +657,14 @@ def test_huge_charges_are_refused_at_once(argv, err):
         "hist --law semicircle --samples 30000000",
         "hist --law semicircle --samples 10 --bins 300000000",
         "free-clt --graph builtin:k4 --k 1 --N 2305843009213693951 --max-m 3",
+        "free-clt --graph builtin:k4 --k 6 --N 8 --max-m 2",
     ],
 )
 def test_adversarial_argv_keep_the_budget_contract(argv):
     # each argv would blow up without its budget: within 60 s and 800 MB of
     # address space it ends with a documented exit code, and a failure says
-    # so in one error line, not a traceback
+    # so in one error line, not a traceback.  The k = 6 segment pool is not
+    # charged before it grows, and runs out of memory within the budget
     resource = pytest.importorskip("resource")
     limit = 800 * 2**20
 

@@ -5,13 +5,14 @@ closed-form word distance must match in-ball BFS exactly wherever geodesics
 are guaranteed to stay inside the ball.
 """
 import gc
+import hashlib
 import random
 import time
 import tracemalloc
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freespec.errors import (
@@ -67,6 +68,19 @@ P4 = path_graph(4)
 STAR3 = from_edge_list(4, [(0, 1), (0, 2), (0, 3)], 0)
 STAR3_LEAF = from_edge_list(4, [(0, 1), (0, 2), (0, 3)], 1)
 STAR6 = from_edge_list(7, [(0, v) for v in range(1, 7)], 0)
+STAR8 = from_edge_list(9, [(0, v) for v in range(1, 9)], 0)
+C12 = cycle_graph(12)
+GRID3 = from_edge_list(  # rooted at a corner
+    9, [(v, v + 1) for v in range(9) if v % 3 < 2] + [(v, v + 3) for v in range(6)], 0
+)
+PETERSEN = from_edge_list(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+    0,
+)
+BINARY_TREE2 = from_edge_list(7, [((v - 1) // 2, v) for v in range(1, 7)], 0)
 
 
 def test_free_power_spec_fields():
@@ -305,8 +319,12 @@ def test_walk_polynomial_matches_layered_oracle():
 
 
 def test_root_automorphisms():
-    # K_{1,6} at its centre has 720, past the bound: the identity stands in
-    sizes = {K3: 2, K4: 6, C4: 2, C5: 2, P3: 1, P4: 1, STAR3: 6, STAR3_LEAF: 2, STAR6: 1}
+    # K_{1,6} at its centre has 720, past the element bound, and K_{1,8}
+    # has 8! candidates, past the candidate bound: the identity stands in
+    sizes = {
+        K3: 2, K4: 6, C4: 2, C5: 2, P3: 1, P4: 1, STAR3: 6, STAR3_LEAF: 2, STAR6: 1,
+        STAR8: 1, PETERSEN: 12, GRID3: 2, C12: 2, BINARY_TREE2: 8,
+    }
     for base, size in sizes.items():
         group = freeprod._root_automorphisms(base)
         assert len(group) == size == len(set(group))
@@ -336,7 +354,9 @@ def _pendant_path_tree():
 
 
 def test_root_automorphisms_bounds_the_search():
-    # an unbounded search tries every combination of the 31 sibling swaps
+    # 31 of the 32 leaves share a class (root distance 5, degree 2), so at
+    # least 31! candidates would be tried: the count is past the bound
+    # before any is built
     tree = _pendant_path_tree()
     start = time.perf_counter()
     assert freeprod._root_automorphisms(tree) == (tuple(range(tree.vertex_count)),)
@@ -365,6 +385,67 @@ def test_walk_polynomial_quotient_on_star_bases():
                 assert vacuum_moments_distance_k(spec, k, max_m) == expected, (
                     base.root, base.vertex_count, k, copies,
                 )
+
+
+# sha256 of the walk tables of a builtin base for every cap from 1 to k*max_m/2
+_WALK_TABLE_DIGESTS = {
+    ("k3", 1, 6): "7eef5d2b5a7cf97e33dd6c43c1d27b581e5eaa5999fff1659e52cc080949394f",
+    ("k3", 2, 5): "8bd01e7368ceca77e7228e2f18043edbf8a0adde768dd9681c758e38f42fd81b",
+    ("k3", 3, 4): "7ec5b3398a6f5b0511956e3d3d2b91106ee2855eeb494b422e3c76b7a0ed212b",
+    ("k4", 1, 6): "acf6944af756b4fabd67a8d8f7280df6fa8fe4bc7ed414f52317483eeca564b0",
+    ("k4", 2, 5): "fc0f7b30a6bee993047bf4ea786e4c7a51ff294e8d8562f8337d1fc483bf060a",
+    ("k4", 3, 4): "1cd223f8890cb39271e9b506c5996549aeda89329dbfecb945fcfb9310941572",
+    ("c4", 1, 6): "e02016df90e6a70a0876c709cc0f3e10ee714bcfd96af3d3b245887fe6a3985c",
+    ("c4", 2, 5): "322647466e03da2877e346b324d2ab77c9999ba1107343980c7638821480c077",
+    ("c4", 3, 4): "a53615f470c7fe1814a5ec000b449dfbeaed55606901d8c3a48256cd196b1414",
+    ("c5", 1, 6): "8a458655e07ac4f39b857a39373e0dd8041b8b43aae518ef4439f0489aa165c4",
+    ("c5", 2, 5): "5581b4e759348e0fb4abdc180b7b829f71f35d9edbefed36b8fc01e623f3d597",
+    ("c5", 3, 4): "ab42310b5bf1d7ae6653ea89239834f3be988aca2b57913ae6857dd1e034151c",
+    ("p3", 1, 6): "a4fe5abde2f441da1d1104b4262d6264b233474a3b413dd19e1cac7f5d5ce645",
+    ("p3", 2, 5): "985a189cb34fd8ef5fa9813f6fb3b2b75402704c029127f41788065f2a3656e6",
+    ("p3", 3, 4): "72fc2e56ceeee2523c48609e119e6ee363f3210174f5a3d0540600ef4e16d345",
+    ("p4", 1, 6): "d1c57eb21d18a4049317a001891dbd07ede7b3438fa0da207fe792189f7215db",
+    ("p4", 2, 5): "97a96f133e24c9b93cca270ead04d0d5b9150fca750f92df80b2d8e8383b01ac",
+    ("p4", 3, 4): "ab06aed659b8b90b75dcfcf6166b277e1a22db5027ca3649f43b5b4c11bcbeb3",
+}
+
+
+def test_walk_tables_are_pinned():
+    # every coefficient of every cap, where the other tests read the tables
+    # only through evaluations at small N and their top coefficient
+    assert {name for name, _, _ in _WALK_TABLE_DIGESTS} == set(BUILTIN_GRAPHS) - {"k2"}
+    for (name, k, max_m), digest in _WALK_TABLE_DIGESTS.items():
+        base = builtin_graph(name)
+        tables = [
+            freeprod._walk_polynomial(base, k, max_m, 10**9, cap)
+            for cap in range(1, k * max_m // 2 + 1)
+        ]
+        assert hashlib.sha256(repr(tables).encode()).hexdigest() == digest, (name, k, max_m)
+
+
+@st.composite
+def connected_bases(draw):
+    """A connected graph on 3 to 6 vertices, at a random root.
+
+    A random spanning tree (each vertex hangs below an earlier one) plus
+    random edges.
+    """
+    n = draw(st.integers(3, 6))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True))
+    return from_edge_list(n, tree + extra, draw(st.integers(0, n - 1)))
+
+
+@given(connected_bases(), st.integers(1, 2), st.integers(1, 2), st.integers(1, 4))
+# bases this small reach neither bound of _root_automorphisms; these two
+# pass the automorphism bound (720) and the candidate bound (8!)
+@example(STAR6, 2, 2, 4)
+@example(STAR8, 2, 1, 4)
+@settings(max_examples=300, deadline=None)
+def test_walk_quotient_matches_layered_oracle_on_random_bases(base, copies, k, max_m):
+    spec = free_power(base, copies)
+    assert vacuum_moments_distance_k(spec, k, max_m) == layered_distance_k_walks(spec, k, max_m)
 
 
 def test_walk_charge_is_orbit_weighted():
