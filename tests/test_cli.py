@@ -955,3 +955,58 @@ def test_every_budget_flag_a_mode_takes_is_read(capsys, command, mode):
         else:
             assert (code, out) == (1, ""), flag
             assert err.startswith("error[USAGE]: ") and err.count("\n") == 1, (flag, err)
+
+
+# One row per budget stage: an argv, the flag of the stage's limit, and the
+# smallest limit the argv fits (312, 94, 1200 and the hist and km-density
+# sizes are the boundaries of the tests above; 125 is the c4 walk budget of
+# test_freeprod.py::test_walk_budget).  One less is refused with the
+# stage's error line, or skips the cell where the subcommand skips cells.
+STAGE_BOUNDARIES = [
+    ("walk expansions", "free-clt --graph builtin:c4 --k 2 --N 2 --max-m 4", "--walk-budget", 125),
+    ("segment-pool words", "free-clt --graph builtin:p4 --k 3 --N 2 --max-m 1",
+     "--walk-budget", 3),
+    ("radial-walk updates", "tree-check --d 3 --k 2 --max-m 8", "--walk-budget", 312),
+    ("radial-walk updates", "large-d --k 2 --d-list 3 --max-m 8", "--walk-budget", 312),
+    ("ball vertices", "decomp-check --mode tree --d 3 --k 2 --radius 5", "--ball-budget", 94),
+    ("check-row neighbour scans", "decomp-check --mode tree --d 3 --k 2 --radius 5",
+     "--walk-budget", 1200),
+    ("two-step pairs", "decomp-check --mode square --graph builtin:k4", "--walk-budget", 36),
+    ("vacuum-walk expansions", "moments --graph builtin:c4 --max-m 8", "--walk-budget", 22),
+    ("trace-walk expansions", "moments --graph builtin:c4 --which trace --max-m 8",
+     "--walk-budget", 88),
+    ("trace-walk expansions", "regular-random --d 3 --k 2 --n-list 20 --samples 2 --max-m 4",
+     "--walk-budget", 840),
+    ("distance-k graph entries",
+     "regular-random --d 3 --k 2 --n-list 20 --samples 2 --max-m 2", "--walk-budget", 120),
+    ("cycle-enumeration nodes", "cycles --d 3 --j 4 --n-list 20 --samples 2",
+     "--walk-budget", 131),
+    ("histogram samples", "hist --law semicircle --samples 21 --bins 5", "--ball-budget", 21),
+    ("histogram bins", "hist --law semicircle --samples 10 --bins 21", "--ball-budget", 21),
+    ("density points", "km-density --d 3 --points 21 --range -1,1", "--ball-budget", 21),
+]
+SKIPPING = ("free-clt", "large-d", "regular-random", "cycles")
+
+
+@pytest.mark.parametrize(
+    "stage, argv, flag, fits, threads",
+    [
+        pytest.param(stage, argv, flag, fits, threads, id=f"{argv.split()[0]}:{stage}:{threads}")
+        for stage, argv, flag, fits in STAGE_BOUNDARIES
+        for threads in (("1", "2") if argv.split()[0] in ("regular-random", "cycles") else ("1",))
+    ],
+)
+def test_every_budget_stage_fits_its_limit_and_not_one_less(
+    capsys, stage, argv, flag, fits, threads
+):
+    argv = [*argv.split(), "--threads", threads, "--format", "json"]
+    code, out, err = run_cli(capsys, *argv, flag, str(fits))
+    assert (code, err) == (0, "")
+    assert not any(row["skipped"] for row in json.loads(out)["rows"])
+    code, out, err = run_cli(capsys, *argv, flag, str(fits - 1))
+    if argv[0] in SKIPPING:
+        assert (code, err) == (0, "")
+        assert all(row["skipped"] for row in json.loads(out)["rows"])
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"error[BUDGET]: budget exceeded: {fits} {stage} (budget {fits - 1})\n"
