@@ -24,9 +24,8 @@ import time
 from fractions import Fraction
 
 from .errors import (
-    DEFAULT_BALL_BUDGET,
-    DEFAULT_WALK_BUDGET,
     BudgetExceededError,
+    Budgets,
     FreespecError,
     RetriesExhaustedError,
     WorkerDiedError,
@@ -58,7 +57,6 @@ from .polymoments import (
     tree_distance_poly,
 )
 from .reports import (
-    Budgets,
     ExactScaled,
     Report,
     ReportRow,
@@ -242,11 +240,8 @@ def _check_mode(args) -> None:
 
 def _run(args) -> Report:
     _check_mode(args)
-    walk, ball = (getattr(args, name, None) for name in ("walk_budget", "ball_budget"))
-    budgets = Budgets(
-        DEFAULT_WALK_BUDGET if walk is None else walk,
-        DEFAULT_BALL_BUDGET if ball is None else ball,
-    )
+    given = (getattr(args, name, None) for name in ("walk_budget", "ball_budget"))
+    budgets = Budgets(**{f: v for f, v in zip(Budgets._fields, given) if v is not None})
     if args.threads < 1:
         raise _UsageError("--threads must be >= 1")
     if min(budgets.walk_expansions, budgets.ball_vertices) < 0:
@@ -309,12 +304,10 @@ def _decomp_report(
 def _run_decomp(args, budgets: Budgets) -> Report:
     if args.mode == "square":
         g, name = _load_graph(args.graph)
-        violation = square_check(g, budgets.walk_expansions)
+        violation = square_check(g, budgets)
         return _decomp_report(budgets, name, "mode", "square", 2, violation)
     if args.mode == "tree":
-        violation = tree_recurrence_check(
-            args.d, args.k, args.radius, budgets.ball_vertices, budgets.walk_expansions
-        )
+        violation = tree_recurrence_check(args.d, args.k, args.radius, budgets)
         return _decomp_report(
             budgets, f"tree-d{args.d}", "radius", args.radius, args.k, violation
         )
@@ -323,9 +316,7 @@ def _run_decomp(args, budgets: Budgets) -> Report:
     copies = _to_int(args.N, "--N")
     g, name = _load_graph(args.graph)
     spec = free_power(g, copies)
-    report = decomposition_check(
-        spec, args.k, args.radius, budgets.ball_vertices, budgets.walk_expansions
-    )
+    report = decomposition_check(spec, args.k, args.radius, budgets)
     return _decomp_report(
         budgets, f"{name}^*{spec.copies}", "radius", args.radius, args.k, report.max_violation
     )
@@ -343,18 +334,12 @@ def _run_moments(args, budgets: Budgets) -> Report:
         g, name = _load_graph(args.graph)
         param_name, param_value = "state", args.which or "vacuum"
         if param_value == "vacuum":
-            values = closed_walk_counts(g, g.root, args.max_m, budgets.walk_expansions)
+            values = closed_walk_counts(g, g.root, args.max_m, budgets)
         else:
-            values = trace_moments(g, args.max_m, budgets.walk_expansions)
+            values = trace_moments(g, args.max_m, budgets)
     cells = [(param_value, [ExactScaled(v) for v in values])]
     rows = moment_rows("moments", name, param_name, None, cells, [None] * len(values))
     return Report(rows=rows, budgets=budgets)
-
-
-def _charge_held(count: int, budgets: Budgets, what: str) -> None:
-    """Charge count values a command will hold to the ball budget, up front."""
-    if count > budgets.ball_vertices:
-        raise BudgetExceededError(count, budgets.ball_vertices, what)
 
 
 def _run_km_density(args, budgets: Budgets) -> Report:
@@ -369,7 +354,7 @@ def _run_km_density(args, budgets: Budgets) -> Report:
         raise _UsageError("--range expects finite numbers lo,hi")
     if args.points < 2 or hi <= lo:
         raise _UsageError("need --points >= 2 and hi > lo")
-    _charge_held(args.points, budgets, "density points")
+    budgets.charge("density points", args.points)
     rows = []
     for i in range(args.points):
         x = lo + (hi - lo) * i / (args.points - 1)
@@ -388,8 +373,8 @@ def _run_hist(args, budgets: Budgets) -> Report:
     if args.bins < 1:
         raise ValueError("bins must be positive")
     poly = _parse_transform(args.transform)
-    _charge_held(args.samples, budgets, "histogram samples")
-    _charge_held(args.bins, budgets, "histogram bins")
+    budgets.charge("histogram samples", args.samples)
+    budgets.charge("histogram bins", args.bins)
     samples = sample_law(args.law, args.samples, args.seed)
     edges, counts = pushforward_histogram(poly, samples, args.bins)
     rows = [

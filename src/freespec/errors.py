@@ -1,19 +1,18 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the budget meter.
 
 An error that carries fields passes them, and only them, to Exception and
 builds its message in __str__: pickling rebuilds an exception from its args,
 so this is what lets an error raised in a worker process reach the parent
 unchanged.
 
-The default budgets and the record base classes live here too, because
-every engine imports this module.  The records are plain classes rather than
-dataclasses, because the dataclasses module imports inspect and ast, and
-every CLI run is a fresh process that would pay for them.
+Budgets is the one place a charge meets its limit, and the only code that
+raises BudgetExceededError; STAGES names every stage it charges.  It and
+the record base classes live here because every engine imports this
+module.  The records are plain classes rather than dataclasses, because the
+dataclasses module imports inspect and ast, and every CLI run is a fresh
+process that would pay for them.
 """
 import math
-
-DEFAULT_WALK_BUDGET = 10**8
-DEFAULT_BALL_BUDGET = 10**6
 
 
 class Record:
@@ -140,3 +139,48 @@ class RetriesExhaustedError(FreespecError):
 
 class WorkerDiedError(FreespecError):
     """A sample worker process ended abruptly, most often killed for memory."""
+
+
+# The limit of each stage, by the name its errors print: walk_expansions is
+# --walk-budget, ball_vertices --ball-budget.  README's budget table has more.
+STAGES = {
+    "walk expansions": "walk_expansions",
+    "segment-pool words": "walk_expansions",
+    "radial-walk updates": "walk_expansions",
+    "check-row neighbour scans": "walk_expansions",
+    "two-step pairs": "walk_expansions",
+    "vacuum-walk expansions": "walk_expansions",
+    "trace-walk expansions": "walk_expansions",
+    "distance-k graph entries": "walk_expansions",
+    "cycle-enumeration nodes": "walk_expansions",
+    "ball vertices": "ball_vertices",
+    "histogram samples": "ball_vertices",
+    "histogram bins": "ball_vertices",
+    "density points": "ball_vertices",
+}
+
+
+class Budgets(Frozen):
+    """The two limits of a run, and the meter that holds every charge to them.
+
+    charge(stage, count) raises BudgetExceededError when count passes the
+    stage's limit.  The meter keeps no totals: an engine that sums a stage
+    keeps its own count, and a hot loop compares it with limit(stage), read
+    once, and charges only a count past it.  Budgets() holds the defaults.
+    """
+
+    _fields = ("walk_expansions", "ball_vertices")
+
+    def __init__(self, walk_expansions: int = 10**8, ball_vertices: int = 10**6):
+        super().__init__(walk_expansions, ball_vertices)
+
+    def limit(self, stage: str) -> int:
+        return getattr(self, STAGES[stage])
+
+    def charge(self, stage: str, count: int) -> None:
+        limit = self.limit(stage)
+        if count > limit:
+            raise BudgetExceededError(count, limit, stage)
+
+    def as_dict(self) -> dict:
+        return dict(zip(self._fields, self._values()))

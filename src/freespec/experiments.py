@@ -11,7 +11,7 @@ import math
 import random
 from fractions import Fraction
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, Budgets
 from .freeprod import free_power, vacuum_moments_distance_k
 from .graphs import RootedGraph, complete_graph
 from .polymoments import (
@@ -25,7 +25,7 @@ from .polymoments import (
     semicircle_density,
     tree_distance_k_law_moments,
 )
-from .reports import Budgets, ExactScaled, Report, moment_rows
+from .reports import ExactScaled, Report, moment_rows
 
 
 def run_cells(fn, items, threads: int = 1) -> list:
@@ -63,7 +63,7 @@ def tree_check_experiment(
     Both sides are exact integers; every row must have abs_err 0.
     """
     spec = free_power(complete_graph(2), d)
-    counts = vacuum_moments_distance_k(spec, k, max_m, budget=budgets.walk_expansions)
+    counts = vacuum_moments_distance_k(spec, k, max_m, budgets)
     values = [ExactScaled(count) for count in counts]
     rows = moment_rows(
         "tree-check", f"tree-d{d}", "d", k, [(d, values)],
@@ -97,7 +97,7 @@ def free_clt_experiment(
         spec = free_power(base, n_copies)
         scale = n_copies * spec.sigma
         try:
-            counts = vacuum_moments_distance_k(spec, k, max_m, budgets.walk_expansions, tables)
+            counts = vacuum_moments_distance_k(spec, k, max_m, budgets, tables)
         except BudgetExceededError:
             return None
         return [normalized_value(count, scale, k * m) for m, count in enumerate(counts)]

@@ -17,9 +17,8 @@ from itertools import chain, permutations, product
 from math import comb, factorial, perm, prod
 
 from .errors import (
-    DEFAULT_BALL_BUDGET,
-    DEFAULT_WALK_BUDGET,
     BudgetExceededError,
+    Budgets,
     Frozen,
     RadiusTooSmallError,
     UnreducedWordError,
@@ -146,16 +145,16 @@ def _word_bfs(spec: FreePowerSpec, source: Word, depth: int) -> dict[Word, int]:
     return dist
 
 
-def _ball_size(spec: FreePowerSpec, radius: int, max_vertices: int) -> int:
-    """len(ball(spec, radius)), counted without building a word.
+def _ball_counts(spec: FreePowerSpec, radius: int):
+    """len(ball(spec, r)) for r = 1..radius, counted without building a word.
 
-    Raises BudgetExceededError, naming the count, at the first radius whose
-    count passes max_vertices.  A word is a stack of non-root letters, each
-    in a copy other than the one below it, and its root distance is the sum
-    of its letters' base distances to the root.  So with w[s] the words of
-    root distance s whose bottom letter is in one given copy, w[s] sums
-    [c == s] + (N - 1) * w[s - c] over the non-root base vertices of cost c,
-    and the r-ball holds 1 + N * (w[1] + ... + w[r]) words.
+    Stops early once no word is further out.  A word is a stack of non-root
+    letters, each in a copy other than the one below it, and its root
+    distance is the sum of its letters' base distances to the root.  So
+    with w[s] the words of root distance s whose bottom letter is in one
+    given copy, w[s] sums [c == s] + (N - 1) * w[s - c] over the non-root
+    base vertices of cost c, and the r-ball holds 1 + N * (w[1] + ... +
+    w[r]) words.
     """
     root = spec.base.root
     costs = [c for v, c in enumerate(spec.apsp[root]) if v != root]
@@ -164,41 +163,43 @@ def _ball_size(spec: FreePowerSpec, radius: int, max_vertices: int) -> int:
     for s in range(1, radius + 1):
         w = w[1:] + [sum((c == s) + (spec.copies - 1) * w[-c] for c in costs)]
         count += spec.copies * w[-1]
-        if count > max_vertices:
-            raise BudgetExceededError(count, max_vertices, "ball vertices")
+        yield count
         if not any(w):
             break  # N = 1, and no word is further out
+
+
+def _ball_size(spec: FreePowerSpec, radius: int, budgets: Budgets) -> int:
+    """len(ball(spec, radius)), charged at each radius up to it."""
+    count = 1
+    for count in _ball_counts(spec, radius):
+        budgets.charge("ball vertices", count)
     return count
 
 
-def ball(spec: FreePowerSpec, radius: int, max_vertices: int = DEFAULT_BALL_BUDGET) -> dict:
+def ball(spec: FreePowerSpec, radius: int, budgets: Budgets = Budgets()) -> dict:
     """The radius-ball of G^{*N}: {word: root distance} in BFS order from the root.
 
     The root distance of a word is its graph distance from the root, so it
-    is the BFS depth.  The ball is charged to max_vertices from its count
+    is the BFS depth.  The ball is charged from its count (_ball_size)
     before any word is built.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    _ball_size(spec, radius, max_vertices)
+    _ball_size(spec, radius, budgets)
     return _word_bfs(spec, (), radius)
 
 
-def _segment_pool(spec: FreePowerSpec, bound: int, budget: int | None = None):
+def _segment_pool(spec: FreePowerSpec, bound: int, budgets: Budgets = Budgets()):
     """The bound-ball of G^{*N}, grouped by root distance.
 
     Entry c lists (word, bottom copy) for each word of root distance c, with
     bottom copy -1 for the root.  Used as the replacement-segment pool when
     enumerating distance-k neighbors, and kept on the spec, so it lives as
-    long as the spec does.  With budget, the ball is counted first
-    (_ball_size), and BudgetExceededError is raised before any word is built
-    once it holds more than budget nonempty words.
+    long as the spec does.  Every call charges its nonempty words from their
+    count, before any is built, so a kept pool is held to the budget too.
     """
-    if budget is not None:
-        try:
-            _ball_size(spec, bound, budget + 1)
-        except BudgetExceededError as err:
-            raise BudgetExceededError(err.count - 1, budget, "segment-pool words") from None
+    for count in _ball_counts(spec, bound):
+        budgets.charge("segment-pool words", count - 1)
     pools = spec._pool_cache.get(bound)
     if pools is None:
         n = spec.base.vertex_count
@@ -233,7 +234,8 @@ def distance_k_neighbors(
     costs = spec.letter_costs
     root = spec.base.root
     apsp = spec.apsp
-    pools = _segment_pool(spec, k)
+    # read for every word: the walk DP built and charged the pool already
+    pools = spec._pool_cache.get(k) or _segment_pool(spec, k)
     prefix = [0]
     for letter in x:
         prefix.append(prefix[-1] + costs[letter])
@@ -302,19 +304,16 @@ def _tree_distance_k_profile(d: int, k: int, r_max: int):
     return table
 
 
-def _tree_vacuum_moments(d: int, k: int, max_m: int, budget: int) -> list[int]:
+def _tree_vacuum_moments(d: int, k: int, max_m: int, budgets: Budgets) -> list[int]:
     """Closed-walk counts at the root of the distance-k graph of the d-regular tree.
 
     The root stabilizer is transitive on spheres, so walk counts collapse to
     the root-distance profile; the DP is exact with big integers.  Each of
     its max_m steps updates at most k + 1 entries per table row; that bound
-    is charged before the table is built, and past budget
-    BudgetExceededError is raised.
+    is charged before the table is built.
     """
     r_max = k * ((max_m + 1) // 2 + 1)
-    updates = max_m * (r_max + k + 1) * (k + 1)
-    if updates > budget:
-        raise BudgetExceededError(updates, budget, "radial-walk updates")
+    budgets.charge("radial-walk updates", max_m * (r_max + k + 1) * (k + 1))
     table = _tree_distance_k_profile(d, k, r_max + k)
     phi = [0] * (r_max + k + 1)
     phi[0] = 1
@@ -418,7 +417,7 @@ def _walk_polynomial(
     base: RootedGraph,
     k: int,
     max_m: int,
-    budget: int,
+    budgets: Budgets,
     cap: int,
 ) -> tuple[tuple[int, ...], ...]:
     """Closed-walk counts at the root of the distance-k graph of G^{*N}, by copies touched.
@@ -446,11 +445,11 @@ def _walk_polynomial(
     charged its neighbor count times its orbit size, as if every word of
     the orbit were expanded; the charge grows with cap, so a budget that
     fits one cap fits every smaller one.  The segment pools behind the
-    neighbors are held to budget words on their own; they live on the DP's
-    specs, so they go when it returns.
+    neighbors are charged on their own; they live on the DP's specs, so
+    they go when it returns.
     """
     table = [(1,) + (0,) * cap]
-    for layer in _walk_layers(base, k, max_m, budget, cap):
+    for layer in _walk_layers(base, k, max_m, budgets, cap):
         row = [0] * (cap + 1)
         for j, mass in layer.get((), (1, {}))[1].items():
             row[j] = mass
@@ -458,7 +457,7 @@ def _walk_polynomial(
     return tuple(table)
 
 
-def _walk_layers(base: RootedGraph, k: int, max_m: int, budget: int, cap: int):
+def _walk_layers(base: RootedGraph, k: int, max_m: int, budgets: Budgets, cap: int):
     """Layers 1..max_m of the walk DP of _walk_polynomial, one per step.
 
     Each layer maps a kept canonical word to (its orbit size, {copies
@@ -471,6 +470,7 @@ def _walk_layers(base: RootedGraph, k: int, max_m: int, budget: int, cap: int):
     specs: dict[int, FreePowerSpec] = {}
     layer: dict[Word, tuple[int, dict[int, int]]] = {(): (1, {0: 1})}
     expansions = 0
+    limit = budgets.limit("walk expansions")
     for t in range(1, max_m + 1):
         bound = k * min(t, max_m - t)
         nxt: dict[Word, tuple[int, dict[int, int]]] = {}
@@ -481,11 +481,11 @@ def _walk_layers(base: RootedGraph, k: int, max_m: int, budget: int, cap: int):
             spec = specs.get(copies)
             if spec is None:
                 spec = specs[copies] = free_power(base, copies)
-                _segment_pool(spec, k, budget)
+                _segment_pool(spec, k, budgets)
             nbs = distance_k_neighbors(spec, w, k, validate=False, max_root_distance=bound)
             expansions += len(nbs) * size
-            if expansions > budget:
-                raise BudgetExceededError(expansions, budget, "walk expansions")
+            if expansions > limit:
+                budgets.charge("walk expansions", expansions)
             by_fresh: dict[int, list[tuple[Word, int]]] = {}
             for y in nbs:
                 canonical = _canonical_fresh(y, n, c, group, least)
@@ -510,7 +510,7 @@ def vacuum_moments_distance_k(
     spec: FreePowerSpec,
     k: int,
     max_m: int,
-    budget: int = DEFAULT_WALK_BUDGET,
+    budgets: Budgets = Budgets(),
     tables: dict | None = None,
 ) -> list[int]:
     """Exact closed-walk counts at the root of the distance-k graph of G^{*N}.
@@ -522,24 +522,24 @@ def vacuum_moments_distance_k(
     Its DP tracks min(N, k*max_m/2) copies, so every N >= k*max_m/2 shares
     one DP and its budget charge, and a smaller N pays only for its own
     copies.  A memo its caller owns for one run, tables keeps per (base, k,
-    max_m, budget) the largest table that fit, which serves every smaller
-    cap, and the smallest cap that overran, past which every cap fails.
+    max_m, budgets) the largest table that fit, which serves every smaller
+    cap, and the smallest cap that overran, whose charge refuses any larger cap.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if max_m < 0:
         raise ValueError("max_m must be nonnegative")
     if spec.base.vertex_count == 2:
-        return _tree_vacuum_moments(spec.copies, k, max_m, budget)
+        return _tree_vacuum_moments(spec.copies, k, max_m, budgets)
     cap = min(spec.copies, max(1, k * max_m // 2))
     memo = {} if tables is None else tables
-    entry = memo.setdefault((spec.base, k, max_m, budget), [0, (), None])
+    entry = memo.setdefault((spec.base, k, max_m, budgets), [0, (), None])
     fit_cap, table, overrun = entry
     if overrun is not None and overrun[0] <= cap:
-        raise BudgetExceededError(overrun[1], budget, overrun[2])
+        budgets.charge(overrun[2], overrun[1])
     if fit_cap < cap:
         try:
-            table = _walk_polynomial(spec.base, k, max_m, budget, cap)
+            table = _walk_polynomial(spec.base, k, max_m, budgets, cap)
         except BudgetExceededError as err:
             entry[2] = (cap, err.count, err.what)
             raise
@@ -565,13 +565,11 @@ class DecompositionReport(Frozen):
         super().__init__(max_violation, pairs_checked, d_entries_nonzero, delta_entries_nonzero)
 
 
-def _check_interior(
-    spec: FreePowerSpec, k: int, radius: int, cutoff: int, max_vertices: int, budget: int
-) -> dict:
+def _check_interior(spec: FreePowerSpec, k: int, radius: int, cutoff: int, budgets: Budgets):
     """The interior a check visits, ball(spec, cutoff), after both charges.
 
-    The radius-ball is charged to max_vertices from its count (_ball_size),
-    then the rows to budget from the interior's, before any word is built.
+    The radius-ball is charged from its count (_ball_size), then the rows
+    from the interior's, before any word is built.
     Row x is the BFS of x to depth k+1, {y: d(x, y)}: a pair further apart
     has zero on both sides of either checked identity, since d(x, l) > k for
     every neighbour l of y.  With D the maximum degree of G^{*N}, the BFS of
@@ -581,13 +579,12 @@ def _check_interior(
     when D = 1) the whole row then takes at most D * (1 + D + ... + D^(k+1))
     neighbour scans.
     """
-    _ball_size(spec, radius, max_vertices)
+    _ball_size(spec, radius, budgets)
     degree = max(map(len, spec.base.neighbors)) + (spec.copies - 1) * spec.sigma
     row = (degree ** (k + 2) - 1) // (degree - 1) if degree > 1 else k + 2
-    steps = _ball_size(spec, cutoff, max_vertices) * row * degree
-    if steps > budget:
-        raise BudgetExceededError(steps, budget, "check-row neighbour scans")
-    return ball(spec, cutoff, max_vertices)
+    steps = _ball_size(spec, cutoff, budgets) * row * degree
+    budgets.charge("check-row neighbour scans", steps)
+    return ball(spec, cutoff, budgets)
 
 
 def _check_pairs(spec: FreePowerSpec, interior: dict, k: int, later_only: bool):
@@ -609,8 +606,7 @@ def _check_pairs(spec: FreePowerSpec, interior: dict, k: int, later_only: bool):
 
 
 def decomposition_check(
-    spec: FreePowerSpec, k: int, radius: int,
-    max_vertices: int = DEFAULT_BALL_BUDGET, budget: int = DEFAULT_WALK_BUDGET,
+    spec: FreePowerSpec, k: int, radius: int, budgets: Budgets = Budgets()
 ) -> DecompositionReport:
     """Entrywise check of the distance-k product decomposition on the radius-ball.
 
@@ -634,7 +630,7 @@ def decomposition_check(
         raise ValueError("decomposition check needs k >= 3")
     if radius < k + 2:
         raise RadiusTooSmallError(f"radius {radius} < k + 2 = {k + 2}")
-    interior = _check_interior(spec, k, radius, radius - 1, max_vertices, budget)
+    interior = _check_interior(spec, k, radius, radius - 1, budgets)
     fresh = (spec.copies - 1) * spec.sigma
     max_violation = pairs = d_nonzero = delta_nonzero = 0
     for dij, j, hits in _check_pairs(spec, interior, k, later_only=True):
@@ -653,10 +649,7 @@ def decomposition_check(
     return DecompositionReport(max_violation, pairs, d_nonzero, delta_nonzero)
 
 
-def tree_recurrence_check(
-    d: int, k: int, radius: int,
-    max_vertices: int = DEFAULT_BALL_BUDGET, budget: int = DEFAULT_WALK_BUDGET,
-) -> int:
+def tree_recurrence_check(d: int, k: int, radius: int, budgets: Budgets = Budgets()) -> int:
     """Max entrywise violation of A A^{[k]} = A^{[k+1]} + (d-1) A^{[k-1]}.
 
     Checked on the words of K2^{*d}, the d-regular tree, over pairs with
@@ -672,7 +665,7 @@ def tree_recurrence_check(
     if d < 2:
         raise ValueError("tree degree must be >= 2")
     spec = free_power(complete_graph(2), d)
-    interior = _check_interior(spec, k, radius, radius - k - 1, max_vertices, budget)
+    interior = _check_interior(spec, k, radius, radius - k - 1, budgets)
     max_violation = 0
     for dij, _, hits in _check_pairs(spec, interior, k, later_only=False):
         rhs = (dij == k + 1) + (d - 1) * (dij == k - 1)

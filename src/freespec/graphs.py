@@ -28,8 +28,7 @@ from itertools import repeat
 from operator import mul
 
 from .errors import (
-    DEFAULT_WALK_BUDGET,
-    BudgetExceededError,
+    Budgets,
     Frozen,
     GraphFormatError,
     LoopEdgeError,
@@ -247,27 +246,22 @@ def _closed_walks(g: RootedGraph, source: int, max_m: int) -> list[int]:
 
 
 def closed_walk_counts(
-    g: RootedGraph, source: int, max_m: int, max_expansions: int | None = None
+    g: RootedGraph, source: int, max_m: int, budgets: Budgets = Budgets()
 ) -> list[int]:
     """Counts of closed walks at ``source`` for every length 0..max_m.
 
     The most expansions the walks can take (see trace_moments) are charged
-    before any is built; past max_expansions (None: no limit),
-    BudgetExceededError is raised.
+    before any is built.
     """
     if max_m < 0:
         raise ValueError("max_m must be nonnegative")
     if not 0 <= source < g.vertex_count:
         raise VertexOutOfRangeError(f"source {source}")
-    charged = _walk_charge(g, max_m)
-    if max_expansions is not None and charged > max_expansions:
-        raise BudgetExceededError(charged, max_expansions, "vacuum-walk expansions")
+    budgets.charge("vacuum-walk expansions", _walk_charge(g, max_m))
     return _closed_walks(g, source, max_m)
 
 
-def trace_moments(
-    g: RootedGraph, max_m: int, max_expansions: int | None = None
-) -> list[Fraction]:
+def trace_moments(g: RootedGraph, max_m: int, budgets: Budgets = Budgets()) -> list[Fraction]:
     """Normalized-trace moments (1/n) * trace(A^m) for m = 0..max_m, exactly.
 
     Closed-walk counts per vertex are combined meet-in-the-middle, so the
@@ -280,10 +274,8 @@ def trace_moments(
     2 * sum over w >= v of (A^a)_vw * (A^h)_vw, less the diagonal term
     (A^a)_vv * (A^h)_vv that the doubling counted twice.
 
-    Before a vertex's half-walk vectors are built, the most expansions they
-    can take are charged: sum over t < ceil(max_m / 2) of
-    min(n, D^t) * D, with D the maximum degree.  Once the charge passes
-    max_expansions (None: no limit), BudgetExceededError is raised.
+    Before a vertex's half walks are built, the most expansions they can
+    take (_walk_charge) are added to the charge.
     """
     if max_m < 0:
         raise ValueError("max_m must be nonnegative")
@@ -291,11 +283,12 @@ def trace_moments(
     half = (max_m + 1) // 2
     per_vertex = _walk_charge(g, max_m)
     charged = 0
+    limit = budgets.limit("trace-walk expansions")
     totals = [0] * (max_m + 1)
     for v in range(n):
         charged += per_vertex
-        if max_expansions is not None and charged > max_expansions:
-            raise BudgetExceededError(charged, max_expansions, "trace-walk expansions")
+        if charged > limit:
+            budgets.charge("trace-walk expansions", charged)
         vecs = _half_walk_vectors(g, v, half, v)
         top = vecs[half]
         top_v = top.get(v, 0)
@@ -308,19 +301,20 @@ def trace_moments(
     return [Fraction(t, n) for t in totals]
 
 
-def count_k_cycles(g: RootedGraph, j: int, max_nodes: int = DEFAULT_WALK_BUDGET) -> int:
+def count_k_cycles(g: RootedGraph, j: int, budgets: Budgets = Budgets()) -> int:
     """Number of simple j-cycles as unlabeled subgraphs (each counted once).
 
     Enumeration anchors every cycle at its minimal vertex and fixes the
     orientation by requiring second vertex < last vertex.  Every path
-    vertex the depth-first search reaches is one node of max_nodes; past
-    it, BudgetExceededError is raised.  The search keeps its own stack, so
-    j is not bounded by the interpreter's recursion limit.
+    vertex the depth-first search reaches is one node of the charge.  The
+    search keeps its own stack, so j is not bounded by the interpreter's
+    recursion limit.
     """
     if j < 3:
         raise ValueError("cycle length must be >= 3")
     count = 0
     nodes = 0
+    limit = budgets.limit("cycle-enumeration nodes")
     adj = g.neighbors
     adj_sets = [set(nb) for nb in adj]
     on_path = [False] * g.vertex_count
@@ -340,8 +334,8 @@ def count_k_cycles(g: RootedGraph, j: int, max_nodes: int = DEFAULT_WALK_BUDGET)
                 on_path[path.pop()] = False
                 continue
             nodes += 1
-            if nodes > max_nodes:
-                raise BudgetExceededError(nodes, max_nodes, "cycle-enumeration nodes")
+            if nodes > limit:
+                budgets.charge("cycle-enumeration nodes", nodes)
             if len(path) < j - 2:
                 on_path[u] = True
                 path.append(u)
@@ -353,8 +347,8 @@ def count_k_cycles(g: RootedGraph, j: int, max_nodes: int = DEFAULT_WALK_BUDGET)
             for w in adj[u]:
                 if w > s and not on_path[w]:
                     nodes += 1
-                    if nodes > max_nodes:
-                        raise BudgetExceededError(nodes, max_nodes, "cycle-enumeration nodes")
+                    if nodes > limit:
+                        budgets.charge("cycle-enumeration nodes", nodes)
                     if second < w and w in closing:
                         count += 1
     return count
@@ -383,18 +377,16 @@ def decompose_square(g: RootedGraph):
     return atilde2, dmat, delta
 
 
-def square_check(g: RootedGraph, max_pairs: int | None = None) -> int:
+def square_check(g: RootedGraph, budgets: Budgets = Budgets()) -> int:
     """Largest entrywise gap between A^2 and the split of decompose_square.
 
     Row i of A^2 is read from the two-step walk vector of i, so the check
     costs about n * D^2 with D the maximum degree; it builds no matrix.
     The rows hold at most one entry per two-step pair (i, u, v), the sum
     over u of deg(u)^2 in all; that count is charged before any row is
-    built, and past max_pairs (None: no limit) BudgetExceededError is raised.
+    built.
     """
-    pairs = sum(len(nb) ** 2 for nb in g.neighbors)
-    if max_pairs is not None and pairs > max_pairs:
-        raise BudgetExceededError(pairs, max_pairs, "two-step pairs")
+    budgets.charge("two-step pairs", sum(len(nb) ** 2 for nb in g.neighbors))
     gap = 0
     for i, parts in enumerate(zip(*decompose_square(g))):
         row = _half_walk_vectors(g, i, 2)[2]

@@ -24,6 +24,7 @@ from itertools import repeat
 
 from .errors import (
     BudgetExceededError,
+    Budgets,
     Frozen,
     ParityError,
     RetriesExhaustedError,
@@ -32,7 +33,7 @@ from .errors import (
 from .experiments import run_cells
 from .graphs import RootedGraph, count_k_cycles, distance_k_graph, from_edge_list, trace_moments
 from .polymoments import tree_distance_k_law_moments
-from .reports import Budgets, ExactScaled, Report, ReportRow, moment_rows
+from .reports import ExactScaled, Report, ReportRow, moment_rows
 
 _MASK64 = (1 << 64) - 1
 # 32-bit words a shuffle draws from its generator in one call; it bounds the
@@ -133,26 +134,23 @@ def pairing_model(cfg: PairingConfig) -> RootedGraph:
 
 
 def trace_sample(
-    d: int, k: int, n: int, max_m: int, seed: int, i: int, max_expansions: int
+    d: int, k: int, n: int, max_m: int, seed: int, i: int, budgets: Budgets
 ) -> list[Fraction]:
     """Trace moments of the distance-k graph of sample i of order n.
 
     The distance-k graph holds at most n * min(n - 1, d * (d - 1)^(k - 1))
-    entries.  That bound is charged to max_expansions before the sample is
-    paired, so a graph past the budget is refused before anything is built;
-    the trace walks are then charged to max_expansions on their own.
+    entries.  That bound is charged before the sample is paired, so a graph
+    past the budget is refused before anything is built.
     """
-    entries = n * min(n - 1, d * (d - 1) ** (k - 1))
-    if entries > max_expansions:
-        raise BudgetExceededError(entries, max_expansions, "distance-k graph entries")
+    budgets.charge("distance-k graph entries", n * min(n - 1, d * (d - 1) ** (k - 1)))
     g = pairing_model(PairingConfig(n=n, d=d, seed=derive_seed(seed, n, i)))
-    return trace_moments(distance_k_graph(g, k), max_m, max_expansions)
+    return trace_moments(distance_k_graph(g, k), max_m, budgets)
 
 
-def cycle_sample(d: int, j: int, n: int, seed: int, i: int, max_nodes: int) -> int:
+def cycle_sample(d: int, j: int, n: int, seed: int, i: int, budgets: Budgets) -> int:
     """Simple j-cycle count of sample i of order n."""
     g = pairing_model(PairingConfig(n=n, d=d, seed=derive_seed(seed, j, i)))
-    return count_k_cycles(g, j, max_nodes=max_nodes)
+    return count_k_cycles(g, j, budgets)
 
 
 def sample_workers(threads: int, samples: int) -> int:
@@ -163,10 +161,10 @@ def sample_workers(threads: int, samples: int) -> int:
     return max(1, min(threads, samples, cpus))
 
 
-def _sampled_cells(sample, n_list, samples: int, threads: int, budget: int, reduce) -> list:
+def _sampled_cells(sample, n_list, samples: int, threads: int, budgets, reduce) -> list:
     """reduce(results of sample i of n, i in order) for each n in n_list.
 
-    A cell maps sample(n) over (range(samples), repeat(budget)), and a
+    A cell maps sample(n) over (range(samples), repeat(budgets)), and a
     sample past the budget makes it None.  With one worker the builtin map
     runs each sample here when it is read, importing nothing new; else a
     pool's map submits every sample up front, and cancels those not started
@@ -190,7 +188,7 @@ def _sampled_cells(sample, n_list, samples: int, threads: int, budget: int, redu
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method))
         run, broken = pool.map, BrokenProcessPool
     try:
-        pending = [run(sample(n), range(samples), repeat(budget)) for n in n_list]
+        pending = [run(sample(n), range(samples), repeat(budgets)) for n in n_list]
 
         def cell(results):
             try:
@@ -225,10 +223,9 @@ def regular_limit_experiment(
     """Mean trace moments of distance-k graphs of random d-regular graphs.
 
     The reference is the exact root-walk moment of the d-regular tree's
-    distance-k graph, computed on the polynomial side.  Each sample's trace
-    walks may be charged budgets.walk_expansions expansions; a cell with a
-    sample past it is marked skipped.  Samples run on up to threads worker
-    processes; the report is the same for every value.
+    distance-k graph, computed on the polynomial side.  A cell with a
+    sample past its budget is marked skipped.  Samples run on up to threads
+    worker processes; the report is the same for every value.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -245,7 +242,7 @@ def regular_limit_experiment(
 
     means = _sampled_cells(
         lambda n: functools.partial(trace_sample, d, k, n, max_m, seed),
-        n_list, samples, threads, budgets.walk_expansions, mean_moments,
+        n_list, samples, threads, budgets, mean_moments,
     )
     cells = zip(n_list, means)
     rows = moment_rows("regular-random", f"random-regular-d{d}", "n", k, cells, refs)
@@ -263,8 +260,8 @@ def cycles_experiment(
 ) -> Report:
     """Mean j-cycle counts across orders n, against the d-regular limit value.
 
-    Each enumeration may expand budgets.walk_expansions nodes.  Cells whose
-    enumeration runs past it are marked skipped and the run continues.
+    Cells whose enumeration runs past its budget are marked skipped and the
+    run continues.
     Samples run on up to threads worker processes; the report is the same
     for every value.
     """
@@ -275,7 +272,7 @@ def cycles_experiment(
     ref = ExactScaled(cycle_limit_reference(d, j))
     means = _sampled_cells(
         lambda n: functools.partial(cycle_sample, d, j, n, seed),
-        n_list, samples, threads, budgets.walk_expansions,
+        n_list, samples, threads, budgets,
         lambda counts: Fraction(sum(counts), samples),
     )
     rows = [

@@ -17,21 +17,9 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import DEFAULT_BALL_BUDGET, DEFAULT_WALK_BUDGET, Frozen, Record
+from .errors import Budgets, Frozen, Record
 
 CSV_HEADER = "experiment,graph,param_name,param_value,k,m,value,reference,abs_err,rel_err"
-
-
-class Budgets(Frozen):
-    _fields = ("walk_expansions", "ball_vertices")
-
-    def __init__(
-        self, walk_expansions: int = DEFAULT_WALK_BUDGET, ball_vertices: int = DEFAULT_BALL_BUDGET
-    ):
-        super().__init__(walk_expansions, ball_vertices)
-
-    def as_dict(self) -> dict:
-        return dict(zip(self._fields, self._values()))
 
 
 class ExactScaled(Frozen):

@@ -287,8 +287,8 @@ class MaterializedBall:
     vertex i of graph is words[i]; the root is vertex 0.
     """
 
-    def __init__(self, spec, radius, max_vertices=10**6):
-        rds = ball(spec, radius, max_vertices)
+    def __init__(self, spec, radius):
+        rds = ball(spec, radius)
         self.spec, self.radius = spec, radius
         self.words = tuple(rds)
         self.root_distances = tuple(rds.values())
@@ -310,11 +310,11 @@ class MaterializedBall:
         return [i for i, r in enumerate(self.root_distances) if r <= cutoff]
 
 
-def regular_tree_ball(d, radius, max_vertices=10**6):
+def regular_tree_ball(d, radius):
     """Radius-ball of the d-regular tree, realized as the d-fold free power of K2."""
     if d < 2:
         raise ValueError("tree degree must be >= 2")
-    return MaterializedBall(free_power(complete_graph(2), d), radius, max_vertices)
+    return MaterializedBall(free_power(complete_graph(2), d), radius)
 
 
 def pair_decomposition_check(spec, k, radius, near=False):

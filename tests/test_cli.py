@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from freespec import cli, freeprod, regular
+from freespec import cli, errors, freeprod, regular
 from freespec.errors import BudgetExceededError
 from freespec.graphs import builtin_graph, cycle_graph, from_edge_list, parse_graph_text
 from oracles import fmt12_by_decimal, format_graph_text
@@ -804,7 +804,7 @@ def test_regular_random_charges_the_distance_k_graph_before_pairing(capsys, monk
     rows = [line.split(",") for line in out.strip().split("\n")[1:]]
     assert len(rows) == 3 and all(row[6:] == ["", "", "", ""] for row in rows)
     with pytest.raises(BudgetExceededError, match="245760000 distance-k graph entries"):
-        regular.trace_sample(3, 13, 20000, 2, 0, 0, 245759999)
+        regular.trace_sample(3, 13, 20000, 2, 0, 0, errors.Budgets(245759999))
 
 
 def test_moments_takes_graph_or_law_not_both(capsys):
@@ -958,10 +958,11 @@ def test_every_budget_flag_a_mode_takes_is_read(capsys, command, mode):
 
 
 # One row per budget stage: an argv, the flag of the stage's limit, and the
-# smallest limit the argv fits (312, 94, 1200 and the hist and km-density
-# sizes are the boundaries of the tests above; 125 is the c4 walk budget of
-# test_freeprod.py::test_walk_budget).  One less is refused with the
-# stage's error line, or skips the cell where the subcommand skips cells.
+# smallest limit the argv fits.  312, 94, 1200 and the hist and km-density
+# sizes are the boundaries of the tests above, 125 the c4 walk budget of
+# test_freeprod.py::test_walk_budget, and 48 (12 per vertex) the k4 charge
+# of test_graphs.py::test_trace_moments_budget.  One less is refused with
+# the stage's error line, or skips the cell where the subcommand skips.
 STAGE_BOUNDARIES = [
     ("walk expansions", "free-clt --graph builtin:c4 --k 2 --N 2 --max-m 4", "--walk-budget", 125),
     ("segment-pool words", "free-clt --graph builtin:p4 --k 3 --N 2 --max-m 1",
@@ -972,9 +973,9 @@ STAGE_BOUNDARIES = [
     ("check-row neighbour scans", "decomp-check --mode tree --d 3 --k 2 --radius 5",
      "--walk-budget", 1200),
     ("two-step pairs", "decomp-check --mode square --graph builtin:k4", "--walk-budget", 36),
-    ("vacuum-walk expansions", "moments --graph builtin:c4 --max-m 8", "--walk-budget", 22),
-    ("trace-walk expansions", "moments --graph builtin:c4 --which trace --max-m 8",
-     "--walk-budget", 88),
+    ("vacuum-walk expansions", "moments --graph builtin:k4 --max-m 4", "--walk-budget", 12),
+    ("trace-walk expansions", "moments --graph builtin:k4 --which trace --max-m 4",
+     "--walk-budget", 48),
     ("trace-walk expansions", "regular-random --d 3 --k 2 --n-list 20 --samples 2 --max-m 4",
      "--walk-budget", 840),
     ("distance-k graph entries",
@@ -1010,3 +1011,7 @@ def test_every_budget_stage_fits_its_limit_and_not_one_less(
     else:
         assert (code, out) == (2, "")
         assert err == f"error[BUDGET]: budget exceeded: {fits} {stage} (budget {fits - 1})\n"
+
+
+def test_the_stage_boundaries_cover_every_stage():
+    assert {stage for stage, *_ in STAGE_BOUNDARIES} == set(errors.STAGES)

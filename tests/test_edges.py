@@ -15,10 +15,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import freespec
-from freespec import errors
+from freespec import cli, errors, experiments, freeprod, graphs, regular
 from freespec.errors import ParityError, UnreducedWordError
 from freespec.freeprod import ball, free_power, vacuum_moments_distance_k
-from freespec.graphs import RootedGraph, complete_graph, count_k_cycles, cycle_graph
+from freespec.graphs import RootedGraph, complete_graph, cycle_graph
 from freespec.polymoments import (
     JacobiParams,
     kesten_mckay_moments,
@@ -375,17 +375,43 @@ def test_every_error_survives_pickling():
 
 
 def test_budget_defaults_are_the_library_defaults():
-    # the CLI's defaults are the fields of Budgets(); the engines' own
-    # defaults are the same two constants
-    walk, balls = errors.DEFAULT_WALK_BUDGET, errors.DEFAULT_BALL_BUDGET
-    assert (walk, balls) == (10**8, 10**6)
-    assert Budgets() == Budgets(walk_expansions=walk, ball_vertices=balls)
-    for fn, name, default in (
-        (ball, "max_vertices", balls),
-        (vacuum_moments_distance_k, "budget", walk),
-        (count_k_cycles, "max_nodes", walk),
-    ):
-        assert inspect.signature(fn).parameters[name].default == default
+    # the CLI's defaults are the fields of Budgets(), and every function
+    # that takes the meter defaults to that meter or is handed its caller's;
+    # no limit goes by a second name
+    assert Budgets() == Budgets(walk_expansions=10**8, ball_vertices=10**6)
+    renamed = {"budget", "max_expansions", "max_nodes", "max_vertices", "max_pairs"}
+    defaults = {}
+    for module in (cli, experiments, freeprod, graphs, regular):
+        for name, fn in vars(module).items():
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                params = inspect.signature(fn).parameters
+                assert not renamed & set(params), name
+                if "budgets" in params:
+                    defaults[name] = params["budgets"].default
+    assert set(defaults.values()) == {Budgets(), inspect.Parameter.empty}
+    engines = {
+        "ball", "decomposition_check", "tree_recurrence_check", "vacuum_moments_distance_k",
+        "closed_walk_counts", "trace_moments", "count_k_cycles", "square_check", "_segment_pool",
+    }
+    assert {name for name, default in defaults.items() if default == Budgets()} >= engines
+
+
+def test_only_the_meter_raises_budget_errors():
+    # Budgets is the one place a charge meets its limit: no module but
+    # errors builds a BudgetExceededError, and the stages named in charges
+    # are exactly the keys of errors.STAGES
+    src = Path(freespec.__file__).parent
+    named = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            called = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if called == "BudgetExceededError":
+                assert path.name == "errors.py", path.name
+            if called in ("charge", "limit") and isinstance(node.args[0], ast.Constant):
+                named.add(node.args[0].value)
+    assert named == set(errors.STAGES)
 
 
 def test_package_imports_only_the_standard_library():

@@ -210,7 +210,7 @@ def test_walk_polynomial_free_clt_limit():
         sigma = base.degree(base.root)
         for k in (1, 2, 3):
             max_m = 5 if k == 3 else 6
-            table = _walk_polynomial(base, k, max_m, 10**8, k * max_m // 2)
+            table = _walk_polynomial(base, k, max_m, Budgets(), k * max_m // 2)
             refs = chebyshev_reference_moments(k, max_m)
             for m, row in enumerate(table):
                 half = k * m // 2
@@ -248,9 +248,9 @@ def test_free_clt_run_shares_one_table(monkeypatch):
     caps = []
     inner = freeprod._walk_polynomial
 
-    def recorded(base, k, max_m, budget, cap):
+    def recorded(base, k, max_m, budgets, cap):
         caps.append(cap)
-        return inner(base, k, max_m, budget, cap)
+        return inner(base, k, max_m, budgets, cap)
 
     monkeypatch.setattr(freeprod, "_walk_polynomial", recorded)
     rep = free_clt_experiment(C4, "c4", 2, (2, 3, 4, 5), 6)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from freespec.errors import (
     BudgetExceededError,
+    Budgets,
     FreespecError,
     RadiusTooSmallError,
     UnreducedWordError,
@@ -197,10 +198,10 @@ def test_ball_budget():
     # 766 words fit K2^{*3} at radius 8; the ball is charged from its count,
     # and the error names the count at the first radius past the budget
     spec = free_power(K2, 3)
-    assert len(ball(spec, 8, max_vertices=766)) == 766
+    assert len(ball(spec, 8, Budgets(ball_vertices=766))) == 766
     for budget, count in ((50, 94), (765, 766)):
         with pytest.raises(BudgetExceededError) as info:
-            ball(spec, 8, max_vertices=budget)
+            ball(spec, 8, Budgets(ball_vertices=budget))
         assert str(info.value) == f"budget exceeded: {count} ball vertices (budget {budget})"
 
 
@@ -417,7 +418,7 @@ def test_walk_tables_are_pinned():
     for (name, k, max_m), digest in _WALK_TABLE_DIGESTS.items():
         base = builtin_graph(name)
         tables = [
-            freeprod._walk_polynomial(base, k, max_m, 10**9, cap)
+            freeprod._walk_polynomial(base, k, max_m, Budgets(10**9), cap)
             for cap in range(1, k * max_m // 2 + 1)
         ]
         assert hashlib.sha256(repr(tables).encode()).hexdigest() == digest, (name, k, max_m)
@@ -452,27 +453,27 @@ def test_walk_charge_is_orbit_weighted():
     # k4, k=2, m<=4 at N >= 4 charged 1719 expansions before the quotient;
     # each orbit representative is charged for every word of its orbit
     spec = free_power(K4, 4)
-    assert vacuum_moments_distance_k(spec, 2, 4, budget=1719)
+    assert vacuum_moments_distance_k(spec, 2, 4, Budgets(1719))
     with pytest.raises(BudgetExceededError):
-        vacuum_moments_distance_k(spec, 2, 4, budget=1718)
+        vacuum_moments_distance_k(spec, 2, 4, Budgets(1718))
 
 
 def test_segment_pool_budget():
     # k4^*5 at bound 5 holds 339k words: the pool is refused from its count,
     # which names the words within the first radius past the budget
     with pytest.raises(BudgetExceededError) as err:
-        freeprod._segment_pool(free_power(K4, 5), 5, 1000)
+        freeprod._segment_pool(free_power(K4, 5), 5, Budgets(1000))
     assert (err.value.count, err.value.what) == (2355, "segment-pool words")
     # the walk DP checks its pools first: k3^*2 at bound 2 holds 12 words
     with pytest.raises(BudgetExceededError) as err:
-        vacuum_moments_distance_k(free_power(K3, 2), 2, 4, budget=10)
+        vacuum_moments_distance_k(free_power(K3, 2), 2, 4, Budgets(10))
     assert err.value.what == "segment-pool words"
     # the pool kept on a spec is held to the budget too
     spec = free_power(K3, 2)
     freeprod._segment_pool(spec, 2)
     with pytest.raises(BudgetExceededError):
-        freeprod._segment_pool(spec, 2, 11)
-    assert freeprod._segment_pool(spec, 2, 12)
+        freeprod._segment_pool(spec, 2, Budgets(11))
+    assert freeprod._segment_pool(spec, 2, Budgets(12))
 
 
 def test_a_refused_pool_builds_nothing():
@@ -481,7 +482,7 @@ def test_a_refused_pool_builds_nothing():
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError, match="segment-pool words"):
-            freeprod._segment_pool(free_power(K4, 5), 5, 10**5)
+            freeprod._segment_pool(free_power(K4, 5), 5, Budgets(10**5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -529,10 +530,10 @@ def test_walk_dp_keeps_its_pools(monkeypatch):
     builds = []
     inner = freeprod._segment_pool
 
-    def counted(spec, bound, budget=None):
+    def counted(spec, bound, budgets=Budgets()):
         if bound not in spec._pool_cache:
             builds.append(spec.copies)
-        return inner(spec, bound, budget)
+        return inner(spec, bound, budgets)
 
     monkeypatch.setattr(freeprod, "_segment_pool", counted)
     assert vacuum_moments_distance_k(spec, 1, 4) == expected
@@ -544,9 +545,9 @@ def test_walk_tables_are_not_kept_between_calls(monkeypatch):
     caps = []
     inner = freeprod._walk_polynomial
 
-    def recorded(base, k, max_m, budget, cap):
+    def recorded(base, k, max_m, budgets, cap):
         caps.append(cap)
-        return inner(base, k, max_m, budget, cap)
+        return inner(base, k, max_m, budgets, cap)
 
     monkeypatch.setattr(freeprod, "_walk_polynomial", recorded)
     spec = free_power(K3, 2)
@@ -555,43 +556,43 @@ def test_walk_tables_are_not_kept_between_calls(monkeypatch):
     # a memo serves a smaller cap from a larger table, and refuses a larger
     # cap than one that overran at once
     tables = {}
-    big = vacuum_moments_distance_k(free_power(K3, 4), 2, 4, 10**4, tables)
-    assert vacuum_moments_distance_k(spec, 2, 4, 10**4, tables) == layered_distance_k_walks(spec, 2, 4)
+    big = vacuum_moments_distance_k(free_power(K3, 4), 2, 4, Budgets(10**4), tables)
+    assert vacuum_moments_distance_k(spec, 2, 4, Budgets(10**4), tables) == layered_distance_k_walks(spec, 2, 4)
     assert big == layered_distance_k_walks(free_power(K3, 4), 2, 4)
     assert caps == [2, 2, 4]
     tables = {}
     for copies in (3, 4):
         with pytest.raises(BudgetExceededError):
-            vacuum_moments_distance_k(free_power(C4, copies), 2, 4, 200, tables)
+            vacuum_moments_distance_k(free_power(C4, copies), 2, 4, Budgets(200), tables)
     assert caps == [2, 2, 4, 3]
 
 
 def test_walk_budget():
     with pytest.raises(BudgetExceededError):
-        vacuum_moments_distance_k(free_power(K3, 4), 2, 6, budget=100)
+        vacuum_moments_distance_k(free_power(K3, 4), 2, 6, Budgets(100))
     # the charge grows with N up to k*max_m/2 copies and stays there
     # (c4, k=2, m<=4 charges 4, 125, 286 and 410 for N = 1, 2, 3, >= 4)
     for copies, fits in ((1, True), (2, True), (3, False), (4, False), (8, False)):
         spec = free_power(C4, copies)
         if fits:
-            assert vacuum_moments_distance_k(spec, 2, 4, budget=200)
+            assert vacuum_moments_distance_k(spec, 2, 4, Budgets(200))
         else:
             with pytest.raises(BudgetExceededError):
-                vacuum_moments_distance_k(spec, 2, 4, budget=200)
-        assert vacuum_moments_distance_k(spec, 2, 4, budget=10**4)
+                vacuum_moments_distance_k(spec, 2, 4, Budgets(200))
+        assert vacuum_moments_distance_k(spec, 2, 4, Budgets(10**4))
 
 
 def test_walk_engine_small_n_pays_for_its_own_copies():
     # N = 2 tracks two copies, not k*max_m/2 = 8: about 2.6e3 expansions,
     # where tracking five copies already takes 5.9e5
     spec = free_power(K3, 2)
-    got = vacuum_moments_distance_k(spec, 2, 8, budget=10**4)
+    got = vacuum_moments_distance_k(spec, 2, 8, Budgets(10**4))
     assert got == layered_distance_k_walks(spec, 2, 8)
     assert got == [1, 0, 8, 0, 128, 160, 2976, 8960, 86656]
 
 
-def _materialized_moment(spec, k, m, max_vertices):
-    bg = MaterializedBall(spec, m * k, max_vertices)
+def _materialized_moment(spec, k, m):
+    bg = MaterializedBall(spec, m * k)
     return vacuum_moment(distance_k_graph(bg.graph, k), m)
 
 
@@ -601,7 +602,7 @@ def test_vacuum_moments_match_materialized_balls_small():
         spec = free_power(base, 2)
         moments = vacuum_moments_distance_k(spec, 2, 3)
         for m in range(1, 4):
-            assert moments[m] == _materialized_moment(spec, 2, m, 10**6)
+            assert moments[m] == _materialized_moment(spec, 2, m)
 
 
 @pytest.mark.slow
@@ -610,7 +611,6 @@ def test_vacuum_moments_match_materialized_balls_trees():
     # One ball per (d, k) at the largest materializable radius m*k; smaller m
     # read off the same graph (walks cannot reach vertices the smaller ball
     # would have dropped, per the prune-bound argument tested above).
-    budget = 10**6
     ran = 0
     for d in (2, 3, 4):
         spec = free_power(K2, d)
@@ -619,7 +619,7 @@ def test_vacuum_moments_match_materialized_balls_trees():
             top_m = None
             for m in range(4, 0, -1):
                 try:
-                    bg = MaterializedBall(spec, m * k, budget)
+                    bg = MaterializedBall(spec, m * k)
                 except BudgetExceededError:
                     continue  # not small enough to materialize
                 top_m = m
@@ -700,7 +700,7 @@ def test_decomposition_check_radius_guard():
         decomposition_check(spec, 2, 5)
     # the radius-ball is charged from its count, which passes 10 at radius 2
     with pytest.raises(BudgetExceededError, match="^budget exceeded: 13 ball vertices"):
-        decomposition_check(spec, 3, 5, max_vertices=10)
+        decomposition_check(spec, 3, 5, Budgets(ball_vertices=10))
 
 
 def test_ball_counts_are_the_ball_sizes():
@@ -709,7 +709,8 @@ def test_ball_counts_are_the_ball_sizes():
         for copies, radius in [(1, 5), (2, 6), (3, 5), (5, 4)]:
             spec = free_power(builtin_graph(name), copies)
             counts = [len(ball(spec, r)) for r in range(radius + 1)]
-            assert [freeprod._ball_size(spec, r, 10**9) for r in range(radius + 1)] == counts
+            budgets = Budgets(ball_vertices=10**9)
+            assert [freeprod._ball_size(spec, r, budgets) for r in range(radius + 1)] == counts
             # the segment pool is that ball, by root distance, with bottom copies
             pools = freeprod._segment_pool(spec, radius)
             words = [w for pool in pools for w, _ in pool]
@@ -724,14 +725,15 @@ def test_ball_counts_are_the_ball_sizes():
             budget = counts[-2] - 1
             first = next(count for count in counts if count > budget)
             with pytest.raises(BudgetExceededError, match=f"^budget exceeded: {first} ball"):
-                freeprod._ball_size(spec, radius, budget)
+                freeprod._ball_size(spec, radius, Budgets(ball_vertices=budget))
 
 
 def test_a_single_copy_ball_stops_at_the_base():
     # G^{*1} is G: the count and the BFS stop where the base ends, so a
     # radius of 10^8 costs what the base's eccentricity does
     spec = free_power(P4, 1)
-    assert freeprod._ball_size(spec, 10**8, 4) == len(ball(spec, 10**8, 4)) == 4
+    budgets = Budgets(ball_vertices=4)
+    assert freeprod._ball_size(spec, 10**8, budgets) == len(ball(spec, 10**8, budgets)) == 4
     assert decomposition_check(free_power(K3, 1), 3, 10**8).max_violation == 0
 
 
@@ -778,7 +780,7 @@ def test_free_check_matches_the_pair_oracle(name, copies, radius):
     # all four fields against the closed-form metric's loop, k = 3
     spec = free_power(builtin_graph(name), copies)
     # k4^*3 at radius 5 charges 154,912,428 row scans, past the default budget
-    report = decomposition_check(spec, 3, radius, budget=2 * 10**8)
+    report = decomposition_check(spec, 3, radius, Budgets(2 * 10**8))
     oracle = pair_decomposition_check(spec, 3, radius, near=True)
     assert report == freeprod.DecompositionReport(
         oracle["max_violation"], oracle["pairs_within"],
@@ -824,17 +826,17 @@ def test_check_rows_are_charged_before_the_first(monkeypatch, check, args, spec,
     charge = len(ball(spec, cutoff)) * sum(degree**i for i in range(k + 2)) * degree
     ball_work = _counted_work(monkeypatch, lambda: ball(spec, cutoff))
     with pytest.raises(BudgetExceededError) as info:
-        check(*args, budget=0)
+        check(*args, Budgets(0))
     assert str(info.value) == f"budget exceeded: {charge} check-row neighbour scans (budget 0)"
 
     def short():
         with pytest.raises(BudgetExceededError):
-            check(*args, budget=charge - 1)
+            check(*args, Budgets(charge - 1))
 
     # past the budget nothing runs, not even the ball; within it only the
     # interior's ball is built
     assert _counted_work(monkeypatch, short) == 0
-    work = _counted_work(monkeypatch, lambda: check(*args, budget=charge))
+    work = _counted_work(monkeypatch, lambda: check(*args, Budgets(charge)))
     assert 0 < work - ball_work <= charge
 
 

@@ -11,6 +11,7 @@ import intmat
 from freespec import graphs
 from freespec.errors import (
     BudgetExceededError,
+    Budgets,
     GraphFormatError,
     LoopEdgeError,
     RootOutOfRangeError,
@@ -233,9 +234,9 @@ def test_trace_moments_of_distance_k_graphs_sum_the_closed_walks():
 def test_trace_moments_budget():
     # k4 at max_m 4: each vertex is charged 1*3 + 3*3 = 12 expansions
     g = complete_graph(4)
-    assert trace_moments(g, 4, max_expansions=48) == trace_moments(g, 4)
+    assert trace_moments(g, 4, Budgets(48)) == trace_moments(g, 4)
     with pytest.raises(BudgetExceededError) as info:
-        trace_moments(g, 4, max_expansions=47)
+        trace_moments(g, 4, Budgets(47))
     assert (info.value.count, info.value.budget) == (48, 47)
     assert str(info.value) == "budget exceeded: 48 trace-walk expansions (budget 47)"
 
@@ -256,10 +257,10 @@ def test_trace_moments_charge_bounds_the_expansions():
                 for v in range(n)
             ]
             with pytest.raises(BudgetExceededError):
-                trace_moments(g, max_m, max_expansions=sum(taken) - 1)
+                trace_moments(g, max_m, Budgets(sum(taken) - 1))
             for v in range(n):
                 with pytest.raises(BudgetExceededError):
-                    closed_walk_counts(g, v, max_m, max_expansions=taken[v] - 1)
+                    closed_walk_counts(g, v, max_m, Budgets(taken[v] - 1))
 
 
 def test_second_moments_are_degrees():
@@ -290,7 +291,7 @@ def test_count_k_cycles_past_the_recursion_limit():
 
 def test_count_k_cycles_budget():
     with pytest.raises(BudgetExceededError) as info:
-        count_k_cycles(complete_graph(8), 6, max_nodes=10)
+        count_k_cycles(complete_graph(8), 6, Budgets(10))
     assert str(info.value) == "budget exceeded: 11 cycle-enumeration nodes (budget 10)"
 
 

@@ -170,9 +170,9 @@ def test_refused_cell_runs_no_further_sample(monkeypatch):
     # other samples never run
     calls = []
 
-    def cycle_sample_counted(d, j, n, seed, i, max_nodes):
+    def cycle_sample_counted(d, j, n, seed, i, budgets):
         calls.append((n, i))
-        return cycle_sample(d, j, n, seed, i, max_nodes)
+        return cycle_sample(d, j, n, seed, i, budgets)
 
     monkeypatch.setattr(regular, "cycle_sample", cycle_sample_counted)
     rep = cycles_experiment(
@@ -255,16 +255,18 @@ def test_a_pool_cell_past_its_budget_leaves_its_samples_unstarted(tmp_path, monk
 
 
 def test_samples_give_the_same_results_on_a_spawned_pool():
-    # a sample is a pure function of its int arguments, so neither the
-    # process nor the start method changes its result; errors come back whole
+    # a sample is a pure function of its arguments, ints and the meter, so
+    # neither the process nor the start method changes its result; errors
+    # come back whole
+    budgets = Budgets(10**6)
     with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
-        traces = [pool.submit(trace_sample, 3, 2, 30, 4, 7, i, 10**6) for i in range(2)]
-        cycles = [pool.submit(cycle_sample, 4, 4, 20, 7, i, 10**6) for i in range(2)]
-        refused = pool.submit(cycle_sample, 4, 8, 200, 0, 0, 10**4)
+        traces = [pool.submit(trace_sample, 3, 2, 30, 4, 7, i, budgets) for i in range(2)]
+        cycles = [pool.submit(cycle_sample, 4, 4, 20, 7, i, budgets) for i in range(2)]
+        refused = pool.submit(cycle_sample, 4, 8, 200, 0, 0, Budgets(10**4))
         assert [f.result() for f in traces] == [
-            trace_sample(3, 2, 30, 4, 7, i, 10**6) for i in range(2)
+            trace_sample(3, 2, 30, 4, 7, i, budgets) for i in range(2)
         ]
-        assert [f.result() for f in cycles] == [cycle_sample(4, 4, 20, 7, i, 10**6) for i in range(2)]
+        assert [f.result() for f in cycles] == [cycle_sample(4, 4, 20, 7, i, budgets) for i in range(2)]
         with pytest.raises(BudgetExceededError) as info:
             refused.result()
     assert (info.value.count, info.value.budget) == (10**4 + 1, 10**4)
