@@ -148,13 +148,12 @@ def _word_bfs(spec: FreePowerSpec, source: Word, depth: int) -> dict[Word, int]:
 def _ball_counts(spec: FreePowerSpec, radius: int):
     """len(ball(spec, r)) for r = 1..radius, counted without building a word.
 
-    Stops early once no word is further out.  A word is a stack of non-root
-    letters, each in a copy other than the one below it, and its root
-    distance is the sum of its letters' base distances to the root.  So
-    with w[s] the words of root distance s whose bottom letter is in one
-    given copy, w[s] sums [c == s] + (N - 1) * w[s - c] over the non-root
-    base vertices of cost c, and the r-ball holds 1 + N * (w[1] + ... +
-    w[r]) words.
+    A word is a stack of non-root letters, each in a copy other than the
+    one below it, and its root distance is the sum of its letters' base
+    distances to the root.  So with w[s] the words of root distance s whose
+    bottom letter is in one given copy, w[s] sums [c == s] + (N - 1) *
+    w[s - c] over the non-root base vertices of cost c, and the r-ball
+    holds 1 + N * (w[1] + ... + w[r]) words.
     """
     root = spec.base.root
     costs = [c for v, c in enumerate(spec.apsp[root]) if v != root]
