@@ -25,6 +25,7 @@ from .freeprod import (  # noqa: F401
     free_power,
     tree_recurrence_check,
     vacuum_moments_distance_k,
+    walk_table,
 )
 from .polymoments import (  # noqa: F401
     JacobiParams,

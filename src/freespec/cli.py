@@ -132,7 +132,7 @@ def _parse_transform(text: str) -> Poly:
 # subcommand does not read is refused in that mode.
 _READS = {
     "tree-check": {"": "--d! --k! --max-m=8 --walk-budget"},
-    "free-clt": {"": "--graph! --k! --N! --max-m=4 --walk-budget"},
+    "free-clt": {"": "--graph! --k! --N! --max-m=4 --walk-budget --ball-budget"},
     "large-d": {"": "--k! --d-list! --max-m=6 --walk-budget"},
     "regular-random": {"": "--d! --k! --n-list! --samples=20 --max-m=6 --seed=0 --walk-budget"},
     "cycles": {"": "--d! --j! --n-list! --samples=50 --seed=0 --walk-budget"},

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from .errors import BudgetExceededError, Budgets
-from .freeprod import free_power, vacuum_moments_distance_k
+from .freeprod import free_power, vacuum_moments_distance_k, walk_table
 from .graphs import RootedGraph, complete_graph
 from .polymoments import (
     SEMICIRCLE,
@@ -82,31 +82,39 @@ def free_clt_experiment(
 ) -> Report:
     """Normalized vacuum moments of distance-k graphs of G^{*N} vs E[P_k(s)^m].
 
-    Cells that blow the walk budget are marked skipped and the run continues.
-    The smallest N runs first: if it overruns, every other cell is skipped
-    at once.  The largest N runs next: if its walk table fits, it serves
-    every other N through the run's memo.  The rest follow in rising order;
-    rows keep n_list order.  When the largest N overruns, the first middle
-    N that overruns too uses up the budget a second time (rising order
-    alone would stop at it), and every larger N is then skipped at once.
+    Cells that blow a budget are skipped; rows keep n_list order.  A
+    K2 base runs the radial engine in each cell.  Any other base first
+    builds walk tables, N needing cap min(N, k*max_m/2); a budget that fits
+    one cap fits every smaller one.  The smallest cap is built first, the
+    largest next, then the rest rising; an overrun ends the builds, except
+    at the largest.  So the budget is used up at most twice, and each cell
+    is evaluated from the widest table that fit, or skipped.
     """
     refs = chebyshev_reference_moments(k, max_m)
-    tables: dict = {}
-
-    def cell(n_copies: int):
-        spec = free_power(base, n_copies)
-        scale = n_copies * spec.sigma
+    specs = [free_power(base, n_copies) for n_copies in n_list]
+    full = max(1, k * max_m // 2)
+    caps = [] if base.vertex_count == 2 else sorted({min(n, full) for n in n_list})
+    table, tracked = None, 0
+    for cap in dict.fromkeys(caps[:1] + caps[-1:] + caps[1:-1]):
         try:
-            counts = vacuum_moments_distance_k(spec, k, max_m, budgets, tables)
+            table, tracked = walk_table(base, k, max_m, cap, budgets), cap
+        except BudgetExceededError:
+            if cap != caps[-1] or not tracked:
+                break
+        if tracked == caps[-1]:
+            break
+
+    def cell(spec):
+        if caps and min(spec.copies, full) > tracked:
+            return None
+        try:
+            counts = vacuum_moments_distance_k(spec, k, max_m, budgets, table)
         except BudgetExceededError:
             return None
+        scale = spec.copies * spec.sigma
         return [normalized_value(count, scale, k * m) for m, count in enumerate(counts)]
 
-    ordered = sorted(n_list)
-    if ordered:
-        ordered.insert(1, ordered.pop())
-    by_n = dict(zip(ordered, run_cells(cell, ordered)))
-    cells = [(n_copies, by_n[n_copies]) for n_copies in n_list]
+    cells = [(spec.copies, values) for spec, values in zip(specs, run_cells(cell, specs))]
     rows = moment_rows("free-clt", graph_name, "N", k, cells, refs)
     return Report(rows=rows, budgets=budgets)
 

@@ -17,7 +17,6 @@ from itertools import chain, permutations, product
 from math import comb, factorial, perm, prod
 
 from .errors import (
-    BudgetExceededError,
     Budgets,
     Frozen,
     RadiusTooSmallError,
@@ -96,7 +95,6 @@ def validate_word(spec: FreePowerSpec, word: Word) -> None:
         if copy == prev_copy:
             raise UnreducedWordError("adjacent letters share a copy")
         prev_copy = copy
-    # top-to-bottom scan: prev_copy ends at the bottom letter, unused
 
 
 def word_neighbors(spec: FreePowerSpec, word: Word) -> list[Word]:
@@ -412,12 +410,17 @@ def _canonical_fresh(y: Word, n: int, c: int, group, least: dict):
     return tuple(out), fresh - c, size
 
 
-def _walk_polynomial(
+def _check_walk(k: int, max_m: int) -> None:
+    if k < 1 or max_m < 0:
+        raise ValueError("k must be positive" if k < 1 else "max_m must be nonnegative")
+
+
+def walk_table(
     base: RootedGraph,
     k: int,
     max_m: int,
-    budgets: Budgets,
     cap: int,
+    budgets: Budgets = Budgets(),
 ) -> tuple[tuple[int, ...], ...]:
     """Closed-walk counts at the root of the distance-k graph of G^{*N}, by copies touched.
 
@@ -447,6 +450,7 @@ def _walk_polynomial(
     neighbors are charged on their own; they live on the DP's specs, so
     they go when it returns.
     """
+    _check_walk(k, max_m)
     table = [(1,) + (0,) * cap]
     for layer in _walk_layers(base, k, max_m, budgets, cap):
         row = [0] * (cap + 1)
@@ -457,11 +461,10 @@ def _walk_polynomial(
 
 
 def _walk_layers(base: RootedGraph, k: int, max_m: int, budgets: Budgets, cap: int):
-    """Layers 1..max_m of the walk DP of _walk_polynomial, one per step.
+    """Layers 1..max_m of the walk DP of walk_table, one per step.
 
     Each layer maps a kept canonical word to (its orbit size, {copies
-    touched: mass}).  The pools and the expansions are charged as the
-    docstring of _walk_polynomial says.
+    touched: mass}); the pools and expansions are charged as walk_table says.
     """
     n = base.vertex_count
     group = _root_automorphisms(base)
@@ -510,39 +513,26 @@ def vacuum_moments_distance_k(
     k: int,
     max_m: int,
     budgets: Budgets = Budgets(),
-    tables: dict | None = None,
+    table: tuple | None = None,
 ) -> list[int]:
     """Exact closed-walk counts at the root of the distance-k graph of G^{*N}.
 
     Entry m is the (root, root) entry of the m-th power of the distance-k
-    adjacency.  K2 bases (regular trees) collapse words to their root
-    distance (radial engine, charged its row updates before it starts);
-    every other base evaluates the walk polynomial at N = spec.copies.
-    Its DP tracks min(N, k*max_m/2) copies, so every N >= k*max_m/2 shares
-    one DP and its budget charge, and a smaller N pays only for its own
-    copies.  A memo its caller owns for one run, tables keeps per (base, k,
-    max_m, budgets) the largest table that fit, which serves every smaller
-    cap, and the smallest cap that overran, whose charge refuses any larger cap.
+    adjacency.  Given a table of walk_table(spec.base, k, max_m, cap), the
+    call evaluates it at N = spec.copies and charges nothing; N needs cap
+    >= min(N, k*max_m/2), and a narrower table is a ValueError.  Given none,
+    K2 bases (regular trees) run the radial engine, which collapses words to
+    their root distance and is charged its row updates before it starts,
+    and any other base builds its own table at that cap.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if max_m < 0:
-        raise ValueError("max_m must be nonnegative")
-    if spec.base.vertex_count == 2:
-        return _tree_vacuum_moments(spec.copies, k, max_m, budgets)
+    _check_walk(k, max_m)
     cap = min(spec.copies, max(1, k * max_m // 2))
-    memo = {} if tables is None else tables
-    entry = memo.setdefault((spec.base, k, max_m, budgets), [0, (), None])
-    fit_cap, table, overrun = entry
-    if overrun is not None and overrun[0] <= cap:
-        budgets.charge(overrun[2], overrun[1])
-    if fit_cap < cap:
-        try:
-            table = _walk_polynomial(spec.base, k, max_m, budgets, cap)
-        except BudgetExceededError as err:
-            entry[2] = (cap, err.count, err.what)
-            raise
-        entry[:2] = cap, table
+    if table is None:
+        if spec.base.vertex_count == 2:
+            return _tree_vacuum_moments(spec.copies, k, max_m, budgets)
+        table = walk_table(spec.base, k, max_m, cap, budgets)
+    if len(table) != max_m + 1 or len(table[0]) <= cap:
+        raise ValueError(f"N = {spec.copies} needs {max_m + 1} rows that track {cap} copies")
     return [sum(w * perm(spec.copies, j) for j, w in enumerate(row)) for row in table]
 
 

@@ -12,7 +12,9 @@ with the tree check's pair loop built on it; and pair_decomposition_check,
 whose pairs come from the package's ball and distance-k neighbors and whose
 distances all come from word_distance.  That closed-form word metric is
 checked against BFS in a materialized ball by the tests; the package reads
-every distance from BFS rows instead.
+every distance from BFS rows instead.  free_cumulant_walk_counts reads the
+base's root moments from the package's closed_walk_counts, and shares no
+code with freeprod.
 
 The helpers only build inputs or read one value: random_graph generates
 seeded graphs, format_graph_text writes the graph text format, make_word
@@ -247,6 +249,38 @@ def brute_distance_k_walks(spec, k, m):
         return sum(rec(y, steps - 1) for y in sphere(w))
 
     return rec((), m)
+
+
+def free_cumulant_walk_counts(g, copies, max_m):
+    """Closed m-walks at the root of G^{*copies}, m = 0..max_m, by free cumulants.
+
+    The copies of a free product are freely independent for the root
+    vacuum (Accardi-Lenczewski-Salapata 2007), so the root law of G^{*N} is
+    the N-fold free convolution of G's, and its free cumulants are N times
+    G's.  Both directions run the univariate moment-cumulant formula
+    m_n = sum over s = 1..n of kappa_s [z^(n-s)] M(z)^s, M(z) = sum_i m_i z^i
+    (Nica-Speicher 2006), on G's root moments from closed_walk_counts.
+    """
+    single = closed_walk_counts(g, g.root, max_m)
+    kappa = [0]
+    for n in range(1, max_m + 1):
+        terms = _power_coefficients(single, n)[:-1]  # the s = n term is kappa_n
+        kappa.append(single[n] - sum(kappa[s] * c for s, c in enumerate(terms, 1)))
+    moments = [1]
+    for n in range(1, max_m + 1):
+        terms = _power_coefficients(moments, n)
+        moments.append(sum(copies * kappa[s] * c for s, c in enumerate(terms, 1)))
+    return moments
+
+
+def _power_coefficients(moments, n):
+    """[z^(n-s)] M(z)^s for s = 1..n, from m_0..m_(n-1) of M."""
+    power = [1] + [0] * (n - 1)
+    out = []
+    for s in range(1, n + 1):
+        power = [sum(power[i] * moments[d - i] for i in range(d + 1)) for d in range(n)]
+        out.append(power[n - s])
+    return out
 
 
 def layered_distance_k_walks(spec, k, max_m):

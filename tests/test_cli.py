@@ -645,6 +645,21 @@ def test_huge_charges_are_refused_at_once(argv, err):
     assert proc.stderr == f"error[BUDGET]: budget exceeded: {err} (budget 1)\n"
 
 
+def _run_in_800_mb(argv):
+    """The CLI on argv in a child held to 800 MB of address space and 60 s."""
+    resource = pytest.importorskip("resource")
+    limit = 800 * 2**20
+
+    def limit_memory():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run(
+        [sys.executable, "-m", "freespec.cli", *argv.split()],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -663,24 +678,24 @@ def test_huge_charges_are_refused_at_once(argv, err):
 def test_adversarial_argv_keep_the_budget_contract(argv):
     # each argv would blow up without its budget: within 60 s and 800 MB of
     # address space it ends with a documented exit code, and a failure says
-    # so in one error line, not a traceback.  The k = 6 segment pool is not
-    # charged before it grows, and runs out of memory within the budget
-    resource = pytest.importorskip("resource")
-    limit = 800 * 2**20
-
-    def limit_memory():  # runs in the child only
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run(
-        [sys.executable, "-m", "freespec.cli", *argv.split()],
-        env=env, capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
-    )
+    # so in one error line, not a traceback
+    proc = _run_in_800_mb(argv)
     assert proc.returncode in (0, 1, 2, 3), proc.stderr
     assert "Traceback" not in proc.stderr
     if proc.returncode:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and re.fullmatch(r"error\[[A-Z]+\]: .+", lines[0]), lines
+
+
+def test_a_segment_pool_past_the_ball_budget_skips_its_cell():
+    # the k = 6 pool of k4^*6 holds 14,645,088 nonempty words: charged to
+    # the ball budget (1e6) from its count, it is refused before any is
+    # built, so its cell is skipped at once instead of growing until memory
+    # runs out
+    proc = _run_in_800_mb("free-clt --graph builtin:k4 --k 6 --N 8 --max-m 2")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+    assert len(rows) == 3 and all(row[6] == "" for row in rows)
 
 
 def test_budget_errors_print_counts_past_the_digit_limit():
@@ -966,7 +981,7 @@ def test_every_budget_flag_a_mode_takes_is_read(capsys, command, mode):
 STAGE_BOUNDARIES = [
     ("walk expansions", "free-clt --graph builtin:c4 --k 2 --N 2 --max-m 4", "--walk-budget", 125),
     ("segment-pool words", "free-clt --graph builtin:p4 --k 3 --N 2 --max-m 1",
-     "--walk-budget", 3),
+     "--ball-budget", 3),
     ("radial-walk updates", "tree-check --d 3 --k 2 --max-m 8", "--walk-budget", 312),
     ("radial-walk updates", "large-d --k 2 --d-list 3 --max-m 8", "--walk-budget", 312),
     ("ball vertices", "decomp-check --mode tree --d 3 --k 2 --radius 5", "--ball-budget", 94),

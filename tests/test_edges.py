@@ -392,6 +392,7 @@ def test_budget_defaults_are_the_library_defaults():
     engines = {
         "ball", "decomposition_check", "tree_recurrence_check", "vacuum_moments_distance_k",
         "closed_walk_counts", "trace_moments", "count_k_cycles", "square_check", "_segment_pool",
+        "walk_table",
     }
     assert {name for name, default in defaults.items() if default == Budgets()} >= engines
 
@@ -412,6 +413,17 @@ def test_only_the_meter_raises_budget_errors():
             if called in ("charge", "limit") and isinstance(node.args[0], ast.Constant):
                 named.add(node.args[0].value)
     assert named == set(errors.STAGES)
+
+
+def test_the_readme_budget_table_lists_every_stage():
+    # README's budget table has one row per stage of errors.STAGES, whose
+    # limit column names the limit that stage is charged to
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("\n| stage | limit |")[1].split("\n\n")[0].splitlines()[2:]
+    limits = {"walk": "walk_expansions", "ball": "ball_vertices"}
+    rows = [[cell.strip() for cell in line.split("|")[1:3]] for line in table]
+    assert [stage.strip("`") for stage, _ in rows] == list(errors.STAGES)
+    assert {stage.strip("`"): limits[limit] for stage, limit in rows} == errors.STAGES
 
 
 def test_package_imports_only_the_standard_library():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from freespec import freeprod
+from freespec import experiments, freeprod
 from freespec.experiments import (
     chebyshev_reference_moments,
     free_clt_experiment,
@@ -13,7 +13,7 @@ from freespec.experiments import (
     sample_law,
     tree_check_experiment,
 )
-from freespec.freeprod import _walk_polynomial, free_power, vacuum_moments_distance_k
+from freespec.freeprod import free_power, vacuum_moments_distance_k, walk_table
 from freespec.graphs import (
     BUILTIN_GRAPHS,
     builtin_graph,
@@ -210,7 +210,7 @@ def test_walk_polynomial_free_clt_limit():
         sigma = base.degree(base.root)
         for k in (1, 2, 3):
             max_m = 5 if k == 3 else 6
-            table = _walk_polynomial(base, k, max_m, Budgets(), k * max_m // 2)
+            table = walk_table(base, k, max_m, k * max_m // 2)
             refs = chebyshev_reference_moments(k, max_m)
             for m, row in enumerate(table):
                 half = k * m // 2
@@ -243,16 +243,22 @@ def test_walk_overrun_skips_larger_n_at_once(monkeypatch):
     assert per_run[0] > 0 and per_run[1] == per_run[0]
 
 
+def _record_walk_tables(monkeypatch):
+    # the caps of the walk tables free_clt_experiment builds, in build order
+    caps = []
+    inner = experiments.walk_table
+
+    def recorded(base, k, max_m, cap, budgets=Budgets()):
+        caps.append(cap)
+        return inner(base, k, max_m, cap, budgets)
+
+    monkeypatch.setattr(experiments, "walk_table", recorded)
+    return caps
+
+
 def test_free_clt_run_shares_one_table(monkeypatch):
     # N = 2 first, then N = 5, whose cap-5 table serves N = 3 and 4
-    caps = []
-    inner = freeprod._walk_polynomial
-
-    def recorded(base, k, max_m, budgets, cap):
-        caps.append(cap)
-        return inner(base, k, max_m, budgets, cap)
-
-    monkeypatch.setattr(freeprod, "_walk_polynomial", recorded)
+    caps = _record_walk_tables(monkeypatch)
     rep = free_clt_experiment(C4, "c4", 2, (2, 3, 4, 5), 6)
     assert caps == [2, 5]
     assert [r.param_value for r in rep.rows] == [n for n in (2, 3, 4, 5) for _ in range(7)]
@@ -260,9 +266,35 @@ def test_free_clt_run_shares_one_table(monkeypatch):
         counts = layered_distance_k_walks(free_power(C4, n), 2, 6)
         for m in range(7):
             assert report_row(rep, n, m).value == normalized_value(counts[m], 2 * n, 2 * m)
-    # the memo belongs to the run: a later run with N = 3 pays cap 3
+    # the tables belong to the run: a later run with N = 3 pays cap 3
     free_clt_experiment(C4, "c4", 2, (3,), 6)
     assert caps == [2, 5, 3]
+
+
+def test_free_clt_builds_the_middle_caps_up_to_the_first_overrun(monkeypatch):
+    # c4, k = 2, m <= 4 charges 4, 125, 286 and 410 expansions at caps 1..4
+    # (test_freeprod.py::test_walk_budget): at 200 the smallest cap fits, the
+    # largest overruns, and the caps between are built in rising order up
+    # to the first overrun, which skips N = 3 and every larger N
+    caps = _record_walk_tables(monkeypatch)
+    rep = free_clt_experiment(C4, "c4", 2, (8, 3, 1, 2), 4, Budgets(200))
+    assert caps == [1, 4, 2, 3]
+    skipped = {n: report_row(rep, n, 2).skipped for n in (1, 2, 3, 8)}
+    assert skipped == {1: False, 2: False, 3: True, 8: True}
+    for n in (1, 2):
+        counts = layered_distance_k_walks(free_power(C4, n), 2, 4)
+        assert [report_row(rep, n, m).value for m in range(5)] == [
+            normalized_value(count, 2 * n, 2 * m) for m, count in enumerate(counts)
+        ]
+    # at 100 the first cap between overruns too: no cap past it is built
+    caps.clear()
+    rep = free_clt_experiment(C4, "c4", 2, (1, 2, 3, 8), 4, Budgets(100))
+    assert caps == [1, 4, 2]
+    assert [n for n in (1, 2, 3, 8) if not report_row(rep, n, 2).skipped] == [1]
+    # an overrun at the smallest cap skips every cell with no other build
+    caps.clear()
+    rep = free_clt_experiment(C4, "c4", 2, (3, 8), 4, Budgets(200))
+    assert caps == [3] and all(row.skipped for row in rep.rows)
 
 
 def test_walk_polynomial_newton_differences():

@@ -7,6 +7,7 @@ are guaranteed to stay inside the ball.
 import gc
 import hashlib
 import random
+from math import perm
 import time
 import tracemalloc
 import weakref
@@ -48,6 +49,7 @@ from oracles import (
     MaterializedBall,
     brute_distance_k_walks,
     diameter,
+    free_cumulant_walk_counts,
     graph_edges,
     layered_distance_k_walks,
     make_word,
@@ -418,10 +420,22 @@ def test_walk_tables_are_pinned():
     for (name, k, max_m), digest in _WALK_TABLE_DIGESTS.items():
         base = builtin_graph(name)
         tables = [
-            freeprod._walk_polynomial(base, k, max_m, Budgets(10**9), cap)
+            freeprod.walk_table(base, k, max_m, cap, Budgets(10**9))
             for cap in range(1, k * max_m // 2 + 1)
         ]
         assert hashlib.sha256(repr(tables).encode()).hexdigest() == digest, (name, k, max_m)
+
+
+def test_walk_table_at_k1_matches_free_cumulants():
+    # at k = 1 the root law of G^{*N} is the N-fold free convolution of G's;
+    # the table at m <= 12 has degree at most 6 in N, so its evaluations
+    # with falling factorials at N = 1..7 pin every coefficient
+    for name in sorted(set(BUILTIN_GRAPHS) - {"k2"}):
+        base = builtin_graph(name)
+        table = freeprod.walk_table(base, 1, 12, 6)
+        for copies in range(1, 8):
+            got = [sum(w * perm(copies, j) for j, w in enumerate(row)) for row in table]
+            assert got == free_cumulant_walk_counts(base, copies, 12), (name, copies)
 
 
 @st.composite
@@ -460,20 +474,20 @@ def test_walk_charge_is_orbit_weighted():
 
 def test_segment_pool_budget():
     # k4^*5 at bound 5 holds 339k words: the pool is refused from its count,
-    # which names the words within the first radius past the budget
+    # which names the words within the first radius past the ball budget
     with pytest.raises(BudgetExceededError) as err:
-        freeprod._segment_pool(free_power(K4, 5), 5, Budgets(1000))
+        freeprod._segment_pool(free_power(K4, 5), 5, Budgets(ball_vertices=1000))
     assert (err.value.count, err.value.what) == (2355, "segment-pool words")
     # the walk DP checks its pools first: k3^*2 at bound 2 holds 12 words
     with pytest.raises(BudgetExceededError) as err:
-        vacuum_moments_distance_k(free_power(K3, 2), 2, 4, Budgets(10))
+        vacuum_moments_distance_k(free_power(K3, 2), 2, 4, Budgets(ball_vertices=10))
     assert err.value.what == "segment-pool words"
     # the pool kept on a spec is held to the budget too
     spec = free_power(K3, 2)
     freeprod._segment_pool(spec, 2)
     with pytest.raises(BudgetExceededError):
-        freeprod._segment_pool(spec, 2, Budgets(11))
-    assert freeprod._segment_pool(spec, 2, Budgets(12))
+        freeprod._segment_pool(spec, 2, Budgets(ball_vertices=11))
+    assert freeprod._segment_pool(spec, 2, Budgets(ball_vertices=12))
 
 
 def test_a_refused_pool_builds_nothing():
@@ -482,7 +496,7 @@ def test_a_refused_pool_builds_nothing():
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError, match="segment-pool words"):
-            freeprod._segment_pool(free_power(K4, 5), 5, Budgets(10**5))
+            freeprod._segment_pool(free_power(K4, 5), 5, Budgets(ball_vertices=10**5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -541,30 +555,32 @@ def test_walk_dp_keeps_its_pools(monkeypatch):
 
 
 def test_walk_tables_are_not_kept_between_calls(monkeypatch):
-    # without a memo of its caller's, a call builds its own table every time
+    # without a table, a call builds its own every time; a given table is
+    # evaluated at any N whose copies it tracks, and refused for a larger N
     caps = []
-    inner = freeprod._walk_polynomial
+    inner = freeprod.walk_table
 
-    def recorded(base, k, max_m, budgets, cap):
+    def recorded(base, k, max_m, cap, budgets=Budgets()):
         caps.append(cap)
-        return inner(base, k, max_m, budgets, cap)
+        return inner(base, k, max_m, cap, budgets)
 
-    monkeypatch.setattr(freeprod, "_walk_polynomial", recorded)
+    monkeypatch.setattr(freeprod, "walk_table", recorded)
     spec = free_power(K3, 2)
     assert vacuum_moments_distance_k(spec, 2, 4) == vacuum_moments_distance_k(spec, 2, 4)
     assert caps == [2, 2]
-    # a memo serves a smaller cap from a larger table, and refuses a larger
-    # cap than one that overran at once
-    tables = {}
-    big = vacuum_moments_distance_k(free_power(K3, 4), 2, 4, Budgets(10**4), tables)
-    assert vacuum_moments_distance_k(spec, 2, 4, Budgets(10**4), tables) == layered_distance_k_walks(spec, 2, 4)
-    assert big == layered_distance_k_walks(free_power(K3, 4), 2, 4)
-    assert caps == [2, 2, 4]
-    tables = {}
-    for copies in (3, 4):
-        with pytest.raises(BudgetExceededError):
-            vacuum_moments_distance_k(free_power(C4, copies), 2, 4, Budgets(200), tables)
-    assert caps == [2, 2, 4, 3]
+    table = freeprod.walk_table(K3, 2, 4, 3)
+    for copies in (1, 2, 3):
+        spec = free_power(K3, copies)
+        got = vacuum_moments_distance_k(spec, 2, 4, Budgets(0), table)
+        assert got == layered_distance_k_walks(spec, 2, 4)
+    assert caps == [2, 2, 3]
+    for copies in (4, 8):
+        with pytest.raises(ValueError, match="track 4 copies"):
+            vacuum_moments_distance_k(free_power(K3, copies), 2, 4, table=table)
+    # a table for another max_m has the wrong number of rows
+    with pytest.raises(ValueError, match="5 rows"):
+        vacuum_moments_distance_k(free_power(K3, 2), 2, 4, table=freeprod.walk_table(K3, 2, 5, 2))
+    assert caps == [2, 2, 3, 2]
 
 
 def test_walk_budget():
