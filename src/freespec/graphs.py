@@ -4,19 +4,24 @@ Graphs are immutable and canonical: sorted neighbor lists, no loops, no
 duplicate edges.  All operations are pure functions; a RootedGraph can be
 shared freely across threads.
 
-Every walk count here comes from one sparse routine, _half_walk_vectors,
-which maps each vertex reached in t steps to its number of walks: the
-vacuum and trace moments join two half walks at a common vertex, and
+Walk counts are sparse: a dict maps each vertex reached in t steps to its
+number of walks.  _half_walk_vectors builds them from one vertex, and
+closed_walk_counts joins two half walks at a common vertex;
 square_check reads row i of A^2 as the two-step vector of i.  No n x n
 matrix is built; the dense matrices live in the tests as the oracle.
 
-trace_moments builds the deepest half walk from v only to vertices w >= v
-and doubles the off-diagonal pairs, since trace(A^m) sums a symmetric
-product entrywise.  On the distance-2 graphs of random 3-regular graphs
-at max_m 6 that deepest walk is most of each vertex's dict pushes, and
-halving it cut the median wall time of `regular-random --d 3 --k 2
---n-list 1000,2000 --samples 20 --max-m 6 --threads 2` from 1.64 s to
-1.18 s on a 2-core host (10 alternating pairs of benchmark runs).
+trace_moments counts each closed walk once, from the least vertex v it
+visits: the excursions from v above v are joined half walks inside the
+vertices above v, and a renewal sums their sequences.  On the distance-2
+graphs of random 3-regular graphs at max_m 6 that takes about 43% of the
+dict pushes of the route it replaced, which built every vertex's deepest
+half walk to the vertices w >= v and doubled the off-diagonal pairs.
+The median wall time of `regular-random --d 3 --k 2 --n-list 1000,2000
+--samples 20 --max-m 6 --threads 2` fell from 1.20 s to 0.81 s on a
+2-core host (10 alternating pairs of benchmark runs).  Where max_m is
+deep against the walks' reach, as on k4 at max_m 1000, the renewal's
+max_m^2 / 2 products per vertex cost more than the walks, and the older
+route runs.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from collections import deque
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from operator import mul
+from operator import add, mul
 
 from .errors import (
     Budgets,
@@ -219,7 +224,11 @@ def _join(fa: dict[int, int], fb: dict[int, int]) -> int:
 def _walk_charge(g: RootedGraph, max_m: int) -> int:
     """Most expansions _closed_walks(g, v, max_m) takes, for any vertex v.
 
-    trace_moments takes no more: only its last half walk is cut short.
+    trace_moments takes no more per vertex on either route, with
+    h = ceil(max_m / 2).  _halved_walks expands the same half walks
+    0..h-1 and cuts only half walk h short.  _least_vertex_walks expands
+    v, then x_0..x_(h-2), where x_t holds only vertices of half walk t + 1
+    above v, each expanded at most D times.
 
     Half walk t < ceil(max_m / 2) reaches at most min(n, D^t) vertices and
     expands each at most D times, with D the maximum degree.  Once D^t >= n,
@@ -261,11 +270,9 @@ def closed_walk_counts(
     return _closed_walks(g, source, max_m)
 
 
-def trace_moments(g: RootedGraph, max_m: int, budgets: Budgets = Budgets()) -> list[Fraction]:
-    """Normalized-trace moments (1/n) * trace(A^m) for m = 0..max_m, exactly.
+def _halved_walks(g: RootedGraph, v: int, max_m: int) -> list[int]:
+    """Closed-walk counts of v's row of trace(A^m), for m = 0..max_m.
 
-    Closed-walk counts per vertex are combined meet-in-the-middle, so the
-    cost per vertex is that of ceil(max_m / 2) adjacency applications.
     trace(A^m) is the entrywise sum over (v, w) of (A^a)_vw * (A^b)_vw with
     a = m // 2, b = m - a, and both matrices are symmetric, so each
     off-diagonal pair can be summed once from its lower end and doubled.
@@ -273,15 +280,92 @@ def trace_moments(g: RootedGraph, max_m: int, budgets: Budgets = Budgets()) -> l
     from v it is built only to vertices w >= v, and each m with b = h adds
     2 * sum over w >= v of (A^a)_vw * (A^h)_vw, less the diagonal term
     (A^a)_vv * (A^h)_vv that the doubling counted twice.
+    """
+    half = (max_m + 1) // 2
+    vecs = _half_walk_vectors(g, v, half, v)
+    top = vecs[half]
+    top_v = top.get(v, 0)
+    walks = []
+    for m in range(max_m + 1):
+        near, b = vecs[m // 2], m - m // 2
+        if b < half:
+            walks.append(_join(near, vecs[b]))
+        else:
+            walks.append(2 * _join(near, top) - near.get(v, 0) * top_v)
+    return walks
 
-    Before a vertex's half walks are built, the most expansions they can
+
+def _least_vertex_walks(g: RootedGraph, v: int, max_m: int) -> list[int]:
+    """Closed m-walks whose least vertex is v, rooted anywhere, m = 0..max_m.
+
+    Entry 0 is 1, so that the entries summed over v give trace(A^m) at
+    every m.  x_t maps each vertex w > v to the walks of t + 1 steps from v
+    to w that stay above v, for t <= (max_m - 1) // 2.  A first-return
+    excursion of s steps leaves v, stays above it and comes back, so there
+    are e(s) = <x_a, x_(s-2-a)> of them for any a, here a = (s - 2) // 2.
+    A closed walk at v is a sequence of excursions, with generating
+    function 1 / (1 - E), and rooting it at any of its m steps gives
+    zE' / (1 - E); Newton's identity reads that series off as
+    S(m) = m * e(m) + sum over s = 2..m-2 of e(s) * S(m - s).
+    """
+    descending = g._descending_neighbors
+    level: dict[int, int] = {}
+    for u in descending[v]:
+        if u <= v:
+            break
+        level[u] = 1
+    walks = [1] + [0] * max_m
+    if not level:
+        return walks
+    xs = [level]
+    for _ in range((max_m - 1) // 2):
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for w, c in level.items():
+            for u in descending[w]:
+                if u <= v:
+                    break
+                nxt[u] = get(u, 0) + c
+        xs.append(nxt)
+        level = nxt
+    e = [0, 0] + [_join(xs[s // 2 - 1], xs[(s - 1) // 2]) for s in range(2, max_m + 1)]
+    for m in range(2, max_m + 1):
+        count = m * e[m]
+        for s in range(2, m - 1):
+            count += e[s] * walks[m - s]
+        walks[m] = count
+    return walks
+
+
+def _trace_route(g: RootedGraph, max_m: int):
+    """The per-vertex walk counter trace_moments uses on g up to max_m.
+
+    _least_vertex_walks ends with a renewal of about max_m^2 / 2 products
+    per vertex.  Where that passes the expansions _walk_charge allows a
+    vertex, as on k4 at max_m 1000, the renewal costs more than the walks
+    it saves, and _halved_walks is taken.
+    """
+    if max_m * max_m <= 2 * _walk_charge(g, max_m):
+        return _least_vertex_walks
+    return _halved_walks
+
+
+def trace_moments(g: RootedGraph, max_m: int, budgets: Budgets = Budgets()) -> list[Fraction]:
+    """Normalized-trace moments (1/n) * trace(A^m) for m = 0..max_m, exactly.
+
+    trace(A^m) is summed over the vertices v of a per-vertex count
+    (_trace_route): the closed walks whose least vertex is v, or v's
+    closed walks joined meet-in-the-middle from halved half walks.  Both
+    cost per vertex at most ceil(max_m / 2) adjacency applications.
+
+    Before a vertex's walks are built, the most expansions they can
     take (_walk_charge) are added to the charge.
     """
     if max_m < 0:
         raise ValueError("max_m must be nonnegative")
     n = g.vertex_count
-    half = (max_m + 1) // 2
     per_vertex = _walk_charge(g, max_m)
+    walks = _trace_route(g, max_m)
     charged = 0
     limit = budgets.limit("trace-walk expansions")
     totals = [0] * (max_m + 1)
@@ -289,15 +373,7 @@ def trace_moments(g: RootedGraph, max_m: int, budgets: Budgets = Budgets()) -> l
         charged += per_vertex
         if charged > limit:
             budgets.charge("trace-walk expansions", charged)
-        vecs = _half_walk_vectors(g, v, half, v)
-        top = vecs[half]
-        top_v = top.get(v, 0)
-        for m in range(max_m + 1):
-            near, b = vecs[m // 2], m - m // 2
-            if b < half:
-                totals[m] += _join(near, vecs[b])
-            else:
-                totals[m] += 2 * _join(near, top) - near.get(v, 0) * top_v
+        totals = list(map(add, totals, walks(g, v, max_m)))
     return [Fraction(t, n) for t in totals]
 
 

@@ -20,6 +20,9 @@ from freespec.errors import (
 )
 from freespec.graphs import (
     _half_walk_vectors,
+    _halved_walks,
+    _least_vertex_walks,
+    _trace_route,
     bfs_distances,
     builtin_graph,
     closed_walk_counts,
@@ -34,7 +37,7 @@ from freespec.graphs import (
     square_check,
     trace_moments,
 )
-from freespec.regular import PairingConfig, pairing_model
+from freespec.regular import PairingConfig, derive_seed, pairing_model
 from oracles import (
     brute_closed_walks,
     brute_count_cycles,
@@ -191,6 +194,16 @@ def test_trace_moment_against_brute_force():
             assert trace_moments(g, m)[m] == Fraction(total, n)
 
 
+ROUTES = (_least_vertex_walks, _halved_walks)
+
+
+def route_moments(route, g, max_m):
+    """trace_moments(g, max_m) as one route counts it, whichever trace_moments takes."""
+    n = g.vertex_count
+    rows = [route(g, v, max_m) for v in range(n)]
+    return [Fraction(sum(col), n) for col in zip(*rows)]
+
+
 @st.composite
 def small_graphs(draw):
     """Any simple graph on 1 to 9 vertices, rooted at 0."""
@@ -206,8 +219,9 @@ def small_graphs(draw):
 @example(from_edge_list(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)], 0))  # disconnected
 @settings(max_examples=40, deadline=None)
 def test_trace_moments_match_dense_traces(g):
-    # max_m decides which half walk is built to w >= v only, so every
-    # max_m is checked, each at every m <= max_m
+    # max_m decides the route, and on the halved route which half walk is
+    # cut to the vertices above v, so every max_m is checked, each at every
+    # m <= max_m, and each route is checked whichever is taken
     n = g.vertex_count
     a = intmat.adjacency_matrix(g)
     power = intmat.identity(n)
@@ -216,19 +230,98 @@ def test_trace_moments_match_dense_traces(g):
         traces.append(Fraction(sum(power[i][i] for i in range(n)), n))
         power = intmat.mat_mul(power, a)
     for max_m in range(13):
-        assert trace_moments(g, max_m) == traces[: max_m + 1]
+        expected = traces[: max_m + 1]
+        assert trace_moments(g, max_m) == expected
+        assert [route_moments(route, g, max_m) for route in ROUTES] == [expected, expected]
 
 
 def test_trace_moments_of_distance_k_graphs_sum_the_closed_walks():
-    # closed_walk_counts joins whole half walks, trace_moments a halved top one
+    # closed_walk_counts joins whole half walks at every vertex, while
+    # trace_moments counts each closed walk once from its least vertex,
+    # with walks and a renewal of its own
     for seed in range(3):
         g = pairing_model(PairingConfig(n=40, d=3, seed=seed))
         for k in (1, 2, 3):
             dk = distance_k_graph(g, k)
-            for max_m in (5, 6):
+            for max_m in (5, 6, 7, 8):
+                assert _trace_route(dk, max_m) is _least_vertex_walks
                 rows = [closed_walk_counts(dk, v, max_m) for v in range(dk.vertex_count)]
                 sums = [Fraction(sum(col), dk.vertex_count) for col in zip(*rows)]
                 assert trace_moments(dk, max_m) == sums
+
+
+def test_the_trace_routes_agree_on_distance_k_graphs():
+    for seed in range(3):
+        g = pairing_model(PairingConfig(n=40, d=3, seed=seed))
+        for k in (1, 2, 3):
+            dk = distance_k_graph(g, k)
+            for max_m in range(13):
+                moments = trace_moments(dk, max_m)
+                assert [route_moments(route, dk, max_m) for route in ROUTES] == [moments, moments]
+
+
+@pytest.mark.parametrize("max_m, route", [(8, _least_vertex_walks), (10, _halved_walks)])
+def test_the_trace_routes_agree_on_each_side_of_the_route_test(max_m, route):
+    # k4 is charged 12 + 12 * (ceil(max_m / 2) - 2) expansions per vertex:
+    # 36 at max_m 8, where 8^2 <= 72, and 48 at max_m 10, where 10^2 > 96
+    g = complete_graph(4)
+    assert _trace_route(g, max_m) is route
+    a = intmat.adjacency_matrix(g)
+    power = intmat.identity(4)
+    traces = []
+    for _ in range(max_m + 1):
+        traces.append(Fraction(sum(power[i][i] for i in range(4)), 4))
+        power = intmat.mat_mul(power, a)
+    assert trace_moments(g, max_m) == traces
+    assert [route_moments(other, g, max_m) for other in ROUTES] == [traces, traces]
+
+
+@pytest.mark.parametrize("route", ROUTES, ids=lambda route: route.__name__)
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_each_trace_route_counts_long_walks_on_complete_graphs(route, n):
+    # K_n has eigenvalues n - 1 once and -1 n - 1 times
+    expected = [Fraction((n - 1) ** m + (n - 1) * (-1) ** m, n) for m in range(61)]
+    assert route_moments(route, complete_graph(n), 60) == expected
+
+
+def test_the_route_test_takes_the_least_vertex_route_for_regular_trace_graphs():
+    # the graphs of `regular-random --d 3 --k 2 --n-list 1000,2000 --max-m 6`
+    for n in (1000, 2000):
+        g = pairing_model(PairingConfig(n=n, d=3, seed=derive_seed(0, n, 0)))
+        assert _trace_route(distance_k_graph(g, 2), 6) is _least_vertex_walks
+    # on k4 at max_m 1000 the renewal's 10^6 products outweigh the walks,
+    # charged 5988 expansions per vertex
+    assert _trace_route(complete_graph(4), 1000) is _halved_walks
+
+
+@st.composite
+def relabelled_graphs(draw):
+    """A small graph and a permutation of its vertices."""
+    g = draw(small_graphs())
+    return g, draw(st.permutations(range(g.vertex_count)))
+
+
+def relabel(g, perm):
+    return from_edge_list(
+        g.vertex_count, [(perm[u], perm[v]) for u, v in graph_edges(g)], perm[g.root]
+    )
+
+
+@given(relabelled_graphs())
+# a star centred at n - 1 relabelled to one centred at 0
+@example((from_edge_list(7, [(v, 6) for v in range(6)], 0), list(range(6, -1, -1))))
+# the path 0-6-1-5-2-4-3 relabelled to the path 0-1-2-3-4-5-6
+@example((from_edge_list(7, [(0, 6), (6, 1), (1, 5), (5, 2), (2, 4), (4, 3)], 0),
+          [0, 2, 4, 6, 5, 3, 1]))
+@settings(max_examples=40, deadline=None)
+def test_trace_moments_do_not_depend_on_the_labels(case):
+    # the least-vertex route's work depends on the labels, its counts must not
+    g, perm = case
+    h = relabel(g, perm)
+    for max_m in range(13):
+        moments = trace_moments(g, max_m)
+        assert trace_moments(h, max_m) == moments
+        assert route_moments(_least_vertex_walks, h, max_m) == moments
 
 
 def test_trace_moments_budget():
