@@ -11,17 +11,15 @@ square_check reads row i of A^2 as the two-step vector of i.  No n x n
 matrix is built; the dense matrices live in the tests as the oracle.
 
 trace_moments counts each closed walk once, from the least vertex v it
-visits: the excursions from v above v are joined half walks inside the
-vertices above v, and a renewal sums their sequences.  On the distance-2
-graphs of random 3-regular graphs at max_m 6 that takes about 43% of the
-dict pushes of the route it replaced, which built every vertex's deepest
-half walk to the vertices w >= v and doubled the off-diagonal pairs.
-The median wall time of `regular-random --d 3 --k 2 --n-list 1000,2000
---samples 20 --max-m 6 --threads 2` fell from 1.20 s to 0.81 s on a
-2-core host (10 alternating pairs of benchmark runs).  Where max_m is
-deep against the walks' reach, as on k4 at max_m 1000, the renewal's
-max_m^2 / 2 products per vertex cost more than the walks, and the older
-route runs.
+visits: walks from v inside the vertices above v count v's first-return
+excursions, with generating function E_v(z), the product over all v of
+1 - E_v(z) is det(I - zA), and Newton's identity reads every trace off
+its min(n, max_m) + 1 coefficients.  Against the half walks it replaced
+(each vertex's, joined), the median wall time of `regular-random --d 3
+--k 2 --n-list 1000,2000 --samples 20 --max-m 6 --threads 2` fell from
+1.19 s to 0.86 s on a 2-core host (10 alternating pairs of benchmark
+runs).  Past max_m = n the walks stop growing, so on the same host k4 at
+max_m 1000 takes 2.5 ms where the half walks took 16 ms.
 """
 from __future__ import annotations
 
@@ -30,7 +28,7 @@ from collections import deque
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from operator import add, mul
+from operator import mul
 
 from .errors import (
     Budgets,
@@ -186,28 +184,15 @@ def distance_k_graph(g: RootedGraph, k: int) -> RootedGraph:
     return RootedGraph(vertex_count=g.vertex_count, root=g.root, neighbors=tuple(rows))
 
 
-def _half_walk_vectors(
-    g: RootedGraph, source: int, half: int, floor: int = 0
-) -> list[dict[int, int]]:
-    """Walk counts from ``source``: entry t maps each vertex to its t-step walks.
-
-    The last entry keeps only the vertices >= floor; the earlier ones are whole.
-    """
+def _half_walk_vectors(g: RootedGraph, source: int, half: int) -> list[dict[int, int]]:
+    """Walk counts from ``source``: entry t maps each vertex to its t-step walks."""
     vecs = [{source: 1}]
-    for t in range(1, half + 1):
+    for _ in range(half):
         nxt: dict[int, int] = {}
         get = nxt.get
-        if t < half or floor == 0:
-            for v, c in vecs[-1].items():
-                for u in g.neighbors[v]:
-                    nxt[u] = get(u, 0) + c
-        else:
-            descending = g._descending_neighbors
-            for v, c in vecs[-1].items():
-                for u in descending[v]:
-                    if u < floor:
-                        break
-                    nxt[u] = get(u, 0) + c
+        for v, c in vecs[-1].items():
+            for u in g.neighbors[v]:
+                nxt[u] = get(u, 0) + c
         vecs.append(nxt)
     return vecs
 
@@ -224,15 +209,14 @@ def _join(fa: dict[int, int], fb: dict[int, int]) -> int:
 def _walk_charge(g: RootedGraph, max_m: int) -> int:
     """Most expansions _closed_walks(g, v, max_m) takes, for any vertex v.
 
-    trace_moments takes no more per vertex on either route, with
-    h = ceil(max_m / 2).  _halved_walks expands the same half walks
-    0..h-1 and cuts only half walk h short.  _least_vertex_walks expands
-    v, then x_0..x_(h-2), where x_t holds only vertices of half walk t + 1
-    above v, each expanded at most D times.
-
     Half walk t < ceil(max_m / 2) reaches at most min(n, D^t) vertices and
     expands each at most D times, with D the maximum degree.  Once D^t >= n,
     or D < 2, every later term equals this one, so no larger power is raised.
+
+    trace_moments takes no more per vertex: _excursions expands v, as half
+    walk 0 does, then x_0..x_(L-1) with L = (min(n, max_m) - 1) // 2, where
+    x_t holds only vertices of half walk t + 1, each expanded at most D
+    times, and t + 1 <= L <= ceil(max_m / 2) - 1.
     """
     n = g.vertex_count
     degree = max(map(len, g.neighbors), default=0)
@@ -270,43 +254,14 @@ def closed_walk_counts(
     return _closed_walks(g, source, max_m)
 
 
-def _halved_walks(g: RootedGraph, v: int, max_m: int) -> list[int]:
-    """Closed-walk counts of v's row of trace(A^m), for m = 0..max_m.
+def _excursions(g: RootedGraph, v: int, d: int) -> list[int]:
+    """First-return excursions at v above v: entry s counts the s-step
+    closed walks at v whose other vertices all lie above v, s = 0..d.
 
-    trace(A^m) is the entrywise sum over (v, w) of (A^a)_vw * (A^b)_vw with
-    a = m // 2, b = m - a, and both matrices are symmetric, so each
-    off-diagonal pair can be summed once from its lower end and doubled.
-    The deepest half walk, h = ceil(max_m / 2) steps, is the largest, so
-    from v it is built only to vertices w >= v, and each m with b = h adds
-    2 * sum over w >= v of (A^a)_vw * (A^h)_vw, less the diagonal term
-    (A^a)_vv * (A^h)_vv that the doubling counted twice.
-    """
-    half = (max_m + 1) // 2
-    vecs = _half_walk_vectors(g, v, half, v)
-    top = vecs[half]
-    top_v = top.get(v, 0)
-    walks = []
-    for m in range(max_m + 1):
-        near, b = vecs[m // 2], m - m // 2
-        if b < half:
-            walks.append(_join(near, vecs[b]))
-        else:
-            walks.append(2 * _join(near, top) - near.get(v, 0) * top_v)
-    return walks
-
-
-def _least_vertex_walks(g: RootedGraph, v: int, max_m: int) -> list[int]:
-    """Closed m-walks whose least vertex is v, rooted anywhere, m = 0..max_m.
-
-    Entry 0 is 1, so that the entries summed over v give trace(A^m) at
-    every m.  x_t maps each vertex w > v to the walks of t + 1 steps from v
-    to w that stay above v, for t <= (max_m - 1) // 2.  A first-return
-    excursion of s steps leaves v, stays above it and comes back, so there
-    are e(s) = <x_a, x_(s-2-a)> of them for any a, here a = (s - 2) // 2.
-    A closed walk at v is a sequence of excursions, with generating
-    function 1 / (1 - E), and rooting it at any of its m steps gives
-    zE' / (1 - E); Newton's identity reads that series off as
-    S(m) = m * e(m) + sum over s = 2..m-2 of e(s) * S(m - s).
+    x_t maps each vertex w > v to the walks of t + 1 steps from v to w
+    that stay above v, for t <= (d - 1) // 2.  An excursion of s steps is
+    two of them joined at a vertex, e(s) = <x_a, x_(s-2-a)> for any a,
+    here a = (s - 2) // 2.
     """
     descending = g._descending_neighbors
     level: dict[int, int] = {}
@@ -314,11 +269,10 @@ def _least_vertex_walks(g: RootedGraph, v: int, max_m: int) -> list[int]:
         if u <= v:
             break
         level[u] = 1
-    walks = [1] + [0] * max_m
     if not level:
-        return walks
+        return [0] * (d + 1)
     xs = [level]
-    for _ in range((max_m - 1) // 2):
+    for _ in range((d - 1) // 2):
         nxt: dict[int, int] = {}
         get = nxt.get
         for w, c in level.items():
@@ -328,35 +282,22 @@ def _least_vertex_walks(g: RootedGraph, v: int, max_m: int) -> list[int]:
                 nxt[u] = get(u, 0) + c
         xs.append(nxt)
         level = nxt
-    e = [0, 0] + [_join(xs[s // 2 - 1], xs[(s - 1) // 2]) for s in range(2, max_m + 1)]
-    for m in range(2, max_m + 1):
-        count = m * e[m]
-        for s in range(2, m - 1):
-            count += e[s] * walks[m - s]
-        walks[m] = count
-    return walks
-
-
-def _trace_route(g: RootedGraph, max_m: int):
-    """The per-vertex walk counter trace_moments uses on g up to max_m.
-
-    _least_vertex_walks ends with a renewal of about max_m^2 / 2 products
-    per vertex.  Where that passes the expansions _walk_charge allows a
-    vertex, as on k4 at max_m 1000, the renewal costs more than the walks
-    it saves, and _halved_walks is taken.
-    """
-    if max_m * max_m <= 2 * _walk_charge(g, max_m):
-        return _least_vertex_walks
-    return _halved_walks
+    return [0, 0] + [_join(xs[s // 2 - 1], xs[(s - 1) // 2]) for s in range(2, d + 1)]
 
 
 def trace_moments(g: RootedGraph, max_m: int, budgets: Budgets = Budgets()) -> list[Fraction]:
     """Normalized-trace moments (1/n) * trace(A^m) for m = 0..max_m, exactly.
 
-    trace(A^m) is summed over the vertices v of a per-vertex count
-    (_trace_route): the closed walks whose least vertex is v, or v's
-    closed walks joined meet-in-the-middle from halved half walks.  Both
-    cost per vertex at most ceil(max_m / 2) adjacency applications.
+    A closed walk at v that stays in the vertices >= v is a sequence of
+    first-return excursions (_excursions), so its generating function is
+    1 / (1 - E_v(z)), the (v, v) entry of (I - z A)^-1 on those vertices.
+    By Cramer's rule 1 - E_v(z) is det(I - z A) on the vertices >= v over
+    det(I - z A) on the vertices > v, and the product over all v is
+    c(z) = det(I - z A), a polynomial of degree at most n.  Its coefficients
+    up to d = min(n, max_m) give every trace by Newton's identity,
+    -z c'(z) / c(z) = sum over m >= 1 of trace(A^m) z^m.  Each closed walk
+    is thus counted once, from the least vertex it visits, and the work
+    past degree n is one recurrence with n terms.
 
     Before a vertex's walks are built, the most expansions they can
     take (_walk_charge) are added to the charge.
@@ -364,17 +305,26 @@ def trace_moments(g: RootedGraph, max_m: int, budgets: Budgets = Budgets()) -> l
     if max_m < 0:
         raise ValueError("max_m must be nonnegative")
     n = g.vertex_count
+    d = min(n, max_m)
     per_vertex = _walk_charge(g, max_m)
-    walks = _trace_route(g, max_m)
     charged = 0
     limit = budgets.limit("trace-walk expansions")
-    totals = [0] * (max_m + 1)
+    det = [1] + [0] * d
     for v in range(n):
         charged += per_vertex
         if charged > limit:
             budgets.charge("trace-walk expansions", charged)
-        totals = list(map(add, totals, walks(g, v, max_m)))
-    return [Fraction(t, n) for t in totals]
+        e = _excursions(g, v, d)
+        # det *= 1 - E_v, from the top coefficient down so each reads the old ones
+        for i in range(d, 1, -1):
+            det[i] -= sum(map(mul, e[2 : i + 1], det[i - 2 :: -1]))
+    traces = [n] + [0] * max_m
+    for m in range(1, max_m + 1):
+        top = min(m - 1, d)
+        traces[m] = -sum(map(mul, det[1 : top + 1], reversed(traces[m - top : m])))
+        if m <= d:
+            traces[m] -= m * det[m]
+    return [Fraction(t, n) for t in traces]
 
 
 def count_k_cycles(g: RootedGraph, j: int, budgets: Budgets = Budgets()) -> int:

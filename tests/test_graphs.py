@@ -20,9 +20,6 @@ from freespec.errors import (
 )
 from freespec.graphs import (
     _half_walk_vectors,
-    _halved_walks,
-    _least_vertex_walks,
-    _trace_route,
     bfs_distances,
     builtin_graph,
     closed_walk_counts,
@@ -37,7 +34,7 @@ from freespec.graphs import (
     square_check,
     trace_moments,
 )
-from freespec.regular import PairingConfig, derive_seed, pairing_model
+from freespec.regular import PairingConfig, pairing_model
 from oracles import (
     brute_closed_walks,
     brute_count_cycles,
@@ -194,16 +191,6 @@ def test_trace_moment_against_brute_force():
             assert trace_moments(g, m)[m] == Fraction(total, n)
 
 
-ROUTES = (_least_vertex_walks, _halved_walks)
-
-
-def route_moments(route, g, max_m):
-    """trace_moments(g, max_m) as one route counts it, whichever trace_moments takes."""
-    n = g.vertex_count
-    rows = [route(g, v, max_m) for v in range(n)]
-    return [Fraction(sum(col), n) for col in zip(*rows)]
-
-
 @st.composite
 def small_graphs(draw):
     """Any simple graph on 1 to 9 vertices, rooted at 0."""
@@ -219,9 +206,9 @@ def small_graphs(draw):
 @example(from_edge_list(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)], 0))  # disconnected
 @settings(max_examples=40, deadline=None)
 def test_trace_moments_match_dense_traces(g):
-    # max_m decides the route, and on the halved route which half walk is
-    # cut to the vertices above v, so every max_m is checked, each at every
-    # m <= max_m, and each route is checked whichever is taken
+    # max_m decides how deep the excursions are walked and, past n, how
+    # many traces the recurrence adds, so every max_m is checked, each at
+    # every m <= max_m
     n = g.vertex_count
     a = intmat.adjacency_matrix(g)
     power = intmat.identity(n)
@@ -232,66 +219,28 @@ def test_trace_moments_match_dense_traces(g):
     for max_m in range(13):
         expected = traces[: max_m + 1]
         assert trace_moments(g, max_m) == expected
-        assert [route_moments(route, g, max_m) for route in ROUTES] == [expected, expected]
 
 
 def test_trace_moments_of_distance_k_graphs_sum_the_closed_walks():
     # closed_walk_counts joins whole half walks at every vertex, while
     # trace_moments counts each closed walk once from its least vertex,
-    # with walks and a renewal of its own
-    for seed in range(3):
-        g = pairing_model(PairingConfig(n=40, d=3, seed=seed))
-        for k in (1, 2, 3):
-            dk = distance_k_graph(g, k)
-            for max_m in (5, 6, 7, 8):
-                assert _trace_route(dk, max_m) is _least_vertex_walks
-                rows = [closed_walk_counts(dk, v, max_m) for v in range(dk.vertex_count)]
-                sums = [Fraction(sum(col), dk.vertex_count) for col in zip(*rows)]
-                assert trace_moments(dk, max_m) == sums
-
-
-def test_the_trace_routes_agree_on_distance_k_graphs():
+    # with walks and a determinant of its own
     for seed in range(3):
         g = pairing_model(PairingConfig(n=40, d=3, seed=seed))
         for k in (1, 2, 3):
             dk = distance_k_graph(g, k)
             for max_m in range(13):
-                moments = trace_moments(dk, max_m)
-                assert [route_moments(route, dk, max_m) for route in ROUTES] == [moments, moments]
+                rows = [closed_walk_counts(dk, v, max_m) for v in range(dk.vertex_count)]
+                sums = [Fraction(sum(col), dk.vertex_count) for col in zip(*rows)]
+                assert trace_moments(dk, max_m) == sums
 
 
-@pytest.mark.parametrize("max_m, route", [(8, _least_vertex_walks), (10, _halved_walks)])
-def test_the_trace_routes_agree_on_each_side_of_the_route_test(max_m, route):
-    # k4 is charged 12 + 12 * (ceil(max_m / 2) - 2) expansions per vertex:
-    # 36 at max_m 8, where 8^2 <= 72, and 48 at max_m 10, where 10^2 > 96
-    g = complete_graph(4)
-    assert _trace_route(g, max_m) is route
-    a = intmat.adjacency_matrix(g)
-    power = intmat.identity(4)
-    traces = []
-    for _ in range(max_m + 1):
-        traces.append(Fraction(sum(power[i][i] for i in range(4)), 4))
-        power = intmat.mat_mul(power, a)
-    assert trace_moments(g, max_m) == traces
-    assert [route_moments(other, g, max_m) for other in ROUTES] == [traces, traces]
-
-
-@pytest.mark.parametrize("route", ROUTES, ids=lambda route: route.__name__)
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
-def test_each_trace_route_counts_long_walks_on_complete_graphs(route, n):
-    # K_n has eigenvalues n - 1 once and -1 n - 1 times
+def test_trace_moments_count_long_walks_on_complete_graphs(n):
+    # K_n has eigenvalues n - 1 once and -1 n - 1 times; past max_m = n
+    # every trace comes from the recurrence on det(I - zA)
     expected = [Fraction((n - 1) ** m + (n - 1) * (-1) ** m, n) for m in range(61)]
-    assert route_moments(route, complete_graph(n), 60) == expected
-
-
-def test_the_route_test_takes_the_least_vertex_route_for_regular_trace_graphs():
-    # the graphs of `regular-random --d 3 --k 2 --n-list 1000,2000 --max-m 6`
-    for n in (1000, 2000):
-        g = pairing_model(PairingConfig(n=n, d=3, seed=derive_seed(0, n, 0)))
-        assert _trace_route(distance_k_graph(g, 2), 6) is _least_vertex_walks
-    # on k4 at max_m 1000 the renewal's 10^6 products outweigh the walks,
-    # charged 5988 expansions per vertex
-    assert _trace_route(complete_graph(4), 1000) is _halved_walks
+    assert trace_moments(complete_graph(n), 60) == expected
 
 
 @st.composite
@@ -315,13 +264,11 @@ def relabel(g, perm):
           [0, 2, 4, 6, 5, 3, 1]))
 @settings(max_examples=40, deadline=None)
 def test_trace_moments_do_not_depend_on_the_labels(case):
-    # the least-vertex route's work depends on the labels, its counts must not
+    # the excursions from each vertex depend on the labels, the traces must not
     g, perm = case
     h = relabel(g, perm)
     for max_m in range(13):
-        moments = trace_moments(g, max_m)
-        assert trace_moments(h, max_m) == moments
-        assert route_moments(_least_vertex_walks, h, max_m) == moments
+        assert trace_moments(h, max_m) == trace_moments(g, max_m)
 
 
 def test_trace_moments_budget():
@@ -334,26 +281,35 @@ def test_trace_moments_budget():
     assert str(info.value) == "budget exceeded: 48 trace-walk expansions (budget 47)"
 
 
+def excursion_expansions(g, v, max_m):
+    """Neighbour entries trace_moments scans from v: v's own, then those of
+    each vertex of x_0..x_(L-1), the walks above v, L = (min(n, max_m) - 1) // 2."""
+    level = {u for u in g.neighbors[v] if u > v}
+    taken = g.degree(v)
+    if level:
+        for _ in range((min(g.vertex_count, max_m) - 1) // 2):
+            taken += sum(g.degree(w) for w in level)
+            level = {u for w in level for u in g.neighbors[w] if u > v}
+    return taken
+
+
 def test_trace_moments_charge_bounds_the_expansions():
     # the charge is an upper bound: a budget one short of the expansions
-    # the half walks take refuses, for all vertices and for one source
+    # taken refuses, for trace_moments over all vertices and for the whole
+    # half walks of closed_walk_counts from one source
     for g in [path_graph(5), cycle_graph(6), random_graph(9, 0.4, 3), complete_graph(5)]:
         n = g.vertex_count
-        for max_m in range(1, 8):
+        for max_m in range(1, 13):
             half = (max_m + 1) // 2
-            taken = [
-                sum(
-                    g.degree(u)
-                    for vec in _half_walk_vectors(g, v, half)[:half]
-                    for u in vec
-                )
-                for v in range(n)
-            ]
+            taken = sum(excursion_expansions(g, v, max_m) for v in range(n))
             with pytest.raises(BudgetExceededError):
-                trace_moments(g, max_m, Budgets(sum(taken) - 1))
+                trace_moments(g, max_m, Budgets(taken - 1))
             for v in range(n):
+                walked = sum(
+                    g.degree(u) for vec in _half_walk_vectors(g, v, half)[:half] for u in vec
+                )
                 with pytest.raises(BudgetExceededError):
-                    closed_walk_counts(g, v, max_m, Budgets(taken[v] - 1))
+                    closed_walk_counts(g, v, max_m, Budgets(walked - 1))
 
 
 def test_second_moments_are_degrees():
