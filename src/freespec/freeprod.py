@@ -6,9 +6,10 @@ integers (letter = copy * base_n + vertex).  The empty word is the root.
 
 Word distances have one source in the engine, a BFS over word_neighbors
 (_word_bfs): the ball, the segment pools and both decomposition checks read
-its rows.  The closed-form suffix-stripping metric (geodesics decompose
-through the junction copy) is a test oracle in tests/oracles.py; the
-candidate constraints of distance_k_neighbors mirror it.
+its rows.  distance_k_neighbors reads no distance between words: it builds
+each neighbour along its geodesic, which strips letters off x, turns inside
+one copy and stacks a pool segment.  The closed-form suffix-stripping
+metric is a test oracle in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -47,13 +48,6 @@ class FreePowerSpec(Frozen):
     @cached_property
     def sigma(self) -> int:
         return self.base.degree(self.base.root)
-
-    @cached_property
-    def letter_costs(self) -> tuple[int, ...]:
-        # cost of a packed letter = base distance from its vertex to the root
-        n = self.base.vertex_count
-        root_row = self.apsp[self.base.root]
-        return tuple(root_row[letter % n] for letter in range(self.copies * n))
 
     @cached_property
     def root_adjacent(self) -> tuple[int, ...]:
@@ -189,11 +183,11 @@ def ball(spec: FreePowerSpec, radius: int, budgets: Budgets = Budgets()) -> dict
 def _segment_pool(spec: FreePowerSpec, bound: int, budgets: Budgets = Budgets()):
     """The bound-ball of G^{*N}, grouped by root distance.
 
-    Entry c lists (word, bottom copy) for each word of root distance c, with
-    bottom copy -1 for the root.  Used as the replacement-segment pool when
+    Entry c lists (word, bottom copy) for each nonempty word of root
+    distance c, so entry 0 is empty.  Used as the segment pool when
     enumerating distance-k neighbors, and kept on the spec, so it lives as
-    long as the spec does.  Every call charges its nonempty words from their
-    count, before any is built, so a kept pool is held to the budget too.
+    long as the spec does.  Every call charges its words from their count,
+    before any is built, so a kept pool is held to the budget too.
     """
     for count in _ball_counts(spec, bound):
         budgets.charge("segment-pool words", count - 1)
@@ -202,7 +196,8 @@ def _segment_pool(spec: FreePowerSpec, bound: int, budgets: Budgets = Budgets())
         n = spec.base.vertex_count
         pools = spec._pool_cache[bound] = [[] for _ in range(bound + 1)]
         for word, cost in _word_bfs(spec, (), bound).items():
-            pools[cost].append((word, word[-1] // n if word else -1))
+            if word:
+                pools[cost].append((word, word[-1] // n))
     return pools
 
 
@@ -216,62 +211,52 @@ def distance_k_neighbors(
 ) -> tuple[Word, ...]:
     """Exactly the reduced words at word distance k from x, sorted canonically.
 
-    Candidates are generated per suffix-strip depth of x from the spec's
-    segment pools, with constraints that make the stripped suffix exact, so
-    no distance is computed as a filter.  With max_root_distance, only words
-    within that root distance are returned.  Every candidate of one strip
-    depth and junction vertex has the same root distance, so the bound is
-    applied before any is built.
+    Every geodesic from x strips the top p letters of x, leaving the suffix
+    s, and turns at a vertex vb of the copy of the last letter stripped,
+    x[p-1] = (ca, va): vb = root drops that letter, and any other vb != va
+    replaces its vertex; with p = 0 the only turn is at the root.  The turn
+    leaves rem = k - rd(x[:p-1]) - d(va, vb) steps (rem = k when p = 0).
+    With rem = 0 the word y reached is a neighbour; otherwise each pool
+    segment of root distance rem is stacked on y, when its bottom copy is
+    neither ca nor the copy of y's top letter.  So no distance is computed
+    as a filter.  With max_root_distance, only words within that root
+    distance are returned; all the words of one turn share a root
+    distance, so the bound is applied before any is built.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if validate:
         validate_word(spec, x)
     n = spec.base.vertex_count
-    costs = spec.letter_costs
     root = spec.base.root
     apsp = spec.apsp
+    root_row = apsp[root]
     # read for every word: the walk DP built and charged the pool already
     pools = spec._pool_cache.get(k) or _segment_pool(spec, k)
     prefix = [0]
     for letter in x:
-        prefix.append(prefix[-1] + costs[letter])
-    rd_x = prefix[-1]
-    # no word at distance k from x lies beyond root distance rd_x + k
-    limit = rd_x + k if max_root_distance is None else max_root_distance
+        prefix.append(prefix[-1] + root_row[letter % n])
+    # no word at distance k from x lies beyond root distance rd(x) + k
+    limit = prefix[-1] + k if max_root_distance is None else max_root_distance
     out: set[Word] = set()
     for p in range(len(x) + 1):
-        s = x[p:]
-        rd_strip = prefix[p]
-        rd_s = rd_x - rd_strip
-        # y' empty: y is the stripped suffix itself
-        if p >= 1 and rd_strip == k and rd_s <= limit:
-            out.add(s)
-        # junction in a different copy (or x fully a suffix of y when p == 0)
-        t = k - rd_strip
-        if t >= 1 and t + rd_s <= limit:
-            forb1 = x[p - 1] // n if p >= 1 else -1
-            forb2 = x[p] // n if p < len(x) else -1
-            for word, bottom in pools[t]:
-                if word and bottom != forb1 and bottom != forb2:
-                    out.add(word + s)
-        # junction inside the copy of x's letter just above the suffix
-        if p >= 1:
+        if p:
             ca, va = divmod(x[p - 1], n)
-            rd_above = prefix[p - 1]
-            for vb in range(n):
-                if vb == root or vb == va:
-                    continue
-                rem = k - rd_above - apsp[va][vb]
-                if rem < 0 or rem + apsp[vb][root] + rd_s > limit:
-                    continue
-                bottom_letter = ca * n + vb
-                if rem == 0:
-                    out.add((bottom_letter,) + s)
-                else:
-                    for word, bottom in pools[rem]:
-                        if word and bottom != ca:
-                            out.add(word + (bottom_letter,) + s)
+            turn_row, above = apsp[va], prefix[p - 1]
+        else:  # the root turn alone, in no copy and skipping no vertex
+            ca, va, turn_row, above = -1, -1, root_row, 0
+        s = x[p:]
+        rd_s = prefix[-1] - prefix[p]
+        for vb in range(n) if p else (root,):
+            rem = k - above - turn_row[vb]
+            if vb == va or rem < 0 or rem + root_row[vb] + rd_s > limit:
+                continue
+            y = s if vb == root else (ca * n + vb,) + s
+            if rem == 0:
+                out.add(y)
+            else:
+                land = y[0] // n if y else -1
+                out.update(w + y for w, bottom in pools[rem] if bottom != ca and bottom != land)
     return tuple(sorted(out, key=lambda w: (len(w), w)))
 
 

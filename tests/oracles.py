@@ -142,9 +142,10 @@ def sqrt_by_decimal(frac, sqrt_den):
 
 
 def root_distance(spec, word):
-    """The root distance of a word: the sum of its letters' costs."""
-    costs = spec.letter_costs
-    return sum(costs[letter] for letter in word)
+    """The root distance of a word: the sum of its letters' base distances to the root."""
+    root_row = spec.apsp[spec.base.root]
+    n = spec.base.vertex_count
+    return sum(root_row[letter % n] for letter in word)
 
 
 def word_distance(spec, x, y, validate=True):
@@ -164,9 +165,8 @@ def word_distance(spec, x, y, validate=True):
         common += 1
     xs = x[: lx - common]
     ys = y[: ly - common]
-    costs = spec.letter_costs
-    dx = sum(costs[letter] for letter in xs)
-    dy = sum(costs[letter] for letter in ys)
+    dx = root_distance(spec, xs)
+    dy = root_distance(spec, ys)
     if not xs or not ys:
         return dx + dy
     n = spec.base.vertex_count
@@ -174,7 +174,8 @@ def word_distance(spec, x, y, validate=True):
     cb, vb = divmod(ys[-1], n)
     if ca != cb:
         return dx + dy
-    return dx - costs[xs[-1]] + spec.apsp[va][vb] + dy - costs[ys[-1]]
+    root_row = spec.apsp[spec.base.root]
+    return dx - root_row[va] + spec.apsp[va][vb] + dy - root_row[vb]
 
 
 def make_word(spec, letters):
@@ -219,6 +220,21 @@ def brute_closed_walks(g, source, m):
     return rec(source, m)
 
 
+def bfs_sphere(spec, w, k):
+    """The words at graph distance exactly k from w, by a k-step BFS over word_neighbors."""
+    seen = {w}
+    frontier = [w]
+    for _ in range(k):
+        nxt = []
+        for x in frontier:
+            for y in word_neighbors(spec, x):
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return frontier
+
+
 def brute_distance_k_walks(spec, k, m):
     """Closed m-walks at the root of the distance-k graph of a free power.
 
@@ -230,17 +246,7 @@ def brute_distance_k_walks(spec, k, m):
 
     def sphere(w):
         if w not in spheres:
-            seen = {w}
-            frontier = [w]
-            for _ in range(k):
-                nxt = []
-                for x in frontier:
-                    for y in word_neighbors(spec, x):
-                        if y not in seen:
-                            seen.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            spheres[w] = frontier
+            spheres[w] = bfs_sphere(spec, w, k)
         return spheres[w]
 
     def rec(w, steps):

@@ -302,7 +302,7 @@ def test_records_keep_value_semantics():
         with pytest.raises(AttributeError):
             delattr(record, name)
     assert complete_graph(3).connected
-    assert free_power(cycle_graph(4), 3).letter_costs == (0, 1, 2, 1) * 3
+    assert free_power(cycle_graph(4), 3).apsp[0] == (0, 1, 2, 1)
     # a report stays mutable: large-d relabels rows, --timing sets wall_ms
     row = ReportRow("free-clt", "tree", "N", 3, 2, 0, ExactScaled(Fraction(1)))
     row.experiment, row.param_name = "large-d", "d"

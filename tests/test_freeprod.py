@@ -47,6 +47,7 @@ from freespec.graphs import (
 )
 from oracles import (
     MaterializedBall,
+    bfs_sphere,
     brute_distance_k_walks,
     diameter,
     free_cumulant_walk_counts,
@@ -452,6 +453,24 @@ def connected_bases(draw):
     return from_edge_list(n, tree + extra, draw(st.integers(0, n - 1)))
 
 
+@given(connected_bases(), st.integers(1, 3), st.integers(1, 3))
+@example(K4, 2, 3)
+@example(C5, 2, 3)
+@example(P4, 3, 3)
+@settings(max_examples=60, deadline=None)
+def test_distance_k_neighbors_are_the_bfs_sphere_on_random_bases(base, copies, k):
+    # each word of the 2-ball gets exactly its k-step BFS sphere, and a root
+    # distance bound filters that sphere and does nothing more
+    spec = free_power(base, copies)
+    for w, rd in ball(spec, 2).items():
+        sphere = sorted(bfs_sphere(spec, w, k), key=lambda t: (len(t), t))
+        assert list(distance_k_neighbors(spec, w, k)) == sphere, w
+        for bound in range(rd - k, rd + k + 1):
+            expected = [y for y in sphere if root_distance(spec, y) <= bound]
+            got = distance_k_neighbors(spec, w, k, max_root_distance=bound)
+            assert list(got) == expected, (w, bound)
+
+
 @given(connected_bases(), st.integers(1, 2), st.integers(1, 2), st.integers(1, 4))
 # bases this small reach neither bound of _root_automorphisms; these two
 # pass the automorphism bound (720) and the candidate bound (8!)
@@ -497,6 +516,19 @@ def test_a_refused_pool_builds_nothing():
     try:
         with pytest.raises(BudgetExceededError, match="segment-pool words"):
             freeprod._segment_pool(free_power(K4, 5), 5, Budgets(ball_vertices=10**5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+def test_a_huge_free_power_is_refused_from_its_pool_count():
+    # K3^{*10^6} has 2 * 10^6 words at root distance 1: the neighbours of the
+    # root are refused from that count, before anything N-sized is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="segment-pool words"):
+            distance_k_neighbors(free_power(K3, 10**6), (), 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -727,16 +759,18 @@ def test_ball_counts_are_the_ball_sizes():
             counts = [len(ball(spec, r)) for r in range(radius + 1)]
             budgets = Budgets(ball_vertices=10**9)
             assert [freeprod._ball_size(spec, r, budgets) for r in range(radius + 1)] == counts
-            # the segment pool is that ball, by root distance, with bottom copies
+            # the segment pool is that ball without the root, by root
+            # distance, with bottom copies
             pools = freeprod._segment_pool(spec, radius)
             words = [w for pool in pools for w, _ in pool]
-            assert len(set(words)) == len(words) == counts[-1]
+            assert len(set(words)) == len(words) == counts[-1] - 1
+            assert () not in words
             n = spec.base.vertex_count
             for c, pool in enumerate(pools):
                 for w, bottom in pool:
                     validate_word(spec, w)
                     assert root_distance(spec, w) == c
-                    assert bottom == (w[-1] // n if w else -1)
+                    assert bottom == w[-1] // n
             # it names the count at the first radius past its budget
             budget = counts[-2] - 1
             first = next(count for count in counts if count > budget)

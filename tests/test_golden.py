@@ -38,6 +38,16 @@ GOLDEN = [
         "d6a9e58a6d75cc23a962cad238a3726bd8da22e93b18dfd0d05a77b401419c6e",
         "64bf3794b440b35e23403ff895e7194e27c843a5f6de9168acb703b79f86491e",
     ),
+    (   # eight-step layers
+        "free-clt --graph builtin:k3 --k 2 --N 2,8 --max-m 8",
+        "81db6fd3424a8ef781c9bd26f34fb24b9e3f877b1383bf5964a1f7d476b775ed",
+        "c9c367d31b3dbd74d5484339bda292d2f46e0e7900ff84fe64b757950f8c4559",
+    ),
+    (   # k = 3 turns inside the copies of K4
+        "free-clt --graph builtin:k4 --k 3 --N 2,7 --max-m 5",
+        "39e1685b0de410d250a1b06b9ef1dc2746a83af78b4d655d30874129700f47ba",
+        "ac8d838f9ecb6170e80700ba777add9b97d0d5ed8d6ad25b0c13f90408cdc12e",
+    ),
     (
         "large-d --k 2 --d-list 3,4 --max-m 4",
         "65b6a5d897d8bc912b0f504334d12c151f06ee68e23258734ae183660621c4a8",
