@@ -29,7 +29,6 @@ from .freeprod import (  # noqa: F401
 )
 from .polymoments import (  # noqa: F401
     JacobiParams,
-    Poly,
     chebyshev_monic,
     jacobi_moments,
     kesten_mckay_moments,

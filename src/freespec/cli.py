@@ -49,7 +49,6 @@ from .graphs import (
     trace_moments,
 )
 from .polymoments import (
-    Poly,
     chebyshev_monic,
     km_density,
     kesten_mckay_moments,
@@ -110,9 +109,9 @@ def _load_graph(source: str) -> tuple[RootedGraph, str]:
     )
 
 
-def _parse_transform(text: str) -> Poly:
+def _parse_transform(text: str) -> tuple:
     if text == "none":
-        return Poly([0, 1])
+        return (0, 1)
     kind, *fields = text.split(":")
     try:
         values = [int(field) for field in fields]

@@ -16,7 +16,6 @@ from .freeprod import free_power, vacuum_moments_distance_k, walk_table
 from .graphs import RootedGraph, complete_graph
 from .polymoments import (
     SEMICIRCLE,
-    Poly,
     chebyshev_monic,
     jacobi_moments,
     km_density,
@@ -90,7 +89,10 @@ def free_clt_experiment(
     at the largest.  So the budget is used up at most twice, and each cell
     is evaluated from the widest table that fit, or skipped.
     """
-    refs = chebyshev_reference_moments(k, max_m)
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if max_m < 0:
+        raise ValueError("max_m must be nonnegative")
     specs = [free_power(base, n_copies) for n_copies in n_list]
     full = max(1, k * max_m // 2)
     caps = [] if base.vertex_count == 2 else sorted({min(n, full) for n in n_list})
@@ -115,6 +117,9 @@ def free_clt_experiment(
         return [normalized_value(count, scale, k * m) for m, count in enumerate(counts)]
 
     cells = [(spec.copies, values) for spec, values in zip(specs, run_cells(cell, specs))]
+    # a skipped row shows no reference: none is computed if every row is
+    shown = any(values is not None for _, values in cells)
+    refs = chebyshev_reference_moments(k, max_m) if shown else [None] * (max_m + 1)
     rows = moment_rows("free-clt", graph_name, "N", k, cells, refs)
     return Report(rows=rows, budgets=budgets)
 
@@ -157,14 +162,21 @@ def sample_law(law: str, count: int, seed: int) -> list[float]:
     return out
 
 
-def pushforward_histogram(p: Poly, samples, bins: int):
-    """Histogram of P(sample) with equal-width bins covering the transformed range.
+def pushforward_histogram(p: tuple, samples, bins: int):
+    """Histogram of p(sample) with equal-width bins covering the transformed range.
 
-    Returns (edges, counts); edges has bins + 1 entries.
+    p is a coefficient tuple, constant first, evaluated in floats by Horner's
+    rule from the top coefficient.  Returns (edges, counts); edges has
+    bins + 1 entries.
     """
     if bins < 1:
         raise ValueError("bins must be positive")
-    values = [float(p(x)) for x in samples]
+    values = []
+    for x in samples:
+        acc = p[-1]
+        for c in p[-2::-1]:
+            acc = acc * x + c
+        values.append(float(acc))
     lo, hi = min(values), max(values)
     if hi == lo:
         hi = lo + 1.0

@@ -133,8 +133,8 @@ def builtin_graph(name: str) -> RootedGraph:
     return builders[name]()
 
 
-def bfs_distances(g: RootedGraph, source: int, depth_cap: int | None = None):
-    """Exact BFS distances from ``source``; None marks unreachable/beyond-cap."""
+def bfs_distances(g: RootedGraph, source: int):
+    """Exact BFS distances from ``source``; None marks unreachable vertices."""
     if not 0 <= source < g.vertex_count:
         raise VertexOutOfRangeError(f"source {source}")
     dist: list[int | None] = [None] * g.vertex_count
@@ -143,8 +143,6 @@ def bfs_distances(g: RootedGraph, source: int, depth_cap: int | None = None):
     while queue:
         v = queue.popleft()
         dv = dist[v]
-        if depth_cap is not None and dv >= depth_cap:
-            continue
         for u in g.neighbors[v]:
             if dist[u] is None:
                 dist[u] = dv + 1
@@ -213,10 +211,10 @@ def _walk_charge(g: RootedGraph, max_m: int) -> int:
     expands each at most D times, with D the maximum degree.  Once D^t >= n,
     or D < 2, every later term equals this one, so no larger power is raised.
 
-    trace_moments takes no more per vertex: _excursions expands v, as half
-    walk 0 does, then x_0..x_(L-1) with L = (min(n, max_m) - 1) // 2, where
-    x_t holds only vertices of half walk t + 1, each expanded at most D
-    times, and t + 1 <= L <= ceil(max_m / 2) - 1.
+    trace_moments charges _walk_charge(g, d) per vertex, d = min(n, max_m),
+    and takes no more: _excursions expands v, as half walk 0 does, then
+    x_0..x_(L-1) with L = (d - 1) // 2 <= ceil(d / 2) - 1, where x_t holds
+    only vertices of half walk t + 1, each expanded at most D times.
     """
     n = g.vertex_count
     degree = max(map(len, g.neighbors), default=0)
@@ -300,13 +298,13 @@ def trace_moments(g: RootedGraph, max_m: int, budgets: Budgets = Budgets()) -> l
     past degree n is one recurrence with n terms.
 
     Before a vertex's walks are built, the most expansions they can
-    take (_walk_charge) are added to the charge.
+    take (_walk_charge of d) are added to the charge.
     """
     if max_m < 0:
         raise ValueError("max_m must be nonnegative")
     n = g.vertex_count
     d = min(n, max_m)
-    per_vertex = _walk_charge(g, max_m)
+    per_vertex = _walk_charge(g, d)
     charged = 0
     limit = budgets.limit("trace-walk expansions")
     det = [1] + [0] * d

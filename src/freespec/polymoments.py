@@ -1,13 +1,15 @@
 """Exact polynomial and moment algebra.
 
-Polynomials carry dense Fraction coefficients; every moment computation in
-this module is exact rational arithmetic.  Floating point appears only in
-density evaluation, which is inherently continuous.
+A polynomial is a tuple of exact coefficients, constant first, each an int
+when integral and a Fraction otherwise; every moment computation in this
+module is exact.  Floating point appears only in density evaluation, which
+is inherently continuous.
 
-A law is given by its Jacobi parameters.  One recursion builds its monic
-orthogonal polynomials, and one routine, jacobi_moments, gives the moments
-of p(b) for b of that law and any polynomial p: the semicircle and
-Kesten-McKay moments (p = x) and the distance-k laws (p = P_k or Q_k).
+A symmetric law is given by its Jacobi parameters gamma.  One recursion
+builds its monic orthogonal polynomials, and one routine, jacobi_moments,
+gives the moments of p(b) for b of that law and any polynomial p: the
+semicircle and Kesten-McKay moments (p = x) and the distance-k laws
+(p = P_k or Q_k).
 """
 from __future__ import annotations
 
@@ -17,122 +19,52 @@ from fractions import Fraction
 from .errors import Frozen
 
 
-class Poly:
-    """Univariate polynomial with exact rational coefficients, constant first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return Poly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly(out)
-        return Poly([Fraction(other) * c for c in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "Poly(0)"
-        terms = []
-        for j, c in enumerate(self.coeffs):
-            if c:
-                terms.append(f"{c}*x^{j}" if j else f"{c}")
-        return "Poly(" + " + ".join(terms) + ")"
-
-
-X = Poly([0, 1])
+def _canonical(values) -> tuple:
+    """values as exact numbers: an int when integral, a Fraction otherwise."""
+    out = []
+    for v in values:
+        if type(v) is not int:
+            v = Fraction(v)
+            if v.denominator == 1:
+                v = v.numerator
+        out.append(v)
+    return tuple(out)
 
 
 class JacobiParams(Frozen):
-    """Three-term recursion coefficients; finite prefixes extend by last value."""
+    """Three-term recursion coefficients of a symmetric law (beta = 0);
+    a finite prefix extends by its last value."""
 
-    _fields = ("beta", "gamma")
+    _fields = ("gamma",)
 
-    def __init__(self, beta, gamma):
-        beta = tuple(Fraction(b) for b in beta)
-        gamma = tuple(Fraction(g) for g in gamma)
-        if not beta or not gamma:
-            raise ValueError("beta and gamma must be nonempty")
+    def __init__(self, gamma):
+        gamma = _canonical(gamma)
+        if not gamma:
+            raise ValueError("gamma must be nonempty")
         if any(g <= 0 for g in gamma):
             raise ValueError("gamma entries must be positive")
-        super().__init__(beta, gamma)
+        super().__init__(gamma)
 
-    def beta_at(self, i: int) -> Fraction:
-        return self.beta[min(i, len(self.beta) - 1)]
-
-    def gamma_at(self, i: int) -> Fraction:
+    def gamma_at(self, i: int) -> int | Fraction:
         return self.gamma[min(i, len(self.gamma) - 1)]
 
 
-def jacobi_moments(params: JacobiParams, max_m: int, p: Poly = X) -> tuple[Fraction, ...]:
+def jacobi_moments(params: JacobiParams, max_m: int, p: tuple = (0, 1)) -> tuple[Fraction, ...]:
     """Moments of p(b), where b has the law of params: <e0, p(J)^m e0>.
 
     J is the Jacobi operator on levels 0, 1, ...: a step goes up with
-    weight 1, stays at level i with weight beta_i, and goes down from
-    level i + 1 with weight gamma_i.  p(J) is applied by Horner's rule.
-    p(J)^m is a sum of paths of at most deg(p) * m steps, and a returning
-    path never climbs above half its length, so the chain truncated at
-    deg(p) * max_m // 2 + 2 levels is exact.  The arithmetic is in Python
-    ints when the parameters and p are integral, and in Fractions otherwise.
-    The result is m_0 = 1, ..., m_max_m, a tuple of Fractions.
+    weight 1 and down from level i + 1 with weight gamma_i.  p is a
+    coefficient tuple, applied to J by Horner's rule.  p(J)^m is a sum of
+    paths of at most deg(p) * m steps, and a returning path never climbs
+    above half its length, so the chain truncated at deg(p) * max_m // 2 + 2
+    levels is exact.  The arithmetic is in Python ints when gamma and p are
+    integral.  The result is m_0 = 1, ..., m_max_m, a tuple of Fractions.
     """
     if max_m < 0:
         raise ValueError("max_m must be nonnegative")
-    levels = max(p.degree, 0) * max_m // 2 + 2
-    beta = [params.beta_at(i) for i in range(levels)]
+    levels = max(len(p) - 1, 0) * max_m // 2 + 2
     gamma = [params.gamma_at(i) for i in range(levels - 1)]
-    coeffs = list(p.coeffs) or [Fraction(0)]
-    if all(c.denominator == 1 for c in beta + gamma + coeffs):
-        beta, gamma, coeffs = ([int(c) for c in cs] for cs in (beta, gamma, coeffs))
-    stays = any(beta)
-    top, lower = coeffs[-1], coeffs[-2::-1]
+    top, lower = (p or (0,))[-1], p[-2::-1]
     vec = [1] + [0] * (levels - 1)
     moments = [1]
     for _ in range(max_m):
@@ -141,8 +73,6 @@ def jacobi_moments(params: JacobiParams, max_m: int, p: Poly = X) -> tuple[Fract
             # acc <- J acc + c vec
             nxt = [a + g * b for a, g, b in zip([0] + acc, gamma, acc[1:])]
             nxt.append(acc[-2])
-            if stays:
-                nxt = [a + b * x for a, b, x in zip(nxt, beta, acc)]
             if c:
                 nxt = [a + c * x for a, x in zip(nxt, vec)]
             acc = nxt
@@ -151,33 +81,29 @@ def jacobi_moments(params: JacobiParams, max_m: int, p: Poly = X) -> tuple[Fract
     return tuple(map(Fraction, moments))
 
 
-def monic_orthogonal_poly(params: JacobiParams, k: int) -> Poly:
+def monic_orthogonal_poly(params: JacobiParams, k: int) -> tuple:
     """The k-th monic orthogonal polynomial of the law of params.
 
-    P_0 = 1, P_1 = x - beta_0, P_{n+1} = (x - beta_n) P_n - gamma_{n-1} P_{n-1},
-    on coefficient lists, in Python ints when the parameters are integral.
+    P_0 = 1, P_1 = x, P_{n+1} = x P_n - gamma_{n-1} P_{n-1}, on coefficient
+    lists, in Python ints when gamma is integral.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    beta = [params.beta_at(n) for n in range(k)]
-    gamma = [0] + [params.gamma_at(n) for n in range(k - 1)]  # gamma_{n-1}, none at n = 0
-    if all(c.denominator == 1 for c in beta + gamma):
-        beta, gamma = [int(c) for c in beta], [int(c) for c in gamma]
-    prev, cur = [], [1]  # coefficients, constant first
-    for b, g in zip(beta, gamma):
-        nxt = [x - g * p for x, p in zip([0] + cur, prev + [0, 0])]
-        prev, cur = cur, [x - b * c for x, c in zip(nxt, cur + [0])] if b else nxt
-    return Poly(cur)
+    prev, cur = [], [1]
+    for n in range(k):
+        g = params.gamma_at(n - 1) if n else 0  # gamma_{n-1}, none at n = 0
+        prev, cur = cur, [x - g * c for x, c in zip([0] + cur, prev + [0, 0])]
+    return _canonical(cur)
 
 
-SEMICIRCLE = JacobiParams(beta=(0,), gamma=(1,))
+SEMICIRCLE = JacobiParams(gamma=(1,))
 
 
 def kesten_mckay_params(d: int) -> JacobiParams:
-    """The Kesten-McKay law: beta = 0, gamma = (d, d - 1, d - 1, ...)."""
+    """The Kesten-McKay law: gamma = (d, d - 1, d - 1, ...)."""
     if d < 2:
         raise ValueError("d must be >= 2")
-    return JacobiParams(beta=(0,), gamma=(d, d - 1))
+    return JacobiParams(gamma=(d, d - 1))
 
 
 def semicircle_moments(max_m: int) -> tuple[Fraction, ...]:
@@ -190,12 +116,12 @@ def kesten_mckay_moments(d: int, max_m: int) -> tuple[Fraction, ...]:
     return jacobi_moments(kesten_mckay_params(d), max_m)
 
 
-def chebyshev_monic(k: int) -> Poly:
+def chebyshev_monic(k: int) -> tuple:
     """Monic Chebyshev family: P0 = 1, P1 = x, x*Pn = P(n+1) + P(n-1)."""
     return monic_orthogonal_poly(SEMICIRCLE, k)
 
 
-def tree_distance_poly(d: int, k: int) -> Poly:
+def tree_distance_poly(d: int, k: int) -> tuple:
     """The polynomial Q_k with A^{[k]} = Q_k(A) on the d-regular tree.
 
     Q0 = 1, Q1 = x, Q2 = x^2 - d, then x*Qk = Q(k+1) + (d-1)*Q(k-1).

@@ -231,7 +231,8 @@ def regular_limit_experiment(
         raise ValueError("k must be positive")
     for n in n_list:
         check_order(n, d)
-    refs = tree_distance_k_law_moments(d, k, max_m)
+    if max_m < 0:
+        raise ValueError("max_m must be nonnegative")
 
     def mean_moments(results):
         totals = [Fraction(0)] * (max_m + 1)
@@ -245,6 +246,9 @@ def regular_limit_experiment(
         n_list, samples, threads, budgets, mean_moments,
     )
     cells = zip(n_list, means)
+    # a skipped row shows no reference: none is computed if every row is
+    shown = any(mean is not None for mean in means)
+    refs = tree_distance_k_law_moments(d, k, max_m) if shown else [None] * (max_m + 1)
     rows = moment_rows("regular-random", f"random-regular-d{d}", "n", k, cells, refs)
     return Report(rows=rows, seed=seed, budgets=budgets)
 

@@ -23,7 +23,9 @@ read one entry of the package's moment lists, graph_edges lists a graph's
 edges, diameter reads a free power's base diameter, root_distance sums a
 word's letter costs, report_row finds a report row, signed_square reads
 v * |v| from an exact value's fields, and exact_less orders two exact
-values given by their construction inputs.
+values given by their construction inputs.  poly_add and poly_mul are the
+arithmetic on coefficient tuples that the polynomial oracles and the
+identities of test_polymoments use; the package has none of it.
 """
 import decimal
 import random
@@ -45,7 +47,6 @@ from freespec.graphs import (
     from_edge_list,
     trace_moments,
 )
-from freespec.polymoments import Poly
 
 
 def random_graph(n, edge_prob, seed):
@@ -421,7 +422,7 @@ def pair_tree_recurrence_check(d, k, radius):
     interior = bg.interior_indices(k + 1)
     max_violation = 0
     for j in interior:
-        dist_j = bfs_distances(g, j, depth_cap=k + 1)
+        dist_j = bfs_distances(g, j)
         for i in interior:
             lhs = sum(1 for l in g.neighbors[i] if dist_j[l] == k)
             dij = dist_j[i]
@@ -498,15 +499,12 @@ def _det_fraction(mat):
     return det
 
 
-def weighted_path_moment(beta, gamma, m):
+def weighted_path_moment(gamma, m):
     """Moment m by brute enumeration of weighted lattice paths from level 0.
 
-    Steps: up (weight 1), stay (weight beta[level]), down (weight
-    gamma[level - 1]); matches the three-term recursion's combinatorics.
+    Steps: up (weight 1) and down (weight gamma[level - 1]); matches the
+    three-term recursion's combinatorics.
     """
-
-    def b(i):
-        return beta[min(i, len(beta) - 1)]
 
     def c(i):
         return gamma[min(i, len(gamma) - 1)]
@@ -515,8 +513,6 @@ def weighted_path_moment(beta, gamma, m):
         if steps == 0:
             return Fraction(1) if level == 0 else Fraction(0)
         total = rec(level + 1, steps - 1)
-        if b(level):
-            total += b(level) * rec(level, steps - 1)
         if level > 0:
             total += c(level - 1) * rec(level - 1, steps - 1)
         return total
@@ -586,35 +582,62 @@ def km_moment_quad(d, m, tol=1e-12):
     return adaptive_simpson(integrand, -math.pi / 2.0, math.pi / 2.0, tol)
 
 
+# Polynomials are coefficient tuples, constant first, as in the package.
+# poly_add and poly_mul are the only arithmetic on them, here for the
+# oracles below and the identities of tests/test_polymoments.py.
+
+
+def poly_add(p, q, c=1):
+    """p + c * q, trailing zeros dropped."""
+    out = [0] * max(len(p), len(q))
+    for i, a in enumerate(p):
+        out[i] += a
+    for i, b in enumerate(q):
+        out[i] += c * b
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def poly_mul(p, q):
+    """p * q, trailing zeros dropped."""
+    out = [0] * (len(p) + len(q))
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return poly_add(out, ())
+
+
+X = (0, 1)
+
+
 def chebyshev_monic_recursion(k):
     """Monic Chebyshev family: P0 = 1, P1 = x, x*Pn = P(n+1) + P(n-1)."""
-    x = Poly([0, 1])
-    prev, cur = Poly([1]), x
+    prev, cur = (1,), X
     if k == 0:
         return prev
     for _ in range(k - 1):
-        prev, cur = cur, x * cur - prev
+        prev, cur = cur, poly_add(poly_mul(X, cur), prev, -1)
     return cur
 
 
 def tree_distance_poly_recursion(d, k):
     """Q0 = 1, Q1 = x, Q2 = x^2 - d, then x*Qk = Q(k+1) + (d-1)*Q(k-1)."""
-    x = Poly([0, 1])
     if k == 0:
-        return Poly([1])
+        return (1,)
     if k == 1:
-        return x
-    prev, cur = x, Poly([-d, 0, 1])
+        return X
+    prev, cur = X, (-d, 0, 1)
     for _ in range(k - 2):
-        prev, cur = cur, x * cur - (d - 1) * prev
+        prev, cur = cur, poly_add(poly_mul(X, cur), prev, -(d - 1))
     return cur
 
 
 def integrate_poly(p, base):
     """Pair a polynomial's coefficients with a moment sequence (= its integral)."""
-    if p.degree >= len(base):
-        raise ValueError(f"need base moments to order {p.degree}, have {len(base) - 1}")
-    return sum((c * base[j] for j, c in enumerate(p.coeffs)), Fraction(0))
+    if len(p) > len(base):
+        raise ValueError(f"need base moments to order {len(p) - 1}, have {len(base) - 1}")
+    return sum((c * base[j] for j, c in enumerate(p)), Fraction(0))
 
 
 def pushforward_moments(p, base, max_m):
@@ -624,8 +647,8 @@ def pushforward_moments(p, base, max_m):
     extend to degree deg(p) * max_m.
     """
     moments = [Fraction(1)]
-    power = Poly([1])
+    power = (1,)
     for _ in range(max_m):
-        power = power * p
+        power = poly_mul(power, p)
         moments.append(integrate_poly(power, base))
     return moments

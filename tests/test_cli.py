@@ -165,14 +165,16 @@ def test_moments_vacuum_makes_one_walk_pass(capsys, monkeypatch):
 
 def test_moments_honours_the_walk_budget(tmp_path, capsys):
     # c6 at max_m 12: one vertex's half walks are charged
-    # (1 + 2 + 4 + 6 + 6 + 6) * 2 = 50 expansions, before any is built
+    # (1 + 2 + 4 + 6 + 6 + 6) * 2 = 50 expansions, before any is built; the
+    # trace walks stop at min(n, max_m) = 6 steps, so its first vertex is
+    # charged (1 + 2 + 4) * 2 = 14
     path = tmp_path / "c6.txt"
     path.write_text(format_graph_text(cycle_graph(6)))
     argv = ("moments", "--graph", f"file:{path}", "--max-m", "12")
-    for which in ("vacuum", "trace"):
+    for which, charge in (("vacuum", 50), ("trace", 14)):
         code, out, err = run_cli(capsys, *argv, "--which", which, "--walk-budget", "1")
         assert (code, out) == (2, "")
-        assert err == f"error[BUDGET]: budget exceeded: 50 {which}-walk expansions (budget 1)\n"
+        assert err == f"error[BUDGET]: budget exceeded: {charge} {which}-walk expansions (budget 1)\n"
     code, out, _ = run_cli(capsys, *argv, "--which", "vacuum", "--walk-budget", "50")
     assert code == 0 and out.strip().split("\n")[-1].split(",")[6] == "1366"
 
@@ -696,6 +698,35 @@ def test_a_segment_pool_past_the_ball_budget_skips_its_cell():
     assert (proc.returncode, proc.stderr) == (0, "")
     rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
     assert len(rows) == 3 and all(row[6] == "" for row in rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "large-d --d-list 1000 --k 20000 --max-m 2 --walk-budget 1",
+        "regular-random --d 3 --k 3000000 --n-list 4 --samples 1 --max-m 2 --walk-budget 1",
+    ],
+)
+def test_a_report_with_every_row_skipped_computes_no_reference(argv):
+    # a skipped row shows no reference, so none is computed: P_20000 and
+    # Q_3000000 are never built, and the report is out at once
+    proc = _run_in_800_mb(argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+    assert len(rows) == 3 and all(row[6:] == ["", "", "", ""] for row in rows)
+
+
+def test_a_deep_trace_is_charged_only_for_the_walks_it_takes(capsys):
+    # the excursions of k4 stop at depth (min(n, max_m) - 1) // 2 = 1, so
+    # --max-m 1000 is charged as --max-m 4 is: 12 expansions per vertex
+    argv = ("moments", "--graph", "builtin:k4", "--which", "trace", "--max-m", "1000")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    digest = "0522a59edd022d6ae8f36ef02a7dec0322f1eeeaae65bb9e37c72f7aec3310dd"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert run_cli(capsys, *argv, "--walk-budget", "48") == (0, out, "")
+    expected = "error[BUDGET]: budget exceeded: 48 trace-walk expansions (budget 47)\n"
+    assert run_cli(capsys, *argv, "--walk-budget", "47") == (2, "", expected)
 
 
 def test_budget_errors_print_counts_past_the_digit_limit():

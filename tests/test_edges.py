@@ -1,4 +1,5 @@
 """Edge-case contracts: validation errors, degenerate inputs, report internals."""
+import argparse
 import ast
 import inspect
 import json
@@ -7,6 +8,7 @@ import os
 import pickle
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -278,7 +280,7 @@ def test_records_keep_value_semantics():
         (ExactScaled(Fraction(2), 8), ExactScaled(Fraction(1), 2)),
         (Budgets(5, 7), Budgets(walk_expansions=5, ball_vertices=7)),
         (PairingConfig(n=10, d=3, seed=4), PairingConfig(10, 3, 4, 1000)),
-        (JacobiParams((0,), (1, 2)), JacobiParams([Fraction(0)], [Fraction(1), 2])),
+        (JacobiParams((1, 2)), JacobiParams([Fraction(1), Fraction(4, 2)])),
     ]
     for a, b in equal_pairs:
         assert a is not b
@@ -295,7 +297,7 @@ def test_records_keep_value_semantics():
         (ExactScaled(Fraction(1), 2), "square"),
         (Budgets(), "walk_expansions"),
         (PairingConfig(10, 3, 4), "seed"),
-        (JacobiParams((0,), (1,)), "gamma"),
+        (JacobiParams((1,)), "gamma"),
     ]:
         with pytest.raises(AttributeError):
             setattr(record, name, 0)
@@ -319,10 +321,13 @@ def test_records_validate_their_fields():
     with pytest.raises(ParityError):
         PairingConfig(n=5, d=3, seed=0)
     with pytest.raises(ValueError, match="gamma entries must be positive"):
-        JacobiParams((0,), (1, 0))
+        JacobiParams((1, 0))
     with pytest.raises(ValueError, match="nonempty"):
-        JacobiParams((), (1,))
-    assert JacobiParams((1,), (2,)).gamma == (Fraction(2),)
+        JacobiParams(())
+    # canonical form: an int when integral, a Fraction otherwise
+    gamma = JacobiParams((Fraction(2), Fraction(1, 2), "3/3")).gamma
+    assert gamma == (2, Fraction(1, 2), 1)
+    assert [type(g) for g in gamma] == [int, Fraction, int]
     with pytest.raises(ValueError):
         ExactScaled(Fraction(1), 0)
     # canonical form: a surd keeps its signed square, and a value whose
@@ -475,4 +480,41 @@ def test_every_export_is_used_by_the_package():
         return False
 
     unused = [name for name in exported if not any(refers(t, name) for t in trees.values())]
+    assert unused == []
+
+
+def test_every_helper_is_called_by_the_package():
+    # a function, method or property the package defines, dunders aside, is
+    # referred to by the package outside its own definition, or wrapped or
+    # read by perfbench/traced.py; argparse itself calls the cli parsers'
+    # error and parse_known_args, which override its own
+    src = Path(freespec.__file__).parent
+    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+    traced = ast.parse((src.parents[1] / "perfbench" / "traced.py").read_text())
+
+    def names(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                yield sub.value
+
+    used = Counter(name for tree in trees for name in names(tree))
+    perfbench = set(names(traced))
+    defined = [
+        node
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+    ]
+    assert len(defined) > 100
+    unused = [
+        node.name
+        for node in defined
+        if used[node.name] == Counter(names(node))[node.name]
+        and node.name not in perfbench
+        and not hasattr(argparse.ArgumentParser, node.name)
+    ]
     assert unused == []

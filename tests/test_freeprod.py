@@ -248,7 +248,7 @@ def test_distance_k_neighbors_against_ball_bfs():
         for i, w in enumerate(bg.words):
             if bg.root_distances[i] > cutoff:
                 continue
-            dist = bfs_distances(bg.graph, i, depth_cap=k)
+            dist = bfs_distances(bg.graph, i)
             expected = sorted(
                 (bg.words[j] for j in range(len(bg.words)) if dist[j] == k),
                 key=lambda t: (len(t), t),
@@ -905,7 +905,7 @@ def test_tree_square_identity():
     g = bg.graph
     interior = bg.interior_indices(1)
     for i in interior:
-        dist = bfs_distances(g, i, depth_cap=2)
+        dist = bfs_distances(g, i)
         for j in interior:
             a2 = sum(1 for l in g.neighbors[i] if j in g.neighbors[l])
             expected = (d if i == j else 0) + (1 if dist[j] == 2 else 0)

@@ -113,6 +113,16 @@ GOLDEN = [
         "47d10719bb4c0983db2f1d6ddbf4fe5f6b85058d5e391927161b1893c6fb28d4",
         "d961298cb8fe6fd7f6ffa94c8aba83897e25ff6c5fd9a3606cac47a612cbd103",
     ),
+    (   # degree-5 Horner in floats; JSON prints the bin edges in full
+        "hist --law semicircle --samples 200 --bins 5 --seed 3 --transform p:5",
+        "6f86873921844d7914b31f75570fd531fc7fca94e96a8f1ad61d0feff9f33362",
+        "f7461dc278a41e4178f173272e2a856cd1160bb2b3dfbe8268373ab2b9c208cf",
+    ),
+    (
+        "hist --law km:4 --samples 200 --bins 5 --seed 3 --transform q:4:3",
+        "89ef4652b825aeb4548505b5a699c36f29fc6468685e5e027da3270c3f63ac24",
+        "7a300ae650610d6d5610b4740c475007316fd76a3db8557014360527b5eb0f7a",
+    ),
     (   # a constant transform: every sample lands in the first bin
         "hist --law semicircle --samples 50 --bins 3 --transform p:0",
         "68ca8992db5b060dd190201949416ed745502324a852a3796f2a761a45b32dd5",

@@ -91,7 +91,7 @@ def test_builders():
 def test_bfs_distances():
     assert bfs_distances(cycle_graph(4), 0) == [0, 1, 2, 1]
     assert bfs_distances(complete_graph(3), 0) == [0, 1, 1]
-    assert bfs_distances(path_graph(3), 0, depth_cap=1) == [0, 1, None]
+    assert bfs_distances(path_graph(3), 0) == [0, 1, 2]
 
 
 def test_bfs_unreachable_flagged():
