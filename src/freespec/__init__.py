@@ -21,11 +21,9 @@ from .freeprod import (  # noqa: F401
     FreePowerSpec,
     ball,
     decomposition_check,
-    distance_k_neighbors,
     free_power,
     tree_recurrence_check,
     vacuum_moments_distance_k,
-    walk_table,
 )
 from .polymoments import (  # noqa: F401
     JacobiParams,

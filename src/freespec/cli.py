@@ -118,10 +118,16 @@ def _parse_transform(text: str) -> tuple:
     except ValueError:
         values = []
     if kind == "p" and len(values) == 1:
-        return chebyshev_monic(*values)
-    if kind == "q" and len(values) == 2:
-        return tree_distance_poly(*values)
-    raise _UsageError("--transform must be none, p:K, or q:D:K with integers D, K")
+        poly = chebyshev_monic(*values)
+    elif kind == "q" and len(values) == 2:
+        poly = tree_distance_poly(*values)
+    else:
+        raise _UsageError("--transform must be none, p:K, or q:D:K with integers D, K")
+    try:  # the histogram evaluates the transform in floats
+        list(map(float, poly))
+    except OverflowError:
+        raise _UsageError(f"--transform {text} has coefficients past the float range")
+    return poly
 
 
 # The flags each subcommand reads, by mode for decomp-check and moments (a
@@ -131,7 +137,7 @@ def _parse_transform(text: str) -> tuple:
 # subcommand does not read is refused in that mode.
 _READS = {
     "tree-check": {"": "--d! --k! --max-m=8 --walk-budget"},
-    "free-clt": {"": "--graph! --k! --N! --max-m=4 --walk-budget --ball-budget"},
+    "free-clt": {"": "--graph! --k! --N! --max-m=4 --walk-budget"},
     "large-d": {"": "--k! --d-list! --max-m=6 --walk-budget"},
     "regular-random": {"": "--d! --k! --n-list! --samples=20 --max-m=6 --seed=0 --walk-budget"},
     "cycles": {"": "--d! --j! --n-list! --samples=50 --seed=0 --walk-budget"},

@@ -145,7 +145,6 @@ class WorkerDiedError(FreespecError):
 # --walk-budget, ball_vertices --ball-budget.  README's budget table has more.
 STAGES = {
     "walk expansions": "walk_expansions",
-    "radial-walk updates": "walk_expansions",
     "check-row neighbour scans": "walk_expansions",
     "two-step pairs": "walk_expansions",
     "vacuum-walk expansions": "walk_expansions",
@@ -153,7 +152,6 @@ STAGES = {
     "distance-k graph entries": "walk_expansions",
     "cycle-enumeration nodes": "walk_expansions",
     "ball vertices": "ball_vertices",
-    "segment-pool words": "ball_vertices",
     "histogram samples": "ball_vertices",
     "histogram bins": "ball_vertices",
     "density points": "ball_vertices",

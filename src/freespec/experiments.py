@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from .errors import BudgetExceededError, Budgets
-from .freeprod import free_power, vacuum_moments_distance_k, walk_table
+from .freeprod import free_power, vacuum_moments_distance_k
 from .graphs import RootedGraph, complete_graph
 from .polymoments import (
     SEMICIRCLE,
@@ -81,37 +81,25 @@ def free_clt_experiment(
 ) -> Report:
     """Normalized vacuum moments of distance-k graphs of G^{*N} vs E[P_k(s)^m].
 
-    Cells that blow a budget are skipped; rows keep n_list order.  A
-    K2 base runs the radial engine in each cell.  Any other base first
-    builds walk tables, N needing cap min(N, k*max_m/2); a budget that fits
-    one cap fits every smaller one.  The smallest cap is built first, the
-    largest next, then the rest rising; an overrun ends the builds, except
-    at the largest.  So the budget is used up at most twice, and each cell
-    is evaluated from the widest table that fit, or skipped.
+    Each cell runs the walk DP at its own N.  Its cost grows with N up to
+    N = 3 and not past it, so a cell that blows a budget is skipped, and so
+    is every cell of a larger N after it, without another run.  Rows keep
+    n_list order.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if max_m < 0:
         raise ValueError("max_m must be nonnegative")
     specs = [free_power(base, n_copies) for n_copies in n_list]
-    full = max(1, k * max_m // 2)
-    caps = [] if base.vertex_count == 2 else sorted({min(n, full) for n in n_list})
-    table, tracked = None, 0
-    for cap in dict.fromkeys(caps[:1] + caps[-1:] + caps[1:-1]):
-        try:
-            table, tracked = walk_table(base, k, max_m, cap, budgets), cap
-        except BudgetExceededError:
-            if cap != caps[-1] or not tracked:
-                break
-        if tracked == caps[-1]:
-            break
+    overran = []  # the N of each cell over the budget
 
     def cell(spec):
-        if caps and min(spec.copies, full) > tracked:
+        if overran and spec.copies >= min(overran):
             return None
         try:
-            counts = vacuum_moments_distance_k(spec, k, max_m, budgets, table)
+            counts = vacuum_moments_distance_k(spec, k, max_m, budgets)
         except BudgetExceededError:
+            overran.append(spec.copies)
             return None
         scale = spec.copies * spec.sigma
         return [normalized_value(count, scale, k * m) for m, count in enumerate(counts)]

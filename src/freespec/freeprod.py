@@ -10,12 +10,21 @@ its rows.  distance_k_neighbors reads no distance between words: it builds
 each neighbour along its geodesic, which strips letters off x, turns inside
 one copy and stacks a pool segment.  The closed-form suffix-stripping
 metric is a test oracle in tests/oracles.py.
+
+Walk counts build no word.  vacuum_moments_distance_k runs one DP, for
+every base, over word types: sequences of letter vertices up to the
+root-fixing automorphisms of the base, with no copies.  Its moves are the
+geodesic rule of distance_k_neighbors with colours counted instead of
+built, so the number of types, and the DP's cost, do not grow with N past
+N = 3.  distance_k_neighbors is the word-level reference the tests check
+the DP against.
 """
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 from itertools import chain, permutations, product
-from math import comb, factorial, perm, prod
+from math import factorial, prod
 
 from .errors import (
     Budgets,
@@ -181,23 +190,23 @@ def ball(spec: FreePowerSpec, radius: int, budgets: Budgets = Budgets()) -> dict
 
 
 def _segment_pool(spec: FreePowerSpec, bound: int, budgets: Budgets = Budgets()):
-    """The bound-ball of G^{*N}, grouped by root distance.
+    """The bound-ball of G^{*N} without its root, grouped by root distance.
 
     Entry c lists (word, bottom copy) for each nonempty word of root
-    distance c, so entry 0 is empty.  Used as the segment pool when
-    enumerating distance-k neighbors, and kept on the spec, so it lives as
-    long as the spec does.  Every call charges its words from their count,
-    before any is built, so a kept pool is held to the budget too.
+    distance c, so entry 0 is empty.  distance_k_neighbors stacks these
+    segments; the pool is kept on the spec, so it lives as long as the spec
+    does.  Every call charges the ball from its count before any word is
+    built, so a kept pool is held to the budget too.
     """
-    for count in _ball_counts(spec, bound):
-        budgets.charge("segment-pool words", count - 1)
     pools = spec._pool_cache.get(bound)
-    if pools is None:
-        n = spec.base.vertex_count
-        pools = spec._pool_cache[bound] = [[] for _ in range(bound + 1)]
-        for word, cost in _word_bfs(spec, (), bound).items():
-            if word:
-                pools[cost].append((word, word[-1] // n))
+    if pools is not None:
+        _ball_size(spec, bound, budgets)
+        return pools
+    n = spec.base.vertex_count
+    pools = spec._pool_cache[bound] = [[] for _ in range(bound + 1)]
+    for word, cost in ball(spec, bound, budgets).items():
+        if word:
+            pools[cost].append((word, word[-1] // n))
     return pools
 
 
@@ -231,7 +240,7 @@ def distance_k_neighbors(
     root = spec.base.root
     apsp = spec.apsp
     root_row = apsp[root]
-    # read for every word: the walk DP built and charged the pool already
+    # a pool built once per spec serves every word
     pools = spec._pool_cache.get(k) or _segment_pool(spec, k)
     prefix = [0]
     for letter in x:
@@ -258,59 +267,6 @@ def distance_k_neighbors(
                 land = y[0] // n if y else -1
                 out.update(w + y for w, bottom in pools[rem] if bottom != ca and bottom != land)
     return tuple(sorted(out, key=lambda w: (len(w), w)))
-
-
-def _tree_distance_k_profile(d: int, k: int, r_max: int):
-    """Transition counts in the d-regular tree, collapsed to root distance.
-
-    For a vertex at root distance r, entry [r] lists (r2, count): the number
-    of vertices at tree distance exactly k from it whose root distance is r2.
-    A distance-k step ascends i edges toward the root and then descends
-    k - i edges away from it; branching off the arrival path loses one child.
-    """
-    table: list[list[tuple[int, int]]] = []
-    for r in range(r_max + 1):
-        row: list[tuple[int, int]] = []
-        for i in range(min(k, r) + 1):
-            if i == k:
-                row.append((r - k, 1))
-                continue
-            down = k - i
-            at_top = r - i == 0
-            first = (d if at_top else d - 1) - (1 if i >= 1 else 0)
-            if first <= 0:
-                continue
-            count = first * (d - 1) ** (down - 1)
-            row.append((r + k - 2 * i, count))
-        table.append(row)
-    return table
-
-
-def _tree_vacuum_moments(d: int, k: int, max_m: int, budgets: Budgets) -> list[int]:
-    """Closed-walk counts at the root of the distance-k graph of the d-regular tree.
-
-    The root stabilizer is transitive on spheres, so walk counts collapse to
-    the root-distance profile; the DP is exact with big integers.  Each of
-    its max_m steps updates at most k + 1 entries per table row; that bound
-    is charged before the table is built.
-    """
-    r_max = k * ((max_m + 1) // 2 + 1)
-    budgets.charge("radial-walk updates", max_m * (r_max + k + 1) * (k + 1))
-    table = _tree_distance_k_profile(d, k, r_max + k)
-    phi = [0] * (r_max + k + 1)
-    phi[0] = 1
-    moments = [1]
-    for _ in range(max_m):
-        nxt = [0] * len(phi)
-        for r, c in enumerate(phi):
-            if c == 0:
-                continue
-            for r2, count in table[r]:
-                if r2 < len(nxt):
-                    nxt[r2] += c * count
-        phi = nxt
-        moments.append(phi[0])
-    return moments
 
 
 # past this many candidate maps (7!), or this many automorphisms among them,
@@ -348,177 +304,148 @@ def _root_automorphisms(base: RootedGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(found) if len(found) <= _MAX_ROOT_AUTOMORPHISMS else identity
 
 
-def _least_image(seq: tuple, group, least: dict):
-    """(automorphism mapping seq to its least image, orbit size of seq), memoized."""
-    hit = least.get(seq)
-    if hit is None:
-        images = {tuple(h[v] for v in seq): h for h in group}
-        hit = least[seq] = (images[min(images)], len(images))
-    return hit
-
-
-def _canonical_fresh(y: Word, n: int, c: int, group, least: dict):
-    """Canonical form of y if its fresh copies (those >= c) appear as c, c+1, ...
-
-    Scanning from the bottom letter up, copies are renamed 0, 1, ... in order
-    of first appearance, and each copy's vertex sequence (bottom letter
-    first) is mapped by the root-fixing automorphism of the base that makes
-    it least.  Returns (canonical word, number of fresh copies, size of its
-    orbit), or None when the fresh copies are out of order: that y is a
-    relabelling of another neighbor and is counted there.
-    """
-    labels: dict[int, int] = {}
-    fresh = c
-    out = []
-    for letter in reversed(y):
-        copy, vertex = divmod(letter, n)
-        label = labels.get(copy)
-        if label is None:
-            if copy >= c:
-                if copy != fresh:
-                    return None
-                fresh += 1
-            label = labels[copy] = len(labels)
-        out.append(label * n + vertex)
-    size = 1
-    if len(group) > 1:
-        seqs: list[list[int]] = [[] for _ in labels]
-        for letter in out:
-            seqs[letter // n].append(letter % n)
-        maps = []
-        for seq in seqs:
-            h, orbit = _least_image(tuple(seq), group, least)
-            maps.append(h)
-            size *= orbit
-        out = [letter - letter % n + maps[letter // n][letter % n] for letter in out]
-    out.reverse()
-    return tuple(out), fresh - c, size
-
-
-def _check_walk(k: int, max_m: int) -> None:
-    if k < 1 or max_m < 0:
-        raise ValueError("k must be positive" if k < 1 else "max_m must be nonnegative")
-
-
-def walk_table(
-    base: RootedGraph,
-    k: int,
-    max_m: int,
-    cap: int,
-    budgets: Budgets = Budgets(),
-) -> tuple[tuple[int, ...], ...]:
-    """Closed-walk counts at the root of the distance-k graph of G^{*N}, by copies touched.
-
-    The distance-k rule only asks whether two copies are equal.  Renaming
-    the copies of a closed m-walk in order of first appearance maps the
-    walks that touch j copies onto classes of N(N-1)...(N-j+1) walks each,
-    so the count is sum_j W[m][j] * N(N-1)...(N-j+1).  Entry m lists
-    W[m][0..cap], exact for every j <= cap: j never drops along a walk, so
-    walks past cap copies are dropped as soon as they get there.  That
-    serves every N <= cap, and every N once cap >= k*max_m/2, since a
-    closed m-walk touches at most k*m/2 copies; W[m][k*m/2] / sigma^(k*m/2)
-    is then the N -> oo limit of the normalized moment (the free CLT).
-
-    The forward DP runs over states (w, j): w is the current word with its
-    own copies renamed bottom letter first, j the number of copies touched.
-    From w with c copies, a neighbor y with r fresh copies reuses s of the
-    j - c touched copies that w no longer holds in C(r, s) * (j - c)_s ways
-    and takes new ones for the rest.  A root-fixing automorphism of the
-    base applied to the letters of one copy is a root-fixing automorphism
-    of G^{*N}, so the words of one orbit carry equal masses: the DP keeps
-    one word per orbit (see _canonical_fresh) with the orbit's size and
-    total mass.  Layer t keeps words with root distance at most
-    k * min(t, max_m - t), which a closed walk cannot exceed.  Each word is
-    charged its neighbor count times its orbit size, as if every word of
-    the orbit were expanded; the charge grows with cap, so a budget that
-    fits one cap fits every smaller one.  The segment pools behind the
-    neighbors are charged on their own; they live on the DP's specs, so
-    they go when it returns.
-    """
-    _check_walk(k, max_m)
-    table = [(1,) + (0,) * cap]
-    for layer in _walk_layers(base, k, max_m, budgets, cap):
-        row = [0] * (cap + 1)
-        for j, mass in layer.get((), (1, {}))[1].items():
-            row[j] = mass
-        table.append(tuple(row))
-    return tuple(table)
-
-
-def _walk_layers(base: RootedGraph, k: int, max_m: int, budgets: Budgets, cap: int):
-    """Layers 1..max_m of the walk DP of walk_table, one per step.
-
-    Each layer maps a kept canonical word to (its orbit size, {copies
-    touched: mass}); the pools and expansions are charged as walk_table says.
-    """
-    n = base.vertex_count
-    group = _root_automorphisms(base)
-    least: dict[tuple, tuple] = {}
-    specs: dict[int, FreePowerSpec] = {}
-    layer: dict[Word, tuple[int, dict[int, int]]] = {(): (1, {0: 1})}
-    expansions = 0
-    limit = budgets.limit("walk expansions")
-    for t in range(1, max_m + 1):
-        bound = k * min(t, max_m - t)
-        nxt: dict[Word, tuple[int, dict[int, int]]] = {}
-        for w, (size, masses) in layer.items():
-            c = max(w) // n + 1 if w else 0
-            # room for the fresh copies a distance-k step can add, up to cap
-            copies = min(c + k, cap)
-            spec = specs.get(copies)
-            if spec is None:
-                spec = specs[copies] = free_power(base, copies)
-                _segment_pool(spec, k, budgets)
-            nbs = distance_k_neighbors(spec, w, k, validate=False, max_root_distance=bound)
-            expansions += len(nbs) * size
-            if expansions > limit:
-                budgets.charge("walk expansions", expansions)
-            by_fresh: dict[int, list[tuple[Word, int]]] = {}
-            for y in nbs:
-                canonical = _canonical_fresh(y, n, c, group, least)
-                if canonical is not None:
-                    y, r, orbit = canonical
-                    by_fresh.setdefault(r, []).append((y, orbit))
-            for r, ys in by_fresh.items():
-                shifted: dict[int, int] = {}
-                for j, mass in masses.items():
-                    for s in range(max(0, j + r - cap), min(r, j - c) + 1):
-                        j2 = j + r - s
-                        shifted[j2] = shifted.get(j2, 0) + mass * comb(r, s) * perm(j - c, s)
-                for y, orbit in ys:
-                    target = nxt.setdefault(y, (orbit, {}))[1]
-                    for j2, mass in shifted.items():
-                        target[j2] = target.get(j2, 0) + mass
-        layer = nxt
-        yield layer
-
-
 def vacuum_moments_distance_k(
-    spec: FreePowerSpec,
-    k: int,
-    max_m: int,
-    budgets: Budgets = Budgets(),
-    table: tuple | None = None,
+    spec: FreePowerSpec, k: int, max_m: int, budgets: Budgets = Budgets()
 ) -> list[int]:
     """Exact closed-walk counts at the root of the distance-k graph of G^{*N}.
 
     Entry m is the (root, root) entry of the m-th power of the distance-k
-    adjacency.  Given a table of walk_table(spec.base, k, max_m, cap), the
-    call evaluates it at N = spec.copies and charges nothing; N needs cap
-    >= min(N, k*max_m/2), and a narrower table is a ValueError.  Given none,
-    K2 bases (regular trees) run the radial engine, which collapses words to
-    their root distance and is charged its row updates before it starts,
-    and any other base builds its own table at that cap.
+    adjacency.  The DP runs over word types: a word's type is the sequence
+    of its letters' vertices, each taken up to the root-fixing automorphisms
+    of the base (_root_automorphisms), with no copies.  The root-fixing
+    automorphisms of G^{*N} permute the copies hanging at each word, and act
+    by those of the base inside each copy independently, so the words of one
+    type have equal walk counts from the root.  Layer t maps each type to
+    the t-step walks from the root that end at its words; a step adds mass
+    times M[Y][X], the distance-k neighbours of one word of type Y that have
+    type X.  A type is interned as an integer, in a trie of (type below,
+    top letter); the root is 0.
+
+    M comes from the geodesic rule of distance_k_neighbors on one word per
+    type, with colours counted instead of built: strip p letters, turn at vb
+    in the copy of the last one stripped, va, with rem = k - rd(x[:p-1]) -
+    d(va, vb), then stack a segment type of root distance rem.  The
+    segment's bottom letter has N - 1 colours after a turn that keeps a
+    letter and after p = 0 on a nonempty word, N - 2 after a drop onto a
+    nonempty suffix, N - 1 after a drop to the root and N at p = 0 from the
+    root; every further letter has N - 1, and each letter's vertex counts
+    with its orbit size.  Layer t keeps the types within root distance
+    k * min(t, max_m - t), which a closed walk cannot pass; the bound is
+    applied per turn, before any segment is stacked.
+
+    Every count is charged to walk expansions before what it counts is
+    built: the segment pool by its letters, root distance by root distance;
+    the turns of a type by the vertices they scan, and the segments a turn
+    stacks by their letters, the first time each is asked for; and each
+    turn of a step by the mass updates it makes.
     """
-    _check_walk(k, max_m)
-    cap = min(spec.copies, max(1, k * max_m // 2))
-    if table is None:
-        if spec.base.vertex_count == 2:
-            return _tree_vacuum_moments(spec.copies, k, max_m, budgets)
-        table = walk_table(spec.base, k, max_m, cap, budgets)
-    if len(table) != max_m + 1 or len(table[0]) <= cap:
-        raise ValueError(f"N = {spec.copies} needs {max_m + 1} rows that track {cap} copies")
-    return [sum(w * perm(spec.copies, j) for j, w in enumerate(row)) for row in table]
+    if k < 1 or max_m < 0:
+        raise ValueError("k must be positive" if k < 1 else "max_m must be nonnegative")
+    base, copies = spec.base, spec.copies
+    n, root, apsp = base.vertex_count, base.root, spec.apsp
+    cost = apsp[root]
+    group = _root_automorphisms(base)
+    rep = [min(h[v] for h in group) for v in range(n)]
+    orbit = Counter(rep)
+    letters = [v for v in orbit if v != root]
+    expansions, limit = 0, budgets.limit("walk expansions")
+
+    def spend(count):
+        nonlocal expansions
+        expansions += count
+        if expansions > limit:
+            budgets.charge("walk expansions", expansions)
+
+    # pool[c]: the segment types of root distance c, each as its bottom
+    # letter, the index of the rest in pool[c - cost] (-1: none) and its
+    # weight; length[c]: their letters.  With N = 1 a segment is one letter.
+    pool, length = [[]], [0]
+    for c in range(1, (k if copies > 1 else min(k, max(cost))) + 1):
+        rests = [(v, c - cost[v]) for v in letters if cost[v] < c] if copies > 1 else []
+        ones = [v for v in letters if cost[v] == c]
+        length.append(len(ones) + sum(len(pool[r]) + length[r] for _, r in rests))
+        spend(length[c])
+        pool.append([(v, -1, orbit[v]) for v in ones] + [
+            (v, j, orbit[v] * (copies - 1) * w)
+            for v, r in rests
+            for j, (*_, w) in enumerate(pool[r])
+        ])
+
+    below, top, rd, ids = [0], [root], [0], {}
+
+    def child(t, v):
+        x = ids.get(t * n + v)
+        if x is None:
+            x = ids[t * n + v] = len(top)
+            below.append(t)
+            top.append(v)
+            rd.append(rd[t] + cost[v])
+        return x
+
+    def stack(land, rem, coeff):
+        # the segment types of root distance rem stacked on land, with coeff
+        # times their weights
+        out = []
+        for v, j, w in pool[rem]:
+            x, c = child(land, v), rem - cost[v]
+            while j >= 0:
+                v, j, _ = pool[c][j]
+                x, c = child(x, v), c - cost[v]
+            out.append((x, coeff * w))
+        return out
+
+    def turns(t):
+        # [root distance after, land, rem, coefficient, targets to be built]
+        # for each turn from a word of type t that reaches a neighbour; the
+        # scan of n vertices at each letter it may strip is charged first
+        strips, y, above = [], t, 0
+        while y and above <= k:
+            strips.append((y, above))
+            above += cost[top[y]]
+            y = below[y]
+        spend(1 + n * len(strips))
+        out = {(t, k): copies - 1 if t else copies}
+        for y, above in strips:
+            va, s = top[y], below[y]
+            for vb, d in enumerate(apsp[va]):
+                rem = k - above - d
+                if vb == va or rem < 0:
+                    continue
+                if vb == root:
+                    land, first = s, copies - 2 if s else copies - 1
+                else:
+                    land, first = child(s, rep[vb]), copies - 1
+                out[land, rem] = out.get((land, rem), 0) + (first if rem else 1)
+        return [
+            [rd[land] + rem, land, rem, coeff, None]
+            for (land, rem), coeff in out.items()
+            if coeff and rem < len(pool)
+        ]
+
+    rows = {}
+    layer, moments = {0: 1}, [1]
+    for t in range(1, max_m + 1):
+        bound = k * min(t, max_m - t)
+        nxt = {}
+        for y, mass in layer.items():
+            row = rows.get(y)
+            if row is None:
+                row = rows[y] = turns(y)
+            for turn in row:
+                after, land, rem, coeff, targets = turn
+                if after > bound:
+                    continue
+                if targets is None:
+                    spend(length[rem])
+                    targets = turn[4] = stack(land, rem, coeff) if rem else [(land, coeff)]
+                expansions += len(targets)  # spend(), inlined in the hot loop
+                if expansions > limit:
+                    budgets.charge("walk expansions", expansions)
+                for x, c in targets:
+                    nxt[x] = nxt.get(x, 0) + mass * c
+        layer = nxt
+        moments.append(layer.get(0, 0))
+    return moments
 
 
 class DecompositionReport(Frozen):

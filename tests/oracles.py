@@ -14,7 +14,9 @@ distances all come from word_distance.  That closed-form word metric is
 checked against BFS in a materialized ball by the tests; the package reads
 every distance from BFS rows instead.  free_cumulant_walk_counts reads the
 base's root moments from the package's closed_walk_counts, and shares no
-code with freeprod.
+code with freeprod.  walk_table is no oracle: it reads the coefficients of
+the polynomial in N off the package's vacuum_moments_distance_k, for the
+tests that pin or check them.
 
 The helpers only build inputs or read one value: random_graph generates
 seeded graphs, format_graph_text writes the graph text format, make_word
@@ -31,11 +33,14 @@ import decimal
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 
+from freespec.errors import Budgets
 from freespec.freeprod import (
     ball,
     distance_k_neighbors,
     free_power,
+    vacuum_moments_distance_k,
     validate_word,
     word_neighbors,
 )
@@ -278,6 +283,32 @@ def free_cumulant_walk_counts(g, copies, max_m):
         terms = _power_coefficients(moments, n)
         moments.append(sum(copies * kappa[s] * c for s, c in enumerate(terms, 1)))
     return moments
+
+
+def walk_table(base, k, max_m, cap, budgets=Budgets()):
+    """Closed-walk counts at the root of the distance-k graph of G^{*N}, by copies touched.
+
+    Entry m lists W[m][0..cap], where the closed m-walks number sum_j
+    W[m][j] * N(N-1)...(N-j+1) for every N <= cap, and for every N once cap
+    >= k*max_m/2: W[m][j] counts the walks that touch j given copies, and a
+    closed m-walk touches at most k*m/2.  The count at N, V(N), is that sum,
+    so the j-th Newton forward difference of V at 0 is j! * W[m][j]; V(0) is
+    [m == 0] and V(1..cap) come from vacuum_moments_distance_k.
+    """
+    values = [[int(m == 0) for m in range(max_m + 1)]] + [
+        vacuum_moments_distance_k(free_power(base, copies), k, max_m, budgets)
+        for copies in range(1, cap + 1)
+    ]
+    table = []
+    for m in range(max_m + 1):
+        column, row = [v[m] for v in values], []
+        for j in range(cap + 1):
+            w, rest = divmod(column[0], factorial(j))
+            assert rest == 0, (m, j)
+            row.append(w)
+            column = [b - a for a, b in zip(column, column[1:])]
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def _power_coefficients(moments, n):

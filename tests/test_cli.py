@@ -448,15 +448,16 @@ def test_large_d_is_free_clt_on_k2(capsys):
             assert a == b
 
 
-def test_radial_engine_honours_the_walk_budget(capsys):
-    # the 3-regular tree at k = 2, max_m = 8: 8 steps over 13 profile rows of
-    # at most k + 1 = 3 entries, 312 updates, charged before the table is built
+def test_tree_check_honours_the_walk_budget(capsys):
+    # the 3-regular tree at k = 2, max_m = 8 charges 84 walk expansions: the
+    # 1 + 2 letters of its segment pool first, then the turn scans, stacks
+    # and mass updates of each step, each before it is built
     argv = ("tree-check", "--d", "3", "--k", "2", "--max-m", "8")
-    for budget in ("1", "311"):
+    for budget, count in (("1", 3), ("83", 84)):
         code, out, err = run_cli(capsys, *argv, "--walk-budget", budget)
         assert (code, out) == (2, "")
-        assert err == f"error[BUDGET]: budget exceeded: 312 radial-walk updates (budget {budget})\n"
-    code, _, _ = run_cli(capsys, *argv, "--walk-budget", "312")
+        assert err == f"error[BUDGET]: budget exceeded: {count} walk expansions (budget {budget})\n"
+    code, _, _ = run_cli(capsys, *argv, "--walk-budget", "84")
     assert code == 0
     # large-d and free-clt on K2 skip every cell over the budget
     for argv in (
@@ -675,6 +676,7 @@ def _run_in_800_mb(argv):
         "hist --law semicircle --samples 10 --bins 300000000",
         "free-clt --graph builtin:k4 --k 1 --N 2305843009213693951 --max-m 3",
         "free-clt --graph builtin:k4 --k 6 --N 8 --max-m 2",
+        "hist --law semicircle --samples 20 --bins 3 --transform q:1000:400",
     ],
 )
 def test_adversarial_argv_keep_the_budget_contract(argv):
@@ -689,15 +691,14 @@ def test_adversarial_argv_keep_the_budget_contract(argv):
         assert len(lines) == 1 and re.fullmatch(r"error\[[A-Z]+\]: .+", lines[0]), lines
 
 
-def test_a_segment_pool_past_the_ball_budget_skips_its_cell():
-    # the k = 6 pool of k4^*6 holds 14,645,088 nonempty words: charged to
-    # the ball budget (1e6) from its count, it is refused before any is
-    # built, so its cell is skipped at once instead of growing until memory
-    # runs out
+def test_a_cell_past_the_word_pool_is_computed_from_types():
+    # the k = 6 ball of k4^*8 holds about 10^8 words; over types the cell
+    # takes 55 walk expansions, within 60 s and 800 MB.  m = 2 counts the
+    # 8 * 3 * 21^5 words of length 6, over (N sigma)^6 = 24^6
     proc = _run_in_800_mb("free-clt --graph builtin:k4 --k 6 --N 8 --max-m 2")
     assert (proc.returncode, proc.stderr) == (0, "")
     rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
-    assert len(rows) == 3 and all(row[6] == "" for row in rows)
+    assert [row[6] for row in rows] == ["1", "0", f"{8 * 3 * 21**5 / 24**6:.12g}"]
 
 
 @pytest.mark.parametrize(
@@ -1004,17 +1005,15 @@ def test_every_budget_flag_a_mode_takes_is_read(capsys, command, mode):
 
 
 # One row per budget stage: an argv, the flag of the stage's limit, and the
-# smallest limit the argv fits.  312, 94, 1200 and the hist and km-density
-# sizes are the boundaries of the tests above, 125 the c4 walk budget of
+# smallest limit the argv fits.  84, 94, 1200 and the hist and km-density
+# sizes are the boundaries of the tests above, 109 the c4 walk budget of
 # test_freeprod.py::test_walk_budget, and 48 (12 per vertex) the k4 charge
 # of test_graphs.py::test_trace_moments_budget.  One less is refused with
 # the stage's error line, or skips the cell where the subcommand skips.
 STAGE_BOUNDARIES = [
-    ("walk expansions", "free-clt --graph builtin:c4 --k 2 --N 2 --max-m 4", "--walk-budget", 125),
-    ("segment-pool words", "free-clt --graph builtin:p4 --k 3 --N 2 --max-m 1",
-     "--ball-budget", 3),
-    ("radial-walk updates", "tree-check --d 3 --k 2 --max-m 8", "--walk-budget", 312),
-    ("radial-walk updates", "large-d --k 2 --d-list 3 --max-m 8", "--walk-budget", 312),
+    ("walk expansions", "free-clt --graph builtin:c4 --k 2 --N 2 --max-m 4", "--walk-budget", 109),
+    ("walk expansions", "tree-check --d 3 --k 2 --max-m 8", "--walk-budget", 84),
+    ("walk expansions", "large-d --k 2 --d-list 3 --max-m 8", "--walk-budget", 84),
     ("ball vertices", "decomp-check --mode tree --d 3 --k 2 --radius 5", "--ball-budget", 94),
     ("check-row neighbour scans", "decomp-check --mode tree --d 3 --k 2 --radius 5",
      "--walk-budget", 1200),

@@ -397,7 +397,6 @@ def test_budget_defaults_are_the_library_defaults():
     engines = {
         "ball", "decomposition_check", "tree_recurrence_check", "vacuum_moments_distance_k",
         "closed_walk_counts", "trace_moments", "count_k_cycles", "square_check", "_segment_pool",
-        "walk_table",
     }
     assert {name for name, default in defaults.items() if default == Budgets()} >= engines
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from freespec import experiments, freeprod
+from freespec import experiments
 from freespec.experiments import (
     chebyshev_reference_moments,
     free_clt_experiment,
@@ -13,7 +13,7 @@ from freespec.experiments import (
     sample_law,
     tree_check_experiment,
 )
-from freespec.freeprod import free_power, vacuum_moments_distance_k, walk_table
+from freespec.freeprod import free_power, vacuum_moments_distance_k
 from freespec.graphs import (
     BUILTIN_GRAPHS,
     builtin_graph,
@@ -23,7 +23,13 @@ from freespec.graphs import (
 )
 from freespec.polymoments import km_support
 from freespec.reports import Budgets, ExactScaled, render_csv, render_json
-from oracles import exact_less, layered_distance_k_walks, report_row, signed_square
+from oracles import (
+    exact_less,
+    layered_distance_k_walks,
+    report_row,
+    signed_square,
+    walk_table,
+)
 
 K2 = complete_graph(2)
 K3 = complete_graph(3)
@@ -205,8 +211,6 @@ def test_walk_polynomial_free_clt_limit():
     # limit E[P_k(s)^m] of the normalized moment, exactly and for no N
     for name in BUILTIN_GRAPHS:
         base = builtin_graph(name)
-        if base.vertex_count == 2:
-            continue  # K2 bases take the radial engine
         sigma = base.degree(base.root)
         for k in (1, 2, 3):
             max_m = 5 if k == 3 else 6
@@ -223,78 +227,35 @@ def test_walk_polynomial_free_clt_limit():
 
 
 def test_walk_overrun_skips_larger_n_at_once(monkeypatch):
-    # an overrun at N = 3 means every larger N overruns too: the N = 4 and
-    # N = 8 cells of the same run must not rerun the DP up to the budget
-    calls = []
-    inner = freeprod.distance_k_neighbors
+    # the DP's cost grows with N up to N = 3 only, so an overrun at N = 3
+    # means every larger N overruns too: the N = 4 and N = 8 cells of the
+    # same run are skipped without running the DP again
+    runs = []
+    inner = experiments.vacuum_moments_distance_k
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return inner(*args, **kwargs)
+    def counted(spec, *args):
+        runs.append(spec.copies)
+        return inner(spec, *args)
 
-    monkeypatch.setattr(freeprod, "distance_k_neighbors", counted)
-    budgets = Budgets(walk_expansions=200)
-    per_run = []
-    for n_list in ((3,), (3, 4, 8)):
-        calls.clear()
-        rep = free_clt_experiment(C4, "c4", 2, n_list, 4, budgets=budgets)
-        assert all(row.skipped for row in rep.rows)
-        per_run.append(len(calls))
-    assert per_run[0] > 0 and per_run[1] == per_run[0]
-
-
-def _record_walk_tables(monkeypatch):
-    # the caps of the walk tables free_clt_experiment builds, in build order
-    caps = []
-    inner = experiments.walk_table
-
-    def recorded(base, k, max_m, cap, budgets=Budgets()):
-        caps.append(cap)
-        return inner(base, k, max_m, cap, budgets)
-
-    monkeypatch.setattr(experiments, "walk_table", recorded)
-    return caps
+    monkeypatch.setattr(experiments, "vacuum_moments_distance_k", counted)
+    # c4, k = 2, m <= 4 charges 109 walk expansions at N = 2 and 112 past it
+    budgets = Budgets(walk_expansions=111)
+    rep = free_clt_experiment(C4, "c4", 2, (2, 3, 4, 8), 4, budgets)
+    assert runs == [2, 3]
+    assert [n for n in (2, 3, 4, 8) if not report_row(rep, n, 2).skipped] == [2]
+    runs.clear()
+    rep = free_clt_experiment(C4, "c4", 2, (3, 4, 8), 4, budgets)
+    assert runs == [3] and all(row.skipped for row in rep.rows)
 
 
-def test_free_clt_run_shares_one_table(monkeypatch):
-    # N = 2 first, then N = 5, whose cap-5 table serves N = 3 and 4
-    caps = _record_walk_tables(monkeypatch)
+def test_free_clt_cells_run_at_their_own_n():
+    # each cell against the layered DP on G^{*N} itself
     rep = free_clt_experiment(C4, "c4", 2, (2, 3, 4, 5), 6)
-    assert caps == [2, 5]
     assert [r.param_value for r in rep.rows] == [n for n in (2, 3, 4, 5) for _ in range(7)]
-    for n in (3, 4):
+    for n in (2, 3, 4, 5):
         counts = layered_distance_k_walks(free_power(C4, n), 2, 6)
         for m in range(7):
             assert report_row(rep, n, m).value == normalized_value(counts[m], 2 * n, 2 * m)
-    # the tables belong to the run: a later run with N = 3 pays cap 3
-    free_clt_experiment(C4, "c4", 2, (3,), 6)
-    assert caps == [2, 5, 3]
-
-
-def test_free_clt_builds_the_middle_caps_up_to_the_first_overrun(monkeypatch):
-    # c4, k = 2, m <= 4 charges 4, 125, 286 and 410 expansions at caps 1..4
-    # (test_freeprod.py::test_walk_budget): at 200 the smallest cap fits, the
-    # largest overruns, and the caps between are built in rising order up
-    # to the first overrun, which skips N = 3 and every larger N
-    caps = _record_walk_tables(monkeypatch)
-    rep = free_clt_experiment(C4, "c4", 2, (8, 3, 1, 2), 4, Budgets(200))
-    assert caps == [1, 4, 2, 3]
-    skipped = {n: report_row(rep, n, 2).skipped for n in (1, 2, 3, 8)}
-    assert skipped == {1: False, 2: False, 3: True, 8: True}
-    for n in (1, 2):
-        counts = layered_distance_k_walks(free_power(C4, n), 2, 4)
-        assert [report_row(rep, n, m).value for m in range(5)] == [
-            normalized_value(count, 2 * n, 2 * m) for m, count in enumerate(counts)
-        ]
-    # at 100 the first cap between overruns too: no cap past it is built
-    caps.clear()
-    rep = free_clt_experiment(C4, "c4", 2, (1, 2, 3, 8), 4, Budgets(100))
-    assert caps == [1, 4, 2]
-    assert [n for n in (1, 2, 3, 8) if not report_row(rep, n, 2).skipped] == [1]
-    # an overrun at the smallest cap skips every cell with no other build
-    caps.clear()
-    rep = free_clt_experiment(C4, "c4", 2, (3, 8), 4, Budgets(200))
-    assert caps == [3] and all(row.skipped for row in rep.rows)
 
 
 def test_walk_polynomial_newton_differences():

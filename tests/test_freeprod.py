@@ -59,6 +59,7 @@ from oracles import (
     regular_tree_ball,
     root_distance,
     vacuum_moment,
+    walk_table,
     word_distance,
 )
 
@@ -292,11 +293,11 @@ def test_walk_engines_agree():
         spec = free_power(base, copies)
         moments = vacuum_moments_distance_k(spec, k, max_m)
         assert moments == _brute_moments(spec, k, max_m)
-    # K2 bases take the radial engine; the layered oracle must agree with it
+    # on K2 bases (regular trees) the types are the word lengths
     for d, k, max_m in [(2, 2, 6), (3, 2, 8), (3, 3, 6), (4, 2, 6), (4, 3, 4), (5, 4, 2)]:
         spec = free_power(K2, d)
-        radial = vacuum_moments_distance_k(spec, k, max_m)
-        assert radial == layered_distance_k_walks(spec, k, max_m)
+        moments = vacuum_moments_distance_k(spec, k, max_m)
+        assert moments == layered_distance_k_walks(spec, k, max_m)
 
 
 def test_pruning_soundness():
@@ -309,8 +310,7 @@ def test_pruning_soundness():
 
 
 def test_walk_polynomial_matches_layered_oracle():
-    # the walk DP over min(N, k*max_m/2) copies, evaluated at N, against
-    # the layered DP run on G^{*N} itself
+    # the walk DP over types against the layered DP run on G^{*N} itself
     cases = [(K3, 4), (C4, 4), (C5, 4), (P3, 4), (P4, 4), (K4, 3)]
     for base, top_n in cases:
         for k, max_m in [(1, 5), (2, 5), (3, 4)]:
@@ -369,7 +369,7 @@ def test_root_automorphisms_bounds_the_search():
 
 def test_free_power_is_quick_on_large_bases():
     # rechecking the BFS distances over all n^3 triples took 15 s per
-    # free_power on this base, paid again for every copy count a walk tracks
+    # free_power on this base; its identity group leaves 558 orbits
     tree = _pendant_path_tree()
     start = time.perf_counter()
     assert free_power(tree, 1).sigma == 2
@@ -416,12 +416,13 @@ _WALK_TABLE_DIGESTS = {
 
 def test_walk_tables_are_pinned():
     # every coefficient of every cap, where the other tests read the tables
-    # only through evaluations at small N and their top coefficient
+    # only through evaluations at small N and their top coefficient; the
+    # digests were taken from the copy-counting DP the type DP replaced
     assert {name for name, _, _ in _WALK_TABLE_DIGESTS} == set(BUILTIN_GRAPHS) - {"k2"}
     for (name, k, max_m), digest in _WALK_TABLE_DIGESTS.items():
         base = builtin_graph(name)
         tables = [
-            freeprod.walk_table(base, k, max_m, cap, Budgets(10**9))
+            walk_table(base, k, max_m, cap, Budgets(10**9))
             for cap in range(1, k * max_m // 2 + 1)
         ]
         assert hashlib.sha256(repr(tables).encode()).hexdigest() == digest, (name, k, max_m)
@@ -433,7 +434,7 @@ def test_walk_table_at_k1_matches_free_cumulants():
     # with falling factorials at N = 1..7 pin every coefficient
     for name in sorted(set(BUILTIN_GRAPHS) - {"k2"}):
         base = builtin_graph(name)
-        table = freeprod.walk_table(base, 1, 12, 6)
+        table = walk_table(base, 1, 12, 6)
         for copies in range(1, 8):
             got = [sum(w * perm(copies, j) for j, w in enumerate(row)) for row in table]
             assert got == free_cumulant_walk_counts(base, copies, 12), (name, copies)
@@ -471,7 +472,7 @@ def test_distance_k_neighbors_are_the_bfs_sphere_on_random_bases(base, copies, k
             assert list(got) == expected, (w, bound)
 
 
-@given(connected_bases(), st.integers(1, 2), st.integers(1, 2), st.integers(1, 4))
+@given(connected_bases(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 4))
 # bases this small reach neither bound of _root_automorphisms; these two
 # pass the automorphism bound (720) and the candidate bound (8!)
 @example(STAR6, 2, 2, 4)
@@ -482,31 +483,67 @@ def test_walk_quotient_matches_layered_oracle_on_random_bases(base, copies, k, m
     assert vacuum_moments_distance_k(spec, k, max_m) == layered_distance_k_walks(spec, k, max_m)
 
 
-def test_walk_charge_is_orbit_weighted():
-    # k4, k=2, m<=4 at N >= 4 charged 1719 expansions before the quotient;
-    # each orbit representative is charged for every word of its orbit
-    spec = free_power(K4, 4)
-    assert vacuum_moments_distance_k(spec, 2, 4, Budgets(1719))
-    with pytest.raises(BudgetExceededError):
-        vacuum_moments_distance_k(spec, 2, 4, Budgets(1718))
+def test_the_words_of_one_type_have_equal_walk_counts():
+    # the type DP's premise: the root-fixing automorphisms of G^{*N} map a
+    # word onto every word of its type, so the t-step walks from the root,
+    # counted word by word on G^{*3} itself, reach all N (N-1)^(L-1) times
+    # (product of orbit sizes) words of a type, each as often
+    for base in (K4, C4, P4, STAR3_LEAF, PETERSEN):
+        n = base.vertex_count
+        group = freeprod._root_automorphisms(base)
+        rep = [min(h[v] for h in group) for v in range(n)]
+        orbit = [rep.count(rep[v]) for v in range(n)]
+        spec = free_power(base, 3)
+        for k in (1, 2):
+            layer = {(): 1}
+            for _ in range(3):
+                nxt = {}
+                for w, count in layer.items():
+                    for y in distance_k_neighbors(spec, w, k, validate=False):
+                        nxt[y] = nxt.get(y, 0) + count
+                layer = nxt
+                types = {}
+                for w, count in layer.items():
+                    types.setdefault(tuple(rep[letter % n] for letter in w), []).append(count)
+                for word_type, counts in types.items():
+                    size = 3 * 2 ** (len(word_type) - 1) if word_type else 1
+                    for v in word_type:
+                        size *= orbit[v]
+                    assert len(counts) == size and len(set(counts)) == 1, word_type
+
+
+@pytest.mark.parametrize(
+    "name, k, max_m, copies, charge",
+    [
+        ("c4", 2, 6, 2, 340), ("c4", 2, 6, 3, 354), ("c4", 2, 6, 4, 354), ("c4", 2, 6, 5, 354),
+        ("p3", 3, 5, 2, 461), ("p3", 3, 5, 3, 551), ("p3", 3, 5, 4, 551), ("p3", 3, 5, 5, 551),
+    ],
+)
+def test_walk_layered_cells_fit_their_charge(name, k, max_m, copies, charge):
+    # the cells of perfbench's walk-layered workload, each at the walk
+    # expansions it charges and at one less: a change to the DP's work moves
+    # these counts and says why
+    spec = free_power(builtin_graph(name), copies)
+    assert vacuum_moments_distance_k(spec, k, max_m, Budgets(charge))
+    with pytest.raises(BudgetExceededError) as info:
+        vacuum_moments_distance_k(spec, k, max_m, Budgets(charge - 1))
+    assert str(info.value) == f"budget exceeded: {charge} walk expansions (budget {charge - 1})"
 
 
 def test_segment_pool_budget():
-    # k4^*5 at bound 5 holds 339k words: the pool is refused from its count,
-    # which names the words within the first radius past the ball budget
+    # k4^*5 at bound 5 holds 339k words: the pool is refused from the count
+    # of its ball, which names the words within the first radius past the
+    # ball budget
     with pytest.raises(BudgetExceededError) as err:
         freeprod._segment_pool(free_power(K4, 5), 5, Budgets(ball_vertices=1000))
-    assert (err.value.count, err.value.what) == (2355, "segment-pool words")
-    # the walk DP checks its pools first: k3^*2 at bound 2 holds 12 words
-    with pytest.raises(BudgetExceededError) as err:
-        vacuum_moments_distance_k(free_power(K3, 2), 2, 4, Budgets(ball_vertices=10))
-    assert err.value.what == "segment-pool words"
-    # the pool kept on a spec is held to the budget too
+    assert (err.value.count, err.value.what) == (2356, "ball vertices")
+    # the pool kept on a spec is held to the budget too: k3^*2 at bound 2
+    # holds 12 words and the root
     spec = free_power(K3, 2)
     freeprod._segment_pool(spec, 2)
     with pytest.raises(BudgetExceededError):
-        freeprod._segment_pool(spec, 2, Budgets(ball_vertices=11))
-    assert freeprod._segment_pool(spec, 2, Budgets(ball_vertices=12))
+        freeprod._segment_pool(spec, 2, Budgets(ball_vertices=12))
+    assert freeprod._segment_pool(spec, 2, Budgets(ball_vertices=13))
 
 
 def test_a_refused_pool_builds_nothing():
@@ -514,7 +551,7 @@ def test_a_refused_pool_builds_nothing():
     # words (about 140 bytes each) is built
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceededError, match="segment-pool words"):
+        with pytest.raises(BudgetExceededError, match="ball vertices"):
             freeprod._segment_pool(free_power(K4, 5), 5, Budgets(ball_vertices=10**5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -527,7 +564,7 @@ def test_a_huge_free_power_is_refused_from_its_pool_count():
     # root are refused from that count, before anything N-sized is built
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceededError, match="segment-pool words"):
+        with pytest.raises(BudgetExceededError, match="ball vertices"):
             distance_k_neighbors(free_power(K3, 10**6), (), 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -550,91 +587,37 @@ def test_segment_pool_cache_is_bounded():
     assert all(ref() is None for ref in refs)
 
 
-def test_walk_dp_pools_do_not_outlive_it(monkeypatch):
-    # the pools live on the specs the DP builds, which it drops on return
-    spec = free_power(K4, 3)
-    expected = layered_distance_k_walks(spec, 2, 4)
-    specs = []
-    inner = freeprod.free_power
-
-    def tracked(base, copies):
-        spec = inner(base, copies)
-        specs.append(weakref.ref(spec))
-        return spec
-
-    monkeypatch.setattr(freeprod, "free_power", tracked)
-    assert vacuum_moments_distance_k(spec, 2, 4) == expected
-    gc.collect()
-    assert len(specs) > 1 and all(ref() is None for ref in specs)
-
-
-def test_walk_dp_keeps_its_pools(monkeypatch):
-    # k3, k=1, m<=4 at N=2 interleaves words of 1 and 2 copies, whose
-    # neighbors come from the pools of k3^*1 and k3^*2: each is built once
-    spec = free_power(K3, 2)
-    expected = layered_distance_k_walks(spec, 1, 4)
-    builds = []
-    inner = freeprod._segment_pool
-
-    def counted(spec, bound, budgets=Budgets()):
-        if bound not in spec._pool_cache:
-            builds.append(spec.copies)
-        return inner(spec, bound, budgets)
-
-    monkeypatch.setattr(freeprod, "_segment_pool", counted)
-    assert vacuum_moments_distance_k(spec, 1, 4) == expected
-    assert sorted(builds) == [1, 2]
-
-
-def test_walk_tables_are_not_kept_between_calls(monkeypatch):
-    # without a table, a call builds its own every time; a given table is
-    # evaluated at any N whose copies it tracks, and refused for a larger N
-    caps = []
-    inner = freeprod.walk_table
-
-    def recorded(base, k, max_m, cap, budgets=Budgets()):
-        caps.append(cap)
-        return inner(base, k, max_m, cap, budgets)
-
-    monkeypatch.setattr(freeprod, "walk_table", recorded)
-    spec = free_power(K3, 2)
-    assert vacuum_moments_distance_k(spec, 2, 4) == vacuum_moments_distance_k(spec, 2, 4)
-    assert caps == [2, 2]
-    table = freeprod.walk_table(K3, 2, 4, 3)
-    for copies in (1, 2, 3):
-        spec = free_power(K3, copies)
-        got = vacuum_moments_distance_k(spec, 2, 4, Budgets(0), table)
-        assert got == layered_distance_k_walks(spec, 2, 4)
-    assert caps == [2, 2, 3]
-    for copies in (4, 8):
-        with pytest.raises(ValueError, match="track 4 copies"):
-            vacuum_moments_distance_k(free_power(K3, copies), 2, 4, table=table)
-    # a table for another max_m has the wrong number of rows
-    with pytest.raises(ValueError, match="5 rows"):
-        vacuum_moments_distance_k(free_power(K3, 2), 2, 4, table=freeprod.walk_table(K3, 2, 5, 2))
-    assert caps == [2, 2, 3, 2]
-
-
 def test_walk_budget():
-    with pytest.raises(BudgetExceededError):
-        vacuum_moments_distance_k(free_power(K3, 4), 2, 6, Budgets(100))
-    # the charge grows with N up to k*max_m/2 copies and stays there
-    # (c4, k=2, m<=4 charges 4, 125, 286 and 410 for N = 1, 2, 3, >= 4)
-    for copies, fits in ((1, True), (2, True), (3, False), (4, False), (8, False)):
-        spec = free_power(C4, copies)
-        if fits:
-            assert vacuum_moments_distance_k(spec, 2, 4, Budgets(200))
-        else:
-            with pytest.raises(BudgetExceededError):
-                vacuum_moments_distance_k(spec, 2, 4, Budgets(200))
-        assert vacuum_moments_distance_k(spec, 2, 4, Budgets(10**4))
+    # the charge grows with N up to N = 3 and stays there: c4, k=2, m<=4
+    # charges 13, 109 and 112 walk expansions for N = 1, 2 and >= 3, and
+    # k4, whose three non-root vertices are one orbit, 68 at k=2, m<=4; each
+    # fits its charge and is refused at one less
+    cases = [(C4, 1, 13), (C4, 2, 109), (C4, 3, 112), (C4, 4, 112), (C4, 8, 112), (K4, 4, 68)]
+    for base, copies, charge in cases:
+        spec = free_power(base, copies)
+        assert vacuum_moments_distance_k(spec, 2, 4, Budgets(charge))
+        with pytest.raises(BudgetExceededError) as info:
+            vacuum_moments_distance_k(spec, 2, 4, Budgets(charge - 1))
+        assert info.value.what == "walk expansions"
 
 
-def test_walk_engine_small_n_pays_for_its_own_copies():
-    # N = 2 tracks two copies, not k*max_m/2 = 8: about 2.6e3 expansions,
-    # where tracking five copies already takes 5.9e5
+def test_a_huge_k_is_refused_from_the_pool_letters():
+    # the segment pool is charged by its letters, root distance by root
+    # distance: on a tree they number 1 + 2 + ... + c, so k = 10^9 is refused
+    # near c = 14142, before any row; with N = 1 a segment has one letter,
+    # and no root distance past the base is counted
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="walk expansions"):
+        vacuum_moments_distance_k(free_power(K2, 3), 10**9, 2)
+    assert vacuum_moments_distance_k(free_power(P4, 1), 10**9, 2) == [1, 0, 0]
+    assert time.perf_counter() - start < 5
+
+
+def test_walk_engine_eight_steps_on_k3():
+    # 185 walk expansions over the word lengths, the types of k3; the
+    # copy-counting DP this replaced took about 2.6e3
     spec = free_power(K3, 2)
-    got = vacuum_moments_distance_k(spec, 2, 8, Budgets(10**4))
+    got = vacuum_moments_distance_k(spec, 2, 8, Budgets(185))
     assert got == layered_distance_k_walks(spec, 2, 8)
     assert got == [1, 0, 8, 0, 128, 160, 2976, 8960, 86656]
 

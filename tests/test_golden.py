@@ -33,10 +33,10 @@ GOLDEN = [
         "a0bd707f4b30d1202cf35b78743ee45a510dc91660b8feaedae3132f05e68edd",
         "41e1b1b84836254d1f82446269d589f6dcc1a86ba977c8151e54e60b0b9a0490",
     ),
-    (   # N = 3 is skipped over its walk budget
-        "free-clt --graph builtin:c4 --k 2 --N 2,3 --max-m 4 --walk-budget 200",
+    (   # N = 3 is skipped over its walk budget: N = 2 charges 109, N = 3 112
+        "free-clt --graph builtin:c4 --k 2 --N 2,3 --max-m 4 --walk-budget 111",
         "d6a9e58a6d75cc23a962cad238a3726bd8da22e93b18dfd0d05a77b401419c6e",
-        "64bf3794b440b35e23403ff895e7194e27c843a5f6de9168acb703b79f86491e",
+        "aec12f809e018a05182050dc22062c4b3fb4f509ca4e3ae9a9752f5cf5fb255b",
     ),
     (   # eight-step layers
         "free-clt --graph builtin:k3 --k 2 --N 2,8 --max-m 8",
@@ -47,6 +47,16 @@ GOLDEN = [
         "free-clt --graph builtin:k4 --k 3 --N 2,7 --max-m 5",
         "39e1685b0de410d250a1b06b9ef1dc2746a83af78b4d655d30874129700f47ba",
         "ac8d838f9ecb6170e80700ba777add9b97d0d5ed8d6ad25b0c13f90408cdc12e",
+    ),
+    (   # k = 3 at N = 9, pinned from the copy-counting walk DP
+        "free-clt --graph builtin:k3 --k 3 --N 9 --max-m 6",
+        "309545a2e8649df1228c00c56e08c974b07f0957055c1ca92552825765c80330",
+        "969ac32968bd27f9299f16d7cecec952617bead8f56ffd1c8fcaf9fde8226e3d",
+    ),
+    (   # the 3-regular tree at depth, pinned from the radial walk engine
+        "tree-check --d 3 --k 2 --max-m 400",
+        "b153cb06e86241cc6d57dab5165ca4e5f1d3a174a4b4bf435a6f2396da111243",
+        "2e4fdbd845468e502278f5078cb3692b76aa16cf5bd3def13a743348a7041719",
     ),
     (
         "large-d --k 2 --d-list 3,4 --max-m 4",
