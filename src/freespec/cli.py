@@ -143,8 +143,8 @@ _READS = {
     "cycles": {"": "--d! --j! --n-list! --samples=50 --seed=0 --walk-budget"},
     "decomp-check": {
         "--mode square": "--graph! --walk-budget",
-        "--mode tree": "--d! --k! --radius! --walk-budget --ball-budget",
-        "--mode free": "--graph! --N! --k! --radius! --walk-budget --ball-budget",
+        "--mode tree": "--d! --k! --radius! --walk-budget",
+        "--mode free": "--graph! --N! --k! --radius! --walk-budget",
     },
     "moments": {"--graph": "--graph --which --max-m=8 --walk-budget", "--law": "--law --max-m=8"},
     "km-density": {"": "--d! --points=11 --range! --ball-budget"},
@@ -321,9 +321,9 @@ def _run_decomp(args, budgets: Budgets) -> Report:
     copies = _to_int(args.N, "--N")
     g, name = _load_graph(args.graph)
     spec = free_power(g, copies)
-    report = decomposition_check(spec, args.k, args.radius, budgets)
+    violation = decomposition_check(spec, args.k, args.radius, budgets)
     return _decomp_report(
-        budgets, f"{name}^*{spec.copies}", "radius", args.radius, args.k, report.max_violation
+        budgets, f"{name}^*{spec.copies}", "radius", args.radius, args.k, violation
     )
 
 

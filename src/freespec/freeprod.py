@@ -5,10 +5,11 @@ vertex != base root), stored top letter first and packed into small
 integers (letter = copy * base_n + vertex).  The empty word is the root.
 
 Word distances have one source in the engine, a BFS over word_neighbors
-(_word_bfs): the ball, the segment pools and both decomposition checks read
-its rows.  distance_k_neighbors reads no distance between words: it builds
-each neighbour along its geodesic, which strips letters off x, turns inside
-one copy and stacks a pool segment.  The closed-form suffix-stripping
+(_word_bfs): the ball and the segment pools read the root's, and both
+decomposition checks read one row for each word type (_check_words).
+distance_k_neighbors reads no distance between words: it builds each
+neighbour along its geodesic, which strips letters off x, turns inside one
+copy and stacks a pool segment.  The closed-form suffix-stripping
 metric is a test oracle in tests/oracles.py.
 
 Walk counts build no word.  vacuum_moments_distance_k runs one DP, for
@@ -448,68 +449,66 @@ def vacuum_moments_distance_k(
     return moments
 
 
-class DecompositionReport(Frozen):
-    """Outcome of an entrywise decomposition check over interior ball pairs.
+def _check_words(spec: FreePowerSpec, k: int, cutoff: int, budgets: Budgets) -> list[Word]:
+    """One word of each type within root distance cutoff, the rows charged first.
 
-    pairs_checked counts the pairs within distance k+1: the rest are zero.
+    A type is the walk DP's: the letters' vertices up to the root-fixing
+    automorphisms of the base, with no copies.  Its word takes copies 0, 1,
+    0, ... from the bottom; with N = 1 a word has at most one letter.  The
+    root-fixing automorphisms of G^{*N} map every word within the cutoff
+    onto the word of its type, and keep root distance, word length, top
+    copies and graph distance, so a check reads one row per type.
+
+    With D the maximum degree of G^{*N}, the BFS of a row scans the
+    neighbours of the words within k of its source, and a check scans at
+    most D neighbours for each word of its row.  The words within r of one
+    word number at most 1 + D + ... + D^r, and for every k >= 2 (k >= 3
+    when D = 1) the whole row then takes at most D * (1 + D + ... + D^(k+1))
+    neighbour scans.  The types of each root distance are counted from those
+    below it, and the types so far are charged that bound before any of
+    them is built.
     """
+    base, copies = spec.base, spec.copies
+    n, root, root_row = base.vertex_count, base.root, spec.apsp[base.root]
+    letters = sorted({min(h[v] for h in _root_automorphisms(base)) for v in range(n)} - {root})
+    degree = max(map(len, base.neighbors)) + (copies - 1) * spec.sigma
+    row = degree * ((degree ** (k + 2) - 1) // (degree - 1) if degree > 1 else k + 2)
+    levels, count = [[()]], 1
+    budgets.charge("check-row neighbour scans", row)
+    for c in range(1, min(cutoff, max(root_row) if copies == 1 else cutoff) + 1):
+        stacks = [
+            (v, levels[c - root_row[v]])
+            for v in letters
+            if root_row[v] == c or root_row[v] < c and copies > 1
+        ]
+        count += sum(len(words) for _, words in stacks)
+        budgets.charge("check-row neighbour scans", count * row)
+        levels.append([(len(w) % 2 * n + v,) + w for v, words in stacks for w in words])
+    return list(chain.from_iterable(levels))
 
-    _fields = ("max_violation", "pairs_checked", "d_entries_nonzero", "delta_entries_nonzero")
 
-    def __init__(
-        self,
-        max_violation: int,
-        pairs_checked: int,
-        d_entries_nonzero: int,
-        delta_entries_nonzero: int,
-    ):
-        super().__init__(max_violation, pairs_checked, d_entries_nonzero, delta_entries_nonzero)
+def _check_pairs(spec: FreePowerSpec, words: list, k: int, cutoff: int, later_only: bool):
+    """(d(x, y), y, [l ~ y : d(x, l) = k]) for the words x and the y within k+1 of x.
 
-
-def _check_interior(spec: FreePowerSpec, k: int, radius: int, cutoff: int, budgets: Budgets):
-    """The interior a check visits, ball(spec, cutoff), after both charges.
-
-    The radius-ball is charged from its count (_ball_size), then the rows
-    from the interior's, before any word is built.
     Row x is the BFS of x to depth k+1, {y: d(x, y)}: a pair further apart
     has zero on both sides of either checked identity, since d(x, l) > k for
-    every neighbour l of y.  With D the maximum degree of G^{*N}, the BFS of
-    a row scans the neighbours of the words within k of x, and a check scans
-    at most D neighbours for each word of its row.  The words within r of
-    one word number at most 1 + D + ... + D^r, and for every k >= 2 (k >= 3
-    when D = 1) the whole row then takes at most D * (1 + D + ... + D^(k+1))
-    neighbour scans.
+    every neighbour l of y.  A neighbour l of y lies within k+2 of x, so
+    row[l] == k exactly when d(x, l) = k.  y is kept when rd(y) <= cutoff,
+    and with later_only when rd(x) <= rd(y) too.
     """
-    _ball_size(spec, radius, budgets)
-    degree = max(map(len, spec.base.neighbors)) + (spec.copies - 1) * spec.sigma
-    row = (degree ** (k + 2) - 1) // (degree - 1) if degree > 1 else k + 2
-    steps = _ball_size(spec, cutoff, budgets) * row * degree
-    budgets.charge("check-row neighbour scans", steps)
-    return ball(spec, cutoff, budgets)
-
-
-def _check_pairs(spec: FreePowerSpec, interior: dict, k: int, later_only: bool):
-    """(d(x, y), y, [l ~ y : d(x, l) = k]) for interior pairs x, y within k+1.
-
-    Every distance is read from the row of x, its BFS to depth k+1: a
-    neighbour l of y lies within k+2 of x, so row[l] == k exactly when
-    d(x, l) = k.  With later_only, y comes no earlier than x in the
-    interior's BFS order, so rd(x) <= rd(y).
-    """
-    earlier = set()
-    for x in interior:
+    n, root_row = spec.base.vertex_count, spec.apsp[spec.base.root]
+    for x in words:
         row = _word_bfs(spec, x, k + 1)
+        least = sum(root_row[a % n] for a in x) if later_only else 0
         for y, dxy in row.items():
-            if y in interior and y not in earlier:
+            if least <= sum(root_row[a % n] for a in y) <= cutoff:
                 yield dxy, y, [l for l in word_neighbors(spec, y) if row.get(l) == k]
-        if later_only:
-            earlier.add(x)
 
 
 def decomposition_check(
     spec: FreePowerSpec, k: int, radius: int, budgets: Budgets = Budgets()
-) -> DecompositionReport:
-    """Entrywise check of the distance-k product decomposition on the radius-ball.
+) -> int:
+    """Max entrywise violation of the distance-k product decomposition on the radius-ball.
 
     For interior pairs (i, j) with root_distance(i) <= root_distance(j), the
     product entry (A^{[k]} A)_{ij} = #{l ~ j : d(i, l) = k} must decompose as
@@ -522,41 +521,36 @@ def decomposition_check(
     The orientation constraint matters: when j is a proper suffix of i the
     fresh-copy count deviates from (N-1) deg(e), so those transposed entries
     are outside the identity's domain.  The interior is root distance
-    <= radius - 1.  k and radius are checked, and the radius-ball and the
-    rows are charged, before the interior is built (see _check_interior).
-    Row i visits the interior j within k+1 of it that come no earlier in
-    ball order (see _check_pairs).
+    <= radius - 1, and i ranges over one word of each type in it (see
+    _check_words, which charges the rows first, and _check_pairs).  k and
+    radius are checked before that.
     """
     if k < 3:
         raise ValueError("decomposition check needs k >= 3")
     if radius < k + 2:
         raise RadiusTooSmallError(f"radius {radius} < k + 2 = {k + 2}")
-    interior = _check_interior(spec, k, radius, radius - 1, budgets)
+    words = _check_words(spec, k, radius - 1, budgets)
     fresh = (spec.copies - 1) * spec.sigma
-    max_violation = pairs = d_nonzero = delta_nonzero = 0
-    for dij, j, hits in _check_pairs(spec, interior, k, later_only=True):
+    max_violation = 0
+    for dij, j, hits in _check_pairs(spec, words, k, radius - 1, later_only=True):
         lhs = len(hits)
         if dij == k - 1:
             # a neighbour of j no longer than j moves j's top letter within
             # its copy (pop or sideways); a longer one stacks a fresh letter
-            d_entry = sum(len(l) <= len(j) for l in hits)
-            rhs = fresh + d_entry
-            d_nonzero += d_entry > 0
+            rhs = fresh + sum(len(l) <= len(j) for l in hits)
         else:
             rhs = lhs if dij >= k else 0  # d = k, k+1: definitional buckets
-            delta_nonzero += dij == k and lhs > 0
-        pairs += 1
         max_violation = max(max_violation, abs(lhs - rhs))
-    return DecompositionReport(max_violation, pairs, d_nonzero, delta_nonzero)
+    return max_violation
 
 
 def tree_recurrence_check(d: int, k: int, radius: int, budgets: Budgets = Budgets()) -> int:
     """Max entrywise violation of A A^{[k]} = A^{[k+1]} + (d-1) A^{[k-1]}.
 
     Checked on the words of K2^{*d}, the d-regular tree, over pairs with
-    both endpoints at root_distance <= radius - k - 1.  The radius-ball and
-    the rows are charged before that interior is built (see
-    _check_interior); the rows come from BFS over the whole tree, so the
+    both endpoints at root_distance <= radius - k - 1, one row per word
+    length (see _check_words, which charges the rows first, and
+    _check_pairs); the rows come from BFS over the whole tree, so the
     distances are exact.
     """
     if k < 2:
@@ -566,9 +560,10 @@ def tree_recurrence_check(d: int, k: int, radius: int, budgets: Budgets = Budget
     if d < 2:
         raise ValueError("tree degree must be >= 2")
     spec = free_power(complete_graph(2), d)
-    interior = _check_interior(spec, k, radius, radius - k - 1, budgets)
+    cutoff = radius - k - 1
+    words = _check_words(spec, k, cutoff, budgets)
     max_violation = 0
-    for dij, _, hits in _check_pairs(spec, interior, k, later_only=False):
+    for dij, _, hits in _check_pairs(spec, words, k, cutoff, later_only=False):
         rhs = (dij == k + 1) + (d - 1) * (dij == k - 1)
         max_violation = max(max_violation, abs(len(hits) - rhs))
     return max_violation

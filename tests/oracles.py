@@ -394,15 +394,16 @@ def pair_decomposition_check(spec, k, radius, near=False):
 
     d(a, b), and d(a, l) for each neighbour l of b, come from the closed
     form, not from the BFS rows the package reads (freeprod._check_pairs).
-    It visits each pair (a, b) of interior words with a no later than b in
-    ball order and root_distance(a) <= root_distance(b): every such pair,
-    whatever its distance, or with near only those within k+1 of b, taken
-    from distance_k_neighbors at each distance, so larger balls stay cheap.
-    Returns max_violation, the pairs visited, the pairs within distance k+1,
-    and the nonzero counts of the top-copy and same-distance entries.
+    It visits each pair (a, b) of interior words with root_distance(a) <=
+    root_distance(b), in both orientations at equal root distance: every
+    such pair, whatever its distance, or with near only those within k+1 of
+    b, taken from distance_k_neighbors at each distance, so larger balls
+    stay cheap.
+    Returns max_violation, the pairs visited and those within distance k+1,
+    each unordered pair once, and the nonzero counts of the top-copy and
+    same-distance entries, each orientation its own entry.
     """
     rds = ball(spec, radius - 1)
-    order = {w: i for i, w in enumerate(rds)}
     fresh = (spec.copies - 1) * spec.sigma
     out = dict(max_violation=0, pairs=0, pairs_within=0, d_nonzero=0, delta_nonzero=0)
     for wb, rd_b in rds.items():
@@ -415,7 +416,7 @@ def pair_decomposition_check(spec, k, radius, near=False):
             ]
         nbrs_b = word_neighbors(spec, wb)
         for wa in others:
-            if order[wa] > order[wb] or rds[wa] > rd_b:
+            if rds[wa] > rd_b:
                 continue
             dij = word_distance(spec, wa, wb, validate=False)
             lhs = 0
@@ -436,8 +437,9 @@ def pair_decomposition_check(spec, k, radius, near=False):
                     out["d_nonzero"] += 1
             else:
                 rhs = 0
-            out["pairs"] += 1
-            out["pairs_within"] += dij <= k + 1
+            once = rds[wa] < rd_b or wa <= wb
+            out["pairs"] += once
+            out["pairs_within"] += once and dij <= k + 1
             out["max_violation"] = max(out["max_violation"], abs(lhs - rhs))
     return out
 

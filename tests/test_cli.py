@@ -211,14 +211,20 @@ def test_cycles_subcommand(capsys):
 
 
 def test_json_reports_the_budgets_passed(capsys):
-    # the 94-word ball and the rows' 1200 neighbour scans fit exactly
+    # the rows' 360 neighbour scans fit exactly; a flag a subcommand does not
+    # take is reported at its default
     code, out, _ = run_cli(
         capsys, "decomp-check", "--mode", "tree", "--d", "3", "--k", "2", "--radius", "5",
-        "--walk-budget", "1200", "--ball-budget", "94", "--format", "json",
+        "--walk-budget", "360", "--format", "json",
     )
     assert code == 0
-    assert json.loads(out)["meta"]["budgets"] == {"walk_expansions": 1200, "ball_vertices": 94}
-    # a flag a subcommand does not take is reported at its default
+    assert json.loads(out)["meta"]["budgets"] == {"walk_expansions": 360, "ball_vertices": 10**6}
+    code, out, _ = run_cli(
+        capsys, "hist", "--law", "semicircle", "--samples", "21", "--bins", "5",
+        "--ball-budget", "21", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["meta"]["budgets"] == {"walk_expansions": 10**8, "ball_vertices": 21}
     code, out, _ = run_cli(
         capsys, "cycles", "--d", "3", "--j", "3", "--n-list", "20", "--samples", "1",
         "--walk-budget", "5", "--format", "json",
@@ -568,7 +574,7 @@ def test_square_check_honours_the_walk_budget(tmp_path, capsys):
 def test_budget_exhaustion_exits_2(capsys):
     code, _, err = run_cli(
         capsys, "decomp-check", "--mode", "free", "--graph", "builtin:k3",
-        "--N", "2", "--k", "3", "--radius", "5", "--ball-budget", "10",
+        "--N", "2", "--k", "3", "--radius", "5", "--walk-budget", "10",
     )
     assert code == 2
     assert err.startswith("error[BUDGET]:")
@@ -610,7 +616,7 @@ def test_hist_and_km_density_charge_the_ball_budget_first(capsys, monkeypatch):
     ],
 )
 def test_decomp_check_rows_honour_the_walk_budget(argv):
-    # the rows are charged before the first; the balls fit the ball budget
+    # the rows are charged before the first
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
         [sys.executable, "-m", "freespec.cli", "decomp-check", *argv, "--walk-budget", "1"],
@@ -627,11 +633,11 @@ def test_decomp_check_rows_honour_the_walk_budget(argv):
     [
         (
             "decomp-check --mode tree --d 2 --k 20000 --radius 20002",
-            "at least 2^20004 check-row neighbour scans",
+            "at least 2^20002 check-row neighbour scans",
         ),
         (
             "decomp-check --mode tree --d 2 --k 200000 --radius 200002",
-            "at least 2^200004 check-row neighbour scans",
+            "at least 2^200002 check-row neighbour scans",
         ),
         ("moments --graph builtin:k3 --max-m 200000", "599994 vacuum-walk expansions"),
     ],
@@ -691,6 +697,22 @@ def test_adversarial_argv_keep_the_budget_contract(argv):
         assert len(lines) == 1 and re.fullmatch(r"error\[[A-Z]+\]: .+", lines[0]), lines
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "decomp-check --mode free --graph builtin:k4 --N 6 --k 3 --radius 6",
+        "decomp-check --mode free --graph builtin:k3 --N 4 --k 3 --radius 7",
+    ],
+)
+def test_a_check_past_the_interior_ball_reads_one_row_per_type(argv):
+    # a row for each interior word, of 976,339 and 74,649, would pass the
+    # default budget of 10^8 neighbour scans; one row per type fits it, and
+    # runs within 60 s and 800 MB
+    proc = _run_in_800_mb(argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[1].split(",")[6] == "0"
+
+
 def test_a_cell_past_the_word_pool_is_computed_from_types():
     # the k = 6 ball of k4^*8 holds about 10^8 words; over types the cell
     # takes 55 walk expansions, within 60 s and 800 MB.  m = 2 counts the
@@ -737,16 +759,6 @@ def test_budget_errors_print_counts_past_the_digit_limit():
     assert str(wide) == f"budget exceeded: 1{'0' * (digits - 1)} words (budget 7)"
     wider = BudgetExceededError(2**20000 * 3, 7, "words")
     assert str(wider) == "budget exceeded: at least 2^20001 words (budget 7)"
-
-
-def test_tree_decomp_check_honours_ball_budget(capsys):
-    # the radius-5 ball of the 3-regular tree has 94 vertices
-    argv = ("decomp-check", "--mode", "tree", "--d", "3", "--k", "2", "--radius", "5")
-    code, _, err = run_cli(capsys, *argv, "--ball-budget", "10")
-    assert code == 2
-    assert err.startswith("error[BUDGET]:") and "ball vertices" in err
-    code, _, _ = run_cli(capsys, *argv, "--ball-budget", "94")
-    assert code == 0
 
 
 def test_pairing_retries_exit_2_without_blaming_feasibility(capsys):
@@ -883,6 +895,14 @@ TREE = ("decomp-check", "--mode", "tree", "--d", "3", "--k", "2", "--radius", "5
 FREE = ("decomp-check", "--mode", "free", "--graph", "builtin:k3", "--k", "3", "--radius", "5")
 
 
+@pytest.mark.parametrize("argv", [TREE, (*FREE, "--N", "2")])
+def test_decomp_check_takes_no_ball_budget(capsys, argv):
+    # the checks build no ball: one row per word type, held to --walk-budget
+    assert run_cli(capsys, *argv)[0] == 0
+    code, out, err = run_cli(capsys, *argv, "--ball-budget", "10")
+    assert (code, out, err) == (1, "", "error[USAGE]: unrecognized arguments: --ball-budget 10\n")
+
+
 @pytest.mark.parametrize("argv, code, err", [
     (("free-clt", "--graph", "builtin:k3", "--k", "1", "--N", "2,x"), 1,
      "error[USAGE]: --N expects a comma-separated integer list\n"),
@@ -912,8 +932,7 @@ FREE = ("decomp-check", "--mode", "free", "--graph", "builtin:k3", "--k", "3", "
      "error[USAGE]: --k applies to --mode tree and --mode free, not --mode square\n"),
     ((*SQUARE, "--radius", "5"), 1,
      "error[USAGE]: --radius applies to --mode tree and --mode free, not --mode square\n"),
-    ((*SQUARE, "--ball-budget", "5"), 1,
-     "error[USAGE]: --ball-budget applies to --mode tree and --mode free, not --mode square\n"),
+    ((*SQUARE, "--ball-budget", "5"), 1, "error[USAGE]: unrecognized arguments: --ball-budget 5\n"),
     # it used to report tree-d3 and never read k4
     ((*TREE, "--graph", "builtin:k4"), 1,
      "error[USAGE]: --graph applies to --mode square and --mode free, not --mode tree\n"),
@@ -1005,8 +1024,8 @@ def test_every_budget_flag_a_mode_takes_is_read(capsys, command, mode):
 
 
 # One row per budget stage: an argv, the flag of the stage's limit, and the
-# smallest limit the argv fits.  84, 94, 1200 and the hist and km-density
-# sizes are the boundaries of the tests above, 109 the c4 walk budget of
+# smallest limit the argv fits.  84, 360 and the hist and km-density sizes
+# are the boundaries of the tests above, 109 the c4 walk budget of
 # test_freeprod.py::test_walk_budget, and 48 (12 per vertex) the k4 charge
 # of test_graphs.py::test_trace_moments_budget.  One less is refused with
 # the stage's error line, or skips the cell where the subcommand skips.
@@ -1014,9 +1033,8 @@ STAGE_BOUNDARIES = [
     ("walk expansions", "free-clt --graph builtin:c4 --k 2 --N 2 --max-m 4", "--walk-budget", 109),
     ("walk expansions", "tree-check --d 3 --k 2 --max-m 8", "--walk-budget", 84),
     ("walk expansions", "large-d --k 2 --d-list 3 --max-m 8", "--walk-budget", 84),
-    ("ball vertices", "decomp-check --mode tree --d 3 --k 2 --radius 5", "--ball-budget", 94),
     ("check-row neighbour scans", "decomp-check --mode tree --d 3 --k 2 --radius 5",
-     "--walk-budget", 1200),
+     "--walk-budget", 360),
     ("two-step pairs", "decomp-check --mode square --graph builtin:k4", "--walk-budget", 36),
     ("vacuum-walk expansions", "moments --graph builtin:k4 --max-m 4", "--walk-budget", 12),
     ("trace-walk expansions", "moments --graph builtin:k4 --which trace --max-m 4",
@@ -1059,4 +1077,8 @@ def test_every_budget_stage_fits_its_limit_and_not_one_less(
 
 
 def test_the_stage_boundaries_cover_every_stage():
-    assert {stage for stage, *_ in STAGE_BOUNDARIES} == set(errors.STAGES)
+    # no subcommand builds a ball: the library's ball and segment pool
+    # charge it, and test_freeprod.py::test_ball_counts_are_the_ball_sizes
+    # checks that boundary
+    library_only = {"ball vertices"}
+    assert {stage for stage, *_ in STAGE_BOUNDARIES} == set(errors.STAGES) - library_only

@@ -4,6 +4,7 @@ The metric-vs-BFS oracle tests are the blocking gate for this module: the
 closed-form word distance must match in-ball BFS exactly wherever geodesics
 are guaranteed to stay inside the ball.
 """
+from collections import Counter
 import gc
 import hashlib
 import random
@@ -708,19 +709,12 @@ def test_edge_copy_is_top():
 
 def test_decomposition_check_trees():
     for d, k in [(3, 3), (2, 3), (4, 4)]:
-        spec = free_power(K2, d)
-        report = decomposition_check(spec, k, k + 2)
-        assert report.max_violation == 0
-        assert report.d_entries_nonzero == 0
-        assert report.delta_entries_nonzero == 0
+        assert decomposition_check(free_power(K2, d), k, k + 2) == 0
 
 
 def test_decomposition_check_small_bases():
     for base in (K3, C4, P3):
-        spec = free_power(base, 2)
-        report = decomposition_check(spec, 3, 5)
-        assert report.max_violation == 0
-        assert report.pairs_checked > 100
+        assert decomposition_check(free_power(base, 2), 3, 5) == 0
 
 
 def test_decomposition_check_radius_guard():
@@ -729,9 +723,25 @@ def test_decomposition_check_radius_guard():
         decomposition_check(spec, 3, 4)
     with pytest.raises(ValueError):
         decomposition_check(spec, 2, 5)
-    # the radius-ball is charged from its count, which passes 10 at radius 2
-    with pytest.raises(BudgetExceededError, match="^budget exceeded: 13 ball vertices"):
-        decomposition_check(spec, 3, 5, Budgets(ball_vertices=10))
+    # the check builds no ball, so the ball budget does not bound it
+    assert decomposition_check(spec, 3, 5, Budgets(ball_vertices=0)) == 0
+
+
+class _PlantedSpec(FreePowerSpec):
+    """A free power whose root degree sigma reads one more than the base's."""
+
+    @property
+    def sigma(self):
+        return self.base.degree(self.base.root) + 1
+
+
+@pytest.mark.parametrize("base, copies", [(K3, 2), (C4, 2), (P3, 3), (K2, 3)])
+def test_a_wrong_fresh_copy_count_fails_both_checks(base, copies):
+    # the fresh-copy count (N - 1) * sigma is what the check tests: with
+    # sigma one too many, the package and the pair oracle both see it
+    planted = _PlantedSpec(base, copies)
+    oracle = pair_decomposition_check(planted, 3, 5)["max_violation"]
+    assert decomposition_check(planted, 3, 5) == oracle == copies - 1
 
 
 def test_ball_counts_are_the_ball_sizes():
@@ -767,7 +777,7 @@ def test_a_single_copy_ball_stops_at_the_base():
     spec = free_power(P4, 1)
     budgets = Budgets(ball_vertices=4)
     assert freeprod._ball_size(spec, 10**8, budgets) == len(ball(spec, 10**8, budgets)) == 4
-    assert decomposition_check(free_power(K3, 1), 3, 10**8).max_violation == 0
+    assert decomposition_check(free_power(K3, 1), 3, 10**8) == 0
 
 
 def test_ball_is_the_bfs_of_the_root():
@@ -784,25 +794,21 @@ def test_ball_is_the_bfs_of_the_root():
 
 
 def test_decomposition_rows_match_the_pair_oracle():
-    # rows visit exactly the oracle's pairs within k+1, and agree on the rest
-    for base, copies, pairs in [(K3, 2, 643), (C4, 2, 1168), (P3, 2, 144), (K2, 3, None)]:
+    # the oracle visits every interior pair; the pairs within k+1, each
+    # unordered pair once, are pinned
+    for base, copies, pairs in [(K3, 2, 643), (C4, 2, 1168), (P3, 2, 144), (K2, 3, 361)]:
         spec = free_power(base, copies)
-        report = decomposition_check(spec, 3, 5)
         oracle = pair_decomposition_check(spec, 3, 5)
-        assert report.max_violation == oracle["max_violation"] == 0
-        assert report.d_entries_nonzero == oracle["d_nonzero"]
-        assert report.delta_entries_nonzero == oracle["delta_nonzero"]
-        assert report.pairs_checked == oracle["pairs_within"] < oracle["pairs"]
-        assert pairs is None or report.pairs_checked == pairs
+        assert decomposition_check(spec, 3, 5) == oracle["max_violation"] == 0
+        assert oracle["pairs_within"] == pairs < oracle["pairs"]
 
 
 _FREE_ORACLE_CASES = [
     (name, copies, radius)
     for name in BUILTIN_GRAPHS
-    if name != "k2"
-    for copies in (2, 3)
+    for copies in (1, 2, 3)
     for radius in (5, 6)
-    # k4^*3 at radius 6 takes about a minute for the check and the oracle
+    # k4^*3 at radius 6 takes the oracle about 25 s
     if (name, copies, radius) != ("k4", 3, 6)
 ]
 
@@ -810,16 +816,46 @@ _FREE_ORACLE_CASES = [
 @pytest.mark.slow
 @pytest.mark.parametrize("name, copies, radius", _FREE_ORACLE_CASES)
 def test_free_check_matches_the_pair_oracle(name, copies, radius):
-    # all four fields against the closed-form metric's loop, k = 3
+    # one row per type against every interior pair of the closed-form
+    # metric's loop, k = 3
     spec = free_power(builtin_graph(name), copies)
-    # k4^*3 at radius 5 charges 154,912,428 row scans, past the default budget
-    report = decomposition_check(spec, 3, radius, Budgets(2 * 10**8))
     oracle = pair_decomposition_check(spec, 3, radius, near=True)
-    assert report == freeprod.DecompositionReport(
-        oracle["max_violation"], oracle["pairs_within"],
-        oracle["d_nonzero"], oracle["delta_nonzero"],
-    )
-    assert report.max_violation == 0
+    assert decomposition_check(spec, 3, radius) == oracle["max_violation"] == 0
+
+
+def _word_type(spec, word):
+    """A word's letters' vertices up to the root-fixing automorphisms of the base."""
+    group = freeprod._root_automorphisms(spec.base)
+    n = spec.base.vertex_count
+    return tuple(min(h[letter % n] for h in group) for letter in word)
+
+
+@pytest.mark.parametrize(
+    "spec, k, cutoff, later_only",
+    [
+        pytest.param(free_power(builtin_graph(name), copies), 3, 4, True, id=f"{name}^*{copies}")
+        for name in BUILTIN_GRAPHS
+        for copies in (1, 2, 3)
+    ]
+    + [
+        pytest.param(free_power(K2, 3), 3, 4, False, id="tree-d3-k3"),
+        pytest.param(free_power(K2, 3), 2, 5, False, id="tree-d3-k2"),
+    ],
+)
+def test_the_words_of_one_type_have_one_row_profile(spec, k, cutoff, later_only):
+    # the premise of one row per type, word by word over the interior: the
+    # words of one type keep rows of one profile, the multiset of (d(x, y),
+    # #hits, #hits no longer than y) over the y kept, whatever the violations
+    profiles = {}
+    for x in ball(spec, cutoff):
+        profile = Counter(
+            (dxy, len(hits), sum(len(l) <= len(y) for l in hits))
+            for dxy, y, hits in freeprod._check_pairs(spec, [x], k, cutoff, later_only)
+        )
+        assert profiles.setdefault(_word_type(spec, x), profile) == profile, x
+    # and the check reads one word of each of those types, each once
+    words = freeprod._check_words(spec, k, cutoff, Budgets())
+    assert sorted(_word_type(spec, x) for x in words) == sorted(profiles)
 
 
 def test_tree_rows_match_the_pair_oracle():
@@ -850,27 +886,30 @@ def _counted_work(monkeypatch, run):
         (decomposition_check, (free_power(C4, 2), 3, 6), free_power(C4, 2), 5),
         (tree_recurrence_check, (3, 2, 6), free_power(K2, 3), 3),
         (tree_recurrence_check, (4, 3, 7), free_power(K2, 4), 3),
+        (decomposition_check, (free_power(P4, 1), 3, 9), free_power(P4, 1), 8),
     ],
 )
 def test_check_rows_are_charged_before_the_first(monkeypatch, check, args, spec, cutoff):
-    # interior words x (1 + D + ... + D^(k+1)) x D, with D the maximum degree
+    # types within the cutoff x D * (1 + D + ... + D^(k+1)), with D the
+    # maximum degree; the types are counted here from the interior's words
     k = args[1]
     degree = max(map(len, spec.base.neighbors)) + (spec.copies - 1) * spec.sigma
-    charge = len(ball(spec, cutoff)) * sum(degree**i for i in range(k + 2)) * degree
-    ball_work = _counted_work(monkeypatch, lambda: ball(spec, cutoff))
+    types = len({_word_type(spec, w) for w in ball(spec, cutoff)})
+    charge = types * degree * sum(degree**i for i in range(k + 2))
     with pytest.raises(BudgetExceededError) as info:
-        check(*args, Budgets(0))
-    assert str(info.value) == f"budget exceeded: {charge} check-row neighbour scans (budget 0)"
+        check(*args, Budgets(charge - 1))
+    assert str(info.value) == (
+        f"budget exceeded: {charge} check-row neighbour scans (budget {charge - 1})"
+    )
 
     def short():
         with pytest.raises(BudgetExceededError):
             check(*args, Budgets(charge - 1))
 
-    # past the budget nothing runs, not even the ball; within it only the
-    # interior's ball is built
+    # past the budget no row runs; within it the rows stay within the charge
     assert _counted_work(monkeypatch, short) == 0
     work = _counted_work(monkeypatch, lambda: check(*args, Budgets(charge)))
-    assert 0 < work - ball_work <= charge
+    assert 0 < work <= charge
 
 
 def test_tree_recurrence_check():
