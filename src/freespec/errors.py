@@ -145,7 +145,7 @@ class WorkerDiedError(FreespecError):
 # --walk-budget, ball_vertices --ball-budget.  README's budget table has more.
 STAGES = {
     "walk expansions": "walk_expansions",
-    "check-row neighbour scans": "walk_expansions",
+    "check-row letters": "walk_expansions",
     "two-step pairs": "walk_expansions",
     "vacuum-walk expansions": "walk_expansions",
     "trace-walk expansions": "walk_expansions",

@@ -305,18 +305,35 @@ def _root_automorphisms(base: RootedGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(found) if len(found) <= _MAX_ROOT_AUTOMORPHISMS else identity
 
 
+def _type_letters(spec: FreePowerSpec, top: int):
+    """A word's type is its letters' vertices up to the root-fixing automorphisms of the base.
+
+    rep[v] is the least vertex of v's orbit, orbit[rep[v]] its size.  A type
+    of root distance c <= top is a letter v != root next to a type of root
+    distance c - cost[v] (empty at 0, and with N = 1); levels yields those
+    (v, c - cost[v]) for c = 1, 2, ..., one list at a time.
+    """
+    base, cost = spec.base, spec.apsp[spec.base.root]
+    group = _root_automorphisms(base)
+    rep = [min(h[v] for h in group) for v in range(base.vertex_count)]
+    orbit = Counter(rep)
+    levels = (
+        [(v, c - cost[v]) for v in orbit if cost[v] == c or 0 < cost[v] < c and spec.copies > 1]
+        for c in range(1, (top if spec.copies > 1 else min(top, max(cost))) + 1)
+    )
+    return rep, orbit, levels
+
+
 def vacuum_moments_distance_k(
     spec: FreePowerSpec, k: int, max_m: int, budgets: Budgets = Budgets()
 ) -> list[int]:
     """Exact closed-walk counts at the root of the distance-k graph of G^{*N}.
 
     Entry m is the (root, root) entry of the m-th power of the distance-k
-    adjacency.  The DP runs over word types: a word's type is the sequence
-    of its letters' vertices, each taken up to the root-fixing automorphisms
-    of the base (_root_automorphisms), with no copies.  The root-fixing
-    automorphisms of G^{*N} permute the copies hanging at each word, and act
-    by those of the base inside each copy independently, so the words of one
-    type have equal walk counts from the root.  Layer t maps each type to
+    adjacency.  The DP runs over word types (_type_letters).  The
+    root-fixing automorphisms of G^{*N} permute the copies hanging at each
+    word, and act by those of the base inside each copy independently, so
+    the words of one type have equal walk counts from the root.  Layer t maps each type to
     the t-step walks from the root that end at its words; a step adds mass
     times M[Y][X], the distance-k neighbours of one word of type Y that have
     type X.  A type is interned as an integer, in a trie of (type below,
@@ -345,10 +362,7 @@ def vacuum_moments_distance_k(
     base, copies = spec.base, spec.copies
     n, root, apsp = base.vertex_count, base.root, spec.apsp
     cost = apsp[root]
-    group = _root_automorphisms(base)
-    rep = [min(h[v] for h in group) for v in range(n)]
-    orbit = Counter(rep)
-    letters = [v for v in orbit if v != root]
+    rep, orbit, levels = _type_letters(spec, k)
     expansions, limit = 0, budgets.limit("walk expansions")
 
     def spend(count):
@@ -359,16 +373,14 @@ def vacuum_moments_distance_k(
 
     # pool[c]: the segment types of root distance c, each as its bottom
     # letter, the index of the rest in pool[c - cost] (-1: none) and its
-    # weight; length[c]: their letters.  With N = 1 a segment is one letter.
+    # weight; length[c]: their letters.
     pool, length = [[]], [0]
-    for c in range(1, (k if copies > 1 else min(k, max(cost))) + 1):
-        rests = [(v, c - cost[v]) for v in letters if cost[v] < c] if copies > 1 else []
-        ones = [v for v in letters if cost[v] == c]
-        length.append(len(ones) + sum(len(pool[r]) + length[r] for _, r in rests))
+    for c, stacks in enumerate(levels, 1):
+        length.append(sum(len(pool[r]) + length[r] if r else 1 for _, r in stacks))
         spend(length[c])
-        pool.append([(v, -1, orbit[v]) for v in ones] + [
+        pool.append([(v, -1, orbit[v]) for v, r in stacks if not r] + [
             (v, j, orbit[v] * (copies - 1) * w)
-            for v, r in rests
+            for v, r in stacks if r
             for j, (*_, w) in enumerate(pool[r])
         ])
 
@@ -452,38 +464,30 @@ def vacuum_moments_distance_k(
 def _check_words(spec: FreePowerSpec, k: int, cutoff: int, budgets: Budgets) -> list[Word]:
     """One word of each type within root distance cutoff, the rows charged first.
 
-    A type is the walk DP's: the letters' vertices up to the root-fixing
-    automorphisms of the base, with no copies.  Its word takes copies 0, 1,
-    0, ... from the bottom; with N = 1 a word has at most one letter.  The
-    root-fixing automorphisms of G^{*N} map every word within the cutoff
-    onto the word of its type, and keep root distance, word length, top
-    copies and graph distance, so a check reads one row per type.
+    A type is the walk DP's (_type_letters); its word takes copies 0, 1, 0,
+    ... from the bottom.  The root-fixing automorphisms of G^{*N} map every
+    word within the cutoff onto the word of its type, and keep root
+    distance, word length, top copies and graph distance, so a check reads
+    one row per type.
 
-    With D the maximum degree of G^{*N}, the BFS of a row scans the
-    neighbours of the words within k of its source, and a check scans at
-    most D neighbours for each word of its row.  The words within r of one
-    word number at most 1 + D + ... + D^r, and for every k >= 2 (k >= 3
-    when D = 1) the whole row then takes at most D * (1 + D + ... + D^(k+1))
-    neighbour scans.  The types of each root distance are counted from those
-    below it, and the types so far are charged that bound before any of
-    them is built.
+    With D the maximum degree of G^{*N}, a row's BFS scans the neighbours
+    of the words within k of its source, and the check those of the words
+    within k+1.  The words within r of one word number at most 1 + D + ...
+    + D^r, so for k >= 2 (k >= 3 when D = 1) a row takes at most D * (1 + D
+    + ... + D^(k+1)) scans, each of a word of at most c + k + 2 letters
+    from a source of root distance c.  The types so far are charged those
+    letters, level by level, before a level is built.
     """
-    base, copies = spec.base, spec.copies
-    n, root, root_row = base.vertex_count, base.root, spec.apsp[base.root]
-    letters = sorted({min(h[v] for h in _root_automorphisms(base)) for v in range(n)} - {root})
-    degree = max(map(len, base.neighbors)) + (copies - 1) * spec.sigma
+    n, copies = spec.base.vertex_count, spec.copies
+    degree = max(map(len, spec.base.neighbors)) + (copies - 1) * spec.sigma
     row = degree * ((degree ** (k + 2) - 1) // (degree - 1) if degree > 1 else k + 2)
-    levels, count = [[()]], 1
-    budgets.charge("check-row neighbour scans", row)
-    for c in range(1, min(cutoff, max(root_row) if copies == 1 else cutoff) + 1):
-        stacks = [
-            (v, levels[c - root_row[v]])
-            for v in letters
-            if root_row[v] == c or root_row[v] < c and copies > 1
-        ]
-        count += sum(len(words) for _, words in stacks)
-        budgets.charge("check-row neighbour scans", count * row)
-        levels.append([(len(w) % 2 * n + v,) + w for v, words in stacks for w in words])
+    # lengths: the longest word a scan builds, summed over the types so far
+    levels, lengths = [[()]], k + 2
+    budgets.charge("check-row letters", lengths * row)
+    for c, stacks in enumerate(_type_letters(spec, cutoff)[2], 1):
+        lengths += (c + k + 2) * sum(len(levels[r]) for _, r in stacks)
+        budgets.charge("check-row letters", lengths * row)
+        levels.append([(len(w) % 2 * n + v,) + w for v, r in stacks for w in levels[r]])
     return list(chain.from_iterable(levels))
 
 

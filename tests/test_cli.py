@@ -211,14 +211,14 @@ def test_cycles_subcommand(capsys):
 
 
 def test_json_reports_the_budgets_passed(capsys):
-    # the rows' 360 neighbour scans fit exactly; a flag a subcommand does not
+    # the rows' 1800 letters fit exactly; a flag a subcommand does not
     # take is reported at its default
     code, out, _ = run_cli(
         capsys, "decomp-check", "--mode", "tree", "--d", "3", "--k", "2", "--radius", "5",
-        "--walk-budget", "360", "--format", "json",
+        "--walk-budget", "1800", "--format", "json",
     )
     assert code == 0
-    assert json.loads(out)["meta"]["budgets"] == {"walk_expansions": 360, "ball_vertices": 10**6}
+    assert json.loads(out)["meta"]["budgets"] == {"walk_expansions": 1800, "ball_vertices": 10**6}
     code, out, _ = run_cli(
         capsys, "hist", "--law", "semicircle", "--samples", "21", "--bins", "5",
         "--ball-budget", "21", "--format", "json",
@@ -625,7 +625,7 @@ def test_decomp_check_rows_honour_the_walk_budget(argv):
     assert (proc.returncode, proc.stdout) == (2, "")
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error[BUDGET]: budget exceeded: ")
-    assert lines[0].endswith(" check-row neighbour scans (budget 1)")
+    assert lines[0].endswith(" check-row letters (budget 1)")
 
 
 @pytest.mark.parametrize(
@@ -633,11 +633,11 @@ def test_decomp_check_rows_honour_the_walk_budget(argv):
     [
         (
             "decomp-check --mode tree --d 2 --k 20000 --radius 20002",
-            "at least 2^20002 check-row neighbour scans",
+            "at least 2^20017 check-row letters",
         ),
         (
             "decomp-check --mode tree --d 2 --k 200000 --radius 200002",
-            "at least 2^200002 check-row neighbour scans",
+            "at least 2^200020 check-row letters",
         ),
         ("moments --graph builtin:k3 --max-m 200000", "599994 vacuum-walk expansions"),
     ],
@@ -675,6 +675,9 @@ def _run_in_800_mb(argv):
         "decomp-check --mode free --graph builtin:k3 --N 3 --k 3 --radius 7 --walk-budget 1",
         "decomp-check --mode tree --d 3 --k 3 --radius 17 --walk-budget 1",
         "decomp-check --mode tree --d 2 --k 200000 --radius 200002 --walk-budget 1",
+        "decomp-check --mode tree --d 3 --k 2 --radius 20000",
+        "decomp-check --mode free --graph builtin:k3 --N 2 --k 3 --radius 20000",
+        "decomp-check --mode tree --d 2 --k 2 --radius 30000",
         "moments --graph builtin:k3 --max-m 200000 --walk-budget 1",
         "regular-random --d 3 --k 13 --n-list 20000 --samples 1 --max-m 2 --walk-budget 1",
         "km-density --d 3 --points 30000000 --range -1,1",
@@ -706,8 +709,8 @@ def test_adversarial_argv_keep_the_budget_contract(argv):
 )
 def test_a_check_past_the_interior_ball_reads_one_row_per_type(argv):
     # a row for each interior word, of 976,339 and 74,649, would pass the
-    # default budget of 10^8 neighbour scans; one row per type fits it, and
-    # runs within 60 s and 800 MB
+    # default walk budget of 10^8; one row per type fits it, and runs
+    # within 60 s and 800 MB
     proc = _run_in_800_mb(argv)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[1].split(",")[6] == "0"
@@ -1024,7 +1027,7 @@ def test_every_budget_flag_a_mode_takes_is_read(capsys, command, mode):
 
 
 # One row per budget stage: an argv, the flag of the stage's limit, and the
-# smallest limit the argv fits.  84, 360 and the hist and km-density sizes
+# smallest limit the argv fits.  84, 1800 and the hist and km-density sizes
 # are the boundaries of the tests above, 109 the c4 walk budget of
 # test_freeprod.py::test_walk_budget, and 48 (12 per vertex) the k4 charge
 # of test_graphs.py::test_trace_moments_budget.  One less is refused with
@@ -1033,8 +1036,8 @@ STAGE_BOUNDARIES = [
     ("walk expansions", "free-clt --graph builtin:c4 --k 2 --N 2 --max-m 4", "--walk-budget", 109),
     ("walk expansions", "tree-check --d 3 --k 2 --max-m 8", "--walk-budget", 84),
     ("walk expansions", "large-d --k 2 --d-list 3 --max-m 8", "--walk-budget", 84),
-    ("check-row neighbour scans", "decomp-check --mode tree --d 3 --k 2 --radius 5",
-     "--walk-budget", 360),
+    ("check-row letters", "decomp-check --mode tree --d 3 --k 2 --radius 5",
+     "--walk-budget", 1800),
     ("two-step pairs", "decomp-check --mode square --graph builtin:k4", "--walk-budget", 36),
     ("vacuum-walk expansions", "moments --graph builtin:k4 --max-m 4", "--walk-budget", 12),
     ("trace-walk expansions", "moments --graph builtin:k4 --which trace --max-m 4",

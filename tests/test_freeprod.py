@@ -864,13 +864,13 @@ def test_tree_rows_match_the_pair_oracle():
 
 
 def _counted_work(monkeypatch, run):
-    """Neighbour words listed by run(): every distance a check reads is a BFS row."""
+    """Letters of the neighbour words run() lists: a check reads every distance off a BFS row."""
     work = [0]
     neighbors = freeprod.word_neighbors
 
     def counted_neighbors(spec, word):
         out = neighbors(spec, word)
-        work[0] += len(out)
+        work[0] += sum(map(len, out))
         return out
 
     with monkeypatch.context() as patch:
@@ -890,16 +890,18 @@ def _counted_work(monkeypatch, run):
     ],
 )
 def test_check_rows_are_charged_before_the_first(monkeypatch, check, args, spec, cutoff):
-    # types within the cutoff x D * (1 + D + ... + D^(k+1)), with D the
-    # maximum degree; the types are counted here from the interior's words
+    # D * (1 + D + ... + D^(k+1)) neighbour scans of at most rd + k + 2
+    # letters for each type within the cutoff, with D the maximum degree;
+    # the types are counted here from the interior's words
     k = args[1]
     degree = max(map(len, spec.base.neighbors)) + (spec.copies - 1) * spec.sigma
-    types = len({_word_type(spec, w) for w in ball(spec, cutoff)})
-    charge = types * degree * sum(degree**i for i in range(k + 2))
+    types = {_word_type(spec, w): root_distance(spec, w) for w in ball(spec, cutoff)}
+    row = degree * sum(degree**i for i in range(k + 2))
+    charge = sum(rd + k + 2 for rd in types.values()) * row
     with pytest.raises(BudgetExceededError) as info:
         check(*args, Budgets(charge - 1))
     assert str(info.value) == (
-        f"budget exceeded: {charge} check-row neighbour scans (budget {charge - 1})"
+        f"budget exceeded: {charge} check-row letters (budget {charge - 1})"
     )
 
     def short():
