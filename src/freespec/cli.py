@@ -9,7 +9,10 @@ machine-parseable "error[CODE]:" prefix.
 Every report is a fresh process, so start-up counts: freespec.regular (the
 graph sampler) is imported only by regular-random and cycles, json only by
 render_json, and the parser adds the flags of the subcommand it runs and no
-other (_Subcommand).  perfbench/traced.py replaces functions by name in the
+other (_Subcommand).  The samples of regular-random and cycles run on a pool
+of worker processes, by default one for each CPU this process may run on
+(its affinity mask), up to --samples; --threads caps the count, and
+--threads 1 runs them here and imports no pool module.  perfbench/traced.py replaces functions by name in the
 module where they are called (render_csv here, run_cells, pairing_model and
 the others it lists), so each of those must stay a module attribute that is
 looked up when it is called.
@@ -190,9 +193,10 @@ class _Subcommand(_Parser):
         self.add_argument("--format", choices=("csv", "json"), default="csv")
         self.add_argument("--output", default=None, help="output path (default stdout)")
         self.add_argument(
-            "--threads", type=int, default=1,
+            "--threads", type=int, default=None,
             help="worker processes for the samples of regular-random and cycles "
-            "(default 1: no pool); other subcommands run serially",
+            "(default: every CPU this process may run on; 1: no pool); other "
+            "subcommands run serially",
         )
         self.add_argument(
             "--timing", action="store_true",
@@ -247,7 +251,7 @@ def _run(args) -> Report:
     _check_mode(args)
     given = (getattr(args, name, None) for name in ("walk_budget", "ball_budget"))
     budgets = Budgets(**{f: v for f, v in zip(Budgets._fields, given) if v is not None})
-    if args.threads < 1:
+    if args.threads is not None and args.threads < 1:
         raise _UsageError("--threads must be >= 1")
     if min(budgets.walk_expansions, budgets.ball_vertices) < 0:
         raise _UsageError("--walk-budget and --ball-budget must be >= 0")

@@ -153,15 +153,16 @@ def cycle_sample(d: int, j: int, n: int, seed: int, i: int, budgets: Budgets) ->
     return count_k_cycles(g, j, budgets)
 
 
-def sample_workers(threads: int, samples: int) -> int:
-    """Worker processes for a run: at most threads, samples per cell and the
-    CPUs this process may run on (the host's where it has no affinity mask)."""
+def sample_workers(threads: int | None, samples: int) -> int:
+    """Worker processes for a run: at most threads (no cap when None),
+    samples per cell and the CPUs this process may run on (the host's where
+    it has no affinity mask)."""
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    return max(1, min(threads, samples, cpus))
+    return max(1, min(cpus if threads is None else threads, samples, cpus))
 
 
-def _sampled_cells(sample, n_list, samples: int, threads: int, budgets, reduce) -> list:
+def _sampled_cells(sample, n_list, samples: int, threads: int | None, budgets, reduce) -> list:
     """reduce(results of sample i of n, i in order) for each n in n_list.
 
     A cell maps sample(n) over (range(samples), repeat(budgets)), and a
@@ -173,8 +174,10 @@ def _sampled_cells(sample, n_list, samples: int, threads: int, budgets, reduce) 
     Workers are forked where the platform can fork, so they share the pages
     of the modules the parent imported (a spawned worker imports them again,
     about 1 MB more peak RSS on regular-trace).  The pool forks all its
-    workers before it starts its manager thread, so the caller must not run
-    threads of its own while it starts; the CLI runs none.
+    workers before it starts its manager thread, so a caller that runs
+    threads of its own while it starts must pass threads=1.  The CLI runs
+    none, and by default asks for threads=None: a pool on every CPU it may
+    run on, whenever a cell has more than one sample.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -218,14 +221,15 @@ def regular_limit_experiment(
     max_m: int,
     seed: int,
     budgets: Budgets = Budgets(),
-    threads: int = 1,
+    threads: int | None = 1,
 ) -> Report:
     """Mean trace moments of distance-k graphs of random d-regular graphs.
 
     The reference is the exact root-walk moment of the d-regular tree's
     distance-k graph, computed on the polynomial side.  A cell with a
     sample past its budget is marked skipped.  Samples run on up to threads
-    worker processes; the report is the same for every value.
+    worker processes (every CPU this process may run on when None); the
+    report is the same for every value.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -260,14 +264,14 @@ def cycles_experiment(
     samples: int,
     seed: int,
     budgets: Budgets = Budgets(),
-    threads: int = 1,
+    threads: int | None = 1,
 ) -> Report:
     """Mean j-cycle counts across orders n, against the d-regular limit value.
 
     Cells whose enumeration runs past its budget are marked skipped and the
     run continues.
-    Samples run on up to threads worker processes; the report is the same
-    for every value.
+    Samples run on up to threads worker processes (every CPU this process
+    may run on when None); the report is the same for every value.
     """
     if j < 3:
         raise ValueError("cycle length must be >= 3")

@@ -289,14 +289,38 @@ def test_single_thread_starts_no_pool():
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     for argv in (
-        ("regular-random", "--d", "3", "--k", "2", "--n-list", "20", "--samples", "2"),
-        ("cycles", "--d", "3", "--j", "3", "--n-list", "20", "--samples", "2"),
+        ("regular-random", "--d", "3", "--k", "2", "--n-list", "20", "--samples", "2",
+         "--threads", "1"),
+        ("cycles", "--d", "3", "--j", "3", "--n-list", "20", "--samples", "2", "--threads", "1"),
         ("cycles", "--d", "3", "--j", "3", "--n-list", "20", "--samples", "1", "--threads", "2"),
     ):
         proc = subprocess.run(
             [sys.executable, "-c", script, *argv], env=env, capture_output=True, timeout=120,
         )
         assert proc.returncode == 0, (argv, proc.stderr)
+
+
+def test_the_default_worker_count_follows_the_affinity_mask(monkeypatch):
+    # without --threads a sampled run takes every CPU it may run on: on one
+    # CPU its samples run here and no pool module is imported, on two they
+    # run on two workers
+    script = (
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0}\n"
+        "from freespec import cli\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    argv = ("cycles", "--d", "3", "--j", "3", "--n-list", "20", "--samples", "4")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert regular.sample_workers(None, 20) == 2
+    assert regular.sample_workers(None, 1) == 1
 
 
 def test_cli_imports_only_what_a_command_uses():

@@ -141,8 +141,19 @@ GOLDEN = [
 ]
 
 
+# A sampled argv runs on a pool of every CPU the process may run on by
+# default, and in the process itself with --threads 1: both give its digests.
+CASES = [
+    pytest.param(argv + threads, csv_digest, json_digest, id=argv + threads)
+    for argv, csv_digest, json_digest in GOLDEN
+    for threads in (
+        ("", " --threads 1") if argv.split()[0] in ("regular-random", "cycles") else ("",)
+    )
+]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("argv, csv_digest, json_digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+@pytest.mark.parametrize("argv, csv_digest, json_digest", CASES)
 def test_report_is_golden(capsys, argv, csv_digest, json_digest, fmt):
     code = cli.main([*argv.split(), "--format", fmt])
     captured = capsys.readouterr()
