@@ -710,6 +710,9 @@ def _run_in_800_mb(argv):
         "free-clt --graph builtin:k4 --k 1 --N 2305843009213693951 --max-m 3",
         "free-clt --graph builtin:k4 --k 6 --N 8 --max-m 2",
         "hist --law semicircle --samples 20 --bins 3 --transform q:1000:400",
+        "regular-random --d 3 --k 3000000 --n-list 4 --samples 1 --max-m 2",
+        "tree-check --d 3 --k 10000 --max-m 2",
+        "moments --law semicircle --max-m 20000",
     ],
 )
 def test_adversarial_argv_keep_the_budget_contract(argv):
