@@ -12,10 +12,12 @@ render_json, and the parser adds the flags of the subcommand it runs and no
 other (_Subcommand).  The samples of regular-random and cycles run on a pool
 of worker processes, by default one for each CPU this process may run on
 (its affinity mask), up to --samples; --threads caps the count, and
---threads 1 runs them here and imports no pool module.  perfbench/traced.py replaces functions by name in the
-module where they are called (render_csv here, run_cells, pairing_model and
-the others it lists), so each of those must stay a module attribute that is
-looked up when it is called.
+--threads 1 runs them here and imports no pool module.
+
+perfbench/traced.py replaces functions by name in the module where they are
+called (render_csv here, run_cells, pairing_model and the others it lists),
+so each of those must stay a module attribute that is looked up when it is
+called.
 """
 from __future__ import annotations
 
@@ -149,7 +151,10 @@ _READS = {
         "--mode tree": "--d! --k! --radius! --walk-budget",
         "--mode free": "--graph! --N! --k! --radius! --walk-budget",
     },
-    "moments": {"--graph": "--graph --which --max-m=8 --walk-budget", "--law": "--law --max-m=8"},
+    "moments": {
+        "--graph": "--graph --which --max-m=8 --walk-budget",
+        "--law": "--law --max-m=8 --walk-budget",
+    },
     "km-density": {"": "--d! --points=11 --range! --ball-budget"},
     "hist": {"": "--law! --samples=10000 --bins=20 --seed=0 --transform=none --ball-budget"},
 }
@@ -335,9 +340,9 @@ def _run_moments(args, budgets: Budgets) -> Report:
     if args.law is not None:
         d = parse_law(args.law)
         if d is None:
-            name, values = "semicircle", semicircle_moments(args.max_m)
+            name, values = "semicircle", semicircle_moments(args.max_m, budgets)
         else:
-            name, values = f"kesten-mckay-d{d}", kesten_mckay_moments(d, args.max_m)
+            name, values = f"kesten-mckay-d{d}", kesten_mckay_moments(d, args.max_m, budgets)
         param_name, param_value = "law", name
     else:
         g, name = _load_graph(args.graph)

@@ -151,6 +151,7 @@ STAGES = {
     "trace-walk expansions": "walk_expansions",
     "distance-k graph entries": "walk_expansions",
     "cycle-enumeration nodes": "walk_expansions",
+    "Jacobi-chain updates": "walk_expansions",
     "ball vertices": "ball_vertices",
     "histogram samples": "ball_vertices",
     "histogram bins": "ball_vertices",

@@ -66,7 +66,7 @@ def tree_check_experiment(
     values = [ExactScaled(count) for count in counts]
     rows = moment_rows(
         "tree-check", f"tree-d{d}", "d", k, [(d, values)],
-        tree_distance_k_law_moments(d, k, max_m),
+        tree_distance_k_law_moments(d, k, max_m, budgets),
     )
     return Report(rows=rows, budgets=budgets)
 

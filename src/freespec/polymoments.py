@@ -9,14 +9,16 @@ A symmetric law is given by its Jacobi parameters gamma.  One recursion
 builds its monic orthogonal polynomials, and one routine, jacobi_moments,
 gives the moments of p(b) for b of that law and any polynomial p: the
 semicircle and Kesten-McKay moments (p = x) and the distance-k laws
-(p = P_k or Q_k).
+(p = P_k or Q_k).  The law moments the CLI prints and the tree law are
+charged to the walk budget before P_k or the chain is built
+(_orthogonal_poly_moments).
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from .errors import Frozen
+from .errors import Budgets, Frozen
 
 
 def _canonical(values) -> tuple:
@@ -106,14 +108,32 @@ def kesten_mckay_params(d: int) -> JacobiParams:
     return JacobiParams(gamma=(d, d - 1))
 
 
-def semicircle_moments(max_m: int) -> tuple[Fraction, ...]:
+def _orthogonal_poly_moments(
+    params: JacobiParams, k: int, max_m: int, budgets: Budgets
+) -> tuple[Fraction, ...]:
+    """Moments of P_k(b), with P_k the k-th monic orthogonal polynomial of
+    the law of b, charged before P_k or the chain is built.
+
+    Building P_k updates k * (k + 3) / 2 coefficients, at most k * (k + 1).
+    Each moment applies P_k(J) by Horner's rule: k + 1 steps, each over the
+    chain's k * max_m // 2 + 2 levels.  So the charge is
+    (k + 1) * (k + max_m * levels), whatever the size of the numbers.
+    """
+    levels = k * max_m // 2 + 2
+    budgets.charge("Jacobi-chain updates", (k + 1) * (k + max_m * levels))
+    return jacobi_moments(params, max_m, monic_orthogonal_poly(params, k))
+
+
+def semicircle_moments(max_m: int, budgets: Budgets = Budgets()) -> tuple[Fraction, ...]:
     """Moments of the standard semicircle law; even moments are Catalan."""
-    return jacobi_moments(SEMICIRCLE, max_m)
+    return _orthogonal_poly_moments(SEMICIRCLE, 1, max_m, budgets)
 
 
-def kesten_mckay_moments(d: int, max_m: int) -> tuple[Fraction, ...]:
+def kesten_mckay_moments(
+    d: int, max_m: int, budgets: Budgets = Budgets()
+) -> tuple[Fraction, ...]:
     """Moments of the Kesten-McKay law (gamma_0 = d, gamma_n = d - 1)."""
-    return jacobi_moments(kesten_mckay_params(d), max_m)
+    return _orthogonal_poly_moments(kesten_mckay_params(d), 1, max_m, budgets)
 
 
 def chebyshev_monic(k: int) -> tuple:
@@ -170,10 +190,12 @@ def km_density_max(d: int) -> float:
     return math.sqrt(d - 1) / (math.pi * d)
 
 
-def tree_distance_k_law_moments(d: int, k: int, max_m: int) -> tuple[Fraction, ...]:
+def tree_distance_k_law_moments(
+    d: int, k: int, max_m: int, budgets: Budgets = Budgets()
+) -> tuple[Fraction, ...]:
     """Exact law of the distance-k operator of the d-regular tree at the root.
 
     Computed entirely on the polynomial side: moments of Q_k(b) with b
     Kesten-McKay distributed.  Independent of the walk-counting engines.
     """
-    return jacobi_moments(kesten_mckay_params(d), max_m, tree_distance_poly(d, k))
+    return _orthogonal_poly_moments(kesten_mckay_params(d), k, max_m, budgets)

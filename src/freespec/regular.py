@@ -252,7 +252,7 @@ def regular_limit_experiment(
     cells = zip(n_list, means)
     # a skipped row shows no reference: none is computed if every row is
     shown = any(mean is not None for mean in means)
-    refs = tree_distance_k_law_moments(d, k, max_m) if shown else [None] * (max_m + 1)
+    refs = tree_distance_k_law_moments(d, k, max_m, budgets) if shown else [None] * (max_m + 1)
     rows = moment_rows("regular-random", f"random-regular-d{d}", "n", k, cells, refs)
     return Report(rows=rows, seed=seed, budgets=budgets)
 

@@ -481,13 +481,18 @@ def test_large_d_is_free_clt_on_k2(capsys):
 def test_tree_check_honours_the_walk_budget(capsys):
     # the 3-regular tree at k = 2, max_m = 8 charges 84 walk expansions: the
     # 1 + 2 letters of its segment pool first, then the turn scans, stacks
-    # and mass updates of each step, each before it is built
+    # and mass updates of each step, each before it is built.  Its reference
+    # then charges 3 * (2 + 8 * 10) = 246 Jacobi-chain updates
     argv = ("tree-check", "--d", "3", "--k", "2", "--max-m", "8")
-    for budget, count in (("1", 3), ("83", 84)):
+    for budget, count, stage in (
+        ("1", 3, "walk expansions"),
+        ("83", 84, "walk expansions"),
+        ("245", 246, "Jacobi-chain updates"),
+    ):
         code, out, err = run_cli(capsys, *argv, "--walk-budget", budget)
         assert (code, out) == (2, "")
-        assert err == f"error[BUDGET]: budget exceeded: {count} walk expansions (budget {budget})\n"
-    code, _, _ = run_cli(capsys, *argv, "--walk-budget", "84")
+        assert err == f"error[BUDGET]: budget exceeded: {count} {stage} (budget {budget})\n"
+    code, _, _ = run_cli(capsys, *argv, "--walk-budget", "246")
     assert code == 0
     # large-d and free-clt on K2 skip every cell over the budget
     for argv in (
@@ -970,8 +975,8 @@ def test_decomp_check_takes_no_ball_budget(capsys, argv):
     ((*FREE, "--N", "2", "--d", "3"), 1,
      "error[USAGE]: --d applies to --mode tree, not --mode free\n"),
     ((*FREE, "--N", "2,3"), 1, "error[USAGE]: --N expects one integer in --mode free\n"),
-    (("moments", "--law", "semicircle", "--walk-budget", "5"), 1,
-     "error[USAGE]: --walk-budget applies to --graph, not --law\n"),
+    (("moments", "--law", "semicircle", "--ball-budget", "5"), 1,
+     "error[USAGE]: unrecognized arguments: --ball-budget 5\n"),
 ])
 def test_flag_errors_and_rare_flags(capsys, argv, code, err):
     got_code, _, got_err = run_cli(capsys, *argv)
@@ -1054,14 +1059,14 @@ def test_every_budget_flag_a_mode_takes_is_read(capsys, command, mode):
 
 
 # One row per budget stage: an argv, the flag of the stage's limit, and the
-# smallest limit the argv fits.  84, 1800 and the hist and km-density sizes
-# are the boundaries of the tests above, 109 the c4 walk budget of
-# test_freeprod.py::test_walk_budget, and 48 (12 per vertex) the k4 charge
-# of test_graphs.py::test_trace_moments_budget.  One less is refused with
+# smallest limit the argv fits.  84, 246, 1800 and the hist and km-density
+# sizes are the boundaries of the tests above, 109 the c4 walk budget of
+# test_freeprod.py::test_walk_budget, 48 (12 per vertex) the k4 charge
+# of test_graphs.py::test_trace_moments_budget, and 98 = 2 * (1 + 8 * 6) the
+# semicircle's chain of 6 levels at max_m 8.  One less is refused with
 # the stage's error line, or skips the cell where the subcommand skips.
 STAGE_BOUNDARIES = [
     ("walk expansions", "free-clt --graph builtin:c4 --k 2 --N 2 --max-m 4", "--walk-budget", 109),
-    ("walk expansions", "tree-check --d 3 --k 2 --max-m 8", "--walk-budget", 84),
     ("walk expansions", "large-d --k 2 --d-list 3 --max-m 8", "--walk-budget", 84),
     ("check-row letters", "decomp-check --mode tree --d 3 --k 2 --radius 5",
      "--walk-budget", 1800),
@@ -1075,6 +1080,8 @@ STAGE_BOUNDARIES = [
      "regular-random --d 3 --k 2 --n-list 20 --samples 2 --max-m 2", "--walk-budget", 120),
     ("cycle-enumeration nodes", "cycles --d 3 --j 4 --n-list 20 --samples 2",
      "--walk-budget", 131),
+    ("Jacobi-chain updates", "tree-check --d 3 --k 2 --max-m 8", "--walk-budget", 246),
+    ("Jacobi-chain updates", "moments --law semicircle --max-m 8", "--walk-budget", 98),
     ("histogram samples", "hist --law semicircle --samples 21 --bins 5", "--ball-budget", 21),
     ("histogram bins", "hist --law semicircle --samples 10 --bins 21", "--ball-budget", 21),
     ("density points", "km-density --d 3 --points 21 --range -1,1", "--ball-budget", 21),
