@@ -17,7 +17,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import freespec
-from freespec import cli, errors, experiments, freeprod, graphs, regular
+from freespec import cli, errors, experiments, freeprod, graphs, polymoments, regular
 from freespec.errors import ParityError, UnreducedWordError
 from freespec.freeprod import ball, free_power, vacuum_moments_distance_k
 from freespec.graphs import RootedGraph, complete_graph, cycle_graph
@@ -386,7 +386,7 @@ def test_budget_defaults_are_the_library_defaults():
     assert Budgets() == Budgets(walk_expansions=10**8, ball_vertices=10**6)
     renamed = {"budget", "max_expansions", "max_nodes", "max_vertices", "max_pairs"}
     defaults = {}
-    for module in (cli, experiments, freeprod, graphs, regular):
+    for module in (cli, experiments, freeprod, graphs, polymoments, regular):
         for name, fn in vars(module).items():
             if inspect.isfunction(fn) and fn.__module__ == module.__name__:
                 params = inspect.signature(fn).parameters
@@ -397,6 +397,7 @@ def test_budget_defaults_are_the_library_defaults():
     engines = {
         "ball", "decomposition_check", "tree_recurrence_check", "vacuum_moments_distance_k",
         "closed_walk_counts", "trace_moments", "count_k_cycles", "square_check", "_segment_pool",
+        "semicircle_moments", "kesten_mckay_moments", "tree_distance_k_law_moments",
     }
     assert {name for name, default in defaults.items() if default == Budgets()} >= engines
 
