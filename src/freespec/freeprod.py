@@ -407,10 +407,18 @@ def vacuum_moments_distance_k(
             out.append((x, coeff * w))
         return out
 
+    # near[va]: the scan of a turn at a letter of va, once per vertex: the
+    # distance d to each vb != va within k, in the order of vb, and rep[vb]
+    # (-1 for the root)
+    near = [
+        [(d, -1 if vb == root else rep[vb]) for vb, d in enumerate(row) if vb != va and d <= k]
+        for va, row in enumerate(apsp)
+    ]
+
     def turns(t):
         # [root distance after, land, rem, coefficient, targets to be built]
-        # for each turn from a word of type t that reaches a neighbour; the
-        # scan of n vertices at each letter it may strip is charged first
+        # for each turn from a word of type t that reaches a neighbour; each
+        # letter it may strip is charged its scan of n vertices first
         strips, y, above = [], t, 0
         while y and above <= k:
             strips.append((y, above))
@@ -419,15 +427,15 @@ def vacuum_moments_distance_k(
         spend(1 + n * len(strips))
         out = {(t, k): copies - 1 if t else copies}
         for y, above in strips:
-            va, s = top[y], below[y]
-            for vb, d in enumerate(apsp[va]):
+            s = below[y]
+            for d, r in near[top[y]]:
                 rem = k - above - d
-                if vb == va or rem < 0:
+                if rem < 0:
                     continue
-                if vb == root:
+                if r < 0:
                     land, first = s, copies - 2 if s else copies - 1
                 else:
-                    land, first = child(s, rep[vb]), copies - 1
+                    land, first = child(s, r), copies - 1
                 out[land, rem] = out.get((land, rem), 0) + (first if rem else 1)
         return [
             [rd[land] + rem, land, rem, coeff, None]

@@ -13,13 +13,8 @@ matrix is built; the dense matrices live in the tests as the oracle.
 trace_moments counts each closed walk once, from the least vertex v it
 visits: walks from v inside the vertices above v count v's first-return
 excursions, with generating function E_v(z), the product over all v of
-1 - E_v(z) is det(I - zA), and Newton's identity reads every trace off
-its min(n, max_m) + 1 coefficients.  Against the half walks it replaced
-(each vertex's, joined), the median wall time of `regular-random --d 3
---k 2 --n-list 1000,2000 --samples 20 --max-m 6 --threads 2` fell from
-1.19 s to 0.86 s on a 2-core host (10 alternating pairs of benchmark
-runs).  Past max_m = n the walks stop growing, so on the same host k4 at
-max_m 1000 takes 2.5 ms where the half walks took 16 ms.
+1 - E_v(z) is det(I - zA), kept as one packed integer, and Newton's
+identity reads every trace off its min(n, max_m) + 1 coefficients.
 """
 from __future__ import annotations
 
@@ -28,6 +23,7 @@ from collections import deque
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
+from math import comb
 from operator import mul
 
 from .errors import (
@@ -212,9 +208,9 @@ def _walk_charge(g: RootedGraph, max_m: int) -> int:
     or D < 2, every later term equals this one, so no larger power is raised.
 
     trace_moments charges _walk_charge(g, d) per vertex, d = min(n, max_m),
-    and takes no more: _excursions expands v, as half walk 0 does, then
-    x_0..x_(L-1) with L = (d - 1) // 2 <= ceil(d / 2) - 1, where x_t holds
-    only vertices of half walk t + 1, each expanded at most D times.
+    and takes no more: its excursions from v expand v, as half walk 0 does,
+    then x_0..x_(L-1) with L = (d - 1) // 2 <= ceil(d / 2) - 1, where x_t
+    holds only vertices of half walk t + 1, each expanded at most D times.
     """
     n = g.vertex_count
     degree = max(map(len, g.neighbors), default=0)
@@ -252,70 +248,74 @@ def closed_walk_counts(
     return _closed_walks(g, source, max_m)
 
 
-def _excursions(g: RootedGraph, v: int, d: int) -> list[int]:
-    """First-return excursions at v above v: entry s counts the s-step
-    closed walks at v whose other vertices all lie above v, s = 0..d.
-
-    x_t maps each vertex w > v to the walks of t + 1 steps from v to w
-    that stay above v, for t <= (d - 1) // 2.  An excursion of s steps is
-    two of them joined at a vertex, e(s) = <x_a, x_(s-2-a)> for any a,
-    here a = (s - 2) // 2.
-    """
-    descending = g._descending_neighbors
-    level: dict[int, int] = {}
-    for u in descending[v]:
-        if u <= v:
-            break
-        level[u] = 1
-    if not level:
-        return [0] * (d + 1)
-    xs = [level]
-    for _ in range((d - 1) // 2):
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for w, c in level.items():
-            for u in descending[w]:
-                if u <= v:
-                    break
-                nxt[u] = get(u, 0) + c
-        xs.append(nxt)
-        level = nxt
-    return [0, 0] + [_join(xs[s // 2 - 1], xs[(s - 1) // 2]) for s in range(2, d + 1)]
-
-
 def trace_moments(g: RootedGraph, max_m: int, budgets: Budgets = Budgets()) -> list[Fraction]:
     """Normalized-trace moments (1/n) * trace(A^m) for m = 0..max_m, exactly.
 
     A closed walk at v that stays in the vertices >= v is a sequence of
-    first-return excursions (_excursions), so its generating function is
-    1 / (1 - E_v(z)), the (v, v) entry of (I - z A)^-1 on those vertices.
-    By Cramer's rule 1 - E_v(z) is det(I - z A) on the vertices >= v over
-    det(I - z A) on the vertices > v, and the product over all v is
-    c(z) = det(I - z A), a polynomial of degree at most n.  Its coefficients
-    up to d = min(n, max_m) give every trace by Newton's identity,
-    -z c'(z) / c(z) = sum over m >= 1 of trace(A^m) z^m.  Each closed walk
-    is thus counted once, from the least vertex it visits, and the work
-    past degree n is one recurrence with n terms.
+    first-return excursions, so its generating function is 1 / (1 - E_v(z)),
+    the (v, v) entry of (I - z A)^-1 on those vertices.  By Cramer's rule
+    1 - E_v(z) is det(I - z A) on the vertices >= v over det(I - z A) on the
+    vertices > v, and the product over all v is c(z) = det(I - z A), a
+    polynomial of degree at most n.  Its coefficients up to d = min(n, max_m)
+    give every trace by Newton's identity, -z c'(z) / c(z) = sum over m >= 1
+    of trace(A^m) z^m; past degree n each trace is one recurrence step.
+
+    x_t maps each vertex w > v to the walks of t + 1 steps from v to w that
+    stay above v, t <= (d - 1) // 2, and <x_a, x_(s-2-a)>, a = (s - 2) // 2,
+    counts the s-step excursions.  c(z) is kept as its value at z = 2^B
+    modulo 2^((d+1)B), a ring map from Z[z] / (z^(d+1)), so each vertex
+    multiplies it once.  Its coefficient m is +-e_m of eigenvalues of
+    modulus at most the maximum degree D, so |c_m| <= C(n, m) D^m < 2^(B-2)
+    and its d + 1 fields of B bits decode exactly as signed integers.
 
     Before a vertex's walks are built, the most expansions they can
-    take (_walk_charge of d) are added to the charge.
+    take (_walk_charge of d) are added to the charge; a graph refused at its
+    first vertex is refused before the packing is sized.
     """
     if max_m < 0:
         raise ValueError("max_m must be nonnegative")
     n = g.vertex_count
     d = min(n, max_m)
     per_vertex = _walk_charge(g, d)
-    charged = 0
-    limit = budgets.limit("trace-walk expansions")
-    det = [1] + [0] * d
+    charged, limit = 0, budgets.limit("trace-walk expansions")
+    if per_vertex > limit:
+        budgets.charge("trace-walk expansions", per_vertex)
+    degree = max(map(len, g.neighbors), default=0)
+    width = 2 + max(comb(n, m) * degree**m for m in range(d + 1)).bit_length()
+    mask = (1 << (d + 1) * width) - 1
+    descending = g._descending_neighbors
+    packed = 1
     for v in range(n):
         charged += per_vertex
         if charged > limit:
             budgets.charge("trace-walk expansions", charged)
-        e = _excursions(g, v, d)
-        # det *= 1 - E_v, from the top coefficient down so each reads the old ones
-        for i in range(d, 1, -1):
-            det[i] -= sum(map(mul, e[2 : i + 1], det[i - 2 :: -1]))
+        level: dict[int, int] = {}
+        for u in descending[v]:
+            if u <= v:
+                break
+            level[u] = 1
+        if not level or d < 2:
+            continue
+        # the excursions of s = 2..d steps, packed as E_v(2^B)
+        excursions = len(level) << 2 * width
+        for s in range(3, d + 1, 2):
+            nxt: dict[int, int] = {}
+            get = nxt.get
+            for w, c in level.items():
+                for u in descending[w]:
+                    if u <= v:
+                        break
+                    nxt[u] = get(u, 0) + c
+            small, large = (level, nxt) if len(level) <= len(nxt) else (nxt, level)
+            cross = sum(map(mul, small.values(), map(large.get, small, repeat(0))))
+            excursions += cross << s * width
+            if s < d:
+                excursions += sum(map(mul, nxt.values(), nxt.values())) << (s + 1) * width
+            level = nxt
+        packed = (packed - packed * excursions) & mask
+    low, half = (1 << width) - 1, 1 << width - 1
+    biased = packed + mask // low * half  # half added to each field: no carry crosses one
+    det = [((biased >> i * width) & low) - half for i in range(d + 1)]
     traces = [n] + [0] * max_m
     for m in range(1, max_m + 1):
         top = min(m - 1, d)

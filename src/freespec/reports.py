@@ -257,7 +257,26 @@ def render_csv(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
+_ROW_KEYS = (
+    "experiment", "graph", "param_name", "param_value", "k", "m", "value", "value_exact",
+    "reference", "reference_exact", "abs_err", "rel_err", "skipped",
+)
+
+
+def _json_object(keys, pad: str) -> str:
+    """The indent=2 layout of a JSON object with these keys at indent pad:
+    a %s for each value, which is already JSON."""
+    return "{" + ",".join(f'\n{pad}  "{key}": %s' for key in keys) + f"\n{pad}}}"
+
+
 def render_json(report: Report) -> str:
+    """The report as json.dumps(doc, indent=2, allow_nan=False) lays it out,
+    doc being {"meta": {...}, "rows": [{...}, ...]}.
+
+    The layout is written here and every scalar is spelled by one call of
+    json's C encoder, which indent=2 would turn off.  An encoded scalar holds
+    no raw newline, so a newline separates them.
+    """
     import json
 
     # each *_exact field spells its value in full: Python's int-to-str digit
@@ -266,36 +285,28 @@ def render_json(report: Report) -> str:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        rows = []
+        values = []
         for r in report.rows:
             value, reference, abs_err, rel_err = _shown(r)
-            rows.append(
-                {
-                    "experiment": r.experiment,
-                    "graph": r.graph,
-                    "param_name": r.param_name,
-                    "param_value": r.param_value,
-                    "k": r.k,
-                    "m": r.m,
-                    "value": _float(value),
-                    "value_exact": _exact(value),
-                    "reference": _float(reference),
-                    "reference_exact": _exact(reference),
-                    "abs_err": _float(abs_err),
-                    "rel_err": rel_err,
-                    "skipped": r.skipped,
-                }
+            values += (
+                r.experiment, r.graph, r.param_name, r.param_value, r.k, r.m,
+                _float(value), _exact(value), _float(reference), _exact(reference),
+                _float(abs_err), rel_err, r.skipped,
             )
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-    doc = {
-        "meta": {
-            "seed": report.seed,
-            "budgets": report.budgets.as_dict(),
-            "version": __version__,
-            "wall_ms": report.wall_ms,
-        },
-        "rows": rows,
-    }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    budgets = report.budgets.as_dict()
+    head = [report.seed, *budgets.values(), __version__, report.wall_ms]
+    scalars = json.dumps(head + values, allow_nan=False, separators=("\n", ": "))[1:-1].split("\n")
+    seed, *limits, version, wall_ms = scalars[: len(head)]
+    row, width = _json_object(_ROW_KEYS, "    "), len(_ROW_KEYS)
+    rows = [
+        "\n    " + row % tuple(scalars[i : i + width])
+        for i in range(len(head), len(scalars), width)
+    ]
+    meta = _json_object(("seed", "budgets", "version", "wall_ms"), "  ") % (
+        seed, _json_object(budgets, "    ") % tuple(limits), version, wall_ms
+    )
+    rows = "[" + ",".join(rows) + "\n  ]" if rows else "[]"
+    return _json_object(("meta", "rows"), "") % (meta, rows) + "\n"

@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import freespec
@@ -260,6 +260,7 @@ def test_values_past_the_int_digit_limit_render(value, cell):
     row = ReportRow("moments", "g", "state", "vacuum", None, 9, value)
     report = Report(rows=[row])
     assert render_csv(report).splitlines()[1].split(",")[6] == cell
+    assert render_json(report) == indented_json(report)
     shown = json.loads(render_json(report))["rows"][0]
     if limit is not None:
         assert sys.get_int_max_str_digits() == limit
@@ -270,6 +271,99 @@ def test_values_past_the_int_digit_limit_render(value, cell):
         if limit is not None:
             sys.set_int_max_str_digits(limit)
     assert (shown["value"], shown["skipped"]) == (None, False)
+
+
+def indented_json(report):
+    """The report as json.dumps(doc, indent=2, allow_nan=False) writes it,
+    doc holding the fields render_json writes, as nested dicts."""
+    from freespec import __version__
+    from freespec.reports import _exact, _float, _shown
+
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        rows = []
+        for r in report.rows:
+            value, reference, abs_err, rel_err = _shown(r)
+            rows.append({
+                "experiment": r.experiment, "graph": r.graph, "param_name": r.param_name,
+                "param_value": r.param_value, "k": r.k, "m": r.m,
+                "value": _float(value), "value_exact": _exact(value),
+                "reference": _float(reference), "reference_exact": _exact(reference),
+                "abs_err": _float(abs_err), "rel_err": rel_err, "skipped": r.skipped,
+            })
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    meta = {
+        "seed": report.seed, "budgets": report.budgets.as_dict(),
+        "version": __version__, "wall_ms": report.wall_ms,
+    }
+    return json.dumps({"meta": meta, "rows": rows}, indent=2, allow_nan=False) + "\n"
+
+
+_FRACTIONS = st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40))
+
+
+@st.composite
+def report_rows(draw):
+    """A row as the subcommands make them: skipped, a float without a
+    reference, a rational, or a surd against a zero reference."""
+    kind = draw(st.sampled_from(("skipped", "float", "rational", "surd")))
+    reference = draw(st.none() | _FRACTIONS.map(ExactScaled))
+    if kind == "skipped":
+        value = None
+    elif kind == "float":
+        value, reference = draw(st.floats(allow_nan=False, allow_infinity=False)), None
+    elif kind == "rational":
+        value = ExactScaled(draw(_FRACTIONS))
+    else:
+        value = ExactScaled(draw(_FRACTIONS), draw(st.sampled_from((2, 3, 6, 10**9 + 7))))
+        reference = draw(st.sampled_from((None, ExactScaled(Fraction(0)))))
+    text = st.text(max_size=8)
+    scalars = st.none() | st.integers() | text | st.floats(allow_nan=False)
+    return ReportRow(
+        draw(text), draw(text), draw(text), draw(scalars),
+        draw(st.none() | st.integers(0, 9)), draw(st.none() | st.integers(0, 10**4)),
+        value, reference,
+    )
+
+
+@given(
+    st.lists(report_rows(), max_size=4),
+    st.none() | st.integers(),
+    st.builds(Budgets, st.integers(0, 10**30), st.integers(0, 10**30)),
+    st.integers(0, 10**6),
+)
+@example([], None, Budgets(), 0)
+@example(
+    [
+        ReportRow('say "h\u00e9llo" \\ 100%s', "\u56fe\n\t", "N", "%d", None, None, None),
+        ReportRow("moments", "k3", "state", "vacuum", None, 9, ExactScaled(Fraction(3**8000, 7))),
+        ReportRow("free-clt", "g", "N", 2, 3, 1, ExactScaled(Fraction(-5, 7), 2),
+                  ExactScaled(Fraction(0))),
+        ReportRow("km-density", "kesten-mckay-d3", "x", -0.5, None, None, 0.25),
+        ReportRow("free-clt", "g", "N", 2, 1, 3, ExactScaled(Fraction(3, 10**400)),
+                  ExactScaled(Fraction(2, 10**400))),
+    ],
+    7,
+    Budgets(10**8, 10**6),
+    12,
+)
+@settings(deadline=None)
+def test_render_json_is_the_indented_dump(rows, seed, budgets, wall_ms):
+    # render_json writes the layout itself; it must stay byte for byte what
+    # json.dumps(..., indent=2) writes, and refuse what that refuses
+    report = Report(rows=rows, seed=seed, budgets=budgets, wall_ms=wall_ms)
+    try:
+        expected = indented_json(report)
+    except ValueError as exc:  # an infinite float: a parameter or a relative error
+        with pytest.raises(ValueError, match="Out of range float"):
+            render_json(report)
+        assert "Out of range float" in str(exc)
+        return
+    assert render_json(report) == expected
 
 
 def test_records_keep_value_semantics():

@@ -1,4 +1,5 @@
 """Tests for the rooted-graph core: builders, BFS, moments, cycles, decomposition."""
+import math
 import time
 import warnings
 from fractions import Fraction
@@ -235,12 +236,54 @@ def test_trace_moments_of_distance_k_graphs_sum_the_closed_walks():
                 assert trace_moments(dk, max_m) == sums
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("n", range(2, 21))
 def test_trace_moments_count_long_walks_on_complete_graphs(n):
     # K_n has eigenvalues n - 1 once and -1 n - 1 times; past max_m = n
-    # every trace comes from the recurrence on det(I - zA)
+    # every trace comes from the recurrence on det(I - zA), and max_m on
+    # either side of n sets how many fields the determinant packs
     expected = [Fraction((n - 1) ** m + (n - 1) * (-1) ** m, n) for m in range(61)]
-    assert trace_moments(complete_graph(n), 60) == expected
+    for max_m in (0, 1, 2, 3, n - 1, n, n + 1, 60):
+        assert trace_moments(complete_graph(n), max_m) == expected[: max_m + 1]
+
+
+def bipartite_traces(a, b, max_m):
+    """(1/n) tr(A^m) of K_{a,b}: its eigenvalues are +-sqrt(ab) and zeros."""
+    n = a + b
+    return [Fraction(n if m == 0 else 2 * (a * b) ** (m // 2) * (m % 2 == 0), n)
+            for m in range(max_m + 1)]
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (1, 6), (1, 8), (2, 3), (3, 3), (4, 7), (6, 6)])
+def test_packed_determinant_of_complete_bipartite_graphs(a, b):
+    # K_{1,b} is a star.  The labels are rotated so that the part of a
+    # starts first, in the middle and last: the excursions change with the
+    # labels, the traces may not.  Every max_m from 0 to past 2n is read,
+    # since d = min(n, max_m) sets the packing
+    n = a + b
+    for shift in sorted({0, n // 2, n - a}):
+        edges = [((u + shift) % n, (a + v + shift) % n) for u in range(a) for v in range(b)]
+        g = from_edge_list(n, edges, 0)
+        for max_m in range(2 * n + 4):
+            assert trace_moments(g, max_m) == bipartite_traces(a, b, max_m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_packed_determinant_without_edges(n):
+    # D = 0: every field is 0 but the constant one
+    for max_m in range(n + 4):
+        assert trace_moments(from_edge_list(n, [], 0), max_m) == [1] + [0] * max_m
+
+
+def test_trace_moments_on_the_workload_shape():
+    # the distance-2 graph of a 1000-vertex 3-regular pairing at max_m 6:
+    # degree 6, so the packed fields are wider than a machine word
+    dk = distance_k_graph(pairing_model(PairingConfig(n=1000, d=3, seed=7)), 2)
+    n = dk.vertex_count
+    degree = max(map(len, dk.neighbors))
+    assert degree == 6
+    assert max(math.comb(n, m) * degree**m for m in range(7)).bit_length() > 64
+    rows = [closed_walk_counts(dk, v, 6) for v in range(n)]
+    assert trace_moments(dk, 6) == [Fraction(sum(col), n) for col in zip(*rows)]
 
 
 @st.composite
@@ -279,6 +322,17 @@ def test_trace_moments_budget():
         trace_moments(g, 4, Budgets(47))
     assert (info.value.count, info.value.budget) == (48, 47)
     assert str(info.value) == "budget exceeded: 48 trace-walk expansions (budget 47)"
+
+
+def test_a_trace_refused_at_its_first_vertex_sizes_no_packing(monkeypatch):
+    # C_2000 at max_m 10^6 packs 2001 fields of about 3200 bits: the first
+    # vertex's charge refuses it before any field width is worked out
+    monkeypatch.setattr(graphs, "comb", None)
+    g = cycle_graph(2000)
+    per_vertex = graphs._walk_charge(g, 2000)
+    with pytest.raises(BudgetExceededError) as info:
+        trace_moments(g, 10**6, Budgets(per_vertex - 1))
+    assert (info.value.count, info.value.budget) == (per_vertex, per_vertex - 1)
 
 
 def excursion_expansions(g, v, max_m):
