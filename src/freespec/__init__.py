@@ -19,7 +19,6 @@ from .graphs import (  # noqa: F401
 )
 from .freeprod import (  # noqa: F401
     FreePowerSpec,
-    ball,
     decomposition_check,
     free_power,
     tree_recurrence_check,

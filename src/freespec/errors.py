@@ -149,6 +149,7 @@ STAGES = {
     "two-step pairs": "walk_expansions",
     "vacuum-walk expansions": "walk_expansions",
     "trace-walk expansions": "walk_expansions",
+    "determinant digits": "walk_expansions",
     "distance-k graph entries": "walk_expansions",
     "cycle-enumeration nodes": "walk_expansions",
     "Jacobi-chain updates": "walk_expansions",

@@ -16,8 +16,7 @@ from .freeprod import free_power, vacuum_moments_distance_k
 from .graphs import RootedGraph, complete_graph
 from .polymoments import (
     SEMICIRCLE,
-    chebyshev_monic,
-    jacobi_moments,
+    _orthogonal_poly_moments,
     km_density,
     km_density_max,
     km_support,
@@ -46,9 +45,12 @@ def normalized_value(count: int, scale_base: int, power: int) -> ExactScaled:
     return ExactScaled(Fraction(count, scale_base ** (power // 2)), scale_base if power % 2 else 1)
 
 
-def chebyshev_reference_moments(k: int, max_m: int):
-    """E[P_k(s)^m] for the semicircle variable s, m = 0..max_m, exact."""
-    return jacobi_moments(SEMICIRCLE, max_m, chebyshev_monic(k))
+def chebyshev_reference_moments(k: int, max_m: int, budgets: Budgets = Budgets()):
+    """E[P_k(s)^m] for the semicircle variable s, m = 0..max_m, exact.
+
+    Charged as Jacobi-chain updates before P_k is built.
+    """
+    return _orthogonal_poly_moments(SEMICIRCLE, k, max_m, budgets)
 
 
 def tree_check_experiment(
@@ -83,8 +85,9 @@ def free_clt_experiment(
 
     Each cell runs the walk DP at its own N.  Its cost grows with N up to
     N = 3 and not past it, so a cell that blows a budget is skipped, and so
-    is every cell of a larger N after it, without another run.  Rows keep
-    n_list order.
+    is every cell of a larger N after it, without another run.  The
+    reference is computed once, when some cell is shown, and a reference
+    over the budget raises.  Rows keep n_list order.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -107,7 +110,7 @@ def free_clt_experiment(
     cells = [(spec.copies, values) for spec, values in zip(specs, run_cells(cell, specs))]
     # a skipped row shows no reference: none is computed if every row is
     shown = any(values is not None for _, values in cells)
-    refs = chebyshev_reference_moments(k, max_m) if shown else [None] * (max_m + 1)
+    refs = chebyshev_reference_moments(k, max_m, budgets) if shown else [None] * (max_m + 1)
     rows = moment_rows("free-clt", graph_name, "N", k, cells, refs)
     return Report(rows=rows, budgets=budgets)
 

@@ -5,20 +5,19 @@ vertex != base root), stored top letter first and packed into small
 integers (letter = copy * base_n + vertex).  The empty word is the root.
 
 Word distances have one source in the engine, a BFS over word_neighbors
-(_word_bfs): the ball and the segment pools read the root's, and both
-decomposition checks read one row for each word type (_check_words).
-distance_k_neighbors reads no distance between words: it builds each
-neighbour along its geodesic, which strips letters off x, turns inside one
-copy and stacks a pool segment.  The closed-form suffix-stripping
-metric is a test oracle in tests/oracles.py.
+(_word_bfs): distance_k_neighbors is the depth-k frontier of the BFS from
+x, and both decomposition checks read one row for each word type
+(_check_words).  The closed-form suffix-stripping metric, and the
+geodesic rule that builds each neighbour along its geodesic, are test
+oracles in tests/oracles.py.
 
 Walk counts build no word.  vacuum_moments_distance_k runs one DP, for
 every base, over word types: sequences of letter vertices up to the
 root-fixing automorphisms of the base, with no copies.  Its moves are the
-geodesic rule of distance_k_neighbors with colours counted instead of
-built, so the number of types, and the DP's cost, do not grow with N past
-N = 3.  distance_k_neighbors is the word-level reference the tests check
-the DP against.
+geodesic rule (strip letters off a word, turn inside one copy, stack a
+segment) with colours counted instead of built, so the number of types,
+and the DP's cost, do not grow with N past N = 3.  The tests check the DP
+against walks counted word by word.
 """
 from __future__ import annotations
 
@@ -69,11 +68,6 @@ class FreePowerSpec(Frozen):
         return tuple(
             tuple(u for u in nb if u != root) for nb in self.base.neighbors
         )
-
-    @cached_property
-    def _pool_cache(self) -> dict[int, list]:
-        # segment pools built for this spec, by bound
-        return {}
 
 
 def free_power(base: RootedGraph, copies: int) -> FreePowerSpec:
@@ -147,127 +141,45 @@ def _word_bfs(spec: FreePowerSpec, source: Word, depth: int) -> dict[Word, int]:
     return dist
 
 
-def _ball_counts(spec: FreePowerSpec, radius: int):
-    """len(ball(spec, r)) for r = 1..radius, counted without building a word.
+def _max_degree(spec: FreePowerSpec) -> int:
+    """The largest degree of G^{*N}: a letter's base degree plus (N - 1) * sigma."""
+    return max(map(len, spec.base.neighbors)) + (spec.copies - 1) * spec.sigma
 
-    A word is a stack of non-root letters, each in a copy other than the
-    one below it, and its root distance is the sum of its letters' base
-    distances to the root.  So with w[s] the words of root distance s whose
-    bottom letter is in one given copy, w[s] sums [c == s] + (N - 1) *
-    w[s - c] over the non-root base vertices of cost c, and the r-ball
-    holds 1 + N * (w[1] + ... + w[r]) words.
+
+def _charge_moore_bound(spec: FreePowerSpec, radius: int, budgets: Budgets) -> None:
+    """Charge the words within radius of one word, radius by radius, as ball vertices.
+
+    With D the largest degree, at most 1 + D + D (D - 1) + ... + D (D - 1)^(r - 1)
+    words lie within r of any word (the Moore bound).  The count is charged
+    at each radius up to the first past the limit, so a huge radius costs
+    nothing; for D <= 2 it grows by at most 2 per radius, and that first
+    radius is worked out at once.
     """
-    root = spec.base.root
-    costs = [c for v, c in enumerate(spec.apsp[root]) if v != root]
-    w = [0] * max(costs)  # w[-c] is w[s - c]; 0 for s - c <= 0
-    count = 1
-    for s in range(1, radius + 1):
-        w = w[1:] + [sum((c == s) + (spec.copies - 1) * w[-c] for c in costs)]
-        count += spec.copies * w[-1]
-        yield count
-        if not any(w):
-            break  # N = 1, and no word is further out
-
-
-def _ball_size(spec: FreePowerSpec, radius: int, budgets: Budgets) -> int:
-    """len(ball(spec, radius)), charged at each radius up to it."""
-    count = 1
-    for count in _ball_counts(spec, radius):
+    degree = _max_degree(spec)
+    if degree <= 2:  # a path or a point: 1 + 2r words, or 2
+        past = max(1, (budgets.limit("ball vertices") + 1) // 2)
+        budgets.charge("ball vertices", 1 + degree * min(radius, past if degree == 2 else 1))
+        return
+    count, term = 1, degree
+    for _ in range(radius):
+        count += term
         budgets.charge("ball vertices", count)
-    return count
+        term *= degree - 1
 
 
-def ball(spec: FreePowerSpec, radius: int, budgets: Budgets = Budgets()) -> dict:
-    """The radius-ball of G^{*N}: {word: root distance} in BFS order from the root.
-
-    The root distance of a word is its graph distance from the root, so it
-    is the BFS depth.  The ball is charged from its count (_ball_size)
-    before any word is built.
-    """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    _ball_size(spec, radius, budgets)
-    return _word_bfs(spec, (), radius)
-
-
-def _segment_pool(spec: FreePowerSpec, bound: int, budgets: Budgets = Budgets()):
-    """The bound-ball of G^{*N} without its root, grouped by root distance.
-
-    Entry c lists (word, bottom copy) for each nonempty word of root
-    distance c, so entry 0 is empty.  distance_k_neighbors stacks these
-    segments; the pool is kept on the spec, so it lives as long as the spec
-    does.  Every call charges the ball from its count before any word is
-    built, so a kept pool is held to the budget too.
-    """
-    pools = spec._pool_cache.get(bound)
-    if pools is not None:
-        _ball_size(spec, bound, budgets)
-        return pools
-    n = spec.base.vertex_count
-    pools = spec._pool_cache[bound] = [[] for _ in range(bound + 1)]
-    for word, cost in ball(spec, bound, budgets).items():
-        if word:
-            pools[cost].append((word, word[-1] // n))
-    return pools
-
-
-def distance_k_neighbors(
-    spec: FreePowerSpec,
-    x: Word,
-    k: int,
-    validate: bool = True,
-    *,
-    max_root_distance: int | None = None,
-) -> tuple[Word, ...]:
+def distance_k_neighbors(spec: FreePowerSpec, x: Word, k: int) -> tuple[Word, ...]:
     """Exactly the reduced words at word distance k from x, sorted canonically.
 
-    Every geodesic from x strips the top p letters of x, leaving the suffix
-    s, and turns at a vertex vb of the copy of the last letter stripped,
-    x[p-1] = (ca, va): vb = root drops that letter, and any other vb != va
-    replaces its vertex; with p = 0 the only turn is at the root.  The turn
-    leaves rem = k - rd(x[:p-1]) - d(va, vb) steps (rem = k when p = 0).
-    With rem = 0 the word y reached is a neighbour; otherwise each pool
-    segment of root distance rem is stacked on y, when its bottom copy is
-    neither ca nor the copy of y's top letter.  So no distance is computed
-    as a filter.  With max_root_distance, only words within that root
-    distance are returned; all the words of one turn share a root
-    distance, so the bound is applied before any is built.
+    They are the depth-k frontier of the word BFS from x.  The words within
+    k of x are charged to the default ball budget from the Moore bound
+    before any is built (_charge_moore_bound).
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if validate:
-        validate_word(spec, x)
-    n = spec.base.vertex_count
-    root = spec.base.root
-    apsp = spec.apsp
-    root_row = apsp[root]
-    # a pool built once per spec serves every word
-    pools = spec._pool_cache.get(k) or _segment_pool(spec, k)
-    prefix = [0]
-    for letter in x:
-        prefix.append(prefix[-1] + root_row[letter % n])
-    # no word at distance k from x lies beyond root distance rd(x) + k
-    limit = prefix[-1] + k if max_root_distance is None else max_root_distance
-    out: set[Word] = set()
-    for p in range(len(x) + 1):
-        if p:
-            ca, va = divmod(x[p - 1], n)
-            turn_row, above = apsp[va], prefix[p - 1]
-        else:  # the root turn alone, in no copy and skipping no vertex
-            ca, va, turn_row, above = -1, -1, root_row, 0
-        s = x[p:]
-        rd_s = prefix[-1] - prefix[p]
-        for vb in range(n) if p else (root,):
-            rem = k - above - turn_row[vb]
-            if vb == va or rem < 0 or rem + root_row[vb] + rd_s > limit:
-                continue
-            y = s if vb == root else (ca * n + vb,) + s
-            if rem == 0:
-                out.add(y)
-            else:
-                land = y[0] // n if y else -1
-                out.update(w + y for w, bottom in pools[rem] if bottom != ca and bottom != land)
-    return tuple(sorted(out, key=lambda w: (len(w), w)))
+    validate_word(spec, x)
+    _charge_moore_bound(spec, k, Budgets())
+    sphere = [w for w, d in _word_bfs(spec, x, k).items() if d == k]
+    return tuple(sorted(sphere, key=lambda w: (len(w), w)))
 
 
 # past this many candidate maps (7!), or this many automorphisms among them,
@@ -339,15 +251,15 @@ def vacuum_moments_distance_k(
     type X.  A type is interned as an integer, in a trie of (type below,
     top letter); the root is 0.
 
-    M comes from the geodesic rule of distance_k_neighbors on one word per
-    type, with colours counted instead of built: strip p letters, turn at vb
-    in the copy of the last one stripped, va, with rem = k - rd(x[:p-1]) -
-    d(va, vb), then stack a segment type of root distance rem.  The
-    segment's bottom letter has N - 1 colours after a turn that keeps a
-    letter and after p = 0 on a nonempty word, N - 2 after a drop onto a
-    nonempty suffix, N - 1 after a drop to the root and N at p = 0 from the
-    root; every further letter has N - 1, and each letter's vertex counts
-    with its orbit size.  Layer t keeps the types within root distance
+    M comes from the geodesic rule (tests/oracles.py::geodesic_neighbors)
+    on one word per type, with colours counted instead of built: strip p
+    letters, turn at vb in the copy of the last one stripped, va, with rem =
+    k - rd(x[:p-1]) - d(va, vb), then stack a segment type of root distance
+    rem.  The segment's bottom letter has N - 1 colours after a turn that
+    keeps a letter and after p = 0 on a nonempty word, N - 2 after a drop
+    onto a nonempty suffix, N - 1 after a drop to the root and N at p = 0
+    from the root; every further letter has N - 1, and each letter's vertex
+    counts with its orbit size.  Layer t keeps the types within root distance
     k * min(t, max_m - t), which a closed walk cannot pass; the bound is
     applied per turn, before any segment is stacked.
 
@@ -486,8 +398,7 @@ def _check_words(spec: FreePowerSpec, k: int, cutoff: int, budgets: Budgets) -> 
     from a source of root distance c.  The types so far are charged those
     letters, level by level, before a level is built.
     """
-    n, copies = spec.base.vertex_count, spec.copies
-    degree = max(map(len, spec.base.neighbors)) + (copies - 1) * spec.sigma
+    n, degree = spec.base.vertex_count, _max_degree(spec)
     row = degree * ((degree ** (k + 2) - 1) // (degree - 1) if degree > 1 else k + 2)
     # lengths: the longest word a scan builds, summed over the types so far
     levels, lengths = [[()]], k + 2

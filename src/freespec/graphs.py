@@ -270,7 +270,10 @@ def trace_moments(g: RootedGraph, max_m: int, budgets: Budgets = Budgets()) -> l
 
     Before a vertex's walks are built, the most expansions they can
     take (_walk_charge of d) are added to the charge; a graph refused at its
-    first vertex is refused before the packing is sized.
+    first vertex is refused before the packing is sized.  Once B is known,
+    and before the product starts, the 30-bit digits of the packed product
+    over all vertices, n (d + 1) ceil(B / 30), are charged as determinant
+    digits: the walk charge does not count that arithmetic.
     """
     if max_m < 0:
         raise ValueError("max_m must be nonnegative")
@@ -282,6 +285,7 @@ def trace_moments(g: RootedGraph, max_m: int, budgets: Budgets = Budgets()) -> l
         budgets.charge("trace-walk expansions", per_vertex)
     degree = max(map(len, g.neighbors), default=0)
     width = 2 + max(comb(n, m) * degree**m for m in range(d + 1)).bit_length()
+    budgets.charge("determinant digits", n * (d + 1) * -(-width // 30))
     mask = (1 << (d + 1) * width) - 1
     descending = g._descending_neighbors
     packed = 1

@@ -9,9 +9,9 @@ A symmetric law is given by its Jacobi parameters gamma.  One recursion
 builds its monic orthogonal polynomials, and one routine, jacobi_moments,
 gives the moments of p(b) for b of that law and any polynomial p: the
 semicircle and Kesten-McKay moments (p = x) and the distance-k laws
-(p = P_k or Q_k).  The law moments the CLI prints and the tree law are
-charged to the walk budget before P_k or the chain is built
-(_orthogonal_poly_moments).
+(p = P_k or Q_k).  The law moments the CLI prints, the tree law and the
+free-CLT reference are charged to the walk budget before P_k or the chain
+is built (_orthogonal_poly_moments).
 """
 from __future__ import annotations
 

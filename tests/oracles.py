@@ -5,14 +5,17 @@ implementation: brute-force enumeration, Floyd-Warshall distances, Hankel
 determinants, adaptive quadrature, the polynomial-power pushforward with
 the hand-written recursions of the Chebyshev and tree polynomials, and
 12-digit rounding and 40-digit square roots by the decimal module.
-Keep it that way; these are the cross-checks.  The exceptions reuse the
-package's neighbor enumeration and nothing else: layered_distance_k_walks;
-MaterializedBall, which adds the induced adjacency to the package's ball,
-with the tree check's pair loop built on it; and pair_decomposition_check,
-whose pairs come from the package's ball and distance-k neighbors and whose
-distances all come from word_distance.  That closed-form word metric is
-checked against BFS in a materialized ball by the tests; the package reads
-every distance from BFS rows instead.  free_cumulant_walk_counts reads the
+Keep it that way; these are the cross-checks.  geodesic_neighbors builds
+the words at distance k along their geodesics from the base's distance
+table alone, and layered_distance_k_walks steps by it.  The exceptions
+reuse the package's neighbor enumeration and its word BFS
+(freeprod._word_bfs) and nothing else: MaterializedBall, which adds the
+induced adjacency to the root's ball, with the tree check's pair loop
+built on it; and pair_decomposition_check, whose pairs come from the
+root's ball and geodesic_neighbors and whose distances all come from
+word_distance.  That closed-form word metric, and geodesic_neighbors, are
+checked against BFS by the tests; the package reads every distance from
+BFS rows instead.  free_cumulant_walk_counts reads the
 base's root moments from the package's closed_walk_counts, and shares no
 code with freeprod.  walk_table is no oracle: it reads the coefficients of
 the polynomial in N off the package's vacuum_moments_distance_k, for the
@@ -37,8 +40,7 @@ from math import factorial
 
 from freespec.errors import Budgets
 from freespec.freeprod import (
-    ball,
-    distance_k_neighbors,
+    _word_bfs,
     free_power,
     vacuum_moments_distance_k,
     validate_word,
@@ -246,7 +248,7 @@ def brute_distance_k_walks(spec, k, m):
 
     Depth-first enumeration of every walk, without pruning.  Each step's
     distance-k sphere comes from a k-step BFS over word_neighbors, so
-    neither the closed-form word metric nor the segment pools are used.
+    neither the closed-form word metric nor the geodesic rule is used.
     """
     spheres = {}
 
@@ -321,6 +323,69 @@ def _power_coefficients(moments, n):
     return out
 
 
+def geodesic_neighbors(spec, x, k, max_root_distance=None):
+    """The words at word distance k from x, built along their geodesics, sorted canonically.
+
+    Every geodesic from x strips the top p letters of x, leaving the suffix
+    s, and turns at a vertex vb of the copy of the last letter stripped,
+    x[p-1] = (ca, va): vb = root drops that letter, and any other vb != va
+    replaces its vertex; with p = 0 the only turn is at the root.  The turn
+    leaves rem = k - rd(x[:p-1]) - d(va, vb) steps (rem = k when p = 0).
+    With rem = 0 the word y reached is a neighbour; otherwise each segment,
+    a nonempty word of root distance rem, is stacked on y when its bottom
+    copy is neither ca nor the copy of y's top letter.  So no distance is
+    computed as a filter.  With max_root_distance, only words within that
+    root distance are returned; all the words of one turn share a root
+    distance, so the bound is applied before any is built.  The segments
+    are built letter by letter, those of one root distance when a turn
+    first asks for them.  Nothing is charged, kept past the call or
+    validated.
+    """
+    n = spec.base.vertex_count
+    root = spec.base.root
+    apsp = spec.apsp
+    root_row = apsp[root]
+    segments = {}
+
+    def pool(c):
+        # (segment, bottom copy) for each word of root distance c: a letter
+        # of cost c, or one of a smaller cost on a segment in another copy
+        if c not in segments:
+            segments[c] = [
+                ((copy * n + v,) + w, bottom if w else copy)
+                for v in range(n) if v != root and root_row[v] <= c
+                for w, bottom in (pool(c - root_row[v]) if root_row[v] < c else [((), -1)])
+                for copy in range(spec.copies) if not w or copy != w[0] // n
+            ]
+        return segments[c]
+
+    prefix = [0]
+    for letter in x:
+        prefix.append(prefix[-1] + root_row[letter % n])
+    # no word at distance k from x lies beyond root distance rd(x) + k
+    limit = prefix[-1] + k if max_root_distance is None else max_root_distance
+    out = set()
+    for p in range(len(x) + 1):
+        if p:
+            ca, va = divmod(x[p - 1], n)
+            turn_row, above = apsp[va], prefix[p - 1]
+        else:  # the root turn alone, in no copy and skipping no vertex
+            ca, va, turn_row, above = -1, -1, root_row, 0
+        s = x[p:]
+        rd_s = prefix[-1] - prefix[p]
+        for vb in range(n) if p else (root,):
+            rem = k - above - turn_row[vb]
+            if vb == va or rem < 0 or rem + root_row[vb] + rd_s > limit:
+                continue
+            y = s if vb == root else (ca * n + vb,) + s
+            if rem == 0:
+                out.add(y)
+            else:
+                land = y[0] // n if y else -1
+                out.update(w + y for w, bottom in pool(rem) if bottom != ca and bottom != land)
+    return tuple(sorted(out, key=lambda w: (len(w), w)))
+
+
 def layered_distance_k_walks(spec, k, max_m):
     """Closed m-walks at the root of the distance-k graph, m = 0..max_m.
 
@@ -329,9 +394,10 @@ def layered_distance_k_walks(spec, k, max_m):
     closed m-walk is a layer-a walk and a reversed layer-b walk meeting at
     the same word (a = m // 2, b = m - a).  Layer t keeps only words with
     root_distance <= k * t, which no prefix of a closed walk can exceed.
-    It shares distance_k_neighbors with the package (checked on its own
-    against BFS and brute_distance_k_walks) but none of the copy
-    relabelling, so it checks the N-polynomial engine.
+    It steps by geodesic_neighbors (checked on its own against the
+    package's BFS sphere and brute_distance_k_walks), which shares the
+    geodesic rule with the package's walk DP but none of its type
+    quotient, so it checks the N-polynomial engine.
     """
     half = (max_m + 1) // 2
     layers = [{(): 1}]
@@ -339,9 +405,8 @@ def layered_distance_k_walks(spec, k, max_m):
         radius = k * t
         nxt = {}
         for w, c in layers[t - 1].items():
-            for y in distance_k_neighbors(spec, w, k, validate=False):
-                if root_distance(spec, y) <= radius:
-                    nxt[y] = nxt.get(y, 0) + c
+            for y in geodesic_neighbors(spec, w, k, max_root_distance=radius):
+                nxt[y] = nxt.get(y, 0) + c
         layers.append(nxt)
     moments = [1]
     for m in range(1, max_m + 1):
@@ -360,7 +425,7 @@ class MaterializedBall:
     """
 
     def __init__(self, spec, radius):
-        rds = ball(spec, radius)
+        rds = _word_bfs(spec, (), radius)
         self.spec, self.radius = spec, radius
         self.words = tuple(rds)
         self.root_distances = tuple(rds.values())
@@ -397,13 +462,13 @@ def pair_decomposition_check(spec, k, radius, near=False):
     It visits each pair (a, b) of interior words with root_distance(a) <=
     root_distance(b), in both orientations at equal root distance: every
     such pair, whatever its distance, or with near only those within k+1 of
-    b, taken from distance_k_neighbors at each distance, so larger balls
+    b, taken from geodesic_neighbors at each distance, so larger balls
     stay cheap.
     Returns max_violation, the pairs visited and those within distance k+1,
     each unordered pair once, and the nonzero counts of the top-copy and
     same-distance entries, each orientation its own entry.
     """
-    rds = ball(spec, radius - 1)
+    rds = _word_bfs(spec, (), radius - 1)
     fresh = (spec.copies - 1) * spec.sigma
     out = dict(max_violation=0, pairs=0, pairs_within=0, d_nonzero=0, delta_nonzero=0)
     for wb, rd_b in rds.items():
@@ -412,7 +477,7 @@ def pair_decomposition_check(spec, k, radius, near=False):
             others = [wb] + [
                 w
                 for dist in range(1, k + 2)
-                for w in distance_k_neighbors(spec, wb, dist, max_root_distance=rd_b)
+                for w in geodesic_neighbors(spec, wb, dist, max_root_distance=rd_b)
             ]
         nbrs_b = word_neighbors(spec, wb)
         for wa in others:

@@ -571,12 +571,12 @@ def test_hist_checks_transform_before_sampling(capsys, monkeypatch):
         ), (transform, err)
 
 
-def test_free_decomp_check_checks_k_and_radius_before_the_ball(capsys, monkeypatch):
-    def no_ball(*args, **kwargs):
-        raise AssertionError("built the ball before checking k and the radius")
+def test_free_decomp_check_checks_k_and_radius_before_the_rows(capsys, monkeypatch):
+    # _check_words is the first thing the check builds
+    def no_rows(*args, **kwargs):
+        raise AssertionError("built the check's words before checking k and the radius")
 
-    monkeypatch.setattr(freeprod, "ball", no_ball)
-    monkeypatch.setattr(cli, "ball", no_ball, raising=False)
+    monkeypatch.setattr(freeprod, "_check_words", no_rows)
     argv = ("decomp-check", "--mode", "free", "--graph", "builtin:c4", "--N", "3")
     code, _, err = run_cli(capsys, *argv, "--k", "2", "--radius", "8")
     assert (code, err) == (1, "error[INPUT]: decomposition check needs k >= 3\n")
@@ -683,6 +683,13 @@ def test_huge_charges_are_refused_at_once(argv, err):
     assert proc.stderr == f"error[BUDGET]: budget exceeded: {err} (budget 1)\n"
 
 
+def _matching_file(directory, n):
+    """The path of a perfect matching on n vertices, in the graph text format."""
+    path = directory / f"matching{n}.txt"
+    path.write_text(format_graph_text(from_edge_list(n, [(v, v + 1) for v in range(0, n, 2)], 0)))
+    return path
+
+
 def _run_in_800_mb(argv):
     """The CLI on argv in a child held to 800 MB of address space and 60 s."""
     resource = pytest.importorskip("resource")
@@ -718,12 +725,16 @@ def _run_in_800_mb(argv):
         "regular-random --d 3 --k 3000000 --n-list 4 --samples 1 --max-m 2",
         "tree-check --d 3 --k 10000 --max-m 2",
         "moments --law semicircle --max-m 20000",
+        "large-d --k 14000 --d-list 3 --max-m 2",
+        "moments --graph file:{matching4000} --which trace --max-m 4000",
     ],
 )
-def test_adversarial_argv_keep_the_budget_contract(argv):
+def test_adversarial_argv_keep_the_budget_contract(argv, tmp_path):
     # each argv would blow up without its budget: within 60 s and 800 MB of
     # address space it ends with a documented exit code, and a failure says
     # so in one error line, not a traceback
+    if "{matching4000}" in argv:
+        argv = argv.format(matching4000=_matching_file(tmp_path, 4000))
     proc = _run_in_800_mb(argv)
     assert proc.returncode in (0, 1, 2, 3), proc.stderr
     assert "Traceback" not in proc.stderr
@@ -1000,6 +1011,37 @@ def test_an_integer_past_the_digit_limit_is_named(capsys, argv, flag):
     assert err == f"error[USAGE]: {flag} takes integers of at most 4300 digits (Python's limit)\n"
 
 
+@pytest.mark.parametrize(
+    "argv, span",
+    [
+        ("free-clt --graph builtin:c4 --k 2 --N 2 --max-m 4", "freeprod.vacuum_moments_distance_k"),
+        (
+            "regular-random --d 3 --k 2 --n-list 20 --samples 2 --max-m 4 --threads 1",
+            "graphs.trace_moments",
+        ),
+    ],
+)
+def test_perfbench_traced_finds_every_name_it_wraps(tmp_path, argv, span):
+    # perfbench/traced.py replaces functions by name in the modules that call
+    # them, so a renamed one would fail only the benchmark: the traced run
+    # must print the CLI's report byte for byte and record the layer's span
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    traced_py = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "traced.py")
+    spans = tmp_path / "spans.json"
+    traced = subprocess.run(
+        [sys.executable, traced_py, str(spans), *argv.split()],
+        env=env, capture_output=True, timeout=60,
+    )
+    plain = subprocess.run(
+        [sys.executable, "-m", "freespec.cli", *argv.split()],
+        env=env, capture_output=True, timeout=60,
+    )
+    assert (traced.returncode, traced.stderr) == (0, b""), traced.stderr
+    assert plain.returncode == 0 and traced.stdout == plain.stdout
+    doc = json.loads(spans.read_text())
+    assert doc["exit"] == 0 and span in {name for _, _, name, *_ in doc["spans"]}
+
+
 def test_surd_json_string(capsys):
     code, out, _ = run_cli(
         capsys, "free-clt", "--graph", "builtin:k3", "--k", "1", "--N", "3", "--max-m", "3",
@@ -1059,15 +1101,18 @@ def test_every_budget_flag_a_mode_takes_is_read(capsys, command, mode):
 
 
 # One row per budget stage: an argv, the flag of the stage's limit, and the
-# smallest limit the argv fits.  84, 246, 1800 and the hist and km-density
+# smallest limit the argv fits.  246, 1800 and the hist and km-density
 # sizes are the boundaries of the tests above, 109 the c4 walk budget of
-# test_freeprod.py::test_walk_budget, 48 (12 per vertex) the k4 charge
-# of test_graphs.py::test_trace_moments_budget, and 98 = 2 * (1 + 8 * 6) the
-# semicircle's chain of 6 levels at max_m 8.  One less is refused with
-# the stage's error line, or skips the cell where the subcommand skips.
+# test_freeprod.py::test_walk_budget (its reference charges 78), 48 (12 per
+# vertex) the k4 charge of test_graphs.py::test_trace_moments_budget, 98 =
+# 2 * (1 + 8 * 6) the semicircle's chain of 6 levels at max_m 8, and 72 =
+# 8 * 9 * 1 the determinant digits of an 8-vertex perfect matching at max_m
+# 8 (B = 9 bits; its walks charge 32).  One less is refused with the
+# stage's error line, or skips the cell where the subcommand skips; a
+# reference is computed after the cells, so a refused one exits 2 there
+# too.  {matching8} is the path of that matching's graph file.
 STAGE_BOUNDARIES = [
     ("walk expansions", "free-clt --graph builtin:c4 --k 2 --N 2 --max-m 4", "--walk-budget", 109),
-    ("walk expansions", "large-d --k 2 --d-list 3 --max-m 8", "--walk-budget", 84),
     ("check-row letters", "decomp-check --mode tree --d 3 --k 2 --radius 5",
      "--walk-budget", 1800),
     ("two-step pairs", "decomp-check --mode square --graph builtin:k4", "--walk-budget", 36),
@@ -1076,11 +1121,14 @@ STAGE_BOUNDARIES = [
      "--walk-budget", 48),
     ("trace-walk expansions", "regular-random --d 3 --k 2 --n-list 20 --samples 2 --max-m 4",
      "--walk-budget", 840),
+    ("determinant digits", "moments --graph file:{matching8} --which trace --max-m 8",
+     "--walk-budget", 72),
     ("distance-k graph entries",
      "regular-random --d 3 --k 2 --n-list 20 --samples 2 --max-m 2", "--walk-budget", 120),
     ("cycle-enumeration nodes", "cycles --d 3 --j 4 --n-list 20 --samples 2",
      "--walk-budget", 131),
     ("Jacobi-chain updates", "tree-check --d 3 --k 2 --max-m 8", "--walk-budget", 246),
+    ("Jacobi-chain updates", "large-d --k 2 --d-list 3 --max-m 8", "--walk-budget", 246),
     ("Jacobi-chain updates", "moments --law semicircle --max-m 8", "--walk-budget", 98),
     ("histogram samples", "hist --law semicircle --samples 21 --bins 5", "--ball-budget", 21),
     ("histogram bins", "hist --law semicircle --samples 10 --bins 21", "--ball-budget", 21),
@@ -1098,14 +1146,15 @@ SKIPPING = ("free-clt", "large-d", "regular-random", "cycles")
     ],
 )
 def test_every_budget_stage_fits_its_limit_and_not_one_less(
-    capsys, stage, argv, flag, fits, threads
+    capsys, tmp_path, stage, argv, flag, fits, threads
 ):
-    argv = [*argv.split(), "--threads", threads, "--format", "json"]
+    argv = argv.format(matching8=_matching_file(tmp_path, 8)).split()
+    argv = [*argv, "--threads", threads, "--format", "json"]
     code, out, err = run_cli(capsys, *argv, flag, str(fits))
     assert (code, err) == (0, "")
     assert not any(row["skipped"] for row in json.loads(out)["rows"])
     code, out, err = run_cli(capsys, *argv, flag, str(fits - 1))
-    if argv[0] in SKIPPING:
+    if argv[0] in SKIPPING and stage != "Jacobi-chain updates":
         assert (code, err) == (0, "")
         assert all(row["skipped"] for row in json.loads(out)["rows"])
     else:
@@ -1114,8 +1163,9 @@ def test_every_budget_stage_fits_its_limit_and_not_one_less(
 
 
 def test_the_stage_boundaries_cover_every_stage():
-    # no subcommand builds a ball: the library's ball and segment pool
-    # charge it, and test_freeprod.py::test_ball_counts_are_the_ball_sizes
+    # no subcommand builds a word ball: the library's distance_k_neighbors
+    # charges it, and
+    # test_freeprod.py::test_the_moore_bound_is_charged_radius_by_radius
     # checks that boundary
     library_only = {"ball vertices"}
     assert {stage for stage, *_ in STAGE_BOUNDARIES} == set(errors.STAGES) - library_only

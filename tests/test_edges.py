@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import freespec
 from freespec import cli, errors, experiments, freeprod, graphs, polymoments, regular
 from freespec.errors import ParityError, UnreducedWordError
-from freespec.freeprod import ball, free_power, vacuum_moments_distance_k
+from freespec.freeprod import _word_bfs, free_power, vacuum_moments_distance_k
 from freespec.graphs import RootedGraph, complete_graph, cycle_graph
 from freespec.polymoments import (
     JacobiParams,
@@ -55,7 +55,7 @@ def test_single_copy_free_power():
     # N = 1 degenerates to the base graph itself
     spec = free_power(complete_graph(2), 1)
     assert vacuum_moments_distance_k(spec, 1, 4) == [1, 0, 1, 0, 1]
-    assert len(ball(spec, 3)) == 2
+    assert len(_word_bfs(spec, (), 3)) == 2
 
 
 def test_word_distance_validates_reduction():
@@ -76,7 +76,7 @@ def test_word_round_trip_and_format():
 
 def test_ball_radius_zero():
     spec = free_power(complete_graph(3), 2)
-    assert ball(spec, 0) == {(): 0}
+    assert _word_bfs(spec, (), 0) == {(): 0}
 
 
 def test_hankel_positcheck_across_produced_sequences():
@@ -489,9 +489,10 @@ def test_budget_defaults_are_the_library_defaults():
                     defaults[name] = params["budgets"].default
     assert set(defaults.values()) == {Budgets(), inspect.Parameter.empty}
     engines = {
-        "ball", "decomposition_check", "tree_recurrence_check", "vacuum_moments_distance_k",
-        "closed_walk_counts", "trace_moments", "count_k_cycles", "square_check", "_segment_pool",
+        "decomposition_check", "tree_recurrence_check", "vacuum_moments_distance_k",
+        "closed_walk_counts", "trace_moments", "count_k_cycles", "square_check",
         "semicircle_moments", "kesten_mckay_moments", "tree_distance_k_law_moments",
+        "chebyshev_reference_moments",
     }
     assert {name for name, default in defaults.items() if default == Budgets()} >= engines
 

@@ -5,13 +5,11 @@ closed-form word distance must match in-ball BFS exactly wherever geodesics
 are guaranteed to stay inside the ball.
 """
 from collections import Counter
-import gc
 import hashlib
 import random
 from math import perm
 import time
 import tracemalloc
-import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +25,7 @@ from freespec.errors import (
 from freespec import freeprod
 from freespec.freeprod import (
     FreePowerSpec,
-    ball,
+    _word_bfs,
     decomposition_check,
     distance_k_neighbors,
     free_power,
@@ -52,6 +50,7 @@ from oracles import (
     brute_distance_k_walks,
     diameter,
     free_cumulant_walk_counts,
+    geodesic_neighbors,
     graph_edges,
     layered_distance_k_walks,
     make_word,
@@ -175,7 +174,7 @@ def _random_ball_word(rng, words):
 def test_word_distance_is_a_metric(seed):
     rng = random.Random(seed)
     spec = free_power(C4, 3)
-    words = tuple(ball(spec, 4))
+    words = tuple(_word_bfs(spec, (), 4))
     x, y, z = (_random_ball_word(rng, words) for _ in range(3))
     dxy = word_distance(spec, x, y)
     assert dxy == word_distance(spec, y, x)
@@ -184,10 +183,10 @@ def test_word_distance_is_a_metric(seed):
 
 
 def test_ball_sizes():
-    assert len(ball(free_power(K2, 3), 2)) == 10
-    assert len(ball(free_power(K3, 2), 1)) == 5
-    assert len(ball(free_power(K3, 2), 2)) == 13
-    assert len(ball(free_power(K2, 4), 2)) == 17
+    assert len(_word_bfs(free_power(K2, 3), (), 2)) == 10
+    assert len(_word_bfs(free_power(K3, 2), (), 1)) == 5
+    assert len(_word_bfs(free_power(K3, 2), (), 2)) == 13
+    assert len(_word_bfs(free_power(K2, 4), (), 2)) == 17
 
 
 def test_tree_ball_degenerate_cases():
@@ -197,17 +196,6 @@ def test_tree_ball_degenerate_cases():
     star = regular_tree_ball(3, 1)
     assert star.graph.degree(0) == 3
     assert star.graph.edge_count == 3
-
-
-def test_ball_budget():
-    # 766 words fit K2^{*3} at radius 8; the ball is charged from its count,
-    # and the error names the count at the first radius past the budget
-    spec = free_power(K2, 3)
-    assert len(ball(spec, 8, Budgets(ball_vertices=766))) == 766
-    for budget, count in ((50, 94), (765, 766)):
-        with pytest.raises(BudgetExceededError) as info:
-            ball(spec, 8, Budgets(ball_vertices=budget))
-        assert str(info.value) == f"budget exceeded: {count} ball vertices (budget {budget})"
 
 
 def test_ball_degrees():
@@ -243,6 +231,8 @@ def test_distance_k_neighbors_examples():
 
 def test_distance_k_neighbors_against_ball_bfs():
     # words within the safe region must see exactly the BFS distance-k sphere
+    # of the materialized ball, from the package's word BFS and from the
+    # geodesic rule
     for base, copies, radius, k in [(K3, 2, 5, 2), (C4, 2, 6, 2), (P3, 2, 6, 3), (K2, 3, 6, 2)]:
         spec = free_power(base, copies)
         bg = MaterializedBall(spec, radius)
@@ -256,18 +246,20 @@ def test_distance_k_neighbors_against_ball_bfs():
                 key=lambda t: (len(t), t),
             )
             assert list(distance_k_neighbors(spec, w, k)) == expected
+            assert list(geodesic_neighbors(spec, w, k)) == expected
 
 
-def test_distance_k_neighbors_root_distance_bound():
-    # the bound must act as a filter on root distance, and nothing more
+def test_geodesic_neighbors_root_distance_bound():
+    # the rule's bound must act as a filter on root distance of the
+    # package's sphere, and nothing more
     for base, copies, radius in [(K3, 3, 3), (C4, 2, 4), (P3, 3, 4), (P4, 2, 4), (K2, 3, 4)]:
         spec = free_power(base, copies)
-        for w, rd in ball(spec, radius).items():
+        for w, rd in _word_bfs(spec, (), radius).items():
             for k in (1, 2, 3):
                 full = distance_k_neighbors(spec, w, k)
                 for bound in range(max(rd - k - 1, 0), rd + k + 2):
                     expected = tuple(y for y in full if root_distance(spec, y) <= bound)
-                    got = distance_k_neighbors(spec, w, k, max_root_distance=bound)
+                    got = geodesic_neighbors(spec, w, k, max_root_distance=bound)
                     assert got == expected, (w, k, bound)
 
 
@@ -461,15 +453,16 @@ def connected_bases(draw):
 @example(P4, 3, 3)
 @settings(max_examples=60, deadline=None)
 def test_distance_k_neighbors_are_the_bfs_sphere_on_random_bases(base, copies, k):
-    # each word of the 2-ball gets exactly its k-step BFS sphere, and a root
-    # distance bound filters that sphere and does nothing more
+    # each word of the 2-ball gets exactly its k-step BFS sphere, from the
+    # package and from the geodesic rule, and the rule's root distance bound
+    # filters that sphere and does nothing more
     spec = free_power(base, copies)
-    for w, rd in ball(spec, 2).items():
+    for w, rd in _word_bfs(spec, (), 2).items():
         sphere = sorted(bfs_sphere(spec, w, k), key=lambda t: (len(t), t))
         assert list(distance_k_neighbors(spec, w, k)) == sphere, w
         for bound in range(rd - k, rd + k + 1):
             expected = [y for y in sphere if root_distance(spec, y) <= bound]
-            got = distance_k_neighbors(spec, w, k, max_root_distance=bound)
+            got = geodesic_neighbors(spec, w, k, max_root_distance=bound)
             assert list(got) == expected, (w, bound)
 
 
@@ -500,7 +493,7 @@ def test_the_words_of_one_type_have_equal_walk_counts():
             for _ in range(3):
                 nxt = {}
                 for w, count in layer.items():
-                    for y in distance_k_neighbors(spec, w, k, validate=False):
+                    for y in geodesic_neighbors(spec, w, k):
                         nxt[y] = nxt.get(y, 0) + count
                 layer = nxt
                 types = {}
@@ -531,38 +524,10 @@ def test_walk_layered_cells_fit_their_charge(name, k, max_m, copies, charge):
     assert str(info.value) == f"budget exceeded: {charge} walk expansions (budget {charge - 1})"
 
 
-def test_segment_pool_budget():
-    # k4^*5 at bound 5 holds 339k words: the pool is refused from the count
-    # of its ball, which names the words within the first radius past the
-    # ball budget
-    with pytest.raises(BudgetExceededError) as err:
-        freeprod._segment_pool(free_power(K4, 5), 5, Budgets(ball_vertices=1000))
-    assert (err.value.count, err.value.what) == (2356, "ball vertices")
-    # the pool kept on a spec is held to the budget too: k3^*2 at bound 2
-    # holds 12 words and the root
-    spec = free_power(K3, 2)
-    freeprod._segment_pool(spec, 2)
-    with pytest.raises(BudgetExceededError):
-        freeprod._segment_pool(spec, 2, Budgets(ball_vertices=12))
-    assert freeprod._segment_pool(spec, 2, Budgets(ball_vertices=13))
-
-
-def test_a_refused_pool_builds_nothing():
-    # k4^*5 at bound 5 is refused from its count, before any of its 339k
-    # words (about 140 bytes each) is built
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetExceededError, match="ball vertices"):
-            freeprod._segment_pool(free_power(K4, 5), 5, Budgets(ball_vertices=10**5))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10**6
-
-
 def test_a_huge_free_power_is_refused_from_its_pool_count():
     # K3^{*10^6} has 2 * 10^6 words at root distance 1: the neighbours of the
-    # root are refused from that count, before anything N-sized is built
+    # root are refused from the Moore bound of their ball, before anything
+    # N-sized is built
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError, match="ball vertices"):
@@ -573,19 +538,43 @@ def test_a_huge_free_power_is_refused_from_its_pool_count():
     assert peak < 10**6
 
 
-def test_segment_pool_cache_is_bounded():
-    # pools are kept on their spec alone, so what is cached is bounded by the
-    # specs still alive: dropping them frees every pool
-    refs = []
-    for copies in range(2, 6):
-        spec = free_power(K3, copies)
-        pool = freeprod._segment_pool(spec, 2)
-        assert freeprod._segment_pool(spec, 2) is pool
-        assert spec._pool_cache[2] is pool
-        refs.append(weakref.ref(spec))
-        del spec, pool
-    gc.collect()
-    assert all(ref() is None for ref in refs)
+def test_the_moore_bound_is_charged_radius_by_radius():
+    # k3^*2 has largest degree 4: 5 words within radius 1 of a word and 17
+    # within 2; the count at the first radius past the limit is named
+    spec = free_power(K3, 2)
+    freeprod._charge_moore_bound(spec, 2, Budgets(ball_vertices=17))
+    for limit, count in ((16, 17), (5, 17), (4, 5), (0, 5)):
+        with pytest.raises(BudgetExceededError) as info:
+            freeprod._charge_moore_bound(spec, 2, Budgets(ball_vertices=limit))
+        assert (info.value.count, info.value.what) == (count, "ball vertices")
+    # degree 2 (the line K2^*2) grows by 2 per radius, and degree 1 (K2^*1)
+    # stops at 2: a radius of 10^9 costs nothing
+    start = time.perf_counter()
+    line, edge = free_power(K2, 2), free_power(K2, 1)
+    freeprod._charge_moore_bound(line, 5, Budgets(ball_vertices=11))
+    freeprod._charge_moore_bound(edge, 10**9, Budgets(ball_vertices=2))
+    for spec, limit, count in (
+        (line, 10, 11), (line, 11, 13), (line, 10**6, 10**6 + 1), (line, 0, 3), (edge, 1, 2)
+    ):
+        with pytest.raises(BudgetExceededError) as info:
+            freeprod._charge_moore_bound(spec, 10**9, Budgets(ball_vertices=limit))
+        assert info.value.count == count, (spec, limit)
+    with pytest.raises(BudgetExceededError, match="ball vertices"):
+        distance_k_neighbors(free_power(K3, 2), (), 10**9)
+    assert time.perf_counter() - start < 1
+
+
+def test_the_moore_bound_bounds_every_ball():
+    # the charge stands for the words the BFS builds: within r of any word
+    # of the root's 2-ball lie at most the Moore count at r
+    for name in BUILTIN_GRAPHS:
+        for copies in (1, 2, 3):
+            spec = free_power(builtin_graph(name), copies)
+            degree = max(map(len, spec.base.neighbors)) + (copies - 1) * spec.sigma
+            for w in _word_bfs(spec, (), 2):
+                for r in (1, 2, 3):
+                    moore = 1 + degree * sum((degree - 1) ** i for i in range(r))
+                    assert len(_word_bfs(spec, w, r)) <= moore, (name, copies, w, r)
 
 
 def test_walk_budget():
@@ -639,8 +628,9 @@ def test_vacuum_moments_match_materialized_balls_small():
 
 @pytest.mark.slow
 def test_vacuum_moments_match_materialized_balls_trees():
-    # K2 base, d <= 4, k <= 3, m <= 4, skipping balls beyond the vertex budget.
-    # One ball per (d, k) at the largest materializable radius m*k; smaller m
+    # K2 base, d <= 4, k <= 3, m <= 4, skipping balls of more than 10^6
+    # words, 1 + d (1 + (d - 1) + ... + (d - 1)^(r - 1)) at radius r.  One
+    # ball per (d, k) at the largest materializable radius m*k; smaller m
     # read off the same graph (walks cannot reach vertices the smaller ball
     # would have dropped, per the prune-bound argument tested above).
     ran = 0
@@ -648,15 +638,10 @@ def test_vacuum_moments_match_materialized_balls_trees():
         spec = free_power(K2, d)
         for k in (1, 2, 3):
             moments = vacuum_moments_distance_k(spec, k, 4)
-            top_m = None
-            for m in range(4, 0, -1):
-                try:
-                    bg = MaterializedBall(spec, m * k)
-                except BudgetExceededError:
-                    continue  # not small enough to materialize
-                top_m = m
-                break
-            assert top_m is not None
+            top_m = max(
+                m for m in range(1, 5) if 1 + d * sum((d - 1) ** i for i in range(m * k)) <= 10**6
+            )
+            bg = MaterializedBall(spec, top_m * k)
             dk = distance_k_graph(bg.graph, k)
             for m in range(1, top_m + 1):
                 ran += 1
@@ -744,39 +729,10 @@ def test_a_wrong_fresh_copy_count_fails_both_checks(base, copies):
     assert decomposition_check(planted, 3, 5) == oracle == copies - 1
 
 
-def test_ball_counts_are_the_ball_sizes():
-    # the closed form, on every builtin base, against the BFS it stands for
-    for name in BUILTIN_GRAPHS:
-        for copies, radius in [(1, 5), (2, 6), (3, 5), (5, 4)]:
-            spec = free_power(builtin_graph(name), copies)
-            counts = [len(ball(spec, r)) for r in range(radius + 1)]
-            budgets = Budgets(ball_vertices=10**9)
-            assert [freeprod._ball_size(spec, r, budgets) for r in range(radius + 1)] == counts
-            # the segment pool is that ball without the root, by root
-            # distance, with bottom copies
-            pools = freeprod._segment_pool(spec, radius)
-            words = [w for pool in pools for w, _ in pool]
-            assert len(set(words)) == len(words) == counts[-1] - 1
-            assert () not in words
-            n = spec.base.vertex_count
-            for c, pool in enumerate(pools):
-                for w, bottom in pool:
-                    validate_word(spec, w)
-                    assert root_distance(spec, w) == c
-                    assert bottom == w[-1] // n
-            # it names the count at the first radius past its budget
-            budget = counts[-2] - 1
-            first = next(count for count in counts if count > budget)
-            with pytest.raises(BudgetExceededError, match=f"^budget exceeded: {first} ball"):
-                freeprod._ball_size(spec, radius, Budgets(ball_vertices=budget))
-
-
 def test_a_single_copy_ball_stops_at_the_base():
-    # G^{*1} is G: the count and the BFS stop where the base ends, so a
-    # radius of 10^8 costs what the base's eccentricity does
-    spec = free_power(P4, 1)
-    budgets = Budgets(ball_vertices=4)
-    assert freeprod._ball_size(spec, 10**8, budgets) == len(ball(spec, 10**8, budgets)) == 4
+    # G^{*1} is G: the BFS stops where the base ends, so a radius of 10^8
+    # costs what the base's eccentricity does
+    assert _word_bfs(free_power(P4, 1), (), 10**8) == {(): 0, (1,): 1, (2,): 2, (3,): 3}
     assert decomposition_check(free_power(K3, 1), 3, 10**8) == 0
 
 
@@ -784,7 +740,7 @@ def test_ball_is_the_bfs_of_the_root():
     # words within each root distance, with that distance, in BFS order
     for base, copies, radius in [(K3, 2, 5), (C4, 3, 4), (P3, 3, 5), (P4, 2, 5), (K2, 3, 6)]:
         spec = free_power(base, copies)
-        rds = ball(spec, radius)
+        rds = _word_bfs(spec, (), radius)
         assert list(rds)[0] == ()
         assert all(r == root_distance(spec, w) for w, r in rds.items())
         assert list(rds.values()) == sorted(rds.values())
@@ -847,7 +803,7 @@ def test_the_words_of_one_type_have_one_row_profile(spec, k, cutoff, later_only)
     # words of one type keep rows of one profile, the multiset of (d(x, y),
     # #hits, #hits no longer than y) over the y kept, whatever the violations
     profiles = {}
-    for x in ball(spec, cutoff):
+    for x in _word_bfs(spec, (), cutoff):
         profile = Counter(
             (dxy, len(hits), sum(len(l) <= len(y) for l in hits))
             for dxy, y, hits in freeprod._check_pairs(spec, [x], k, cutoff, later_only)
@@ -895,7 +851,7 @@ def test_check_rows_are_charged_before_the_first(monkeypatch, check, args, spec,
     # the types are counted here from the interior's words
     k = args[1]
     degree = max(map(len, spec.base.neighbors)) + (spec.copies - 1) * spec.sigma
-    types = {_word_type(spec, w): root_distance(spec, w) for w in ball(spec, cutoff)}
+    types = {_word_type(spec, w): root_distance(spec, w) for w in _word_bfs(spec, (), cutoff)}
     row = degree * sum(degree**i for i in range(k + 2))
     charge = sum(rd + k + 2 for rd in types.values()) * row
     with pytest.raises(BudgetExceededError) as info:
