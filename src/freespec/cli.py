@@ -114,7 +114,7 @@ def _load_graph(source: str) -> tuple[RootedGraph, str]:
     )
 
 
-def _parse_transform(text: str) -> tuple:
+def _parse_transform(text: str, budgets: Budgets) -> tuple:
     if text == "none":
         return (0, 1)
     kind, *fields = text.split(":")
@@ -123,9 +123,9 @@ def _parse_transform(text: str) -> tuple:
     except ValueError:
         values = []
     if kind == "p" and len(values) == 1:
-        poly = chebyshev_monic(*values)
+        poly = chebyshev_monic(*values, budgets)
     elif kind == "q" and len(values) == 2:
-        poly = tree_distance_poly(*values)
+        poly = tree_distance_poly(*values, budgets)
     else:
         raise _UsageError("--transform must be none, p:K, or q:D:K with integers D, K")
     try:  # the histogram evaluates the transform in floats
@@ -386,7 +386,7 @@ def _run_hist(args, budgets: Budgets) -> Report:
     # check every flag before sampling, whose cost grows with --samples
     if args.bins < 1:
         raise ValueError("bins must be positive")
-    poly = _parse_transform(args.transform)
+    poly = _parse_transform(args.transform, budgets)
     budgets.charge("histogram samples", args.samples)
     budgets.charge("histogram bins", args.bins)
     samples = sample_law(args.law, args.samples, args.seed)

@@ -182,10 +182,9 @@ def distance_k_neighbors(spec: FreePowerSpec, x: Word, k: int) -> tuple[Word, ..
     return tuple(sorted(sphere, key=lambda w: (len(w), w)))
 
 
-# past this many candidate maps (7!), or this many automorphisms among them,
-# the walk DP uses the identity group alone: any subgroup gives exact orbits
+# past this many candidate maps (7!) the walk DP uses the identity group
+# alone: any subgroup gives exact orbits
 _MAX_AUTOMORPHISM_CANDIDATES = 5040
-_MAX_ROOT_AUTOMORPHISMS = 120
 
 
 def _root_automorphisms(base: RootedGraph) -> tuple[tuple[int, ...], ...]:
@@ -194,19 +193,18 @@ def _root_automorphisms(base: RootedGraph) -> tuple[tuple[int, ...], ...]:
     Such a map keeps each vertex's root distance and degree, so it permutes
     each class of vertices that share both.  The candidates are the
     products of permutations within the classes, and those that map every
-    edge onto an edge are kept.  Returns the identity alone when the
-    candidates, counted first as the product of the class factorials,
-    number more than _MAX_AUTOMORPHISM_CANDIDATES, or when more than
-    _MAX_ROOT_AUTOMORPHISMS are kept.
+    edge onto an edge are kept, every one of them: the walk DP reads only
+    the orbits, in one pass over the group.  Returns the identity alone
+    when the candidates, counted first as the product of the class
+    factorials, number more than _MAX_AUTOMORPHISM_CANDIDATES.
     """
     n = base.vertex_count
     dist = bfs_distances(base, base.root)
     classes: dict[tuple[int, int], list[int]] = {}
     for v in range(n):
         classes.setdefault((dist[v], base.degree(v)), []).append(v)
-    identity = (tuple(range(n)),)
     if prod(factorial(len(c)) for c in classes.values()) > _MAX_AUTOMORPHISM_CANDIDATES:
-        return identity
+        return (tuple(range(n)),)
     order = list(chain.from_iterable(classes.values()))
     arcs = {(u, v) for u in range(n) for v in base.neighbors[u]}
     found = []
@@ -214,7 +212,7 @@ def _root_automorphisms(base: RootedGraph) -> tuple[tuple[int, ...], ...]:
         h = dict(zip(order, chain.from_iterable(images)))
         if all((h[u], h[v]) in arcs for u, v in arcs):
             found.append(tuple(map(h.__getitem__, range(n))))
-    return tuple(found) if len(found) <= _MAX_ROOT_AUTOMORPHISMS else identity
+    return tuple(found)
 
 
 def _type_letters(spec: FreePowerSpec, top: int):

@@ -18,12 +18,10 @@ identity reads every trace off its min(n, max_m) + 1 coefficients.
 """
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from math import comb
 from operator import mul
 
 from .errors import (
@@ -150,12 +148,10 @@ def distance_k_graph(g: RootedGraph, k: int) -> RootedGraph:
     """Graph on the same vertices with edges exactly between distance-k pairs.
 
     Disconnected inputs are handled per component (cross-component pairs have
-    no distance) and flagged with a warning.
+    no distance).
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if not g.connected:
-        warnings.warn("distance_k_graph: input is disconnected; using per-component distances")
     neighbors = g.neighbors
     rows = []
     for v in range(g.vertex_count):
@@ -191,24 +187,15 @@ def _half_walk_vectors(g: RootedGraph, source: int, half: int) -> list[dict[int,
     return vecs
 
 
-def _join(fa: dict[int, int], fb: dict[int, int]) -> int:
-    """Sum over vertices u of fa[u] * fb[u]."""
-    if fa is fb:
-        return sum(map(mul, fa.values(), fa.values()))
-    if len(fa) > len(fb):
-        fa, fb = fb, fa
-    return sum(map(mul, fa.values(), map(fb.get, fa, repeat(0))))
-
-
 def _walk_charge(g: RootedGraph, max_m: int) -> int:
-    """Most expansions _closed_walks(g, v, max_m) takes, for any vertex v.
+    """Most expansions the half walks of closed_walk_counts(g, v, max_m) take, for any v.
 
     Half walk t < ceil(max_m / 2) reaches at most min(n, D^t) vertices and
     expands each at most D times, with D the maximum degree.  Once D^t >= n,
     or D < 2, every later term equals this one, so no larger power is raised.
 
-    trace_moments charges _walk_charge(g, d) per vertex, d = min(n, max_m),
-    and takes no more: its excursions from v expand v, as half walk 0 does,
+    trace_moments charges n * _walk_charge(g, d), d = min(n, max_m), and
+    takes no more: its excursions from v expand v, as half walk 0 does,
     then x_0..x_(L-1) with L = (d - 1) // 2 <= ceil(d / 2) - 1, where x_t
     holds only vertices of half walk t + 1, each expanded at most D times.
     """
@@ -225,13 +212,6 @@ def _walk_charge(g: RootedGraph, max_m: int) -> int:
     return charge
 
 
-def _closed_walks(g: RootedGraph, source: int, max_m: int) -> list[int]:
-    # meet in the middle: an m-walk is a walk of m // 2 steps out of source
-    # joined to one of m - m // 2 steps, both ending at the same vertex
-    vecs = _half_walk_vectors(g, source, (max_m + 1) // 2)
-    return [_join(vecs[m // 2], vecs[m - m // 2]) for m in range(max_m + 1)]
-
-
 def closed_walk_counts(
     g: RootedGraph, source: int, max_m: int, budgets: Budgets = Budgets()
 ) -> list[int]:
@@ -245,7 +225,23 @@ def closed_walk_counts(
     if not 0 <= source < g.vertex_count:
         raise VertexOutOfRangeError(f"source {source}")
     budgets.charge("vacuum-walk expansions", _walk_charge(g, max_m))
-    return _closed_walks(g, source, max_m)
+    # meet in the middle: an m-walk is a walk of m // 2 steps out of source
+    # joined to one of m - m // 2 steps, both ending at the same vertex
+    vecs = _half_walk_vectors(g, source, (max_m + 1) // 2)
+    counts = []
+    for m in range(max_m + 1):
+        fa, fb = sorted((vecs[m // 2], vecs[m - m // 2]), key=len)
+        counts.append(sum(map(mul, fa.values(), map(fb.get, fa, repeat(0)))))
+    return counts
+
+
+def _field_width(n: int, d: int, degree: int) -> int:
+    """2 + the bit length of the largest C(n, m) D^m, m <= d, D = degree."""
+    term = top = 1
+    for m in range(1, d + 1):
+        term = term * (n - m + 1) * degree // m  # C(n, m) D^m, exact
+        top = max(top, term)
+    return 2 + top.bit_length()
 
 
 def trace_moments(g: RootedGraph, max_m: int, budgets: Budgets = Budgets()) -> list[Fraction]:
@@ -268,31 +264,24 @@ def trace_moments(g: RootedGraph, max_m: int, budgets: Budgets = Budgets()) -> l
     modulus at most the maximum degree D, so |c_m| <= C(n, m) D^m < 2^(B-2)
     and its d + 1 fields of B bits decode exactly as signed integers.
 
-    Before a vertex's walks are built, the most expansions they can
-    take (_walk_charge of d) are added to the charge; a graph refused at its
-    first vertex is refused before the packing is sized.  Once B is known,
-    and before the product starts, the 30-bit digits of the packed product
-    over all vertices, n (d + 1) ceil(B / 30), are charged as determinant
-    digits: the walk charge does not count that arithmetic.
+    Everything is charged before the first vertex: the most expansions
+    the walks of all n vertices can take, n _walk_charge(g, d), before
+    anything else, so a graph past the limit sizes no packing; then, once
+    B is known (_field_width), the 30-bit digits of the packed product over
+    all vertices, n (d + 1) ceil(B / 30), as determinant digits, since the
+    walk charge does not count that arithmetic.
     """
     if max_m < 0:
         raise ValueError("max_m must be nonnegative")
     n = g.vertex_count
     d = min(n, max_m)
-    per_vertex = _walk_charge(g, d)
-    charged, limit = 0, budgets.limit("trace-walk expansions")
-    if per_vertex > limit:
-        budgets.charge("trace-walk expansions", per_vertex)
-    degree = max(map(len, g.neighbors), default=0)
-    width = 2 + max(comb(n, m) * degree**m for m in range(d + 1)).bit_length()
+    budgets.charge("trace-walk expansions", n * _walk_charge(g, d))
+    width = _field_width(n, d, max(map(len, g.neighbors), default=0))
     budgets.charge("determinant digits", n * (d + 1) * -(-width // 30))
     mask = (1 << (d + 1) * width) - 1
     descending = g._descending_neighbors
     packed = 1
     for v in range(n):
-        charged += per_vertex
-        if charged > limit:
-            budgets.charge("trace-walk expansions", charged)
         level: dict[int, int] = {}
         for u in descending[v]:
             if u <= v:
@@ -336,10 +325,13 @@ def count_k_cycles(g: RootedGraph, j: int, budgets: Budgets = Budgets()) -> int:
     orientation by requiring second vertex < last vertex.  Every path
     vertex the depth-first search reaches is one node of the charge.  The
     search keeps its own stack, so j is not bounded by the interpreter's
-    recursion limit.
+    recursion limit.  A simple j-cycle needs j distinct vertices, so past
+    the vertex count the answer is 0, with no search.
     """
     if j < 3:
         raise ValueError("cycle length must be >= 3")
+    if j > g.vertex_count:
+        return 0
     count = 0
     nodes = 0
     limit = budgets.limit("cycle-enumeration nodes")

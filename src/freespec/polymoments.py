@@ -11,7 +11,8 @@ gives the moments of p(b) for b of that law and any polynomial p: the
 semicircle and Kesten-McKay moments (p = x) and the distance-k laws
 (p = P_k or Q_k).  The law moments the CLI prints, the tree law and the
 free-CLT reference are charged to the walk budget before P_k or the chain
-is built (_orthogonal_poly_moments).
+is built (_orthogonal_poly_moments), and every P_k, hist's transform
+included, before it is built (monic_orthogonal_poly).
 """
 from __future__ import annotations
 
@@ -83,14 +84,21 @@ def jacobi_moments(params: JacobiParams, max_m: int, p: tuple = (0, 1)) -> tuple
     return tuple(map(Fraction, moments))
 
 
-def monic_orthogonal_poly(params: JacobiParams, k: int) -> tuple:
+def _build_updates(k: int) -> int:
+    """Building P_k updates k * (k + 3) / 2 coefficients, at most k * (k + 1)."""
+    return k * (k + 1)
+
+
+def monic_orthogonal_poly(params: JacobiParams, k: int, budgets: Budgets = Budgets()) -> tuple:
     """The k-th monic orthogonal polynomial of the law of params.
 
     P_0 = 1, P_1 = x, P_{n+1} = x P_n - gamma_{n-1} P_{n-1}, on coefficient
-    lists, in Python ints when gamma is integral.
+    lists, in Python ints when gamma is integral.  Its updates
+    (_build_updates) are charged before the first.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    budgets.charge("Jacobi-chain updates", _build_updates(k))
     prev, cur = [], [1]
     for n in range(k):
         g = params.gamma_at(n - 1) if n else 0  # gamma_{n-1}, none at n = 0
@@ -114,14 +122,14 @@ def _orthogonal_poly_moments(
     """Moments of P_k(b), with P_k the k-th monic orthogonal polynomial of
     the law of b, charged before P_k or the chain is built.
 
-    Building P_k updates k * (k + 3) / 2 coefficients, at most k * (k + 1).
-    Each moment applies P_k(J) by Horner's rule: k + 1 steps, each over the
-    chain's k * max_m // 2 + 2 levels.  So the charge is
-    (k + 1) * (k + max_m * levels), whatever the size of the numbers.
+    Building P_k takes _build_updates(k).  Each moment applies P_k(J) by
+    Horner's rule: k + 1 steps, each over the chain's k * max_m // 2 + 2
+    levels.  So the charge is (k + 1) * (k + max_m * levels), whatever the
+    size of the numbers.
     """
     levels = k * max_m // 2 + 2
-    budgets.charge("Jacobi-chain updates", (k + 1) * (k + max_m * levels))
-    return jacobi_moments(params, max_m, monic_orthogonal_poly(params, k))
+    budgets.charge("Jacobi-chain updates", _build_updates(k) + (k + 1) * max_m * levels)
+    return jacobi_moments(params, max_m, monic_orthogonal_poly(params, k, budgets))
 
 
 def semicircle_moments(max_m: int, budgets: Budgets = Budgets()) -> tuple[Fraction, ...]:
@@ -136,17 +144,17 @@ def kesten_mckay_moments(
     return _orthogonal_poly_moments(kesten_mckay_params(d), 1, max_m, budgets)
 
 
-def chebyshev_monic(k: int) -> tuple:
+def chebyshev_monic(k: int, budgets: Budgets = Budgets()) -> tuple:
     """Monic Chebyshev family: P0 = 1, P1 = x, x*Pn = P(n+1) + P(n-1)."""
-    return monic_orthogonal_poly(SEMICIRCLE, k)
+    return monic_orthogonal_poly(SEMICIRCLE, k, budgets)
 
 
-def tree_distance_poly(d: int, k: int) -> tuple:
+def tree_distance_poly(d: int, k: int, budgets: Budgets = Budgets()) -> tuple:
     """The polynomial Q_k with A^{[k]} = Q_k(A) on the d-regular tree.
 
     Q0 = 1, Q1 = x, Q2 = x^2 - d, then x*Qk = Q(k+1) + (d-1)*Q(k-1).
     """
-    return monic_orthogonal_poly(kesten_mckay_params(d), k)
+    return monic_orthogonal_poly(kesten_mckay_params(d), k, budgets)
 
 
 def semicircle_density(x: float) -> float:

@@ -166,12 +166,12 @@ def test_moments_vacuum_makes_one_walk_pass(capsys, monkeypatch):
 def test_moments_honours_the_walk_budget(tmp_path, capsys):
     # c6 at max_m 12: one vertex's half walks are charged
     # (1 + 2 + 4 + 6 + 6 + 6) * 2 = 50 expansions, before any is built; the
-    # trace walks stop at min(n, max_m) = 6 steps, so its first vertex is
-    # charged (1 + 2 + 4) * 2 = 14
+    # trace walks stop at min(n, max_m) = 6 steps, so each vertex is charged
+    # (1 + 2 + 4) * 2 = 14, all six of them before the first: 84
     path = tmp_path / "c6.txt"
     path.write_text(format_graph_text(cycle_graph(6)))
     argv = ("moments", "--graph", f"file:{path}", "--max-m", "12")
-    for which, charge in (("vacuum", 50), ("trace", 14)):
+    for which, charge in (("vacuum", 50), ("trace", 84)):
         code, out, err = run_cli(capsys, *argv, "--which", which, "--walk-budget", "1")
         assert (code, out) == (2, "")
         assert err == f"error[BUDGET]: budget exceeded: {charge} {which}-walk expansions (budget 1)\n"
@@ -727,6 +727,8 @@ def _run_in_800_mb(argv):
         "moments --law semicircle --max-m 20000",
         "large-d --k 14000 --d-list 3 --max-m 2",
         "moments --graph file:{matching4000} --which trace --max-m 4000",
+        "cycles --d 4 --j 100000 --n-list 2,300 --samples 2",
+        "hist --law semicircle --samples 7 --bins 5 --transform p:1000000000",
     ],
 )
 def test_adversarial_argv_keep_the_budget_contract(argv, tmp_path):
@@ -757,6 +759,14 @@ def test_a_check_past_the_interior_ball_reads_one_row_per_type(argv):
     proc = _run_in_800_mb(argv)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[1].split(",")[6] == "0"
+
+
+def test_a_default_report_on_disconnected_distance_k_graphs_writes_no_stderr():
+    # a 2-regular pairing is a union of cycles, so its distance-3 graph is
+    # built per component, and nothing is written to stderr
+    proc = _run_in_800_mb("regular-random --d 2 --k 3 --n-list 300 --samples 1 --max-m 2")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(proc.stdout.splitlines()) == 4
 
 
 def test_a_cell_past_the_word_pool_is_computed_from_types():

@@ -316,10 +316,10 @@ def test_walk_polynomial_matches_layered_oracle():
 
 
 def test_root_automorphisms():
-    # K_{1,6} at its centre has 720, past the element bound, and K_{1,8}
-    # has 8! candidates, past the candidate bound: the identity stands in
+    # K_{1,6} at its centre keeps all 720, and K_{1,8} has 8! candidates,
+    # past the candidate bound: the identity stands in
     sizes = {
-        K3: 2, K4: 6, C4: 2, C5: 2, P3: 1, P4: 1, STAR3: 6, STAR3_LEAF: 2, STAR6: 1,
+        K3: 2, K4: 6, C4: 2, C5: 2, P3: 1, P4: 1, STAR3: 6, STAR3_LEAF: 2, STAR6: 720,
         STAR8: 1, PETERSEN: 12, GRID3: 2, C12: 2, BINARY_TREE2: 8,
     }
     for base, size in sizes.items():
@@ -371,8 +371,8 @@ def test_free_power_is_quick_on_large_bases():
 
 
 def test_walk_polynomial_quotient_on_star_bases():
-    # root-fixing groups of order 6 and 2, and the identity fallback; the
-    # oracle takes 15 s on K_{1,6}^{*3} at k=2, m<=5, so that case stops at 4
+    # root-fixing groups of order 6, 2 and 720; the oracle takes 15 s on
+    # K_{1,6}^{*3} at k=2, m<=5, so that case stops at 4
     for base in (STAR3, STAR3_LEAF, STAR6):
         for k in (1, 2):
             max_m = 4 if base is STAR6 and k == 2 else 5
@@ -589,6 +589,22 @@ def test_walk_budget():
         with pytest.raises(BudgetExceededError) as info:
             vacuum_moments_distance_k(spec, 2, 4, Budgets(charge - 1))
         assert info.value.what == "walk expansions"
+
+
+def test_the_walk_dp_quotients_by_the_whole_star_group():
+    # K_{1,6} at its centre has one orbit of 6 leaves under its 720
+    # root-fixing automorphisms: k=2, m<=8 on K_{1,6}^{*3} fits 151 walk
+    # expansions (with the identity group alone the DP takes about 27 s)
+    spec = free_power(STAR6, 3)
+    start = time.perf_counter()
+    moments = vacuum_moments_distance_k(spec, 2, 8, Budgets(151))
+    assert time.perf_counter() - start < 5
+    assert moments == [
+        1, 0, 216, 2376, 103896, 2340360, 75152664, 2113653960, 65055291480
+    ]
+    with pytest.raises(BudgetExceededError) as info:
+        vacuum_moments_distance_k(spec, 2, 8, Budgets(150))
+    assert (info.value.count, info.value.what) == (151, "walk expansions")
 
 
 def test_a_huge_k_is_refused_from_the_pool_letters():

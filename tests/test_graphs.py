@@ -1,7 +1,6 @@
 """Tests for the rooted-graph core: builders, BFS, moments, cycles, decomposition."""
 import math
 import time
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -108,7 +107,6 @@ def test_distance_k_graph_examples():
     assert set(graph_edges(dk)) == {(0, 2), (1, 3)}
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_distance_k_graph_matches_floyd_warshall():
     for seed in range(6):
         g = random_graph(9, 0.4, seed=seed)
@@ -137,12 +135,13 @@ def test_distance_1_graph_is_identity_on_connected():
         assert distance_k_graph(g, 1) == g
 
 
-def test_distance_k_graph_warns_on_disconnected():
-    g = from_edge_list(4, [(0, 1), (2, 3)], 0)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        distance_k_graph(g, 2)
-    assert any("disconnected" in str(w.message) for w in caught)
+def test_distance_k_graph_of_a_disconnected_graph_is_built_per_component():
+    # the path 0-1-2 and the 4-cycle 3-4-5-6: each row holds its own
+    # component's vertices at distance k, and no pair across components
+    g = from_edge_list(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 3)], 0)
+    assert distance_k_graph(g, 1) == g
+    assert distance_k_graph(g, 2).neighbors == ((2,), (), (0,), (5,), (6,), (3,), (4,))
+    assert distance_k_graph(g, 3).edge_count == 0
 
 
 def test_distance_partition_covers_all_pairs():
@@ -325,14 +324,27 @@ def test_trace_moments_budget():
 
 
 def test_a_trace_refused_at_its_first_vertex_sizes_no_packing(monkeypatch):
-    # C_2000 at max_m 10^6 packs 2001 fields of about 3200 bits: the first
-    # vertex's charge refuses it before any field width is worked out
-    monkeypatch.setattr(graphs, "comb", None)
+    # C_2000 at max_m 10^6 packs 2001 fields of about 3200 bits: the walks
+    # of all n vertices are charged at once, so a budget short of even the
+    # first vertex's refuses it before any field width is worked out or
+    # any vertex is walked
+    monkeypatch.setattr(graphs, "_field_width", None)
     g = cycle_graph(2000)
     per_vertex = graphs._walk_charge(g, 2000)
     with pytest.raises(BudgetExceededError) as info:
         trace_moments(g, 10**6, Budgets(per_vertex - 1))
-    assert (info.value.count, info.value.budget) == (per_vertex, per_vertex - 1)
+    assert (info.value.count, info.value.budget) == (2000 * per_vertex, per_vertex - 1)
+    assert "_descending_neighbors" not in vars(g)
+
+
+def test_the_field_width_is_the_largest_binomial_term():
+    # the running product gives the bit length of max C(n, m) D^m, m <= d,
+    # worked out here from the binomials themselves
+    for n in range(0, 41):
+        for d in range(n + 1):
+            for degree in range(0, 9):
+                terms = [math.comb(n, m) * degree**m for m in range(d + 1)]
+                assert graphs._field_width(n, d, degree) == 2 + max(terms).bit_length()
 
 
 def excursion_expansions(g, v, max_m):
@@ -390,6 +402,13 @@ def test_count_k_cycles_past_the_recursion_limit():
     # the search holds a path of 1500 vertices, past Python's default
     # recursion limit of 1000
     assert count_k_cycles(cycle_graph(1500), 1500) == 1
+
+
+def test_count_k_cycles_past_the_vertex_count_is_0_without_a_search():
+    # a simple j-cycle has j distinct vertices: no node is charged
+    for g in (complete_graph(5), cycle_graph(7)):
+        assert count_k_cycles(g, g.vertex_count + 1, Budgets(0)) == 0
+        assert count_k_cycles(g, 10**9, Budgets(0)) == 0
 
 
 def test_count_k_cycles_budget():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from freespec.errors import BudgetExceededError, Budgets
 from freespec.experiments import chebyshev_reference_moments
 from freespec.graphs import bfs_distances
 from freespec.polymoments import (
@@ -172,6 +173,21 @@ def test_orthogonal_poly_argument_checks():
         tree_distance_poly(1, 2)
     with pytest.raises(ValueError, match="k must be nonnegative"):
         tree_distance_poly(3, -1)
+
+
+def test_building_p_k_is_charged_before_it_starts():
+    # k * (k + 1) Jacobi-chain updates, so hist's --transform p:10^9 is
+    # refused at once
+    assert chebyshev_monic(40, Budgets(40 * 41)) == chebyshev_monic(40)
+    assert tree_distance_poly(3, 40, Budgets(40 * 41)) == tree_distance_poly(3, 40)
+    start = time.perf_counter()
+    for build in (lambda b: chebyshev_monic(40, b), lambda b: tree_distance_poly(3, 40, b)):
+        with pytest.raises(BudgetExceededError) as info:
+            build(Budgets(40 * 41 - 1))
+        assert (info.value.count, info.value.what) == (1640, "Jacobi-chain updates")
+    with pytest.raises(BudgetExceededError):
+        chebyshev_monic(10**9)
+    assert time.perf_counter() - start < 1
 
 
 def _tree_poly_rows(d, k, radius):
