@@ -379,7 +379,7 @@ def vacuum_moments_distance_k(
     return moments
 
 
-def _check_words(spec: FreePowerSpec, k: int, cutoff: int, budgets: Budgets) -> list[Word]:
+def _check_words(spec: FreePowerSpec, depth: int, cutoff: int, budgets: Budgets) -> list[Word]:
     """One word of each type within root distance cutoff, the rows charged first.
 
     A type is the walk DP's (_type_letters); its word takes copies 0, 1, 0,
@@ -388,41 +388,42 @@ def _check_words(spec: FreePowerSpec, k: int, cutoff: int, budgets: Budgets) -> 
     distance, word length, top copies and graph distance, so a check reads
     one row per type.
 
-    With D the maximum degree of G^{*N}, a row's BFS scans the neighbours
-    of the words within k of its source, and the check those of the words
-    within k+1.  The words within r of one word number at most 1 + D + ...
-    + D^r, so for k >= 2 (k >= 3 when D = 1) a row takes at most D * (1 + D
-    + ... + D^(k+1)) scans, each of a word of at most c + k + 2 letters
-    from a source of root distance c.  The types so far are charged those
-    letters, level by level, before a level is built.
+    A row is a BFS to depth >= 3 (_check_pairs).  With D the maximum degree
+    of G^{*N}, it scans the neighbours of the words within depth - 1 of its
+    source, and the check those of the words it keeps, within depth.  The
+    words within r of one word number at most 1 + D + ... + D^r, so a row
+    takes at most D * (1 + D + ... + D^depth) scans, each of a word of at
+    most c + depth + 1 letters from a source of root distance c.  The types
+    so far are charged those letters, level by level, before a level is
+    built.
     """
     n, degree = spec.base.vertex_count, _max_degree(spec)
-    row = degree * ((degree ** (k + 2) - 1) // (degree - 1) if degree > 1 else k + 2)
+    row = degree * ((degree ** (depth + 1) - 1) // (degree - 1) if degree > 1 else depth + 1)
     # lengths: the longest word a scan builds, summed over the types so far
-    levels, lengths = [[()]], k + 2
+    levels, lengths = [[()]], depth + 1
     budgets.charge("check-row letters", lengths * row)
     for c, stacks in enumerate(_type_letters(spec, cutoff)[2], 1):
-        lengths += (c + k + 2) * sum(len(levels[r]) for _, r in stacks)
+        lengths += (c + depth + 1) * sum(len(levels[r]) for _, r in stacks)
         budgets.charge("check-row letters", lengths * row)
         levels.append([(len(w) % 2 * n + v,) + w for v, r in stacks for w in levels[r]])
     return list(chain.from_iterable(levels))
 
 
-def _check_pairs(spec: FreePowerSpec, words: list, k: int, cutoff: int, later_only: bool):
-    """(d(x, y), y, [l ~ y : d(x, l) = k]) for the words x and the y within k+1 of x.
+def _check_pairs(spec: FreePowerSpec, words, k: int, reach: int, cutoff: int, later_only: bool):
+    """(d(x, y), y, [l ~ y : d(x, l) = k]) for the words x and the y within reach of x.
 
-    Row x is the BFS of x to depth k+1, {y: d(x, y)}: a pair further apart
-    has zero on both sides of either checked identity, since d(x, l) > k for
-    every neighbour l of y.  A neighbour l of y lies within k+2 of x, so
+    reach is the largest d(x, y) the caller reads (a pair further than k + 1
+    apart is zero on both sides of either identity).  Row x is the BFS of x
+    to depth max(reach, k), {y: d(x, y)}: it holds every word within k, so
     row[l] == k exactly when d(x, l) = k.  y is kept when rd(y) <= cutoff,
     and with later_only when rd(x) <= rd(y) too.
     """
     n, root_row = spec.base.vertex_count, spec.apsp[spec.base.root]
     for x in words:
-        row = _word_bfs(spec, x, k + 1)
+        row = _word_bfs(spec, x, max(reach, k))
         least = sum(root_row[a % n] for a in x) if later_only else 0
         for y, dxy in row.items():
-            if least <= sum(root_row[a % n] for a in y) <= cutoff:
+            if dxy <= reach and least <= sum(root_row[a % n] for a in y) <= cutoff:
                 yield dxy, y, [l for l in word_neighbors(spec, y) if row.get(l) == k]
 
 
@@ -437,14 +438,15 @@ def decomposition_check(
       d(i,j) = k   : the same count, read as the same-distance matrix,
       d(i,j) = k-1 : (N-1) * deg(e)  +  #{l ~ j : d(i,l) = k, top-copy edge},
       otherwise    : zero.
-    The first two buckets are definitional; the content sits at d = k - 1
-    (the fresh-copy count is exactly (N-1) deg(e)) and beyond k + 1 (zero).
-    The orientation constraint matters: when j is a proper suffix of i the
-    fresh-copy count deviates from (N-1) deg(e), so those transposed entries
-    are outside the identity's domain.  The interior is root distance
-    <= radius - 1, and i ranges over one word of each type in it (see
-    _check_words, which charges the rows first, and _check_pairs).  k and
-    radius are checked before that.
+    The first two buckets are definitional, equal by construction, so the
+    check reads only pairs at d <= k - 1, from BFS rows to depth k: the
+    content sits at d = k - 1 (the fresh-copy count is exactly (N-1)
+    deg(e)) and below (zero).  The orientation constraint matters: when j
+    is a proper suffix of i the fresh-copy count deviates from (N-1)
+    deg(e), so those transposed entries are outside the identity's domain.
+    The interior is root distance <= radius - 1, and i ranges over one word
+    of each type in it (see _check_words, which charges the rows first, and
+    _check_pairs).  k and radius are checked before that.
     """
     if k < 3:
         raise ValueError("decomposition check needs k >= 3")
@@ -453,15 +455,11 @@ def decomposition_check(
     words = _check_words(spec, k, radius - 1, budgets)
     fresh = (spec.copies - 1) * spec.sigma
     max_violation = 0
-    for dij, j, hits in _check_pairs(spec, words, k, radius - 1, later_only=True):
-        lhs = len(hits)
-        if dij == k - 1:
-            # a neighbour of j no longer than j moves j's top letter within
-            # its copy (pop or sideways); a longer one stacks a fresh letter
-            rhs = fresh + sum(len(l) <= len(j) for l in hits)
-        else:
-            rhs = lhs if dij >= k else 0  # d = k, k+1: definitional buckets
-        max_violation = max(max_violation, abs(lhs - rhs))
+    for dij, j, hits in _check_pairs(spec, words, k, k - 1, radius - 1, later_only=True):
+        # a neighbour of j no longer than j moves j's top letter within its
+        # copy (pop or sideways); a longer one stacks a fresh letter
+        rhs = fresh + sum(len(l) <= len(j) for l in hits) if dij == k - 1 else 0
+        max_violation = max(max_violation, abs(len(hits) - rhs))
     return max_violation
 
 
@@ -469,10 +467,10 @@ def tree_recurrence_check(d: int, k: int, radius: int, budgets: Budgets = Budget
     """Max entrywise violation of A A^{[k]} = A^{[k+1]} + (d-1) A^{[k-1]}.
 
     Checked on the words of K2^{*d}, the d-regular tree, over pairs with
-    both endpoints at root_distance <= radius - k - 1, one row per word
-    length (see _check_words, which charges the rows first, and
-    _check_pairs); the rows come from BFS over the whole tree, so the
-    distances are exact.
+    both endpoints at root_distance <= radius - k - 1 and within k + 1 of
+    each other, one row per word length (see _check_words, which charges
+    the rows first, and _check_pairs); the rows are BFS to depth k + 1 over
+    the whole tree, so the distances are exact.
     """
     if k < 2:
         raise ValueError("recurrence check needs k >= 2")
@@ -482,9 +480,9 @@ def tree_recurrence_check(d: int, k: int, radius: int, budgets: Budgets = Budget
         raise ValueError("tree degree must be >= 2")
     spec = free_power(complete_graph(2), d)
     cutoff = radius - k - 1
-    words = _check_words(spec, k, cutoff, budgets)
+    words = _check_words(spec, k + 1, cutoff, budgets)
     max_violation = 0
-    for dij, _, hits in _check_pairs(spec, words, k, cutoff, later_only=False):
+    for dij, _, hits in _check_pairs(spec, words, k, k + 1, cutoff, later_only=False):
         rhs = (dij == k + 1) + (d - 1) * (dij == k - 1)
         max_violation = max(max_violation, abs(len(hits) - rhs))
     return max_violation

@@ -54,9 +54,11 @@ def derive_seed(*parts: int) -> int:
 
 
 def check_order(n: int, d: int) -> None:
-    """Raise unless the pairing model can pair n vertices of degree d."""
+    """Raise unless a simple d-regular graph on n vertices exists (d >= 2, n > d, n*d even)."""
     if n <= 0 or d < 2:
         raise ValueError("need n > 0 and d >= 2")
+    if n <= d:
+        raise ValueError(f"no simple {d}-regular graph on {n} vertices: need n > d")
     if (n * d) % 2:
         raise ParityError(f"n*d = {n * d} is odd")
 
@@ -111,8 +113,8 @@ def pairing_model(cfg: PairingConfig) -> RootedGraph:
     loop, and is otherwise simple exactly when its n*d/2 pairs, each with
     its smaller end first, are distinct.  That set of pairs is the edge
     list of the graph.  A pairing is simple with probability about
-    exp(-(d^2-1)/4), so large d (or an infeasible (n, d)) runs out of
-    max_retries and raises RetriesExhaustedError.
+    exp(-(d^2-1)/4), so large d runs out of max_retries and raises
+    RetriesExhaustedError.  PairingConfig refuses an (n, d) with no simple graph.
 
     The shuffles are fisher_yates on random.Random(cfg.seed): the same
     permutations and generator states as random.Random(cfg.seed).shuffle,

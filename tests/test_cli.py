@@ -11,8 +11,15 @@ from fractions import Fraction
 import pytest
 
 from freespec import cli, errors, freeprod, regular
-from freespec.errors import BudgetExceededError
-from freespec.graphs import builtin_graph, cycle_graph, from_edge_list, parse_graph_text
+from freespec.errors import BudgetExceededError, Budgets
+from freespec.freeprod import free_power, vacuum_moments_distance_k
+from freespec.graphs import (
+    builtin_graph,
+    complete_graph,
+    cycle_graph,
+    from_edge_list,
+    parse_graph_text,
+)
 from oracles import fmt12_by_decimal, format_graph_text
 
 
@@ -391,6 +398,8 @@ def test_sampled_commands_check_every_order_before_pairing(capsys, monkeypatch, 
         ("3", "100,100001", "n*d = 300003 is odd"),
         ("4", "0,100", "need n > 0 and d >= 2"),
         ("1", "100", "need n > 0 and d >= 2"),
+        # no pairing of 2 vertices of degree 4 is simple, however often drawn
+        ("4", "2,300", "no simple 4-regular graph on 2 vertices: need n > d"),
     ):
         for argv in (
             ("regular-random", "--d", d, "--k", "2"),
@@ -479,21 +488,25 @@ def test_large_d_is_free_clt_on_k2(capsys):
 
 
 def test_tree_check_honours_the_walk_budget(capsys):
-    # the 3-regular tree at k = 2, max_m = 8 charges 84 walk expansions: the
-    # 1 + 2 letters of its segment pool first, then the turn scans, stacks
-    # and mass updates of each step, each before it is built.  Its reference
-    # then charges 3 * (2 + 8 * 10) = 246 Jacobi-chain updates
+    # the 3-regular tree at k = 2, max_m = 8 charges 3 * (2 + 8 * 10) = 246
+    # Jacobi-chain updates for its reference first, then 84 walk expansions:
+    # the 1 + 2 letters of its segment pool, then the turn scans, stacks and
+    # mass updates of each step, each before it is built
     argv = ("tree-check", "--d", "3", "--k", "2", "--max-m", "8")
-    for budget, count, stage in (
-        ("1", 3, "walk expansions"),
-        ("83", 84, "walk expansions"),
-        ("245", 246, "Jacobi-chain updates"),
-    ):
+    for budget in ("1", "83", "245"):
         code, out, err = run_cli(capsys, *argv, "--walk-budget", budget)
         assert (code, out) == (2, "")
-        assert err == f"error[BUDGET]: budget exceeded: {count} {stage} (budget {budget})\n"
+        assert err == (
+            f"error[BUDGET]: budget exceeded: 246 Jacobi-chain updates (budget {budget})\n"
+        )
     code, _, _ = run_cli(capsys, *argv, "--walk-budget", "246")
     assert code == 0
+    tree = free_power(complete_graph(2), 3)
+    for budget, count in ((1, 3), (83, 84)):
+        with pytest.raises(BudgetExceededError) as info:
+            vacuum_moments_distance_k(tree, 2, 8, Budgets(budget))
+        assert str(info.value) == f"budget exceeded: {count} walk expansions (budget {budget})"
+    assert len(vacuum_moments_distance_k(tree, 2, 8, Budgets(84))) == 9
     # large-d and free-clt on K2 skip every cell over the budget
     for argv in (
         ("large-d", "--k", "2", "--d-list", "3,10"),
@@ -724,6 +737,7 @@ def _run_in_800_mb(argv):
         "hist --law semicircle --samples 20 --bins 3 --transform q:1000:400",
         "regular-random --d 3 --k 3000000 --n-list 4 --samples 1 --max-m 2",
         "tree-check --d 3 --k 10000 --max-m 2",
+        "tree-check --d 3 --k 4 --max-m 100000",
         "moments --law semicircle --max-m 20000",
         "large-d --k 14000 --d-list 3 --max-m 2",
         "moments --graph file:{matching4000} --which trace --max-m 4000",
@@ -750,12 +764,15 @@ def test_adversarial_argv_keep_the_budget_contract(argv, tmp_path):
     [
         "decomp-check --mode free --graph builtin:k4 --N 6 --k 3 --radius 6",
         "decomp-check --mode free --graph builtin:k3 --N 4 --k 3 --radius 7",
+        "decomp-check --mode free --graph builtin:k4 --N 6 --k 3 --radius 7",
     ],
 )
 def test_a_check_past_the_interior_ball_reads_one_row_per_type(argv):
-    # a row for each interior word, of 976,339 and 74,649, would pass the
-    # default walk budget of 10^8; one row per type fits it, and runs
-    # within 60 s and 800 MB
+    # a row for each interior word, of 976,339 and 74,649 in the first two,
+    # would pass the default walk budget of 10^8; one row per type fits it,
+    # and runs within 60 s and 800 MB.  The free check's rows are BFS to
+    # depth k, charged for that depth: 5,446,350 letters for the third,
+    # where rows to depth k + 1 would be charged 112,040,208
     proc = _run_in_800_mb(argv)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[1].split(",")[6] == "0"
@@ -1112,7 +1129,9 @@ def test_every_budget_flag_a_mode_takes_is_read(capsys, command, mode):
 
 # One row per budget stage: an argv, the flag of the stage's limit, and the
 # smallest limit the argv fits.  246, 1800 and the hist and km-density
-# sizes are the boundaries of the tests above, 109 the c4 walk budget of
+# sizes are the boundaries of the tests above, 10200 = 30 * 340 the free
+# check of K3^{*2} at k = 3 (5 types within root distance 4, rows to depth
+# 3 of D = 4: 340 scans of at most 4 to 8 letters), 109 the c4 walk budget of
 # test_freeprod.py::test_walk_budget (its reference charges 78), 48 (12 per
 # vertex) the k4 charge of test_graphs.py::test_trace_moments_budget, 98 =
 # 2 * (1 + 8 * 6) the semicircle's chain of 6 levels at max_m 8, and 72 =
@@ -1125,6 +1144,8 @@ STAGE_BOUNDARIES = [
     ("walk expansions", "free-clt --graph builtin:c4 --k 2 --N 2 --max-m 4", "--walk-budget", 109),
     ("check-row letters", "decomp-check --mode tree --d 3 --k 2 --radius 5",
      "--walk-budget", 1800),
+    ("check-row letters", "decomp-check --mode free --graph builtin:k3 --N 2 --k 3 --radius 5",
+     "--walk-budget", 10200),
     ("two-step pairs", "decomp-check --mode square --graph builtin:k4", "--walk-budget", 36),
     ("vacuum-walk expansions", "moments --graph builtin:k4 --max-m 4", "--walk-budget", 12),
     ("trace-walk expansions", "moments --graph builtin:k4 --which trace --max-m 4",
@@ -1150,7 +1171,10 @@ SKIPPING = ("free-clt", "large-d", "regular-random", "cycles")
 @pytest.mark.parametrize(
     "stage, argv, flag, fits, threads",
     [
-        pytest.param(stage, argv, flag, fits, threads, id=f"{argv.split()[0]}:{stage}:{threads}")
+        pytest.param(
+            stage, argv, flag, fits, threads,
+            id=f"{argv.split()[0]}{' free' * ('--mode free' in argv)}:{stage}:{threads}",
+        )
         for stage, argv, flag, fits in STAGE_BOUNDARIES
         for threads in (("1", "2") if argv.split()[0] in ("regular-random", "cycles") else ("1",))
     ],

@@ -817,16 +817,17 @@ def _word_type(spec, word):
 def test_the_words_of_one_type_have_one_row_profile(spec, k, cutoff, later_only):
     # the premise of one row per type, word by word over the interior: the
     # words of one type keep rows of one profile, the multiset of (d(x, y),
-    # #hits, #hits no longer than y) over the y kept, whatever the violations
+    # #hits, #hits no longer than y) over the y kept within k + 1 of x (every
+    # bucket either check may read), whatever the violations
     profiles = {}
     for x in _word_bfs(spec, (), cutoff):
         profile = Counter(
             (dxy, len(hits), sum(len(l) <= len(y) for l in hits))
-            for dxy, y, hits in freeprod._check_pairs(spec, [x], k, cutoff, later_only)
+            for dxy, y, hits in freeprod._check_pairs(spec, [x], k, k + 1, cutoff, later_only)
         )
         assert profiles.setdefault(_word_type(spec, x), profile) == profile, x
     # and the check reads one word of each of those types, each once
-    words = freeprod._check_words(spec, k, cutoff, Budgets())
+    words = freeprod._check_words(spec, k + 1, cutoff, Budgets())
     assert sorted(_word_type(spec, x) for x in words) == sorted(profiles)
 
 
@@ -862,14 +863,15 @@ def _counted_work(monkeypatch, run):
     ],
 )
 def test_check_rows_are_charged_before_the_first(monkeypatch, check, args, spec, cutoff):
-    # D * (1 + D + ... + D^(k+1)) neighbour scans of at most rd + k + 2
-    # letters for each type within the cutoff, with D the maximum degree;
-    # the types are counted here from the interior's words
-    k = args[1]
+    # D * (1 + D + ... + D^depth) neighbour scans of at most rd + depth + 1
+    # letters for each type within the cutoff, with D the maximum degree and
+    # depth the row's BFS depth, k for the free check and k + 1 for the tree
+    # check; the types are counted here from the interior's words
+    depth = args[1] + (check is tree_recurrence_check)
     degree = max(map(len, spec.base.neighbors)) + (spec.copies - 1) * spec.sigma
     types = {_word_type(spec, w): root_distance(spec, w) for w in _word_bfs(spec, (), cutoff)}
-    row = degree * sum(degree**i for i in range(k + 2))
-    charge = sum(rd + k + 2 for rd in types.values()) * row
+    row = degree * sum(degree**i for i in range(depth + 1))
+    charge = sum(rd + depth + 1 for rd in types.values()) * row
     with pytest.raises(BudgetExceededError) as info:
         check(*args, Budgets(charge - 1))
     assert str(info.value) == (
@@ -884,6 +886,30 @@ def test_check_rows_are_charged_before_the_first(monkeypatch, check, args, spec,
     assert _counted_work(monkeypatch, short) == 0
     work = _counted_work(monkeypatch, lambda: check(*args, Budgets(charge)))
     assert 0 < work <= charge
+
+
+@pytest.mark.parametrize(
+    "check, args, depth",
+    [
+        (decomposition_check, (free_power(K3, 2), 3, 5), 3),
+        (decomposition_check, (free_power(C4, 3), 4, 6), 4),
+        (tree_recurrence_check, (3, 2, 6), 3),
+        (tree_recurrence_check, (4, 3, 7), 4),
+    ],
+)
+def test_each_check_searches_only_the_depth_it_reads(monkeypatch, check, args, depth):
+    # the free check reads pairs up to d = k - 1 and hits at d = k, so its
+    # rows are BFS to depth k; the tree check reads pairs up to k + 1
+    depths = []
+    bfs = freeprod._word_bfs
+
+    def recorded_bfs(spec, source, depth):
+        depths.append(depth)
+        return bfs(spec, source, depth)
+
+    monkeypatch.setattr(freeprod, "_word_bfs", recorded_bfs)
+    assert check(*args) == 0
+    assert depths and set(depths) == {depth}
 
 
 def test_tree_recurrence_check():

@@ -40,8 +40,9 @@ def test_pairing_model_parity():
 
 
 def test_pairing_model_infeasible():
-    with pytest.raises(RetriesExhaustedError):
-        pairing_model(PairingConfig(n=2, d=3, seed=0, max_retries=50))
+    # 2 vertices of degree 3 have no simple pairing: refused before a shuffle
+    with pytest.raises(ValueError, match="no simple 3-regular graph on 2 vertices"):
+        PairingConfig(n=2, d=3, seed=0, max_retries=50)
 
 
 def test_pairing_model_simple_and_regular():
